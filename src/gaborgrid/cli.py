@@ -177,7 +177,7 @@ def cmd_stft(args) -> int:
 def cmd_dual_window(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     system = cfg.make_system()
-    cert = frame_bounds(system, tol=1e-6)
+    cert = frame_bounds(system)
     payload = cert.to_dict()
     payload["frame"] = cert.lower > cfg.tol("frame")
     out = args.output or "dual_window.csv"

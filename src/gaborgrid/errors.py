@@ -45,10 +45,6 @@ class NotAFrame(GaborGridError):
     """System has no positive lower frame bound at the requested tolerance."""
 
 
-class NoConvergence(GaborGridError):
-    """Iterative solver exhausted its iteration budget."""
-
-
 class ZeroSignal(GaborGridError):
     """Operation is undefined for an identically zero signal."""
 

@@ -10,29 +10,36 @@ transposes up to the scalar spacing^n and the frame operator
 is Hermitian positive semidefinite.  Frame bounds are reported as extreme
 eigenvalues of S, i.e. as the squares of the coefficient-map norm bounds.
 
-The canonical dual window is computed by conjugate gradients on S; its
-relative residual is the certificate of accuracy.  Wexler-Raz
-biorthogonality is evaluated independently of that solve: for a separable
-lattice with steps (a, b) the pair (psi, gamma) is dual exactly when the
-inner products of gamma against time-frequency shifts of psi over the
-adjoint lattice (time step 1/b, frequency step 1/a) vanish except for the
-(ab)^n mass at the origin.
+The modulations of the frequency lattice F sum to |F| on its annihilator
+F^perp = {u : m . u = 0 mod L for every m in F} and to 0 off it.  With W the
+table of lattice translates of the window and h = spacing^n this gives
+
+    S[t, t'] = h |F| sum_k W[t, k] conj(W[t', k])  if t - t' in F^perp,
+
+and 0 otherwise (the finite Walnut / Zibulski-Zeevi representation).  So S
+is block diagonal over the |F| cosets of F^perp for any pair of grid
+lattices, separable or not.  The frame bounds are the extreme eigenvalues
+of the blocks and the canonical dual window is one solve per block; both
+are exact up to rounding.
+
+Wexler-Raz biorthogonality is evaluated independently of that solve: for a
+separable lattice with steps (a, b) the pair (psi, gamma) is dual exactly
+when the inner products of gamma against time-frequency shifts of psi over
+the adjoint lattice (time step 1/b, frequency step 1/a) vanish except for
+the (ab)^n mass at the origin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     IndexMismatch,
-    NoConvergence,
     NonAlignedAdjointLattice,
     NonAlignedLattice,
     NotAFrame,
-    ResourceLimit,
     ZeroSignal,
 )
 from .grid import (
@@ -42,8 +49,6 @@ from .grid import (
     grids_compatible,
     require_same_grid,
 )
-
-_DENSE_LIMIT = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,53 +114,76 @@ def _phase_table(grid, freq_lattice: GridLattice) -> np.ndarray:
     return np.exp(2j * np.pi * prod / L)
 
 
-def _tables(system: GaborSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (shift table, phase table, flat frequency bins) for the system."""
+def _flat_index(grid, index: np.ndarray) -> np.ndarray:
+    """Flat node (or bin) numbers of integer index vectors, wrapped modulo L."""
+    return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), grid.shape, mode="wrap")
+
+
+def _tables(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (shift table, flat frequency bins) for the system."""
     cached = getattr(system, "_op_tables", None)
     if cached is None:
-        grid = system.grid
         W = _shift_table(system.window, system.time_lattice)
-        phases = _phase_table(grid, system.freq_lattice)
-        bins = system.freq_lattice.index_points
-        if grid.dim == 1:
-            flat_bins = bins[:, 0]
-        else:
-            flat_bins = bins[:, 0] * grid.points_per_axis + bins[:, 1]
-        cached = (W, phases, flat_bins)
+        cached = (W, _flat_index(system.grid, system.freq_lattice.index_points))
         object.__setattr__(system, "_op_tables", cached)
     return cached
 
 
-def _batched_fft(rows: np.ndarray, grid) -> np.ndarray:
+def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (cosets, blocks) of the block-diagonal frame operator.
+
+    ``cosets`` is the (|F|, |F^perp|) array of flat grid points, one row per
+    coset of the annihilator F^perp; ``blocks[b]`` is S restricted to row b,
+    h |F| W_B W_B^H.  F^perp is read off one FFT of the indicator of F: the
+    character sum over F equals |F| exactly on F^perp and vanishes elsewhere.
+    """
+    cached = getattr(system, "_op_blocks", None)
+    if cached is None:
+        grid = system.grid
+        W, flat_bins = _tables(system)
+        indicator = np.zeros(grid.shape)
+        indicator.flat[flat_bins] = 1.0
+        char_sum = np.fft.fftn(indicator).ravel()
+        nodes = grid.index_vectors()
+        annihilator = nodes[np.abs(char_sum - flat_bins.size) < 0.5]
+        members = _flat_index(grid, nodes[:, None, :] + annihilator[None, :, :])
+        # Label each point by the smallest point of its coset; the cosets
+        # all have |F^perp| points, so sorting by label gives whole rows.
+        order = np.argsort(members.min(axis=1), kind="stable")
+        cosets = order.reshape(-1, annihilator.shape[0])
+        WB = W[cosets]
+        scale = grid.spacing ** grid.dim * flat_bins.size
+        blocks = scale * (WB @ WB.conj().transpose(0, 2, 1))
+        cached = (cosets, blocks)
+        object.__setattr__(system, "_op_blocks", cached)
+    return cached
+
+
+def _batched_fft(rows: np.ndarray, grid, inverse: bool = False) -> np.ndarray:
     shaped = rows.reshape((rows.shape[0],) + grid.shape)
     axes = tuple(range(1, grid.dim + 1))
-    return np.fft.fftn(shaped, axes=axes).reshape(rows.shape[0], grid.size)
+    if inverse:
+        # Unnormalized inverse: plain sums of exp(+2 pi i m . t / L).
+        out = np.fft.ifftn(shaped, axes=axes, norm="forward")
+    else:
+        out = np.fft.fftn(shaped, axes=axes)
+    return out.reshape(rows.shape[0], grid.size)
 
 
 def _analyze_values(system: GaborSystem, values: np.ndarray) -> np.ndarray:
     grid = system.grid
-    W, _, flat_bins = _tables(system)
+    W, flat_bins = _tables(system)
     windowed = (values[:, None] * np.conj(W)).T
     spectra = _batched_fft(windowed, grid)
     return grid.spacing ** grid.dim * spectra[:, flat_bins]
-
-
-def _apply_values(system: GaborSystem, values: np.ndarray,
-                  dual_values: np.ndarray | None = None) -> np.ndarray:
-    """Frame operator on raw value arrays; hot path for iterative solvers."""
-    coeffs = _analyze_values(system, values)
-    W, phases, _ = _tables(system)
-    if dual_values is not None:
-        W = _shift_table(GridSignal(system.grid, dual_values), system.time_lattice)
-    return np.sum(phases * (W @ coeffs), axis=1)
 
 
 def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
     """Coefficient map: STFT samples of f on the system lattice.
 
     Equal to ``stft.stft_on_lattice`` on the system window and lattices;
-    implemented against cached shift tables so that repeated applications
-    (power iteration, conjugate gradients) stay cheap.
+    implemented against the cached shift table so that repeated
+    applications stay cheap.
     """
     require_same_grid(f, system.window)
     values = _analyze_values(system, f.values)
@@ -164,13 +192,16 @@ def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
 
 def _synthesize_with(window: GridSignal, coeffs: CoeffArray,
                      system: GaborSystem) -> GridSignal:
-    if window is system.window:
-        W, phases, _ = _tables(system)
-    else:
+    W, flat_bins = _tables(system)
+    if window is not system.window:
         W = _shift_table(window, coeffs.time_lattice)
-        phases = _phase_table(system.grid, system.freq_lattice)
-    inner = W @ coeffs.values
-    return GridSignal(window.grid, np.sum(phases * inner, axis=1))
+    # Scatter each time node's coefficients into its frequency bins; one
+    # inverse FFT per node gives the modulated sum, the shift table the rest.
+    grid = system.grid
+    spectra = np.zeros((W.shape[1], grid.size), dtype=complex)
+    spectra[:, flat_bins] = coeffs.values
+    modulated = _batched_fft(spectra, grid, inverse=True)
+    return GridSignal(window.grid, np.einsum("tk,kt->t", W, modulated))
 
 
 def synthesize(system: GaborSystem, coeffs: CoeffArray) -> GridSignal:
@@ -199,12 +230,15 @@ class FrameCertificate:
 
     lower/upper are eigenvalues of S, i.e. squared bounds for the
     coefficient map; the ratio upper/lower is the frame condition number.
+    ``blocks`` and ``block_size`` give the block-diagonal shape they came from.
     """
 
     lower: float
     upper: float
     method: str
     redundancy: float
+    blocks: int
+    block_size: int
     wexler_raz_residual: float | None = None
 
     def to_dict(self) -> dict:
@@ -218,113 +252,43 @@ class FrameCertificate:
 
 
 def _dense_frame_matrix(system: GaborSystem) -> np.ndarray:
+    """Full frame-operator matrix, an oracle independent of the block path."""
     grid = system.grid
-    W, phases, _ = _tables(system)
+    W = _shift_table(system.window, system.time_lattice)
+    phases = _phase_table(grid, system.freq_lattice)
     cell = grid.spacing ** grid.dim
     # S factors over the product lattice: S = cell * (W W^H) hadamard (Phi Phi^H).
     return cell * (W @ W.conj().T) * (phases @ phases.conj().T)
 
 
-def _power_extreme(apply_op, size: int, tol: float = 1e-9,
-                   max_iter: int = 20000) -> float:
-    rng = np.random.default_rng(0xB07E5)
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(max_iter):
-        w = apply_op(v)
-        rho = float(np.real(np.vdot(v, w)))
-        res = np.linalg.norm(w - rho * v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if res <= tol * max(abs(rho), 1e-30):
-            return rho
-    return rho
+def frame_bounds(system: GaborSystem) -> FrameCertificate:
+    """Extreme eigenvalues of the frame operator, over all of its blocks.
 
-
-def frame_bounds(system: GaborSystem, method: str = "auto",
-                 tol: float = 1e-9) -> FrameCertificate:
-    """Extreme eigenvalues of the frame operator.
-
-    ``dense`` diagonalizes the full operator matrix (small grids only);
-    ``power`` uses power iteration for the top and a shifted power
-    iteration for the bottom, stopping once the eigenvalue residual
-    certifies relative accuracy ``tol``.  An undersampled system
-    (redundancy < 1) has a rank-deficient frame operator, so its lower
-    bound is reported as an exact zero.  Never raises for non-frames; a
-    zero lower bound is data.
+    One batched ``eigvalsh`` of the blocks gives the whole spectrum.  An
+    undersampled system (redundancy < 1) has a rank-deficient frame
+    operator, so its lower bound is reported as an exact zero.  Never
+    raises for non-frames; a zero lower bound is data.
     """
-    grid = system.grid
-    if method == "auto":
-        method = "dense-eigen" if grid.size <= 64 else "power-iteration"
-    if method in ("dense", "dense-eigen"):
-        if grid.size > _DENSE_LIMIT:
-            raise ResourceLimit(f"dense method capped at grid size {_DENSE_LIMIT}")
-        eigs = np.linalg.eigvalsh(_dense_frame_matrix(system))
-        lower = max(float(eigs[0]), 0.0)
-        if system.redundancy < 1.0:
-            lower = 0.0
-        return FrameCertificate(lower, float(eigs[-1]), "dense-eigen", system.redundancy)
-    if method in ("power", "power-iteration"):
-        apply_s = lambda v: _apply_values(system, v)
-        upper = _power_extreme(apply_s, grid.size, tol=tol)
-        if system.redundancy < 1.0:
-            lower = 0.0  # rank <= coefficient count < dimension
-        else:
-            shift = upper * 1.01 + 1e-300
-            shifted = lambda v: shift * v - apply_s(v)
-            lower = max(shift - _power_extreme(shifted, grid.size, tol=tol), 0.0)
-        return FrameCertificate(lower, upper, "power-iteration", system.redundancy)
-    raise ValueError(f"unknown method {method!r}")
+    _, blocks = _frame_blocks(system)
+    eigs = np.linalg.eigvalsh(blocks)
+    lower = 0.0 if system.redundancy < 1.0 else max(float(eigs.min()), 0.0)
+    return FrameCertificate(lower, float(eigs.max()), "block-eigen", system.redundancy,
+                            blocks=blocks.shape[0], block_size=blocks.shape[1])
 
 
-def _cg_solve(apply_op, rhs: np.ndarray, tol: float, max_iter: int):
-    """Conjugate gradients for a Hermitian positive definite operator."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(np.real(np.vdot(r, r)))
-    target = tol * np.linalg.norm(rhs)
-    for it in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        alpha = rs / float(np.real(np.vdot(p, Ap)))
-        x = x + alpha * p
-        r = r - alpha * Ap
-        if it % 50 == 0:
-            r = rhs - apply_op(x)  # guard against residual drift
-        rs_new = float(np.real(np.vdot(r, r)))
-        if math.sqrt(rs_new) <= target:
-            return x, it, math.sqrt(rs_new)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return None, max_iter, math.sqrt(rs)
+def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:
+    """Canonical dual window S^-1 window, by one solve per frame-operator block.
 
-
-def dual_window(system: GaborSystem, tol: float = 1e-12,
-                max_iter: int | None = None) -> GridSignal:
-    """Canonical dual window: solve S gamma = window by conjugate gradients.
-
-    Raises NotAFrame when the lower frame bound does not exceed ``tol`` and
-    NoConvergence when the iteration budget is exhausted before the
-    relative residual drops below ``tol``.
+    Raises NotAFrame when the lower frame bound does not exceed ``tol``.
     """
-    # The gate and iteration sizing only need a coarse condition estimate.
-    cert = frame_bounds(system, tol=1e-3)
+    cert = frame_bounds(system)
     if cert.lower <= tol:
         raise NotAFrame(f"lower frame bound {cert.lower} <= tol {tol}")
-    if max_iter is None:
-        # CG worst case needs ~ sqrt(cond)*ln(2/tol)/2 steps; the flat floor
-        # covers the small-condition regime at tight tolerances.
-        max_iter = 32 + math.ceil(10.0 * math.sqrt(cert.upper / cert.lower))
-    apply_s = lambda v: _apply_values(system, v)
-    x, iterations, residual = _cg_solve(apply_s, system.window.values, tol, max_iter)
-    if x is None:
-        raise NoConvergence(
-            f"CG residual {residual:.3e} after {iterations} iterations"
-        )
-    return GridSignal(system.grid, x)
+    cosets, blocks = _frame_blocks(system)
+    gamma = np.empty(system.grid.size, dtype=complex)
+    rhs = system.window.values[cosets][..., None]
+    gamma[cosets] = np.linalg.solve(blocks, rhs)[..., 0]
+    return GridSignal(system.grid, gamma)
 
 
 def wexler_raz_residual(psi: GridSignal, gamma: GridSignal,
@@ -346,9 +310,7 @@ def wexler_raz_residual(psi: GridSignal, gamma: GridSignal,
         raise NonAlignedAdjointLattice(str(exc)) from None
     cell = grid.spacing ** grid.dim
     const = (time_step * freq_step) ** grid.dim
-    L = grid.points_per_axis
-    prod = (grid.index_vectors() @ adj_freq.index_points.T) % L
-    phases = np.exp(2j * np.pi * prod / L)
+    phases = _phase_table(grid, adj_freq)
     gbar = np.conj(gamma.values)
     resh = psi.reshaped()
     axes = tuple(range(grid.dim))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, NonAlignedAdjointLattice, NonAlignedLattice, NotAFrame
 from .gabor import (
     GaborSystem,
+    _dense_frame_matrix,
     analyze,
     dual_window,
     frame_bounds,
@@ -262,7 +263,7 @@ def report_entry(suite: str, name: str, value: float | None,
 
 
 def _not_a_frame_entries(suite: str, system: GaborSystem, tol: float) -> list[dict]:
-    cert = frame_bounds(system, tol=1e-4)
+    cert = frame_bounds(system)
     entry = check(suite, "frame", cert.lower, tol, ">",
                   details={"B": cert.upper, "redundancy": cert.redundancy})
     return [entry]
@@ -323,43 +324,44 @@ def run_frame_bounds(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     suite = "frame-bounds"
     system = cfg.make_system()
     tol = cfg.tol("frame")
-    cert = frame_bounds(system, tol=1e-4)
+    cert = frame_bounds(system)
     entries = [
         check(suite, "lower_bound_positive", cert.lower, tol, ">",
-              details={"B": cert.upper, "method": cert.method}),
+              details={"B": cert.upper, "method": cert.method,
+                       "blocks": cert.blocks, "block_size": cert.block_size}),
         check(suite, "condition_number", cert.upper / max(cert.lower, 1e-300), 10.0,
               "<"),
     ]
 
     under = GaborSystem.separable(system.window, 2 * cfg.time_step, 2 * cfg.freq_step)
-    under_cert = frame_bounds(under, tol=1e-4)
+    under_cert = frame_bounds(under)
     entries.append(
         check(suite, "undersampled_lower_bound", under_cert.lower, tol, "<=",
               details={"redundancy": under_cert.redundancy})
     )
 
-    # Dense-eigen oracle against power iteration on a small grid.
+    # Block bounds against the dense-eigen oracle on a small grid.
     if cfg.dim == 1:
         small_grid = PeriodicGrid(1, 12.0, 48)
     else:
         small_grid = PeriodicGrid(2, 6.0, 12)
     small = GaborSystem.separable(sample_gaussian(small_grid), 1.0, 0.5)
-    dense = frame_bounds(small, method="dense")
-    power = frame_bounds(small, method="power", tol=1e-8)
+    dense = np.linalg.eigvalsh(_dense_frame_matrix(small))
+    block = frame_bounds(small)
     entries.append(
-        check(suite, "dense_vs_power_lower",
-              abs(dense.lower - power.lower) / dense.lower, 1e-6, "<=")
+        check(suite, "dense_vs_block_lower",
+              abs(dense[0] - block.lower) / dense[0], 1e-6, "<=")
     )
     entries.append(
-        check(suite, "dense_vs_power_upper",
-              abs(dense.upper - power.upper) / dense.upper, 1e-6, "<=")
+        check(suite, "dense_vs_block_upper",
+              abs(dense[-1] - block.upper) / dense[-1], 1e-6, "<=")
     )
 
     # Painless configuration: one-hop rectangle with every modulation.
     grid = system.grid
     rect = sample_rectangle(grid, width=cfg.time_step)
     painless = GaborSystem.separable(rect, cfg.time_step, 1.0 / cfg.period)
-    pcert = frame_bounds(painless, tol=1e-6)
+    pcert = frame_bounds(painless)
     entries.append(
         check(suite, "painless_tightness",
               abs(pcert.lower - pcert.upper) / pcert.upper, 1e-12, "<=")

@@ -3,13 +3,13 @@ import pytest
 
 from gaborgrid.errors import (
     IndexMismatch,
-    NoConvergence,
     NonAlignedAdjointLattice,
     NotAFrame,
     ZeroSignal,
 )
 from gaborgrid.gabor import (
     GaborSystem,
+    _dense_frame_matrix,
     analyze,
     dual_window,
     frame_apply,
@@ -33,6 +33,11 @@ from conftest import random_signal
 def ref_system():
     grid = PeriodicGrid(1, 16.0, 256)
     return GaborSystem.separable(sample_gaussian(grid), 1.0, 0.5)
+
+
+@pytest.fixture(scope="module")
+def ref_dense_eigs(ref_system):
+    return np.linalg.eigvalsh(_dense_frame_matrix(ref_system))
 
 
 @pytest.fixture
@@ -171,9 +176,10 @@ def test_frame_apply_commutes_with_lattice_shifts(ref_system, rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-11 * scale
 
 
-def test_frame_bounds_reference(ref_system):
-    cert = frame_bounds(ref_system, method="power", tol=1e-6)
-    assert cert.method == "power-iteration"
+def test_frame_bounds_reference(ref_system, ref_dense_eigs):
+    cert = frame_bounds(ref_system)
+    assert cert.lower == pytest.approx(ref_dense_eigs[0], rel=1e-6)
+    assert cert.upper == pytest.approx(ref_dense_eigs[-1], rel=1e-6)
     assert cert.lower > 0.5
     assert cert.upper / cert.lower < 10.0
     # Walnut-style bracket for the Gaussian at these steps.
@@ -181,26 +187,26 @@ def test_frame_bounds_reference(ref_system):
     assert cert.upper == pytest.approx(2.0150, rel=1e-3)
 
 
-def test_frame_bounds_dense_matches_power():
+def test_frame_bounds_dense_matches_block():
     grid = PeriodicGrid(1, 12.0, 48)
     system = GaborSystem.separable(sample_gaussian(grid), 1.0, 0.5)
-    dense = frame_bounds(system, method="dense")
-    power = frame_bounds(system, method="power")
-    assert dense.method == "dense-eigen"
-    assert power.lower == pytest.approx(dense.lower, rel=1e-6)
-    assert power.upper == pytest.approx(dense.upper, rel=1e-6)
+    dense = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    block = frame_bounds(system)
+    assert block.method == "block-eigen"
+    assert block.lower == pytest.approx(dense[0], rel=1e-6)
+    assert block.upper == pytest.approx(dense[-1], rel=1e-6)
 
 
 def test_frame_bounds_undersampled(ref_grid):
     system = GaborSystem.separable(sample_gaussian(ref_grid), 2.0, 1.0)
     assert system.redundancy == pytest.approx(0.5)
-    cert = frame_bounds(system, method="power")
+    cert = frame_bounds(system)
     assert cert.lower <= 1e-10
+    assert np.linalg.eigvalsh(_dense_frame_matrix(system))[0] <= 1e-10
     small = PeriodicGrid(1, 8.0, 32)
-    cert = frame_bounds(
-        GaborSystem.separable(sample_gaussian(small), 2.0, 1.0), method="dense"
-    )
-    assert cert.lower <= 1e-10
+    small_system = GaborSystem.separable(sample_gaussian(small), 2.0, 1.0)
+    assert frame_bounds(small_system).lower <= 1e-10
+    assert np.linalg.eigvalsh(_dense_frame_matrix(small_system))[0] <= 1e-10
 
 
 def test_painless_tight_frame(ref_grid):
@@ -209,8 +215,10 @@ def test_painless_tight_frame(ref_grid):
     window = sample_rectangle(ref_grid, width=1.0)
     system = GaborSystem.separable(window, 1.0, 1.0 / ref_grid.period)
     assert system.freq_lattice.count == ref_grid.points_per_axis
-    cert = frame_bounds(system, method="power")
+    cert = frame_bounds(system)
     expected = ref_grid.spacing * ref_grid.points_per_axis  # = period / hop count
+    dense = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    assert cert.upper == pytest.approx(dense[-1], rel=1e-10)
     assert abs(cert.lower - cert.upper) / cert.upper <= 1e-12
     assert cert.upper == pytest.approx(expected, rel=1e-10)
 
@@ -242,9 +250,11 @@ def test_dual_window_not_a_frame(ref_grid):
         dual_window(system)
 
 
-def test_dual_window_no_convergence(ref_system):
-    with pytest.raises(NoConvergence):
-        dual_window(ref_system, tol=1e-13, max_iter=2)
+def test_dual_window_block_residual(ref_system):
+    gamma = dual_window(ref_system, tol=1e-12)
+    psi = ref_system.window.values
+    residual = frame_apply(ref_system, gamma).values - psi
+    assert np.linalg.norm(residual) / np.linalg.norm(psi) <= 1e-12
 
 
 def test_wexler_raz_for_canonical_dual(ref_system):
@@ -327,11 +337,13 @@ def test_non_frame_reconstruction_fails(ref_grid, rng):
     assert reconstruction_error(system, system.window, f) > 0.1
 
 
-def test_certificate_export(ref_system):
-    cert = frame_bounds(ref_system, method="power", tol=1e-4)
+def test_certificate_export(ref_system, ref_dense_eigs):
+    cert = frame_bounds(ref_system)
     data = cert.to_dict()
     assert set(data) == {"A", "B", "method", "residual", "redundancy"}
     assert data["A"] > 0 and data["redundancy"] == pytest.approx(2.0)
+    assert data["A"] == pytest.approx(ref_dense_eigs[0], rel=1e-4)
+    assert data["B"] == pytest.approx(ref_dense_eigs[-1], rel=1e-4)
 
 
 def test_two_dimensional_system_reconstructs():
