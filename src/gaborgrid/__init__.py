@@ -49,10 +49,8 @@ from .smoothness import (
     DecayProfile,
     convolve_samples,
     decay_profile,
-    growth_profile,
     schwartz_seminorm,
     smoothness_seminorm,
-    translate_superposition,
 )
 from .spaces import (
     DiscreteNormRequest,

@@ -68,8 +68,6 @@ def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
         updates["report_path"] = args.output
     if getattr(args, "csv", None):
         updates["csv_path"] = args.csv
-    if getattr(args, "parallel", False):
-        updates["parallel"] = True
     if not updates:
         return cfg
     cfg = replace(cfg, **updates)
@@ -256,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="report JSON path (default report.json)")
     p.add_argument("--csv", help="also write a CSV report here")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
-    p.add_argument("--parallel", action="store_true", help="run suites concurrently")
 
     p = sub.add_parser("stft", help="full STFT of a signal file")
     common(p)

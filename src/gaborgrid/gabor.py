@@ -46,6 +46,9 @@ from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
+    _flat_index,
+    _translates,
+    _windowed_dft,
     grids_compatible,
     require_same_grid,
 )
@@ -98,13 +101,7 @@ def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
 
 def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
     """(grid.size, N0) table of lattice translates of the window."""
-    resh = window.reshaped()
-    axes = tuple(range(window.grid.dim))
-    cols = [
-        np.roll(resh, shift=tuple(idx), axis=axes).ravel()
-        for idx in time_lattice.index_points
-    ]
-    return np.stack(cols, axis=1)
+    return _translates(window, time_lattice.index_points).T
 
 
 def _phase_table(grid, freq_lattice: GridLattice) -> np.ndarray:
@@ -112,11 +109,6 @@ def _phase_table(grid, freq_lattice: GridLattice) -> np.ndarray:
     L = grid.points_per_axis
     prod = (grid.index_vectors() @ freq_lattice.index_points.T) % L
     return np.exp(2j * np.pi * prod / L)
-
-
-def _flat_index(grid, index: np.ndarray) -> np.ndarray:
-    """Flat node (or bin) numbers of integer index vectors, wrapped modulo L."""
-    return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), grid.shape, mode="wrap")
 
 
 def _tables(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -159,34 +151,24 @@ def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _batched_fft(rows: np.ndarray, grid, inverse: bool = False) -> np.ndarray:
+def _batched_ifft(rows: np.ndarray, grid) -> np.ndarray:
+    """Unnormalized inverse DFT of each row: plain sums of exp(+2 pi i m . t / L)."""
     shaped = rows.reshape((rows.shape[0],) + grid.shape)
-    axes = tuple(range(1, grid.dim + 1))
-    if inverse:
-        # Unnormalized inverse: plain sums of exp(+2 pi i m . t / L).
-        out = np.fft.ifftn(shaped, axes=axes, norm="forward")
-    else:
-        out = np.fft.fftn(shaped, axes=axes)
+    out = np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), norm="forward")
     return out.reshape(rows.shape[0], grid.size)
-
-
-def _analyze_values(system: GaborSystem, values: np.ndarray) -> np.ndarray:
-    grid = system.grid
-    W, flat_bins = _tables(system)
-    windowed = (values[:, None] * np.conj(W)).T
-    spectra = _batched_fft(windowed, grid)
-    return grid.spacing ** grid.dim * spectra[:, flat_bins]
 
 
 def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
     """Coefficient map: STFT samples of f on the system lattice.
 
-    Equal to ``stft.stft_on_lattice`` on the system window and lattices;
-    implemented against the cached shift table so that repeated
-    applications stay cheap.
+    The windowed-DFT kernel over the time lattice, read at the bins of the
+    frequency lattice; ``stft.stft_on_lattice`` is this map.
     """
     require_same_grid(f, system.window)
-    values = _analyze_values(system, f.values)
+    grid = system.grid
+    rows = _windowed_dft(f, system.window, system.time_lattice.index_points)
+    bins = _flat_index(grid, system.freq_lattice.index_points)
+    values = grid.spacing ** grid.dim * rows[:, bins]
     return CoeffArray.over_product(system.time_lattice, system.freq_lattice, values)
 
 
@@ -200,7 +182,7 @@ def _synthesize_with(window: GridSignal, coeffs: CoeffArray,
     grid = system.grid
     spectra = np.zeros((W.shape[1], grid.size), dtype=complex)
     spectra[:, flat_bins] = coeffs.values
-    modulated = _batched_fft(spectra, grid, inverse=True)
+    modulated = _batched_ifft(spectra, grid)
     return GridSignal(window.grid, np.einsum("tk,kt->t", W, modulated))
 
 

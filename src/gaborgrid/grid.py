@@ -438,14 +438,49 @@ class CoeffArray:
         return self.lattices[1]
 
 
+def _flat_index(grid: PeriodicGrid, index: np.ndarray) -> np.ndarray:
+    """Flat node (or bin) numbers of integer index vectors, wrapped modulo L."""
+    return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), grid.shape, mode="wrap")
+
+
+def _translates(signal: GridSignal, index_points: np.ndarray) -> np.ndarray:
+    """(K, size) table whose row k is t -> signal(t - x_k), flattened in node order.
+
+    Row k is the L^dim window of a 2^dim-tiled copy that starts at -x_k mod L,
+    so all K translates come from one fancy index.
+    """
+    grid = signal.grid
+    tiled = np.tile(signal.reshaped(), (2,) * grid.dim)
+    windows = np.lib.stride_tricks.sliding_window_view(tiled, grid.shape)
+    starts = np.moveaxis(-index_points % grid.points_per_axis, -1, 0)
+    return windows[tuple(starts)].reshape(-1, grid.size)
+
+
+def _windowed_dft(f: GridSignal, psi: GridSignal, index_points: np.ndarray) -> np.ndarray:
+    """(K, size) rows: the DFT over t of f(t) conj(psi(t - x_k)), bins in DFT order.
+
+    The batch is conjugated, multiplied and transformed in place, so it never
+    holds more than its output.
+    """
+    rows = _translates(psi, index_points)
+    np.conjugate(rows, out=rows)
+    rows *= f.values
+    shaped = rows.reshape((-1,) + f.grid.shape)
+    np.fft.fftn(shaped, axes=tuple(range(1, f.grid.dim + 1)), out=shaped)
+    return rows
+
+
 def lattice_superposition(coeffs: CoeffArray, window: GridSignal) -> GridSignal:
-    """The finite sum sum_lambda c_lambda T_lambda(window) over one lattice."""
+    """The finite sum sum_lambda c_lambda T_lambda(window) over one lattice.
+
+    One circular convolution of the window with the comb that carries
+    c_lambda at the lattice nodes, taken by FFT.
+    """
     lat = coeffs.lattice
     if not grids_compatible(lat.grid, window.grid):
         raise GridMismatch("window grid does not match the lattice grid")
-    resh = window.reshaped()
-    out = np.zeros(window.grid.shape, dtype=complex)
-    axes = tuple(range(window.grid.dim))
-    for c, idx in zip(coeffs.values, lat.index_points):
-        out += c * np.roll(resh, shift=tuple(idx), axis=axes)
-    return GridSignal(window.grid, out.ravel())
+    grid = window.grid
+    comb = np.zeros(grid.size, dtype=complex)
+    np.add.at(comb, _flat_index(grid, lat.index_points), coeffs.values)
+    spectrum = np.fft.fftn(comb.reshape(grid.shape)) * np.fft.fftn(window.reshaped())
+    return GridSignal(grid, np.fft.ifftn(spectrum).ravel())

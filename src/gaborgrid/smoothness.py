@@ -22,8 +22,8 @@ from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
+    _flat_index,
     grids_compatible,
-    lattice_superposition,
     spectral_derivative,
 )
 from .lattice import PowerWeight
@@ -38,10 +38,6 @@ from .spaces import (
 # Spectral differentiation stays trustworthy to roughly this order at the
 # grid sizes this package targets.
 MAX_DERIVATIVE_ORDER = 6
-
-# Re-exported here because the superposition operator is part of this
-# module's public surface alongside its continuity diagnostics.
-translate_superposition = lattice_superposition
 
 
 def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
@@ -92,9 +88,7 @@ def convolve_samples(e: GridSignal, phi: GridSignal, lat: GridLattice) -> CoeffA
     conv = cell * np.fft.ifftn(
         np.fft.fftn(e.reshaped()) * np.fft.fftn(phi.reshaped())
     )
-    idx = lat.index_points
-    flat = idx[:, 0] if grid.dim == 1 else idx[:, 0] * grid.points_per_axis + idx[:, 1]
-    return CoeffArray.over_lattice(lat, conv.ravel()[flat])
+    return CoeffArray.over_lattice(lat, conv.ravel()[_flat_index(grid, lat.index_points)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +142,16 @@ def _bounded_order(radii: np.ndarray, norms: np.ndarray, max_order: int,
     return None
 
 
-def _profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
-             window: GridSignal | None, max_order: int) -> DecayProfile:
+def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
+                  window: GridSignal | None = None,
+                  max_order: int = MAX_DERIVATIVE_ORDER) -> DecayProfile:
+    """Decay and growth profile of the analysis coefficients; see DecayProfile.
+
+    Slice norms use the solid sequence shortcut when the space is solid and
+    no window is supplied, otherwise the discrete norm with the window.
+    Rapid-decay tests read ``decay_sups``; slowly increasing inputs read the
+    growth-side fields ``growth_sups`` and ``bounded_order``.
+    """
     max_order = _check_order(max_order)
     coeffs = analyze(system, f)
     time_lat = system.time_lattice
@@ -181,22 +183,3 @@ def _profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
         fitted_order=float(slope),
         bounded_order=_bounded_order(radii, norms, max_order),
     )
-
-
-def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
-                  window: GridSignal | None = None,
-                  max_order: int = MAX_DERIVATIVE_ORDER) -> DecayProfile:
-    """Profile oriented at the rapid-decay test; see DecayProfile.
-
-    Slice norms use the solid sequence shortcut when the space is solid and
-    no window is supplied, otherwise the discrete norm with the window.
-    """
-    return _profile(system, f, spec, window, max_order)
-
-
-def growth_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
-                   window: GridSignal | None = None,
-                   max_order: int = MAX_DERIVATIVE_ORDER) -> DecayProfile:
-    """Same computation as decay_profile; consumers read the growth-side
-    fields (growth_sups, bounded_order) for slowly increasing inputs."""
-    return _profile(system, f, spec, window, max_order)

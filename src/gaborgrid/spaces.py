@@ -38,9 +38,9 @@ from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
+    _flat_index,
     grids_compatible,
     lattice_superposition,
-    modulation_phases,
 )
 from .lattice import PowerWeight, dual_lattice
 
@@ -129,14 +129,13 @@ def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
     """Raise unless the lattice translates of the window support are disjoint."""
     if not grids_compatible(window.grid, lat.grid):
         raise DimensionMismatch("window and lattice live on different grids")
-    support = (np.abs(window.values) > 0).reshape(window.grid.shape)
+    support = (np.abs(window.values) > 0).astype(float)
     if not support.any():
         raise OverlappingSupports("window is identically zero")
-    coverage = np.zeros(window.grid.shape, dtype=np.int64)
-    axes = tuple(range(window.grid.dim))
-    for idx in lat.index_points:
-        coverage += np.roll(support, shift=tuple(idx), axis=axes)
-    if coverage.max() > 1:
+    ones = CoeffArray.over_lattice(lat, np.ones(lat.count))
+    coverage = lattice_superposition(ones, window.with_values(support)).values.real
+    # Coverage counts are integers up to FFT rounding.
+    if coverage.max() > 1.5:
         raise OverlappingSupports(
             "lattice translates of the window support overlap on the grid"
         )
@@ -208,9 +207,11 @@ def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float:
     m = np.rint(freqs).astype(np.int64)
     dual = GridLattice(dual_lattice(lat.lattice), grid)  # raises if misaligned
 
-    g = np.zeros(grid.size, dtype=complex)
-    for c, mv in zip(coeffs.values, m):
-        g += c * modulation_phases(grid, mv)
+    # Unnormalized inverse DFT of the coefficients placed at their labels;
+    # labels that coincide modulo L sum.
+    spectrum = np.zeros(grid.size, dtype=complex)
+    np.add.at(spectrum, _flat_index(grid, m), coeffs.values)
+    g = np.fft.ifftn(spectrum.reshape(grid.shape), norm="forward").ravel()
 
     # Fundamental domain A_dual [0,1)^n, half open.
     y = np.linalg.solve(dual.lattice.generator, grid.nodes().T).T

@@ -4,9 +4,10 @@ The transform is the classical windowed integral
 
     V[k, m] = spacing^n * sum_t f(t) conj(psi(t - x_k)) exp(-2 pi i xi_m . t),
 
-evaluated by one FFT over t per time node.  Time nodes run over the whole
-grid for the full transform; frequency bins are kept in DFT order so that
-bin j of row k is the frequency node labelled by ``grid.freq_integers()[j]``.
+evaluated by the windowed-DFT kernel of ``grid``: one batch of FFTs over t,
+a row per time node.  Time nodes run over the whole grid for the full
+transform; frequency bins are kept in DFT order so that bin j of row k is
+the frequency node labelled by ``grid.freq_integers()[j]``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonAlignedLattice, ResourceLimit
+from .errors import DimensionMismatch, ResourceLimit
+from .gabor import GaborSystem, analyze
 from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    grids_compatible,
+    _order_tuple,
+    _windowed_dft,
     require_same_grid,
     spectral_derivative,
 )
@@ -48,19 +51,6 @@ class TFArray:
         object.__setattr__(self, "values", v)
 
 
-def _windowed_rows(f: GridSignal, psi: GridSignal, time_index: np.ndarray) -> np.ndarray:
-    """DFT over t of f(t) conj(psi(t - x_k)) for each requested time index."""
-    grid = f.grid
-    fr = f.reshaped()
-    pr = psi.reshaped()
-    axes = tuple(range(grid.dim))
-    rows = np.empty((time_index.shape[0], grid.size), dtype=complex)
-    for i, idx in enumerate(time_index):
-        shifted = np.roll(pr, shift=tuple(idx), axis=axes)
-        rows[i] = np.fft.fftn(fr * np.conj(shifted)).ravel()
-    return rows
-
-
 def stft(f: GridSignal, psi: GridSignal) -> TFArray:
     """Full STFT over every (time node, frequency bin) pair."""
     require_same_grid(f, psi)
@@ -69,27 +59,15 @@ def stft(f: GridSignal, psi: GridSignal) -> TFArray:
         raise ResourceLimit(
             f"full STFT needs {grid.size ** 2} entries, over the 2^26 budget"
         )
-    weight = grid.spacing ** grid.dim
-    rows = _windowed_rows(f, psi, grid.index_vectors())
-    return TFArray(grid, weight * rows)
+    rows = _windowed_dft(f, psi, grid.index_vectors())
+    rows *= grid.spacing ** grid.dim
+    return TFArray(grid, rows)
 
 
 def stft_on_lattice(f: GridSignal, psi: GridSignal,
                     time_lattice: GridLattice, freq_lattice: GridLattice) -> CoeffArray:
     """STFT restricted to the nodes of a time lattice x frequency lattice."""
-    require_same_grid(f, psi)
-    grid = f.grid
-    if not grids_compatible(time_lattice.grid, grid):
-        raise NonAlignedLattice("time lattice lives on a different grid")
-    if not grids_compatible(freq_lattice.grid, grid.reciprocal()):
-        raise NonAlignedLattice("frequency lattice must align with the reciprocal grid")
-    weight = grid.spacing ** grid.dim
-    rows = _windowed_rows(f, psi, time_lattice.index_points)
-    L = grid.points_per_axis
-    bins = freq_lattice.index_points
-    flat_bins = bins[:, 0] if grid.dim == 1 else bins[:, 0] * L + bins[:, 1]
-    values = weight * rows[:, flat_bins]
-    return CoeffArray.over_product(time_lattice, freq_lattice, values)
+    return analyze(GaborSystem(psi, time_lattice, freq_lattice), f)
 
 
 def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
@@ -105,12 +83,8 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
     """
     require_same_grid(f, psi)
     grid = f.grid
-    if np.isscalar(order):
-        order = (int(order),) * grid.dim if grid.dim == 1 else None
-        if order is None:
-            raise DimensionMismatch("scalar order needs a 1-d grid")
-    order = tuple(int(o) for o in np.atleast_1d(order))
-    if len(order) != grid.dim or any(o < 0 or o > 4 for o in order):
+    order = _order_tuple(grid, order)
+    if any(o > 4 for o in order):
         raise DimensionMismatch("order components must lie in 0..4")
     if all(o == 0 for o in order):
         return 0.0

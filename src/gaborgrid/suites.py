@@ -43,7 +43,6 @@ from .lattice import PowerWeight
 from .smoothness import (
     convolve_samples,
     decay_profile,
-    growth_profile,
     schwartz_seminorm,
 )
 from .spaces import (
@@ -102,7 +101,6 @@ class SuiteConfig:
     samples: dict = field(default_factory=dict)
     report_path: str | None = None
     csv_path: str | None = None
-    parallel: bool = False
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
@@ -139,7 +137,6 @@ class SuiteConfig:
             samples=dict(data.get("samples", {})),
             report_path=out.get("report"),
             csv_path=out.get("csv"),
-            parallel=bool(data.get("parallel", False)),
         )
         cfg.validate()
         return cfg
@@ -573,9 +570,9 @@ def run_growth(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     system = cfg.make_system()
     grid = system.grid
     gauss = sample_gaussian(grid, width=math.sqrt(2.0), normalize=True)
-    gauss_prof = growth_profile(system, gauss, _PROFILE_SPACE)
+    gauss_prof = decay_profile(system, gauss, _PROFILE_SPACE)
     osc = _unit_oscillation(grid, 4.0)
-    osc_prof = growth_profile(system, osc, _PROFILE_SPACE)
+    osc_prof = decay_profile(system, osc, _PROFILE_SPACE)
     entries = [
         check(suite, "gaussian_bounded_order",
               -1.0 if gauss_prof.bounded_order is None else gauss_prof.bounded_order,
@@ -592,7 +589,7 @@ def run_growth(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     ]
     top_band = GridSignal(grid, gauss.values * _unit_oscillation(grid, 6.0).values)
     top_band = top_band * (1.0 / top_band.l2_norm())
-    band_prof = growth_profile(system, top_band, _PROFILE_SPACE)
+    band_prof = decay_profile(system, top_band, _PROFILE_SPACE)
     entries.append(
         check(suite, "top_band_bounded_order",
               -1.0 if band_prof.bounded_order is None else band_prof.bounded_order,
@@ -634,19 +631,8 @@ def run_suites(cfg: SuiteConfig) -> dict:
     """Execute the configured suites and assemble the (sorted) report."""
     names = sorted(set(cfg.suites))
     results: list[dict] = []
-    if cfg.parallel and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-            futures = {
-                name: pool.submit(SUITES[name], cfg, suite_rng(cfg.seed, name))
-                for name in names
-            }
-            for name in names:
-                results.extend(futures[name].result())
-    else:
-        for name in names:
-            results.extend(SUITES[name](cfg, suite_rng(cfg.seed, name)))
+    for name in names:
+        results.extend(SUITES[name](cfg, suite_rng(cfg.seed, name)))
     results.sort(key=lambda e: (e["suite"], e["name"]))
     return {
         "schema": 1,

@@ -36,7 +36,6 @@ from gaborgrid.lattice import PowerWeight
 from gaborgrid.smoothness import (
     convolve_samples,
     decay_profile,
-    growth_profile,
     schwartz_seminorm,
 )
 from gaborgrid.spaces import (
@@ -308,7 +307,7 @@ def test_criterion_10_decay_growth_dichotomy(ref):
     x = grid.axis_nodes()
     osc = GridSignal(grid, np.exp(2j * np.pi * 4.0 * x))
     osc = osc * (1.0 / osc.l2_norm())
-    osc_prof = growth_profile(system, osc, space)
+    osc_prof = decay_profile(system, osc, space)
     osc_fails_decay = osc_prof.decay_sups[6] > 10.0 * osc_prof.decay_sups[0]
     osc_growth_ok = osc_prof.bounded_order is not None and osc_prof.bounded_order <= 6
     w2_ratio = osc_prof.decay_sups[2] / gauss_prof.decay_sups[2]

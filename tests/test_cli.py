@@ -73,18 +73,6 @@ def test_verify_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_parallel_matches_serial(tmp_path):
-    cfg = write_config(tmp_path, suites=["derivative-identity", "decay", "growth"])
-    a = tmp_path / "serial.json"
-    b = tmp_path / "parallel.json"
-    assert cli.main(["verify", "--config", str(cfg), "--output", str(a)]) == 0
-    assert (
-        cli.main(["verify", "--config", str(cfg), "--output", str(b), "--parallel"])
-        == 0
-    )
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, suites=[])
     out = tmp_path / "seeded.json"

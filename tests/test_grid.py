@@ -14,6 +14,7 @@ from gaborgrid.grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
+    _translates,
     conjugate_reflection,
     dft,
     idft,
@@ -281,12 +282,40 @@ def test_coeff_array_validation(ref_grid):
     assert c.lattice.count == 16
 
 
-def test_lattice_superposition_matches_loop(ref_grid, rng):
-    lat = GridLattice.cubic(ref_grid, 2.0)
+def _superposition_matches_loop(grid, generator, rng):
+    lat = GridLattice(Lattice(np.array(generator)), grid)
     c = CoeffArray.over_lattice(lat, rng.standard_normal(lat.count) * (1 + 1j))
-    phi = sample_gaussian(ref_grid)
+    # A complex window without symmetry, so a correlation cannot pass for
+    # the convolution.
+    phi = random_signal(grid, rng)
     out = lattice_superposition(c, phi)
-    expected = np.zeros(ref_grid.size, dtype=complex)
+    expected = np.zeros(grid.shape, dtype=complex)
+    axes = tuple(range(grid.dim))
     for coeff, idx in zip(c.values, lat.index_points):
-        expected += coeff * np.roll(phi.values, idx[0])
-    np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        expected += coeff * np.roll(phi.reshaped(), tuple(idx), axis=axes)
+    np.testing.assert_allclose(out.values, expected.ravel(), atol=1e-12)
+
+
+def test_lattice_superposition_matches_loop(ref_grid, rng):
+    _superposition_matches_loop(ref_grid, [[2.0]], rng)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [[[1.0, 0.0], [0.0, 0.5]], [[1.0, 0.5], [0.0, 1.0]]],
+    ids=["separable", "sheared"],
+)
+def test_lattice_superposition_matches_loop_2d(generator, rng):
+    _superposition_matches_loop(PeriodicGrid(2, 4.0, 16), generator, rng)
+
+
+@pytest.mark.parametrize("grid", [PeriodicGrid(1, 4.0, 16), PeriodicGrid(2, 2.0, 8)],
+                         ids=["1d", "2d"])
+def test_translates_match_translate(grid, rng):
+    f = random_signal(grid, rng)
+    # Every node, shifted so that half of the index vectors are negative.
+    points = grid.index_vectors() - grid.points_per_axis // 2
+    rows = _translates(f, points)
+    assert rows.shape == (grid.size, grid.size)
+    for row, idx in zip(rows, points):
+        np.testing.assert_array_equal(row, translate(f, idx * grid.spacing).values)

@@ -12,6 +12,7 @@ from gaborgrid.grid import (
     PeriodicGrid,
     conjugate_reflection,
     idft,
+    lattice_superposition,
     modulate,
     sample_bump,
     sample_gaussian,
@@ -21,11 +22,9 @@ from gaborgrid.lattice import PowerWeight
 from gaborgrid.smoothness import (
     convolve_samples,
     decay_profile,
-    growth_profile,
     multi_indices,
     schwartz_seminorm,
     smoothness_seminorm,
-    translate_superposition,
 )
 from gaborgrid.spaces import SpaceSpec, continuous_norm
 
@@ -98,7 +97,7 @@ def test_superposition_delta_gives_translate(ref_grid):
     phi = sample_gaussian(ref_grid)
     vals = np.zeros(lat.count, dtype=complex)
     vals[3] = 1.0
-    out = translate_superposition(CoeffArray.over_lattice(lat, vals), phi)
+    out = lattice_superposition(CoeffArray.over_lattice(lat, vals), phi)
     expected = np.roll(phi.values, int(lat.index_points[3, 0]))
     np.testing.assert_allclose(out.values, expected, atol=1e-14)
 
@@ -107,7 +106,7 @@ def test_superposition_disjoint_bumps_read_back(ref_grid, rng):
     lat = GridLattice.cubic(ref_grid, 1.0)
     chi = sample_bump(ref_grid, radius=0.45)
     c = rng.standard_normal(lat.count) + 1j * rng.standard_normal(lat.count)
-    out = translate_superposition(CoeffArray.over_lattice(lat, c), chi)
+    out = lattice_superposition(CoeffArray.over_lattice(lat, c), chi)
     # At each lattice site the superposition is exactly c_lambda * chi(. - lambda).
     for j, idx in enumerate(lat.index_points[:, 0]):
         assert out.values[idx] == pytest.approx(c[j] * chi.values[0], rel=1e-12)
@@ -118,7 +117,7 @@ def test_superposition_matches_double_loop(rng):
     lat = GridLattice.cubic(grid, 1.0)
     phi = sample_gaussian(grid, width=0.8)
     c = rng.standard_normal(lat.count) + 1j * rng.standard_normal(lat.count)
-    out = translate_superposition(CoeffArray.over_lattice(lat, c), phi)
+    out = lattice_superposition(CoeffArray.over_lattice(lat, c), phi)
     expected = np.zeros(grid.size, dtype=complex)
     for j in range(lat.count):
         s = int(lat.index_points[j, 0])
@@ -192,7 +191,7 @@ def test_synthesis_modulation_decomposition(ref_system, rng):
     acc = np.zeros(ref_system.grid.size, dtype=complex)
     for j in range(shape[1]):
         col = CoeffArray.over_lattice(ref_system.time_lattice, c[:, j])
-        branch = translate_superposition(col, ref_system.window)
+        branch = lattice_superposition(col, ref_system.window)
         lam1 = ref_system.freq_lattice.points[j, 0]
         acc += modulate(branch, lam1).values
     np.testing.assert_allclose(direct.values, acc, atol=1e-12 * np.max(np.abs(acc)))
@@ -219,7 +218,7 @@ def test_derivative_of_synthesis_binomial(ref_system, rng, order):
         )
         for j in range(shape[1]):
             col = CoeffArray.over_lattice(ref_system.time_lattice, c[:, j])
-            branch = translate_superposition(col, dpsi)
+            branch = lattice_superposition(col, dpsi)
             term = modulate(branch, ref_system.freq_lattice.points[j, 0]).values
             rhs += math.comb(order, beta) * (2j * np.pi * lam1[j]) ** beta * term
     scale = np.max(np.abs(lhs))
@@ -246,7 +245,7 @@ def test_profile_gaussian_rapid_decay(ref_system):
     assert np.all(np.isfinite(prof.decay_sups))
     assert prof.passes_decay(10.0)
     assert prof.fitted_order < -2.0
-    assert growth_profile(ref_system, f, L1_TAU3).bounded_order == 0
+    assert decay_profile(ref_system, f, L1_TAU3).bounded_order == 0
 
 
 def test_profile_oscillation_growth_only(ref_system):
@@ -254,7 +253,7 @@ def test_profile_oscillation_growth_only(ref_system):
     x = grid.axis_nodes()
     osc = GridSignal(grid, np.exp(2j * np.pi * 4.0 * x))
     osc = osc * (1.0 / osc.l2_norm())
-    prof = growth_profile(ref_system, osc, L1_TAU3)
+    prof = decay_profile(ref_system, osc, L1_TAU3)
     assert not prof.passes_decay(10.0)
     assert prof.bounded_order == 0  # peak is interior, growth side is tame
     peak = prof.freq_points[np.argmax(prof.slice_norms), 0]
@@ -264,7 +263,7 @@ def test_profile_oscillation_growth_only(ref_system):
 def test_profile_top_band_bounded_at_positive_order(ref_system):
     grid = ref_system.grid
     f = modulate(sample_gaussian(grid, normalize=True), 6.0)
-    prof = growth_profile(ref_system, f, L1_TAU3)
+    prof = decay_profile(ref_system, f, L1_TAU3)
     assert prof.bounded_order is not None
     assert 0 < prof.bounded_order <= 6
 
@@ -299,7 +298,7 @@ def test_superposition_continuity_bound(ref_grid, rng):
                 lat, rng.standard_normal(lat.count) + 1j * rng.standard_normal(lat.count)
             )
             phi = smooth_random_signal(ref_grid, rng)
-            out = translate_superposition(c, phi)
+            out = lattice_superposition(c, phi)
             norms.append(continuous_norm(out, spec))
             bounds.append(
                 discrete_norm(DiscreteNormRequest(spec, lat, chi, c))

@@ -15,14 +15,17 @@ from gaborgrid.grid import (
     GridSignal,
     PeriodicGrid,
     modulate,
+    modulation_phases,
     sample_bump,
     sample_gaussian,
+    sample_rectangle,
     translate,
 )
-from gaborgrid.lattice import PowerWeight
+from gaborgrid.lattice import PowerWeight, dual_lattice
 from gaborgrid.spaces import (
     DiscreteNormRequest,
     SpaceSpec,
+    check_disjoint_supports,
     continuous_norm,
     decay_weighted_sup,
     discrete_norm,
@@ -175,6 +178,20 @@ def test_discrete_norm_rejects_overlap(ref_grid, rng):
         discrete_norm(DiscreteNormRequest(lp(2), lat, gauss, c))
 
 
+# On these grids the FFT coverage of the unit-box tiling is 1 + 2e-16 or
+# 1 + 4e-16 at its largest, so a plain "> 1" test would refuse it.
+@pytest.mark.parametrize("grid", [PeriodicGrid(1, 15.0, 120), PeriodicGrid(2, 3.0, 24)],
+                         ids=["1d", "2d"])
+def test_check_disjoint_supports_rounding_edge(grid):
+    lat = GridLattice.cubic(grid, 1.0)
+    # Unit boxes tile the torus: every node is covered exactly once.
+    check_disjoint_supports(sample_rectangle(grid, width=1.0), lat)
+    # One node wider per axis: neighbouring translates share a node.
+    wider = sample_rectangle(grid, width=1.0 + grid.spacing)
+    with pytest.raises(OverlappingSupports):
+        check_disjoint_supports(wider, lat)
+
+
 def test_solid_shortcut_exact_factor_unweighted(bump_setup, rng):
     lat, chi = bump_setup
     c = CoeffArray.over_lattice(
@@ -269,6 +286,37 @@ def test_fourier_side_parseval(ref_grid, rng, step):
     vol_dual = 1.0 / step
     assert got == pytest.approx(
         np.sqrt(vol_dual) * np.linalg.norm(c.values), rel=1e-10
+    )
+
+
+def _direct_fourier_side_norm(c, spec):
+    """The series summed term by term with modulation_phases, then normed
+    over the fundamental domain [0, 1)^n of the dual lattice."""
+    lat = c.lattice
+    grid = lat.grid
+    labels = np.rint(lat.points * grid.period).astype(int)
+    series = sum(coeff * modulation_phases(grid, m) for coeff, m in zip(c.values, labels))
+    y = np.linalg.solve(dual_lattice(lat.lattice).generator, grid.nodes().T).T
+    inside = np.all((y > -1e-9) & (y < 1.0 - 1e-9), axis=-1)
+    inner = SpaceSpec("Lp_w", spec.p, weight=spec.weight)
+    return continuous_norm(GridSignal(grid, np.where(inside, series, 0.0)), inner)
+
+
+@pytest.mark.parametrize("grid, step", [
+    (PeriodicGrid(1, 16.0, 256), 1.0),
+    (PeriodicGrid(1, 16.0, 256), 2.0),
+    (PeriodicGrid(1, 16.0, 64), 1.0),  # labels m = 16 k collide modulo L = 64
+    (PeriodicGrid(2, 4.0, 16), 1.0),
+], ids=["1d-step1", "1d-step2", "1d-wrapped", "2d"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_fourier_side_matches_direct_series(grid, step, p, rng):
+    lat = GridLattice.cubic(grid, step)
+    c = CoeffArray.over_lattice(
+        lat, rng.standard_normal(lat.count) + 1j * rng.standard_normal(lat.count)
+    )
+    spec = SpaceSpec("FourierLp_w", p, weight=PowerWeight(1.5))
+    assert fourier_side_norm(c, spec) == pytest.approx(
+        _direct_fourier_side_norm(c, spec), rel=1e-12
     )
 
 

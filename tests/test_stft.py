@@ -9,17 +9,21 @@ from gaborgrid.grid import (
     sample_gaussian,
     translate,
 )
+from gaborgrid.lattice import Lattice
 from gaborgrid.stft import derivative_identity_defect, stft, stft_on_lattice
 
 from conftest import random_signal
 
 
 def direct_stft_entry(f, psi, k_idx, m_int):
-    """O(L) quadrature sum for one (time node, frequency) pair."""
+    """O(L^n) quadrature sum for one (time node, frequency) pair; the node
+    and label are ints in 1-d or index vectors."""
     grid = f.grid
-    shifted = np.roll(psi.values, k_idx)
-    phase = np.exp(-2j * np.pi * m_int * np.arange(grid.points_per_axis) / grid.points_per_axis)
-    return grid.spacing * np.sum(f.values * np.conj(shifted) * phase)
+    axes = tuple(range(grid.dim))
+    shifted = np.roll(psi.reshaped(), np.atleast_1d(k_idx), axis=axes).ravel()
+    phase = np.exp(-2j * np.pi * (grid.index_vectors() @ np.atleast_1d(m_int))
+                   / grid.points_per_axis)
+    return grid.spacing ** grid.dim * np.sum(f.values * np.conj(shifted) * phase)
 
 
 @pytest.fixture
@@ -88,6 +92,22 @@ def test_lattice_entries_match_direct_quadrature(rng):
     for i, t_idx in enumerate(time_lat.index_points[:, 0]):
         for j, m_idx in enumerate(freq_lat.index_points[:, 0]):
             expected = direct_stft_entry(f, psi, int(t_idx), int(m_idx))
+            assert abs(coeffs.values[i, j] - expected) < 1e-12
+
+
+def test_sheared_lattice_entries_match_direct_quadrature(rng):
+    grid = PeriodicGrid(2, 2.0, 8)
+    f = random_signal(grid, rng)
+    psi = random_signal(grid, rng)
+    # Sheared generators in both planes: node steps (2, 0), (1, 2) and bin
+    # steps (2, 0), (1, 2).
+    time_lat = GridLattice(Lattice(np.array([[0.5, 0.25], [0.0, 0.5]])), grid)
+    freq_lat = GridLattice(Lattice(np.array([[1.0, 0.5], [0.0, 1.0]])), grid.reciprocal())
+    coeffs = stft_on_lattice(f, psi, time_lat, freq_lat)
+    assert coeffs.values.shape == (time_lat.count, freq_lat.count) == (16, 16)
+    for i, k in enumerate(time_lat.index_points):
+        for j, m in enumerate(freq_lat.index_points):
+            expected = direct_stft_entry(f, psi, k, m)
             assert abs(coeffs.values[i, j] - expected) < 1e-12
 
 
