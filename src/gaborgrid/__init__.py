@@ -40,6 +40,7 @@ from .grid import (
     modulate,
     sample_bump,
     sample_gaussian,
+    sample_oscillation,
     sample_rectangle,
     spectral_derivative,
     translate,

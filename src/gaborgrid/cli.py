@@ -9,8 +9,9 @@ Subcommands::
     gaborgrid profile     --config cfg.json (--input sig.csv | --preset name) ...
 
 Flags override config-file fields.  Exit codes: 0 success (numerical
-failures are report data, not errors), 2 configuration error, 3 internal
-error.  Reports are byte-deterministic for a fixed config and seed.
+failures are report data, not errors), 2 configuration error or a system
+that is not a frame where a dual window is required, 3 internal error.
+Reports are byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .formats import (
     write_tfarray_csv,
 )
 from .gabor import dual_window, frame_bounds, wexler_raz_residual
-from .grid import GridSignal, sample_gaussian
+from .grid import GridSignal, sample_gaussian, sample_oscillation
 from .smoothness import decay_profile
 from .spaces import continuous_norm
 from .stft import stft
-from .suites import SUITE_NAMES, SuiteConfig, run_suites, _unit_oscillation
+from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 
 def load_config(path: str | None) -> SuiteConfig:
@@ -186,11 +187,12 @@ def cmd_dual_window(args) -> int:
         )
         _write_signal(gamma, out)
         print(f"wrote {out}")
-    else:
-        print("not a frame; no dual window written")
     cert_path = args.certificate or "certificate.json"
     Path(cert_path).write_text(dump_json(payload) + "\n")
     print(f"wrote {cert_path}")
+    if not payload["frame"]:
+        raise NotAFrame(f"lower frame bound {cert.lower} <= tol {cfg.tol('frame')}; "
+                        "no dual window written")
     return 0
 
 
@@ -222,7 +224,7 @@ def cmd_profile(args) -> int:
     elif args.preset == "gaussian":
         f = sample_gaussian(grid, width=2.0 ** 0.5, normalize=True)
     elif args.preset == "oscillation":
-        f = _unit_oscillation(grid, 4.0)
+        f = sample_oscillation(grid, 4.0)
     else:
         raise ConfigError("input: provide --input or --preset")
     spec = cfg.spaces[0]
@@ -297,9 +299,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NotAFrame as exc:
-        # Reachable only through commands that require a dual; diagnose.
         print(f"not a frame: {exc}", file=sys.stderr)
-        return 0
+        return 2
     except GaborGridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

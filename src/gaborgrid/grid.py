@@ -307,6 +307,13 @@ def sample_rectangle(grid: PeriodicGrid, width: float, start=0.0,
     return sig
 
 
+def sample_oscillation(grid: PeriodicGrid, frequency: float) -> GridSignal:
+    """The plane wave exp(2 pi i frequency (x_1 + ... + x_n)), scaled to unit L^2 norm."""
+    phase = np.exp(2j * np.pi * (grid.nodes() @ np.full(grid.dim, frequency)))
+    sig = GridSignal(grid, phase)
+    return sig * (1.0 / sig.l2_norm())
+
+
 @lru_cache(maxsize=None)
 def _enumerate_quotient(steps_bytes: bytes, dim: int, L: int) -> tuple[tuple[int, ...], ...]:
     """Subgroup of (Z/L)^dim generated by the columns of the step matrix."""
@@ -470,6 +477,24 @@ def _windowed_dft(f: GridSignal, psi: GridSignal, index_points: np.ndarray) -> n
     return rows
 
 
+def _superpose(lat: GridLattice, columns: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """(S, size) rows: row s is sum_k columns[k, s] T_{x_k}(window), for the
+    (count, S) coefficient columns and the window's forward DFT ``spectrum``.
+
+    Each row is a comb carrying one column at the lattice nodes (distinct
+    modulo L), convolved with the window by one batched FFT pair in place.
+    """
+    grid = lat.grid
+    rows = np.zeros((columns.shape[1], grid.size), dtype=complex)
+    rows[:, _flat_index(grid, lat.index_points)] = columns.T
+    shaped = rows.reshape((-1,) + grid.shape)
+    axes = tuple(range(1, grid.dim + 1))
+    np.fft.fftn(shaped, axes=axes, out=shaped)
+    shaped *= spectrum
+    np.fft.ifftn(shaped, axes=axes, out=shaped)
+    return rows
+
+
 def lattice_superposition(coeffs: CoeffArray, window: GridSignal) -> GridSignal:
     """The finite sum sum_lambda c_lambda T_lambda(window) over one lattice.
 
@@ -479,8 +504,6 @@ def lattice_superposition(coeffs: CoeffArray, window: GridSignal) -> GridSignal:
     lat = coeffs.lattice
     if not grids_compatible(lat.grid, window.grid):
         raise GridMismatch("window grid does not match the lattice grid")
-    grid = window.grid
-    comb = np.zeros(grid.size, dtype=complex)
-    np.add.at(comb, _flat_index(grid, lat.index_points), coeffs.values)
-    spectrum = np.fft.fftn(comb.reshape(grid.shape)) * np.fft.fftn(window.reshaped())
-    return GridSignal(grid, np.fft.ifftn(spectrum).ravel())
+    column = coeffs.values.reshape(lat.count, 1)
+    rows = _superpose(lat, column, np.fft.fftn(window.reshaped()))
+    return GridSignal(window.grid, rows[0])

@@ -155,14 +155,14 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
     max_order = _check_order(max_order)
     coeffs = analyze(system, f)
     time_lat = system.time_lattice
-    slices = coeffs.values  # (N0, N1)
-    norms = np.empty(slices.shape[1])
-    for j in range(slices.shape[1]):
-        col = CoeffArray.over_lattice(time_lat, slices[:, j])
-        if window is None:
-            norms[j] = solid_discrete_norm(col, spec)
-        else:
-            norms[j] = discrete_norm(DiscreteNormRequest(spec, time_lat, window, col))
+    slices = CoeffArray.over_lattice(time_lat, coeffs.values)  # a column per frequency
+    if window is None:
+        norms = np.array([
+            solid_discrete_norm(CoeffArray.over_lattice(time_lat, col), spec)
+            for col in slices.values.T
+        ])
+    else:
+        norms = discrete_norm(DiscreteNormRequest(spec, time_lat, window, slices))
     pts = system.freq_lattice.centered_points
     radii = np.linalg.norm(pts, axis=-1)
     orders = np.arange(max_order + 1)

@@ -38,7 +38,9 @@ from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
+    PeriodicGrid,
     _flat_index,
+    _superpose,
     grids_compatible,
     lattice_superposition,
 )
@@ -101,28 +103,42 @@ def _p_norm(values: np.ndarray, p: float, cell: float, axis=None) -> np.ndarray 
     return (cell * np.sum(values ** p, axis=axis)) ** (1.0 / p)
 
 
+def _norm_weight(grid: PeriodicGrid, spec: SpaceSpec) -> np.ndarray:
+    """The weight at the nodes the norm sums over: the reciprocal grid's
+    nodes for FourierLp_w, the grid's own nodes otherwise."""
+    if spec.kind == "FourierLp_w":
+        grid = grid.reciprocal()
+    return spec.weight(grid.centered_nodes())
+
+
+def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec,
+               weight: np.ndarray) -> np.ndarray:
+    """Norms of the (S, size) rows of grid samples, one per row.
+
+    ``weight`` is ``_norm_weight(grid, spec)``.  FourierLp_w rows are
+    transformed in place.
+    """
+    if spec.kind == "MixedLp" and grid.dim != 2:
+        raise DimensionMismatch("MixedLp requires a 2-d grid")
+    if spec.kind == "FourierLp_w":
+        shaped = rows.reshape((-1,) + grid.shape)
+        np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)
+        rows *= grid.period ** grid.dim
+        grid = grid.reciprocal()
+    weighted = np.abs(rows)
+    weighted *= weight
+    if spec.kind == "MixedLp":
+        table = weighted.reshape((-1,) + grid.shape)
+        inner = _p_norm(table, spec.p2, grid.spacing, axis=2)
+        return _p_norm(inner, spec.p, grid.spacing, axis=1)
+    p = math.inf if spec.kind == "C0_w" else spec.p
+    return _p_norm(weighted, p, grid.spacing ** grid.dim, axis=1)
+
+
 def continuous_norm(f: GridSignal, spec: SpaceSpec) -> float:
     """Quadrature norm of a grid signal in the requested space."""
-    grid = f.grid
-    if spec.kind == "FourierLp_w":
-        rec = grid.reciprocal()
-        scale = grid.period ** grid.dim
-        inverse = scale * np.fft.ifftn(f.reshaped()).ravel()
-        inner = SpaceSpec("Lp_w", spec.p, weight=spec.weight)
-        return continuous_norm(GridSignal(rec, inverse), inner)
-
-    weighted = np.abs(f.values) * spec.weight(f.grid.centered_nodes())
-    cell = grid.spacing ** grid.dim
-    if spec.kind in ("Lp_w", "C0_w"):
-        p = math.inf if spec.kind == "C0_w" else spec.p
-        return float(_p_norm(weighted, p, cell))
-    if spec.kind == "MixedLp":
-        if grid.dim != 2:
-            raise DimensionMismatch("MixedLp requires a 2-d grid")
-        table = weighted.reshape(grid.shape)
-        inner = _p_norm(table, spec.p2, grid.spacing, axis=1)
-        return float(_p_norm(inner, spec.p, grid.spacing))
-    raise AssertionError("unreachable")
+    rows = f.values.reshape(1, -1).copy()
+    return float(_row_norms(rows, f.grid, spec, _norm_weight(f.grid, spec))[0])
 
 
 def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
@@ -143,7 +159,11 @@ def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteNormRequest:
-    """Inputs for one discrete-space norm evaluation."""
+    """Inputs for discrete-space norm evaluations.
+
+    ``coeffs`` holds one sequence, values of shape (count,), or S sequences
+    as the columns of a (count, S) array.
+    """
 
     space: SpaceSpec
     lattice: GridLattice
@@ -156,12 +176,33 @@ class DiscreteNormRequest:
             lat.index_points, self.lattice.index_points
         ):
             raise IndexMismatch("coefficients are indexed by a different lattice")
+        if self.coeffs.values.ndim > 2:
+            raise IndexMismatch("coefficients must have shape (count,) or (count, S)")
 
 
-def discrete_norm(req: DiscreteNormRequest) -> float:
-    """Norm of sum_lambda c_lambda T_lambda(window) in the requested space."""
+# Superpose and norm at most this many bytes of complex rows at a time, so a
+# batch of any size adds a bounded working set.
+_BATCH_BYTES = 2 ** 17
+
+
+def discrete_norm(req: DiscreteNormRequest) -> float | np.ndarray:
+    """Norm of sum_lambda c_lambda T_lambda(window) in the requested space.
+
+    Returns a float for coefficients of shape (count,) and the array of the
+    S column norms for shape (count, S).  The support check runs once per
+    call; the columns are superposed and normed in blocks.
+    """
     check_disjoint_supports(req.window, req.lattice)
-    return continuous_norm(lattice_superposition(req.coeffs, req.window), req.space)
+    grid = req.window.grid
+    spectrum = np.fft.fftn(req.window.reshaped())
+    weight = _norm_weight(grid, req.space)
+    columns = req.coeffs.values.reshape(req.lattice.count, -1)
+    block = max(1, _BATCH_BYTES // (16 * grid.size))
+    norms = np.empty(columns.shape[1])
+    for start in range(0, columns.shape[1], block):
+        rows = _superpose(req.lattice, columns[:, start:start + block], spectrum)
+        norms[start:start + block] = _row_norms(rows, grid, req.space, weight)
+    return float(norms[0]) if req.coeffs.values.ndim == 1 else norms
 
 
 def _separable_counts(lat: GridLattice) -> tuple[int, int]:

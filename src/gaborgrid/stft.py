@@ -51,8 +51,8 @@ class TFArray:
         object.__setattr__(self, "values", v)
 
 
-def stft(f: GridSignal, psi: GridSignal) -> TFArray:
-    """Full STFT over every (time node, frequency bin) pair."""
+def _stft_rows(f: GridSignal, psi: GridSignal) -> np.ndarray:
+    """The full STFT table of :func:`stft` as a writable (size, size) array."""
     require_same_grid(f, psi)
     grid = f.grid
     if grid.size ** 2 > _FULL_STFT_LIMIT:
@@ -61,7 +61,12 @@ def stft(f: GridSignal, psi: GridSignal) -> TFArray:
         )
     rows = _windowed_dft(f, psi, grid.index_vectors())
     rows *= grid.spacing ** grid.dim
-    return TFArray(grid, rows)
+    return rows
+
+
+def stft(f: GridSignal, psi: GridSignal) -> TFArray:
+    """Full STFT over every (time node, frequency bin) pair."""
+    return TFArray(f.grid, _stft_rows(f, psi))
 
 
 def stft_on_lattice(f: GridSignal, psi: GridSignal,
@@ -79,7 +84,8 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
         sum_{beta <= alpha} C(alpha, beta) V_{psi^(alpha-beta)} f^(beta),
 
     exactly.  Both sides are computed independently on the grid and the
-    maximum absolute entry difference is returned.
+    maximum absolute entry difference is returned.  The difference is
+    accumulated one STFT table at a time, so at most two are held at once.
     """
     require_same_grid(f, psi)
     grid = f.grid
@@ -89,25 +95,26 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
     if all(o == 0 for o in order):
         return 0.0
 
-    lhs = stft(f, psi).values
     xi = grid.freq_nodes()
     factor = np.ones(grid.size, dtype=complex)
     for axis, o in enumerate(order):
         if o:
             factor = factor * (2j * np.pi * xi[:, axis]) ** o
-    lhs = lhs * factor[None, :]
+    defect = _stft_rows(f, psi)
+    defect *= factor
 
-    rhs = np.zeros_like(lhs)
-    betas = _multi_range(order)
-    for beta in betas:
+    for beta in _multi_range(order):
         coeff = 1
         for o, b in zip(order, beta):
             coeff *= comb(o, b)
         df = spectral_derivative(f, beta) if any(beta) else f
         rem = tuple(o - b for o, b in zip(order, beta))
         dpsi = spectral_derivative(psi, rem) if any(rem) else psi
-        rhs += coeff * stft(df, dpsi).values
-    return float(np.max(np.abs(lhs - rhs)))
+        term = _stft_rows(df, dpsi)
+        term *= coeff
+        defect -= term
+        del term  # the next term is built while only the defect is held
+    return float(np.max(np.abs(defect)))
 
 
 def _multi_range(order: tuple[int, ...]) -> list[tuple[int, ...]]:

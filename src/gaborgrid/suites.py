@@ -37,6 +37,7 @@ from .grid import (
     lattice_superposition,
     sample_bump,
     sample_gaussian,
+    sample_oscillation,
     sample_rectangle,
 )
 from .lattice import PowerWeight
@@ -369,18 +370,26 @@ def run_frame_bounds(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     return entries
 
 
-def _ratio_band(cfg: SuiteConfig, rng, lattice, chi1, chi2, spec, count) -> float:
-    worst = 1.0
-    for _ in range(count):
-        c = CoeffArray.over_lattice(
-            lattice,
-            rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count),
-        )
-        n1 = discrete_norm(DiscreteNormRequest(spec, lattice, chi1, c))
-        n2 = discrete_norm(DiscreteNormRequest(spec, lattice, chi2, c))
-        r = n1 / n2
-        worst = max(worst, r, 1.0 / r)
-    return worst
+def _random_columns(rng: np.random.Generator, lattice: GridLattice,
+                    samples: int) -> CoeffArray:
+    """``samples`` random complex sequences over the lattice, one per column,
+    each drawn as standard_normal + 1j * standard_normal."""
+    columns = np.empty((lattice.count, samples), dtype=complex)
+    for s in range(samples):
+        columns[:, s] = (rng.standard_normal(lattice.count)
+                         + 1j * rng.standard_normal(lattice.count))
+    return CoeffArray.over_lattice(lattice, columns)
+
+
+def _columns(coeffs: CoeffArray) -> list[CoeffArray]:
+    return [CoeffArray.over_lattice(coeffs.lattice, col) for col in coeffs.values.T]
+
+
+def _ratio_band(rng, lattice, chi1, chi2, spec, count) -> float:
+    c = _random_columns(rng, lattice, count)
+    r = (discrete_norm(DiscreteNormRequest(spec, lattice, chi1, c))
+         / discrete_norm(DiscreteNormRequest(spec, lattice, chi2, c)))
+    return float(max(np.max(r), np.max(1.0 / r)))
 
 
 def run_window_independence(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
@@ -395,8 +404,8 @@ def run_window_independence(cfg: SuiteConfig, rng: np.random.Generator) -> list[
         for tau in (0.0, 2.0):
             spec = SpaceSpec("Lp_w", p, weight=PowerWeight(tau))
             label = f"L{p:g}_tau{tau:g}"
-            k1 = _ratio_band(cfg, rng, lattice, chi1, chi2, spec, count)
-            k2 = _ratio_band(cfg, rng, lattice, chi1, chi2, spec, count)
+            k1 = _ratio_band(rng, lattice, chi1, chi2, spec, count)
+            k2 = _ratio_band(rng, lattice, chi1, chi2, spec, count)
             k_joint = max(k1, k2)
             entries.append(
                 check(suite, f"K_stability_{label}", abs(k_joint - k1) / k1, 0.2, "<=",
@@ -409,31 +418,21 @@ def run_window_independence(cfg: SuiteConfig, rng: np.random.Generator) -> list[
     for p in (1.0, 2.0, 4.0):
         spec = SpaceSpec("Lp_w", p)
         factor = continuous_norm(chi, spec)
-        worst = 0.0
-        for _ in range(50):
-            c = CoeffArray.over_lattice(
-                lattice,
-                rng.standard_normal(lattice.count)
-                + 1j * rng.standard_normal(lattice.count),
-            )
-            direct = discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
-            solid = solid_discrete_norm(c, spec)
-            worst = max(worst, abs(direct / (factor * solid) - 1.0))
+        c = _random_columns(rng, lattice, 50)
+        direct = discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
+        solid = np.array([solid_discrete_norm(col, spec) for col in _columns(c)])
+        worst = float(np.max(np.abs(direct / (factor * solid) - 1.0)))
         entries.append(
             check(suite, f"solid_shortcut_exact_L{p:g}", worst, 1e-12, "<=")
         )
     spec_w = SpaceSpec("Lp_w", 2.0, weight=PowerWeight(2.0))
-    ratios = []
-    for _ in range(50):
-        c = CoeffArray.over_lattice(
-            lattice,
-            rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count),
-        )
-        direct = discrete_norm(DiscreteNormRequest(spec_w, lattice, chi, c))
-        ratios.append(direct / solid_discrete_norm(c, spec_w))
+    c = _random_columns(rng, lattice, 50)
+    direct = discrete_norm(DiscreteNormRequest(spec_w, lattice, chi, c))
+    ratios = direct / np.array([solid_discrete_norm(col, spec_w) for col in _columns(c)])
+    low, high = float(np.min(ratios)), float(np.max(ratios))
     entries.append(
-        report_entry(suite, "solid_shortcut_weighted_band", max(ratios) / min(ratios),
-                     details={"low": min(ratios), "high": max(ratios)})
+        report_entry(suite, "solid_shortcut_weighted_band", high / low,
+                     details={"low": low, "high": high})
     )
 
     # Fourier-coefficient realization against the bump realization; needs
@@ -450,32 +449,20 @@ def _fourier_entries(cfg, rng, lattice, chi, count, entries, suite) -> None:
         f2 = SpaceSpec("FourierLp_w", 2.0)
         worst = 0.0
         vol_dual = 1.0 / cfg.time_step ** cfg.dim
-        for _ in range(50):
-            c = CoeffArray.over_lattice(
-                lattice,
-                rng.standard_normal(lattice.count)
-                + 1j * rng.standard_normal(lattice.count),
-            )
+        for c in _columns(_random_columns(rng, lattice, 50)):
             got = fourier_side_norm(c, f2)
             expected = math.sqrt(vol_dual) * float(np.linalg.norm(c.values))
             worst = max(worst, abs(got / expected - 1.0))
         entries.append(check(suite, "fourier_parseval_deviation", worst, 1e-10, "<="))
         for p in (1.0, 4.0):
             fp = SpaceSpec("FourierLp_w", p)
-            ratios = []
-            for _ in range(count):
-                c = CoeffArray.over_lattice(
-                    lattice,
-                    rng.standard_normal(lattice.count)
-                    + 1j * rng.standard_normal(lattice.count),
-                )
-                fourier = fourier_side_norm(c, fp)
-                bump = discrete_norm(DiscreteNormRequest(fp, lattice, chi, c))
-                ratios.append(fourier / bump)
+            c = _random_columns(rng, lattice, count)
+            fourier = np.array([fourier_side_norm(col, fp) for col in _columns(c)])
+            ratios = fourier / discrete_norm(DiscreteNormRequest(fp, lattice, chi, c))
+            low, high = float(np.min(ratios)), float(np.max(ratios))
             entries.append(
-                check(suite, f"fourier_vs_bump_band_L{p:g}",
-                      max(ratios) / min(ratios), 1e6, "<",
-                      details={"low": min(ratios), "high": max(ratios)})
+                check(suite, f"fourier_vs_bump_band_L{p:g}", high / low, 1e6, "<",
+                      details={"low": low, "high": high})
             )
 
 
@@ -488,17 +475,12 @@ def run_embedding_chain(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict
     count = cfg.sample_count("ratio_scan")
 
     def kappas(n):
-        k1 = k2 = math.inf
-        for _ in range(n):
-            c = CoeffArray.over_lattice(
-                lattice,
-                rng.standard_normal(lattice.count)
-                + 1j * rng.standard_normal(lattice.count),
-            )
-            d = discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
-            k1 = min(k1, decay_weighted_sup(c, 3) / d)
-            k2 = min(k2, d / growth_weighted_sup(c, 3))
-        return k1, k2
+        c = _random_columns(rng, lattice, n)
+        d = discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
+        cols = _columns(c)
+        decay = np.array([decay_weighted_sup(col, 3) for col in cols])
+        growth = np.array([growth_weighted_sup(col, 3) for col in cols])
+        return float(np.min(decay / d)), float(np.min(d / growth))
 
     k1, k2 = kappas(count)
     k1d, k2d = kappas(count)
@@ -514,26 +496,30 @@ def run_embedding_chain(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict
     # Operator continuity constants over a random family.
     order = 4
     n = cfg.sample_count("continuity")
-    sup_ratios = []
-    conv_ratios = []
-    for _ in range(n):
-        c = CoeffArray.over_lattice(
-            lattice,
-            rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count),
-        )
+    cs = np.empty((lattice.count, n), dtype=complex)
+    convs = np.empty((lattice.count, n), dtype=complex)
+    seminorms = np.empty(n)
+    out_norms = np.empty(n)
+    e_norms = np.empty(n)
+    for s in range(n):
+        cs[:, s] = rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count)
         phi = smooth_random_signal(grid, rng)
         e = random_signal(grid, rng)
-        seminorm = schwartz_seminorm(phi, order)
-        out_norm = continuous_norm(lattice_superposition(c, phi), spec)
-        in_norm = discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
-        sup_ratios.append(out_norm / (in_norm * seminorm))
-        conv = convolve_samples(e, phi, lattice)
-        conv_norm = discrete_norm(DiscreteNormRequest(spec, lattice, chi, conv))
-        conv_ratios.append(conv_norm / (continuous_norm(e, spec) * seminorm))
+        seminorms[s] = schwartz_seminorm(phi, order)
+        c = CoeffArray.over_lattice(lattice, cs[:, s])
+        out_norms[s] = continuous_norm(lattice_superposition(c, phi), spec)
+        convs[:, s] = convolve_samples(e, phi, lattice).values
+        e_norms[s] = continuous_norm(e, spec)
+    in_norms = discrete_norm(
+        DiscreteNormRequest(spec, lattice, chi, CoeffArray.over_lattice(lattice, cs)))
+    conv_norms = discrete_norm(
+        DiscreteNormRequest(spec, lattice, chi, CoeffArray.over_lattice(lattice, convs)))
+    sup_ratios = out_norms / (in_norms * seminorms)
+    conv_ratios = conv_norms / (e_norms * seminorms)
 
     for label, ratios in (("superposition", sup_ratios), ("convolution", conv_ratios)):
-        fitted = max(ratios)
-        violation = max(r / fitted - 1.0 for r in ratios)
+        fitted = float(np.max(ratios))
+        violation = float(np.max(ratios / fitted - 1.0))
         entries.append(
             check(suite, f"{label}_bound_violation", violation, 0.01, "<=",
                   details={"constant": fitted, "order": order, "samples": n})
@@ -542,13 +528,6 @@ def run_embedding_chain(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict
 
 
 _PROFILE_SPACE = SpaceSpec("Lp_w", 1.0, weight=PowerWeight(3.0))
-
-
-def _unit_oscillation(grid: PeriodicGrid, frequency: float) -> GridSignal:
-    x = grid.nodes()
-    phase = np.exp(2j * np.pi * (x @ np.full(grid.dim, frequency)))
-    sig = GridSignal(grid, phase)
-    return sig * (1.0 / sig.l2_norm())
 
 
 def run_decay(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
@@ -571,7 +550,7 @@ def run_growth(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     grid = system.grid
     gauss = sample_gaussian(grid, width=math.sqrt(2.0), normalize=True)
     gauss_prof = decay_profile(system, gauss, _PROFILE_SPACE)
-    osc = _unit_oscillation(grid, 4.0)
+    osc = sample_oscillation(grid, 4.0)
     osc_prof = decay_profile(system, osc, _PROFILE_SPACE)
     entries = [
         check(suite, "gaussian_bounded_order",
@@ -587,7 +566,7 @@ def run_growth(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
               details={"oscillation": osc_prof.decay_sups[2],
                        "gaussian": gauss_prof.decay_sups[2]}),
     ]
-    top_band = GridSignal(grid, gauss.values * _unit_oscillation(grid, 6.0).values)
+    top_band = GridSignal(grid, gauss.values * sample_oscillation(grid, 6.0).values)
     top_band = top_band * (1.0 / top_band.l2_norm())
     band_prof = decay_profile(system, top_band, _PROFILE_SPACE)
     entries.append(

@@ -171,10 +171,28 @@ def test_dual_window_subcommand(tmp_path):
     assert cli.main(
         ["dual-window", "--config", str(under), "--output", str(out2),
          "--certificate", str(cert2)]
-    ) == 0
+    ) == 2
     payload2 = json.loads(cert2.read_text())
     assert payload2["frame"] is False
     assert not out2.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    # Redundancy 1/2: the lower frame bound is exactly zero.
+    {"system": {"window": {"kind": "gaussian"}, "time_step": 2.0, "freq_step": 1.0}},
+    # A frame by the report tolerance (A is about 0.83) that the dual solve's
+    # tolerance refuses.
+    {"tolerances": {"cg": 1.0}},
+], ids=["undersampled", "solve-refuses"])
+def test_dual_window_not_a_frame_exits_2(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    gamma = tmp_path / "gamma.csv"
+    assert cli.main(
+        ["dual-window", "--config", str(cfg), "--output", str(gamma),
+         "--certificate", str(tmp_path / "cert.json")]
+    ) == 2
+    assert not gamma.exists()
+    assert capsys.readouterr().err.startswith("not a frame:")
 
 
 def test_profile_subcommand(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from gaborgrid.errors import (
     DimensionMismatch,
+    IndexMismatch,
     NonAlignedLattice,
     NotSolid,
     OverlappingSupports,
@@ -14,6 +15,7 @@ from gaborgrid.grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
+    lattice_superposition,
     modulate,
     modulation_phases,
     sample_bump,
@@ -21,8 +23,9 @@ from gaborgrid.grid import (
     sample_rectangle,
     translate,
 )
-from gaborgrid.lattice import PowerWeight, dual_lattice
+from gaborgrid.lattice import Lattice, PowerWeight, dual_lattice
 from gaborgrid.spaces import (
+    _BATCH_BYTES,
     DiscreteNormRequest,
     SpaceSpec,
     check_disjoint_supports,
@@ -176,6 +179,78 @@ def test_discrete_norm_rejects_overlap(ref_grid, rng):
     gauss = sample_gaussian(ref_grid)
     with pytest.raises(OverlappingSupports):
         discrete_norm(DiscreteNormRequest(lp(2), lat, gauss, c))
+
+
+# Batched discrete norms ------------------------------------------------------
+
+# L != P^2 on both grids, so the reciprocal grid that weights FourierLp_w
+# differs from the grid itself.
+def _batch_setup(name):
+    if name == "1d":
+        grid = PeriodicGrid(1, 16.0, 128)
+        lat = GridLattice.cubic(grid, 1.0)
+    else:  # sheared: nearest points at distance 1 and sqrt(5)/2
+        grid = PeriodicGrid(2, 4.0, 32)
+        lat = GridLattice(Lattice(np.array([[1.0, 0.5], [0.0, 1.0]])), grid)
+    return lat, sample_bump(grid, radius=0.45)
+
+
+_BATCH_SPECS = (
+    [lp_w(p, tau) for p in (1.0, 2.0, 4.0) for tau in (0.0, 2.0)]
+    + [SpaceSpec("C0_w", weight=PowerWeight(1.0)), SpaceSpec("MixedLp", 1.0, 3.0),
+       SpaceSpec("FourierLp_w", 2.0), SpaceSpec("FourierLp_w", 4.0, weight=PowerWeight(2.0))]
+)
+_BATCH_CASES = [
+    (setup, spec)
+    for setup in ("1d", "2d-sheared")
+    for spec in _BATCH_SPECS
+    if not (setup == "1d" and spec.kind == "MixedLp")
+]
+
+
+@pytest.mark.parametrize(
+    "setup,spec", _BATCH_CASES,
+    ids=[f"{setup}-{spec.kind}-p{spec.p:g}-tau{spec.tau:g}" for setup, spec in _BATCH_CASES],
+)
+def test_batched_discrete_norm_matches_per_column_oracle(setup, spec):
+    lat, chi = _batch_setup(setup)
+    rng = np.random.default_rng(17)
+    block = _BATCH_BYTES // (16 * lat.grid.size)
+    for samples in (1, 2 * block + 1):  # one column; three blocks, the last partial
+        cols = (rng.standard_normal((lat.count, samples))
+                + 1j * rng.standard_normal((lat.count, samples)))
+        got = discrete_norm(
+            DiscreteNormRequest(spec, lat, chi, CoeffArray.over_lattice(lat, cols)))
+        assert got.shape == (samples,)
+        oracle = [
+            continuous_norm(lattice_superposition(CoeffArray.over_lattice(lat, col), chi), spec)
+            for col in cols.T
+        ]
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+    # A single sequence of shape (count,) still gives a float.
+    single = discrete_norm(
+        DiscreteNormRequest(spec, lat, chi, CoeffArray.over_lattice(lat, cols[:, -1])))
+    assert isinstance(single, float)
+    assert single == pytest.approx(oracle[-1], rel=1e-12)
+
+
+def test_batched_discrete_norm_refuses_bad_input(ref_grid, rng):
+    lat = GridLattice.cubic(ref_grid, 1.0)
+    cols = rng.standard_normal((lat.count, 40))
+    batch = CoeffArray.over_lattice(lat, cols)
+    wide = sample_bump(ref_grid, radius=0.9)
+    with pytest.raises(OverlappingSupports):
+        discrete_norm(DiscreteNormRequest(lp(2), lat, wide, batch))
+    chi = sample_bump(ref_grid, radius=0.45)
+    with pytest.raises(IndexMismatch):
+        CoeffArray.over_lattice(lat, cols[:-1])
+    coarse = GridLattice.cubic(ref_grid, 2.0)
+    with pytest.raises(IndexMismatch):
+        DiscreteNormRequest(lp(2), lat, chi, CoeffArray.over_lattice(coarse, cols[::2]))
+    with pytest.raises(IndexMismatch):
+        DiscreteNormRequest(lp(2), lat, chi, CoeffArray.over_lattice(lat, cols[:, :, None]))
+    with pytest.raises(DimensionMismatch):
+        discrete_norm(DiscreteNormRequest(SpaceSpec("MixedLp", 1.0, 2.0), lat, chi, batch))
 
 
 # On these grids the FFT coverage of the unit-box tiling is 1 + 2e-16 or
