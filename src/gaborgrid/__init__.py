@@ -54,7 +54,6 @@ from .smoothness import (
     smoothness_seminorm,
 )
 from .spaces import (
-    DiscreteNormRequest,
     SpaceSpec,
     continuous_norm,
     decay_weighted_sup,
@@ -63,7 +62,7 @@ from .spaces import (
     growth_weighted_sup,
     solid_discrete_norm,
 )
-from .stft import TFArray, derivative_identity_defect, stft, stft_on_lattice
+from .stft import TFArray, derivative_identity_defect, stft
 from .suites import SuiteConfig, run_suites
 
 __all__ = [name for name in dir() if not name.startswith("_")]

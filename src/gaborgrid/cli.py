@@ -181,7 +181,7 @@ def cmd_dual_window(args) -> int:
     payload["frame"] = cert.lower > cfg.tol("frame")
     out = args.output or "dual_window.csv"
     if payload["frame"]:
-        gamma = dual_window(system, tol=cfg.tol("cg"))
+        gamma = dual_window(system, tol=cfg.tol("frame"))
         payload["residual"] = wexler_raz_residual(
             system.window, gamma, cfg.time_step, cfg.freq_step
         )

@@ -162,7 +162,7 @@ def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
     """Coefficient map: STFT samples of f on the system lattice.
 
     The windowed-DFT kernel over the time lattice, read at the bins of the
-    frequency lattice; ``stft.stft_on_lattice`` is this map.
+    frequency lattice.
     """
     require_same_grid(f, system.window)
     grid = system.grid

@@ -477,16 +477,16 @@ def _windowed_dft(f: GridSignal, psi: GridSignal, index_points: np.ndarray) -> n
     return rows
 
 
-def _superpose(lat: GridLattice, columns: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """(S, size) rows: row s is sum_k columns[k, s] T_{x_k}(window), for the
-    (count, S) coefficient columns and the window's forward DFT ``spectrum``.
+def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """(S, size) rows: row s is sum_k coeffs[s, k] T_{x_k}(window), for the
+    (S, count) coefficient rows and the window's forward DFT ``spectrum``.
 
-    Each row is a comb carrying one column at the lattice nodes (distinct
+    Each row is a comb carrying one sequence at the lattice nodes (distinct
     modulo L), convolved with the window by one batched FFT pair in place.
     """
     grid = lat.grid
-    rows = np.zeros((columns.shape[1], grid.size), dtype=complex)
-    rows[:, _flat_index(grid, lat.index_points)] = columns.T
+    rows = np.zeros((coeffs.shape[0], grid.size), dtype=complex)
+    rows[:, _flat_index(grid, lat.index_points)] = coeffs
     shaped = rows.reshape((-1,) + grid.shape)
     axes = tuple(range(1, grid.dim + 1))
     np.fft.fftn(shaped, axes=axes, out=shaped)
@@ -504,6 +504,6 @@ def lattice_superposition(coeffs: CoeffArray, window: GridSignal) -> GridSignal:
     lat = coeffs.lattice
     if not grids_compatible(lat.grid, window.grid):
         raise GridMismatch("window grid does not match the lattice grid")
-    column = coeffs.values.reshape(lat.count, 1)
-    rows = _superpose(lat, column, np.fft.fftn(window.reshaped()))
+    row = coeffs.values.reshape(1, lat.count)
+    rows = _superpose(lat, row, np.fft.fftn(window.reshaped()))
     return GridSignal(window.grid, rows[0])

@@ -8,7 +8,6 @@ package, but nothing here depends on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -43,12 +42,6 @@ class Lattice:
     def cubic(cls, dim: int, step: float) -> "Lattice":
         """The separable lattice step * Z^dim."""
         return cls(np.eye(dim) * step)
-
-    def points(self, index_box: int) -> np.ndarray:
-        """All lattice points A k with k in {-index_box, ..., index_box}^n."""
-        rng = range(-index_box, index_box + 1)
-        idx = np.array(list(product(rng, repeat=self.dim)), dtype=float)
-        return idx @ self.generator.T
 
 
 def dual_lattice(lat: Lattice) -> Lattice:

@@ -28,7 +28,6 @@ from .grid import (
 )
 from .lattice import PowerWeight
 from .spaces import (
-    DiscreteNormRequest,
     SpaceSpec,
     continuous_norm,
     discrete_norm,
@@ -154,15 +153,11 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
     """
     max_order = _check_order(max_order)
     coeffs = analyze(system, f)
-    time_lat = system.time_lattice
-    slices = CoeffArray.over_lattice(time_lat, coeffs.values)  # a column per frequency
+    slices = CoeffArray.over_lattice(system.time_lattice, coeffs.values)  # a column per frequency
     if window is None:
-        norms = np.array([
-            solid_discrete_norm(CoeffArray.over_lattice(time_lat, col), spec)
-            for col in slices.values.T
-        ])
+        norms = solid_discrete_norm(slices, spec)
     else:
-        norms = discrete_norm(DiscreteNormRequest(spec, time_lat, window, slices))
+        norms = discrete_norm(slices, spec, window)
     pts = system.freq_lattice.centered_points
     radii = np.linalg.norm(pts, axis=-1)
     orders = np.arange(max_order + 1)

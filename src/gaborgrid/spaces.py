@@ -157,52 +157,52 @@ def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteNormRequest:
-    """Inputs for discrete-space norm evaluations.
-
-    ``coeffs`` holds one sequence, values of shape (count,), or S sequences
-    as the columns of a (count, S) array.
-    """
-
-    space: SpaceSpec
-    lattice: GridLattice
-    window: GridSignal
-    coeffs: CoeffArray
-
-    def __post_init__(self):
-        lat = self.coeffs.lattice
-        if lat.count != self.lattice.count or not np.array_equal(
-            lat.index_points, self.lattice.index_points
-        ):
-            raise IndexMismatch("coefficients are indexed by a different lattice")
-        if self.coeffs.values.ndim > 2:
-            raise IndexMismatch("coefficients must have shape (count,) or (count, S)")
-
-
 # Superpose and norm at most this many bytes of complex rows at a time, so a
 # batch of any size adds a bounded working set.
 _BATCH_BYTES = 2 ** 17
 
 
-def discrete_norm(req: DiscreteNormRequest) -> float | np.ndarray:
-    """Norm of sum_lambda c_lambda T_lambda(window) in the requested space.
+def _sequence_norms(coeffs: CoeffArray, row_norms, row_size: int | None = None
+                    ) -> float | np.ndarray:
+    """The calling convention of every sequence norm in this module.
 
-    Returns a float for coefficients of shape (count,) and the array of the
-    S column norms for shape (count, S).  The support check runs once per
-    call; the columns are superposed and normed in blocks.
+    ``coeffs`` holds one sequence, values of shape (count,), for which the
+    norm is returned as a float, or S sequences as the columns of a
+    (count, S) array, for which the S column norms are returned.
+    ``row_norms`` maps an (s, count) array whose rows are sequences to their
+    s norms; it is handed blocks of at most ``_BATCH_BYTES`` of complex rows
+    of ``row_size`` entries (default: count).
     """
-    check_disjoint_supports(req.window, req.lattice)
-    grid = req.window.grid
-    spectrum = np.fft.fftn(req.window.reshaped())
-    weight = _norm_weight(grid, req.space)
-    columns = req.coeffs.values.reshape(req.lattice.count, -1)
-    block = max(1, _BATCH_BYTES // (16 * grid.size))
+    values = coeffs.values
+    if values.ndim > 2:
+        raise IndexMismatch("coefficients must have shape (count,) or (count, S)")
+    columns = values.reshape(coeffs.lattice.count, -1)
+    block = max(1, _BATCH_BYTES // (16 * (row_size or columns.shape[0])))
     norms = np.empty(columns.shape[1])
     for start in range(0, columns.shape[1], block):
-        rows = _superpose(req.lattice, columns[:, start:start + block], spectrum)
-        norms[start:start + block] = _row_norms(rows, grid, req.space, weight)
-    return float(norms[0]) if req.coeffs.values.ndim == 1 else norms
+        # Contiguous rows keep every row sum pairwise, as for one sequence.
+        rows = np.ascontiguousarray(columns[:, start:start + block].T)
+        norms[start:start + block] = row_norms(rows)
+    return float(norms[0]) if values.ndim == 1 else norms
+
+
+def discrete_norm(coeffs: CoeffArray, spec: SpaceSpec, window: GridSignal
+                  ) -> float | np.ndarray:
+    """Norm of sum_lambda c_lambda T_lambda(window) in the space ``spec``.
+
+    The support check runs once per call; the sequences are superposed and
+    normed in blocks.
+    """
+    lat = coeffs.lattice
+    check_disjoint_supports(window, lat)
+    grid = window.grid
+    spectrum = np.fft.fftn(window.reshaped())
+    weight = _norm_weight(grid, spec)
+    return _sequence_norms(
+        coeffs,
+        lambda rows: _row_norms(_superpose(lat, rows, spectrum), grid, spec, weight),
+        grid.size,
+    )
 
 
 def _separable_counts(lat: GridLattice) -> tuple[int, int]:
@@ -215,22 +215,27 @@ def _separable_counts(lat: GridLattice) -> tuple[int, int]:
     return n0, n1
 
 
-def solid_discrete_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float:
+def solid_discrete_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarray:
     """Weighted sequence norm realizing the discrete space of a solid kind."""
     if not spec.is_solid:
         raise NotSolid(f"{spec.kind} has no solid sequence shortcut")
     lat = coeffs.lattice
-    weighted = np.abs(coeffs.values) * spec.weight(lat.centered_points)
-    if spec.kind in ("Lp_w", "C0_w"):
+    weight = spec.weight(lat.centered_points)
+    mixed = (-1,) + _separable_counts(lat) if spec.kind == "MixedLp" else None
+
+    def row_norms(rows):
+        weighted = np.abs(rows)
+        weighted *= weight
+        if mixed:
+            inner = _p_norm(weighted.reshape(mixed), spec.p2, 1.0, axis=2)
+            return _p_norm(inner, spec.p, 1.0, axis=1)
         p = math.inf if spec.kind == "C0_w" else spec.p
-        return float(_p_norm(weighted, p, 1.0))
-    n0, n1 = _separable_counts(lat)
-    table = weighted.reshape(n0, n1)
-    inner = _p_norm(table, spec.p2, 1.0, axis=1)
-    return float(_p_norm(inner, spec.p, 1.0))
+        return _p_norm(weighted, p, 1.0, axis=1)
+
+    return _sequence_norms(coeffs, row_norms)
 
 
-def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float:
+def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarray:
     """Norm of the periodic series sum_lambda c_lambda e^{2 pi i lambda.x}
     restricted to a fundamental domain of the dual lattice.
 
@@ -245,40 +250,36 @@ def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float:
     freqs = lat.points * grid.period
     if np.max(np.abs(freqs - np.rint(freqs))) > 1e-9:
         raise NonAlignedLattice("lattice points are not grid frequencies")
-    m = np.rint(freqs).astype(np.int64)
+    labels = _flat_index(grid, np.rint(freqs).astype(np.int64))
     dual = GridLattice(dual_lattice(lat.lattice), grid)  # raises if misaligned
 
-    # Unnormalized inverse DFT of the coefficients placed at their labels;
-    # labels that coincide modulo L sum.
-    spectrum = np.zeros(grid.size, dtype=complex)
-    np.add.at(spectrum, _flat_index(grid, m), coeffs.values)
-    g = np.fft.ifftn(spectrum.reshape(grid.shape), norm="forward").ravel()
-
-    # Fundamental domain A_dual [0,1)^n, half open.
+    # The Lp_w weight, zero off the fundamental domain A_dual [0,1)^n (half open).
     y = np.linalg.solve(dual.lattice.generator, grid.nodes().T).T
     inside = np.all((y > -1e-9) & (y < 1.0 - 1e-9), axis=-1)
     inner = SpaceSpec("Lp_w", spec.p, weight=spec.weight)
-    return continuous_norm(GridSignal(grid, np.where(inside, g, 0.0)), inner)
+    weight = np.where(inside, _norm_weight(grid, inner), 0.0)
+    axes = tuple(range(1, grid.dim + 1))
+
+    def row_norms(rows):
+        # Unnormalized inverse DFT of each sequence placed at its labels;
+        # labels that coincide modulo L sum.
+        series = np.zeros((rows.shape[0], grid.size), dtype=complex)
+        np.add.at(series, (slice(None), labels), rows)
+        shaped = series.reshape((-1,) + grid.shape)
+        np.fft.ifftn(shaped, axes=axes, norm="forward", out=shaped)
+        return _row_norms(series, grid, inner, weight)
+
+    return _sequence_norms(coeffs, row_norms, grid.size)
 
 
-def _magnitudes(coeffs: CoeffArray, value_norm) -> np.ndarray:
-    vals = coeffs.values
-    if value_norm is not None:
-        return np.array([float(value_norm(row)) for row in vals])
-    if vals.ndim != 1:
-        raise ValueError("nested coefficients need an explicit value_norm")
-    return np.abs(vals)
+def decay_weighted_sup(coeffs: CoeffArray, order: int) -> float | np.ndarray:
+    """sup over lambda of |c_lambda| (1+|lambda|)^order, the rapidly
+    decreasing scale."""
+    weight = PowerWeight(float(order))(coeffs.lattice.centered_points)
+    return _sequence_norms(coeffs, lambda rows: np.max(np.abs(rows) * weight, axis=1))
 
 
-def decay_weighted_sup(coeffs: CoeffArray, order: int, value_norm=None) -> float:
-    """sup over lambda of ||c_lambda|| (1+|lambda|)^order, the rapidly
-    decreasing scale; nested arrays supply value_norm for ||.||."""
-    mags = _magnitudes(coeffs, value_norm)
-    w = PowerWeight(float(order))(coeffs.lattice.centered_points)
-    return float(np.max(mags * w))
-
-
-def growth_weighted_sup(coeffs: CoeffArray, order: int, value_norm=None) -> float:
-    """sup over lambda of ||c_lambda|| (1+|lambda|)^(-order), the slowly
+def growth_weighted_sup(coeffs: CoeffArray, order: int) -> float | np.ndarray:
+    """sup over lambda of |c_lambda| (1+|lambda|)^(-order), the slowly
     increasing scale."""
-    return decay_weighted_sup(coeffs, -int(order), value_norm)
+    return decay_weighted_sup(coeffs, -int(order))

@@ -18,10 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, ResourceLimit
-from .gabor import GaborSystem, analyze
 from .grid import (
-    CoeffArray,
-    GridLattice,
     GridSignal,
     PeriodicGrid,
     _order_tuple,
@@ -67,12 +64,6 @@ def _stft_rows(f: GridSignal, psi: GridSignal) -> np.ndarray:
 def stft(f: GridSignal, psi: GridSignal) -> TFArray:
     """Full STFT over every (time node, frequency bin) pair."""
     return TFArray(f.grid, _stft_rows(f, psi))
-
-
-def stft_on_lattice(f: GridSignal, psi: GridSignal,
-                    time_lattice: GridLattice, freq_lattice: GridLattice) -> CoeffArray:
-    """STFT restricted to the nodes of a time lattice x frequency lattice."""
-    return analyze(GaborSystem(psi, time_lattice, freq_lattice), f)
 
 
 def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:

@@ -39,7 +39,6 @@ from gaborgrid.smoothness import (
     schwartz_seminorm,
 )
 from gaborgrid.spaces import (
-    DiscreteNormRequest,
     SpaceSpec,
     continuous_norm,
     decay_weighted_sup,
@@ -155,9 +154,7 @@ def _ratio_band(lattice, chi1, chi2, spec, rng, count):
             lattice,
             rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count),
         )
-        r = discrete_norm(DiscreteNormRequest(spec, lattice, chi1, c)) / discrete_norm(
-            DiscreteNormRequest(spec, lattice, chi2, c)
-        )
+        r = discrete_norm(c, spec, chi1) / discrete_norm(c, spec, chi2)
         worst = max(worst, r, 1.0 / r)
     return worst
 
@@ -200,7 +197,7 @@ def test_criterion_07_solid_shortcut(ref):
                 rng.standard_normal(lattice.count)
                 + 1j * rng.standard_normal(lattice.count),
             )
-            direct = discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
+            direct = discrete_norm(c, spec, chi)
             worst = max(worst, abs(direct / (factor * solid_discrete_norm(c, spec)) - 1))
     spec_w = SpaceSpec("Lp_w", 2.0, weight=PowerWeight(2.0))
     ratios = []
@@ -210,7 +207,7 @@ def test_criterion_07_solid_shortcut(ref):
             rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count),
         )
         ratios.append(
-            discrete_norm(DiscreteNormRequest(spec_w, lattice, chi, c))
+            discrete_norm(c, spec_w, chi)
             / solid_discrete_norm(c, spec_w)
         )
     weighted_ok = np.isfinite(max(ratios)) and min(ratios) > 0
@@ -251,7 +248,7 @@ def test_criterion_08_fourier_side(ref):
             )
             ratios.append(
                 fourier_side_norm(c, spec)
-                / discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
+                / discrete_norm(c, spec, chi)
             )
         bands[f"p={p:g}"] = (min(ratios), max(ratios))
     bounded = all(np.isfinite(hi) and lo > 0 for lo, hi in bands.values())
@@ -276,7 +273,7 @@ def test_criterion_09_embedding_chain(ref):
                 rng.standard_normal(lattice.count)
                 + 1j * rng.standard_normal(lattice.count),
             )
-            d = discrete_norm(DiscreteNormRequest(spec, lattice, chi, c))
+            d = discrete_norm(c, spec, chi)
             k1 = min(k1, decay_weighted_sup(c, 3) / d)
             k2 = min(k2, d / growth_weighted_sup(c, 3))
         return k1, k2
@@ -336,11 +333,11 @@ def test_criterion_11_operator_continuity(ref):
         seminorm = schwartz_seminorm(phi, order)
         sup_ratios.append(
             continuous_norm(lattice_superposition(c, phi), spec)
-            / (discrete_norm(DiscreteNormRequest(spec, lattice, chi, c)) * seminorm)
+            / (discrete_norm(c, spec, chi) * seminorm)
         )
         conv = convolve_samples(e, phi, lattice)
         conv_ratios.append(
-            discrete_norm(DiscreteNormRequest(spec, lattice, chi, conv))
+            discrete_norm(conv, spec, chi)
             / (continuous_norm(e, spec) * seminorm)
         )
     c_sup, c_conv = max(sup_ratios), max(conv_ratios)

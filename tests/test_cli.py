@@ -45,6 +45,12 @@ def test_config_validation_errors(tmp_path):
         SuiteConfig.from_dict({"seed": "forty-two"})
     with pytest.raises(ConfigError, match="schema"):
         SuiteConfig.from_dict({"schema": 9})
+    # The dual solve shares the frame tolerance; a separate solver key is refused.
+    with pytest.raises(ConfigError, match="tolerances.cg: unknown tolerance"):
+        SuiteConfig.from_dict({"tolerances": dict(cg=1e-12)})
+    cfg = write_config(tmp_path, tolerances=dict(cg=1e-12))
+    assert cli.main(["dual-window", "--config", str(cfg),
+                     "--output", str(tmp_path / "gamma.csv")]) == 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -180,17 +186,18 @@ def test_dual_window_subcommand(tmp_path):
 @pytest.mark.parametrize("overrides", [
     # Redundancy 1/2: the lower frame bound is exactly zero.
     {"system": {"window": {"kind": "gaussian"}, "time_step": 2.0, "freq_step": 1.0}},
-    # A frame by the report tolerance (A is about 0.83) that the dual solve's
-    # tolerance refuses.
-    {"tolerances": {"cg": 1.0}},
-], ids=["undersampled", "solve-refuses"])
+    # A frame (A is about 0.83) that a frame tolerance of 1.0 refuses.
+    {"tolerances": {"frame": 1.0}},
+], ids=["undersampled", "frame-tolerance"])
 def test_dual_window_not_a_frame_exits_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     gamma = tmp_path / "gamma.csv"
+    cert = tmp_path / "cert.json"
     assert cli.main(
         ["dual-window", "--config", str(cfg), "--output", str(gamma),
-         "--certificate", str(tmp_path / "cert.json")]
+         "--certificate", str(cert)]
     ) == 2
+    assert json.loads(cert.read_text())["frame"] is False
     assert not gamma.exists()
     assert capsys.readouterr().err.startswith("not a frame:")
 

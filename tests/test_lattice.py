@@ -23,8 +23,10 @@ def test_dual_shear_matches_integrality_brute_force():
     lat = Lattice(np.array([[1.0, 1.0], [0.0, 1.0]]))
     dual = dual_lattice(lat)
     np.testing.assert_allclose(dual.generator, np.array([[1.0, 0.0], [-1.0, 1.0]]), atol=1e-14)
-    for lam in lat.points(3):
-        for mu in dual.points(3):
+    # Every pairing A k . B j with k, j in {-3..3}^2 is an integer.
+    k = np.array([(a, b) for a in range(-3, 4) for b in range(-3, 4)], dtype=float)
+    for lam in k @ lat.generator.T:
+        for mu in k @ dual.generator.T:
             dot = float(lam @ mu)
             assert abs(dot - round(dot)) < 1e-12
 

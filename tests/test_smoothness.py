@@ -289,7 +289,7 @@ def test_superposition_continuity_bound(ref_grid, rng):
     lat = GridLattice.cubic(ref_grid, 1.0)
     chi = sample_bump(ref_grid, radius=0.45)
     spec = SpaceSpec("Lp_w", 2.0)
-    from gaborgrid.spaces import DiscreteNormRequest, discrete_norm
+    from gaborgrid.spaces import discrete_norm
 
     def sample(n):
         norms, bounds = [], []
@@ -301,7 +301,7 @@ def test_superposition_continuity_bound(ref_grid, rng):
             out = lattice_superposition(c, phi)
             norms.append(continuous_norm(out, spec))
             bounds.append(
-                discrete_norm(DiscreteNormRequest(spec, lat, chi, c))
+                discrete_norm(c, spec, chi)
                 * schwartz_seminorm(phi, 4)
             )
         return continuity_constant(norms, bounds)
@@ -316,7 +316,7 @@ def test_convolution_continuity_bound(ref_grid, rng):
     lat = GridLattice.cubic(ref_grid, 1.0)
     chi = sample_bump(ref_grid, radius=0.45)
     spec = SpaceSpec("Lp_w", 2.0)
-    from gaborgrid.spaces import DiscreteNormRequest, discrete_norm
+    from gaborgrid.spaces import discrete_norm
 
     constants = []
     for trial in range(2):
@@ -326,7 +326,7 @@ def test_convolution_continuity_bound(ref_grid, rng):
             phi = smooth_random_signal(ref_grid, rng)
             out = convolve_samples(e, phi, lat)
             norms.append(
-                discrete_norm(DiscreteNormRequest(spec, lat, chi, out))
+                discrete_norm(out, spec, chi)
             )
             bounds.append(continuous_norm(e, spec) * schwartz_seminorm(phi, 4))
         constants.append(continuity_constant(norms, bounds))

@@ -26,7 +26,6 @@ from gaborgrid.grid import (
 from gaborgrid.lattice import Lattice, PowerWeight, dual_lattice
 from gaborgrid.spaces import (
     _BATCH_BYTES,
-    DiscreteNormRequest,
     SpaceSpec,
     check_disjoint_supports,
     continuous_norm,
@@ -142,7 +141,7 @@ def bump_setup(ref_grid):
 def test_discrete_norm_zero(bump_setup):
     lat, chi = bump_setup
     c = CoeffArray.over_lattice(lat, np.zeros(lat.count))
-    assert discrete_norm(DiscreteNormRequest(lp(2), lat, chi, c)) == 0.0
+    assert discrete_norm(c, lp(2), chi) == 0.0
 
 
 def test_discrete_norm_delta_is_window_norm(bump_setup):
@@ -151,7 +150,7 @@ def test_discrete_norm_delta_is_window_norm(bump_setup):
     vals[5] = 1.0
     c = CoeffArray.over_lattice(lat, vals)
     for p in (1.0, 2.0, math.inf):
-        got = discrete_norm(DiscreteNormRequest(lp(p), lat, chi, c))
+        got = discrete_norm(c, lp(p), chi)
         assert got == pytest.approx(continuous_norm(chi, lp(p)), rel=1e-12)
 
 
@@ -161,7 +160,7 @@ def test_discrete_norm_disjoint_decomposition_oracle(bump_setup, rng):
         lat, rng.standard_normal(lat.count) + 1j * rng.standard_normal(lat.count)
     )
     spec = lp_w(3.0, 1.0)
-    got = discrete_norm(DiscreteNormRequest(spec, lat, chi, c))
+    got = discrete_norm(c, spec, chi)
     # By disjoint supports the norm decomposes into per-site weighted window norms.
     total = 0.0
     for coeff, lam in zip(c.values, lat.points):
@@ -175,63 +174,87 @@ def test_discrete_norm_rejects_overlap(ref_grid, rng):
     wide = sample_bump(ref_grid, center=0.0, radius=0.9)
     c = CoeffArray.over_lattice(lat, rng.standard_normal(lat.count))
     with pytest.raises(OverlappingSupports):
-        discrete_norm(DiscreteNormRequest(lp(2), lat, wide, c))
+        discrete_norm(c, lp(2), wide)
     gauss = sample_gaussian(ref_grid)
     with pytest.raises(OverlappingSupports):
-        discrete_norm(DiscreteNormRequest(lp(2), lat, gauss, c))
+        discrete_norm(c, lp(2), gauss)
 
 
-# Batched discrete norms ------------------------------------------------------
+# Batched sequence norms ------------------------------------------------------
 
-# L != P^2 on both grids, so the reciprocal grid that weights FourierLp_w
-# differs from the grid itself.
-def _batch_setup(name):
-    if name == "1d":
-        grid = PeriodicGrid(1, 16.0, 128)
-        lat = GridLattice.cubic(grid, 1.0)
-    else:  # sheared: nearest points at distance 1 and sqrt(5)/2
-        grid = PeriodicGrid(2, 4.0, 32)
-        lat = GridLattice(Lattice(np.array([[1.0, 0.5], [0.0, 1.0]])), grid)
-    return lat, sample_bump(grid, radius=0.45)
+# Grid and lattice generator per setup.  On "1d" and "2d-sheared" L != P^2,
+# so the reciprocal grid that weights FourierLp_w differs from the grid
+# itself; the Fourier-side setups are those of the direct-series test below.
+_BATCH_LATTICES = {
+    "1d": (PeriodicGrid(1, 16.0, 128), np.eye(1)),
+    # sheared: nearest points at distance 1 and sqrt(5)/2
+    "2d-sheared": (PeriodicGrid(2, 4.0, 32), np.array([[1.0, 0.5], [0.0, 1.0]])),
+    "2d-separable": (PeriodicGrid(2, 4.0, 32), np.diag([1.0, 0.5])),  # 4 x 8 points
+    "1d-step1": (PeriodicGrid(1, 16.0, 256), np.eye(1)),
+    "1d-step2": (PeriodicGrid(1, 16.0, 256), 2.0 * np.eye(1)),
+    "1d-wrapped": (PeriodicGrid(1, 16.0, 64), np.eye(1)),
+    "2d": (PeriodicGrid(2, 4.0, 16), np.eye(2)),
+}
 
-
-_BATCH_SPECS = (
+_DISCRETE_SPECS = (
     [lp_w(p, tau) for p in (1.0, 2.0, 4.0) for tau in (0.0, 2.0)]
     + [SpaceSpec("C0_w", weight=PowerWeight(1.0)), SpaceSpec("MixedLp", 1.0, 3.0),
        SpaceSpec("FourierLp_w", 2.0), SpaceSpec("FourierLp_w", 4.0, weight=PowerWeight(2.0))]
 )
-_BATCH_CASES = [
-    (setup, spec)
-    for setup in ("1d", "2d-sheared")
-    for spec in _BATCH_SPECS
-    if not (setup == "1d" and spec.kind == "MixedLp")
-]
+_SOLID_SPECS = (lp_w(1.0, 0.0), lp_w(4.0, 2.0), SpaceSpec("C0_w", weight=PowerWeight(1.0)),
+                SpaceSpec("MixedLp", 1.0, 3.0), SpaceSpec("MixedLp", 2.0, 1.0, PowerWeight(1.5)))
+_BATCH_CASES = (
+    [("discrete", setup, spec)
+     for setup in ("1d", "2d-sheared")
+     for spec in _DISCRETE_SPECS
+     if not (setup == "1d" and spec.kind == "MixedLp")]
+    + [("solid", "2d-separable", spec) for spec in _SOLID_SPECS]
+    + [("fourier", setup, SpaceSpec("FourierLp_w", p, weight=PowerWeight(1.5)))
+       for setup in ("1d-step1", "1d-step2", "1d-wrapped", "2d") for p in (1.0, 2.0)]
+    + [(sup, setup, None) for sup in ("decay", "growth") for setup in ("1d", "2d-sheared")]
+)
+
+
+def _batch_case_id(norm, setup, spec):
+    label = setup if spec is None else f"{setup}-{spec.kind}-p{spec.p:g}-tau{spec.tau:g}"
+    return label if norm == "discrete" else f"{norm}-{label}"
 
 
 @pytest.mark.parametrize(
-    "setup,spec", _BATCH_CASES,
-    ids=[f"{setup}-{spec.kind}-p{spec.p:g}-tau{spec.tau:g}" for setup, spec in _BATCH_CASES],
+    "norm,setup,spec", _BATCH_CASES, ids=[_batch_case_id(*case) for case in _BATCH_CASES],
 )
-def test_batched_discrete_norm_matches_per_column_oracle(setup, spec):
-    lat, chi = _batch_setup(setup)
+def test_batched_discrete_norm_matches_per_column_oracle(norm, setup, spec):
+    grid, generator = _BATCH_LATTICES[setup]
+    lat = GridLattice(Lattice(generator), grid)
+    chi = sample_bump(grid, radius=0.45)
+    # (norm of a CoeffArray, per-column oracle, complex entries per working row);
+    # a missing oracle means single-column calls of the norm itself.
+    batch_norm, oracle, row_size = {
+        "discrete": (lambda c: discrete_norm(c, spec, chi),
+                     lambda c: continuous_norm(lattice_superposition(c, chi), spec),
+                     grid.size),
+        "solid": (lambda c: solid_discrete_norm(c, spec), None, lat.count),
+        "fourier": (lambda c: fourier_side_norm(c, spec),
+                    lambda c: _direct_fourier_side_norm(c, spec), grid.size),
+        "decay": (lambda c: decay_weighted_sup(c, 3), None, lat.count),
+        "growth": (lambda c: growth_weighted_sup(c, 3), None, lat.count),
+    }[norm]
+    oracle = oracle or batch_norm
     rng = np.random.default_rng(17)
-    block = _BATCH_BYTES // (16 * lat.grid.size)
+    block = _BATCH_BYTES // (16 * row_size)
     for samples in (1, 2 * block + 1):  # one column; three blocks, the last partial
         cols = (rng.standard_normal((lat.count, samples))
                 + 1j * rng.standard_normal((lat.count, samples)))
-        got = discrete_norm(
-            DiscreteNormRequest(spec, lat, chi, CoeffArray.over_lattice(lat, cols)))
+        got = batch_norm(CoeffArray.over_lattice(lat, cols))
         assert got.shape == (samples,)
-        oracle = [
-            continuous_norm(lattice_superposition(CoeffArray.over_lattice(lat, col), chi), spec)
-            for col in cols.T
-        ]
-        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
-    # A single sequence of shape (count,) still gives a float.
-    single = discrete_norm(
-        DiscreteNormRequest(spec, lat, chi, CoeffArray.over_lattice(lat, cols[:, -1])))
+        expected = [oracle(CoeffArray.over_lattice(lat, col)) for col in cols.T]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    # A single sequence of shape (count,) gives a float.
+    single = batch_norm(CoeffArray.over_lattice(lat, cols[:, -1]))
     assert isinstance(single, float)
-    assert single == pytest.approx(oracle[-1], rel=1e-12)
+    assert single == pytest.approx(expected[-1], rel=1e-12)
+    with pytest.raises(IndexMismatch):
+        batch_norm(CoeffArray.over_lattice(lat, cols[:, :, None]))
 
 
 def test_batched_discrete_norm_refuses_bad_input(ref_grid, rng):
@@ -240,17 +263,14 @@ def test_batched_discrete_norm_refuses_bad_input(ref_grid, rng):
     batch = CoeffArray.over_lattice(lat, cols)
     wide = sample_bump(ref_grid, radius=0.9)
     with pytest.raises(OverlappingSupports):
-        discrete_norm(DiscreteNormRequest(lp(2), lat, wide, batch))
+        discrete_norm(batch, lp(2), wide)
     chi = sample_bump(ref_grid, radius=0.45)
     with pytest.raises(IndexMismatch):
         CoeffArray.over_lattice(lat, cols[:-1])
-    coarse = GridLattice.cubic(ref_grid, 2.0)
     with pytest.raises(IndexMismatch):
-        DiscreteNormRequest(lp(2), lat, chi, CoeffArray.over_lattice(coarse, cols[::2]))
-    with pytest.raises(IndexMismatch):
-        DiscreteNormRequest(lp(2), lat, chi, CoeffArray.over_lattice(lat, cols[:, :, None]))
+        discrete_norm(CoeffArray.over_lattice(lat, cols[:, :, None]), lp(2), chi)
     with pytest.raises(DimensionMismatch):
-        discrete_norm(DiscreteNormRequest(SpaceSpec("MixedLp", 1.0, 2.0), lat, chi, batch))
+        discrete_norm(batch, SpaceSpec("MixedLp", 1.0, 2.0), chi)
 
 
 # On these grids the FFT coverage of the unit-box tiling is 1 + 2e-16 or
@@ -274,7 +294,7 @@ def test_solid_shortcut_exact_factor_unweighted(bump_setup, rng):
     )
     for p in (1.0, 2.0, 4.0, math.inf):
         spec = lp(p)
-        direct = discrete_norm(DiscreteNormRequest(spec, lat, chi, c))
+        direct = discrete_norm(c, spec, chi)
         factor = continuous_norm(chi, spec)
         assert direct == pytest.approx(factor * solid_discrete_norm(c, spec), rel=1e-12)
 
@@ -320,8 +340,8 @@ def test_window_independence_ratio_band(ref_grid, rng):
         c = CoeffArray.over_lattice(
             lat, rng.standard_normal(lat.count) + 1j * rng.standard_normal(lat.count)
         )
-        n1 = discrete_norm(DiscreteNormRequest(spec, lat, chi1, c))
-        n2 = discrete_norm(DiscreteNormRequest(spec, lat, chi2, c))
+        n1 = discrete_norm(c, spec, chi1)
+        n2 = discrete_norm(c, spec, chi2)
         ratios.append(n1 / n2)
     K = max(max(ratios), 1.0 / min(ratios))
     assert np.isfinite(K) and K >= 1.0
@@ -428,15 +448,13 @@ def test_weighted_sup_nested_composition(ref_grid, rng):
     nested = rng.standard_normal((freq_lat.count, time_lat.count)) + 1j * rng.standard_normal(
         (freq_lat.count, time_lat.count)
     )
-    c = CoeffArray.over_lattice(freq_lat, nested)
     spec = lp_w(2.0, 1.0)
-    norm_of_row = lambda row: solid_discrete_norm(
-        CoeffArray.over_lattice(time_lat, row), spec
-    )
-    got = decay_weighted_sup(c, 2, value_norm=norm_of_row)
+    inner = solid_discrete_norm(CoeffArray.over_lattice(time_lat, nested.T), spec)
+    got = decay_weighted_sup(CoeffArray.over_lattice(freq_lat, inner), 2)
     w = (1.0 + np.linalg.norm(freq_lat.centered_points, axis=-1)) ** 2
     expected = max(
-        w[j] * norm_of_row(nested[j]) for j in range(freq_lat.count)
+        w[j] * solid_discrete_norm(CoeffArray.over_lattice(time_lat, nested[j]), spec)
+        for j in range(freq_lat.count)
     )
     assert got == pytest.approx(expected, rel=1e-12)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaborgrid.errors import GridMismatch, ResourceLimit
+from gaborgrid.gabor import GaborSystem, analyze
 from gaborgrid.grid import (
     GridLattice,
     GridSignal,
@@ -10,7 +11,7 @@ from gaborgrid.grid import (
     translate,
 )
 from gaborgrid.lattice import Lattice
-from gaborgrid.stft import derivative_identity_defect, stft, stft_on_lattice
+from gaborgrid.stft import derivative_identity_defect, stft
 
 from conftest import random_signal
 
@@ -69,7 +70,7 @@ def test_full_lattice_restriction_equals_stft(grid16, rng):
     psi = random_signal(grid16, rng)
     time_lat = GridLattice.cubic(grid16, grid16.spacing)
     freq_lat = GridLattice.cubic(grid16.reciprocal(), 1.0 / grid16.period)
-    coeffs = stft_on_lattice(f, psi, time_lat, freq_lat)
+    coeffs = analyze(GaborSystem(psi, time_lat, freq_lat), f)
     np.testing.assert_allclose(coeffs.values, stft(f, psi).values, atol=1e-12)
 
 
@@ -78,7 +79,7 @@ def test_time_decimated_restriction_is_row_slice(grid16, rng):
     psi = random_signal(grid16, rng)
     time_lat = GridLattice.cubic(grid16, 2.0)  # every 8th node
     freq_lat = GridLattice.cubic(grid16.reciprocal(), 1.0 / grid16.period)
-    coeffs = stft_on_lattice(f, psi, time_lat, freq_lat)
+    coeffs = analyze(GaborSystem(psi, time_lat, freq_lat), f)
     np.testing.assert_allclose(coeffs.values, stft(f, psi).values[::8], atol=1e-12)
 
 
@@ -88,7 +89,7 @@ def test_lattice_entries_match_direct_quadrature(rng):
     psi = random_signal(grid, rng)
     time_lat = GridLattice.cubic(grid, 1.0)      # 4-sample hop
     freq_lat = GridLattice.cubic(grid.reciprocal(), 0.5)  # 4-bin hop
-    coeffs = stft_on_lattice(f, psi, time_lat, freq_lat)
+    coeffs = analyze(GaborSystem(psi, time_lat, freq_lat), f)
     for i, t_idx in enumerate(time_lat.index_points[:, 0]):
         for j, m_idx in enumerate(freq_lat.index_points[:, 0]):
             expected = direct_stft_entry(f, psi, int(t_idx), int(m_idx))
@@ -103,7 +104,7 @@ def test_sheared_lattice_entries_match_direct_quadrature(rng):
     # steps (2, 0), (1, 2).
     time_lat = GridLattice(Lattice(np.array([[0.5, 0.25], [0.0, 0.5]])), grid)
     freq_lat = GridLattice(Lattice(np.array([[1.0, 0.5], [0.0, 1.0]])), grid.reciprocal())
-    coeffs = stft_on_lattice(f, psi, time_lat, freq_lat)
+    coeffs = analyze(GaborSystem(psi, time_lat, freq_lat), f)
     assert coeffs.values.shape == (time_lat.count, freq_lat.count) == (16, 16)
     for i, k in enumerate(time_lat.index_points):
         for j, m in enumerate(freq_lat.index_points):
