@@ -101,7 +101,8 @@ def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
 
 def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
     """(grid.size, N0) table of lattice translates of the window."""
-    return _translates(window, time_lattice.index_points).T
+    [table] = _translates(window, time_lattice.index_points)
+    return table.T
 
 
 def _phase_table(grid, freq_lattice: GridLattice) -> np.ndarray:
@@ -166,7 +167,7 @@ def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
     """
     require_same_grid(f, system.window)
     grid = system.grid
-    rows = _windowed_dft(f, system.window, system.time_lattice.index_points)
+    [rows] = _windowed_dft([(f, system.window)], system.time_lattice.index_points)
     bins = _flat_index(grid, system.freq_lattice.index_points)
     values = grid.spacing ** grid.dim * rows[:, bins]
     return CoeffArray.over_product(system.time_lattice, system.freq_lattice, values)
@@ -230,6 +231,8 @@ class FrameCertificate:
             "method": self.method,
             "residual": self.wexler_raz_residual,
             "redundancy": self.redundancy,
+            "blocks": self.blocks,
+            "block_size": self.block_size,
         }
 
 
@@ -249,13 +252,19 @@ def frame_bounds(system: GaborSystem) -> FrameCertificate:
     One batched ``eigvalsh`` of the blocks gives the whole spectrum.  An
     undersampled system (redundancy < 1) has a rank-deficient frame
     operator, so its lower bound is reported as an exact zero.  Never
-    raises for non-frames; a zero lower bound is data.
+    raises for non-frames; a zero lower bound is data.  The certificate is
+    cached on the system, so the frame gate of :func:`dual_window` reuses it.
     """
-    _, blocks = _frame_blocks(system)
-    eigs = np.linalg.eigvalsh(blocks)
-    lower = 0.0 if system.redundancy < 1.0 else max(float(eigs.min()), 0.0)
-    return FrameCertificate(lower, float(eigs.max()), "block-eigen", system.redundancy,
-                            blocks=blocks.shape[0], block_size=blocks.shape[1])
+    cached = getattr(system, "_certificate", None)
+    if cached is None:
+        _, blocks = _frame_blocks(system)
+        eigs = np.linalg.eigvalsh(blocks)
+        lower = 0.0 if system.redundancy < 1.0 else max(float(eigs.min()), 0.0)
+        cached = FrameCertificate(lower, float(eigs.max()), "block-eigen",
+                                  system.redundancy, blocks=blocks.shape[0],
+                                  block_size=blocks.shape[1])
+        object.__setattr__(system, "_certificate", cached)
+    return cached
 
 
 def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:

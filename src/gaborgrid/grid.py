@@ -445,36 +445,62 @@ class CoeffArray:
         return self.lattices[1]
 
 
+# Work on at most this many bytes of complex rows at a time, so a batch of any
+# size adds a bounded working set.
+_BATCH_BYTES = 2 ** 17
+
+
+def _block_rows(row_size: int) -> int:
+    """Rows of ``row_size`` complex entries per block under ``_BATCH_BYTES``."""
+    return max(1, _BATCH_BYTES // (16 * row_size))
+
+
 def _flat_index(grid: PeriodicGrid, index: np.ndarray) -> np.ndarray:
     """Flat node (or bin) numbers of integer index vectors, wrapped modulo L."""
     return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), grid.shape, mode="wrap")
 
 
-def _translates(signal: GridSignal, index_points: np.ndarray) -> np.ndarray:
-    """(K, size) table whose row k is t -> signal(t - x_k), flattened in node order.
+def _translates(signal: GridSignal, index_points: np.ndarray, block: int | None = None):
+    """Yield (K, size) tables whose row k is t -> signal(t - x_k), flattened in
+    node order, for consecutive blocks of ``block`` index points (one block
+    of all of them by default).
 
-    Row k is the L^dim window of a 2^dim-tiled copy that starts at -x_k mod L,
-    so all K translates come from one fancy index.
+    Row k is the L^dim window of a 2^dim-tiled copy that starts at -x_k mod L.
+    The tiled copy is built once per call; each block is one fancy index.
     """
     grid = signal.grid
     tiled = np.tile(signal.reshaped(), (2,) * grid.dim)
     windows = np.lib.stride_tricks.sliding_window_view(tiled, grid.shape)
     starts = np.moveaxis(-index_points % grid.points_per_axis, -1, 0)
-    return windows[tuple(starts)].reshape(-1, grid.size)
+    step = block or index_points.shape[0]
+    for lo in range(0, index_points.shape[0], step):
+        yield windows[tuple(starts[:, lo:lo + step])].reshape(-1, grid.size)
 
 
-def _windowed_dft(f: GridSignal, psi: GridSignal, index_points: np.ndarray) -> np.ndarray:
-    """(K, size) rows: the DFT over t of f(t) conj(psi(t - x_k)), bins in DFT order.
+def _windowed_dft(terms, index_points: np.ndarray, block: int | None = None):
+    """Yield (K, size) rows: the DFT over t of sum_j f_j(t) conj(psi_j(t - x_k)),
+    bins in DFT order, for the (f_j, psi_j) signal pairs ``terms`` and
+    consecutive blocks of ``block`` index points (one block by default).
 
-    The batch is conjugated, multiplied and transformed in place, so it never
-    holds more than its output.
+    A weighted sum rides on the signals f_j.  The terms are summed in time,
+    so each row takes one FFT however many terms there are.  Each block's
+    gathers are conjugated, multiplied, summed and transformed in place, so
+    a block holds one gather per term and nothing more.
     """
-    rows = _translates(psi, index_points)
-    np.conjugate(rows, out=rows)
-    rows *= f.values
-    shaped = rows.reshape((-1,) + f.grid.shape)
-    np.fft.fftn(shaped, axes=tuple(range(1, f.grid.dim + 1)), out=shaped)
-    return rows
+    grid = terms[0][0].grid
+    signals = [f.values for f, _ in terms]
+    gathers = [_translates(psi, index_points, block) for _, psi in terms]
+    axes = tuple(range(1, grid.dim + 1))
+    for parts in zip(*gathers):
+        for values, part in zip(signals, parts):
+            np.conjugate(part, out=part)
+            part *= values
+        rows = parts[0]
+        for part in parts[1:]:
+            rows += part
+        shaped = rows.reshape((-1,) + grid.shape)
+        np.fft.fftn(shaped, axes=axes, out=shaped)
+        yield rows
 
 
 def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np.ndarray:

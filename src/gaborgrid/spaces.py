@@ -39,6 +39,7 @@ from .grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
+    _block_rows,
     _flat_index,
     _superpose,
     grids_compatible,
@@ -157,11 +158,6 @@ def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
         )
 
 
-# Superpose and norm at most this many bytes of complex rows at a time, so a
-# batch of any size adds a bounded working set.
-_BATCH_BYTES = 2 ** 17
-
-
 def _sequence_norms(coeffs: CoeffArray, row_norms, row_size: int | None = None
                     ) -> float | np.ndarray:
     """The calling convention of every sequence norm in this module.
@@ -170,14 +166,14 @@ def _sequence_norms(coeffs: CoeffArray, row_norms, row_size: int | None = None
     norm is returned as a float, or S sequences as the columns of a
     (count, S) array, for which the S column norms are returned.
     ``row_norms`` maps an (s, count) array whose rows are sequences to their
-    s norms; it is handed blocks of at most ``_BATCH_BYTES`` of complex rows
-    of ``row_size`` entries (default: count).
+    s norms; it is handed blocks of at most ``grid._BATCH_BYTES`` of complex
+    rows of ``row_size`` entries (default: count).
     """
     values = coeffs.values
     if values.ndim > 2:
         raise IndexMismatch("coefficients must have shape (count,) or (count, S)")
     columns = values.reshape(coeffs.lattice.count, -1)
-    block = max(1, _BATCH_BYTES // (16 * (row_size or columns.shape[0])))
+    block = _block_rows(row_size or columns.shape[0])
     norms = np.empty(columns.shape[1])
     for start in range(0, columns.shape[1], block):
         # Contiguous rows keep every row sum pairwise, as for one sequence.

@@ -8,6 +8,10 @@ evaluated by the windowed-DFT kernel of ``grid``: one batch of FFTs over t,
 a row per time node.  Time nodes run over the whole grid for the full
 transform; frequency bins are kept in DFT order so that bin j of row k is
 the frequency node labelled by ``grid.freq_integers()[j]``.
+
+The STFT derivative identity is checked on the same kernel without a full
+table: each block of time nodes takes one FFT per row for each side, and
+only the running maximum of the difference is kept.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import DimensionMismatch, ResourceLimit
 from .grid import (
     GridSignal,
     PeriodicGrid,
+    _block_rows,
     _order_tuple,
     _windowed_dft,
     require_same_grid,
@@ -48,22 +53,17 @@ class TFArray:
         object.__setattr__(self, "values", v)
 
 
-def _stft_rows(f: GridSignal, psi: GridSignal) -> np.ndarray:
-    """The full STFT table of :func:`stft` as a writable (size, size) array."""
+def stft(f: GridSignal, psi: GridSignal) -> TFArray:
+    """Full STFT over every (time node, frequency bin) pair."""
     require_same_grid(f, psi)
     grid = f.grid
     if grid.size ** 2 > _FULL_STFT_LIMIT:
         raise ResourceLimit(
             f"full STFT needs {grid.size ** 2} entries, over the 2^26 budget"
         )
-    rows = _windowed_dft(f, psi, grid.index_vectors())
+    [rows] = _windowed_dft([(f, psi)], grid.index_vectors())
     rows *= grid.spacing ** grid.dim
-    return rows
-
-
-def stft(f: GridSignal, psi: GridSignal) -> TFArray:
-    """Full STFT over every (time node, frequency bin) pair."""
-    return TFArray(f.grid, _stft_rows(f, psi))
+    return TFArray(grid, rows)
 
 
 def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
@@ -75,8 +75,13 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
         sum_{beta <= alpha} C(alpha, beta) V_{psi^(alpha-beta)} f^(beta),
 
     exactly.  Both sides are computed independently on the grid and the
-    maximum absolute entry difference is returned.  The difference is
-    accumulated one STFT table at a time, so at most two are held at once.
+    maximum absolute entry difference is returned.  The left side is the
+    STFT times the frequency multiplier; the right side sums the weighted
+    products C f^(beta) conj(psi^(alpha-beta)(t - x)) in time before one
+    FFT, with the derivatives taken spectrally.  So every row takes two
+    FFTs.  Rows are formed in blocks of time nodes under the shared
+    ``grid._BATCH_BYTES`` budget and only the running maximum is kept, so no
+    full (size, size) table is held.
     """
     require_same_grid(f, psi)
     grid = f.grid
@@ -91,9 +96,8 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
     for axis, o in enumerate(order):
         if o:
             factor = factor * (2j * np.pi * xi[:, axis]) ** o
-    defect = _stft_rows(f, psi)
-    defect *= factor
 
+    terms = []
     for beta in _multi_range(order):
         coeff = 1
         for o, b in zip(order, beta):
@@ -101,11 +105,17 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
         df = spectral_derivative(f, beta) if any(beta) else f
         rem = tuple(o - b for o, b in zip(order, beta))
         dpsi = spectral_derivative(psi, rem) if any(rem) else psi
-        term = _stft_rows(df, dpsi)
-        term *= coeff
-        defect -= term
-        del term  # the next term is built while only the defect is held
-    return float(np.max(np.abs(defect)))
+        terms.append((coeff * df, dpsi))
+
+    points = grid.index_vectors()
+    block = _block_rows(grid.size)
+    worst = 0.0
+    for lhs, rhs in zip(_windowed_dft([(f, psi)], points, block),
+                        _windowed_dft(terms, points, block)):
+        lhs *= factor
+        lhs -= rhs
+        worst = max(worst, float(np.max(np.abs(lhs))))
+    return grid.spacing ** grid.dim * worst
 
 
 def _multi_range(order: tuple[int, ...]) -> list[tuple[int, ...]]:

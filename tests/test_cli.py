@@ -155,7 +155,12 @@ def test_stft_subcommand(tmp_path):
     assert cli.main(["stft", "--config", str(cfg)]) == 2  # missing --input
 
 
-def test_dual_window_subcommand(tmp_path):
+def test_dual_window_subcommand(tmp_path, monkeypatch):
+    # The certificate and the dual's frame gate share one eigen-decomposition.
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape) or eigvalsh(a))
     cfg = write_config(tmp_path)
     out = tmp_path / "gamma.csv"
     cert = tmp_path / "cert.json"
@@ -163,9 +168,11 @@ def test_dual_window_subcommand(tmp_path):
         ["dual-window", "--config", str(cfg), "--output", str(out),
          "--certificate", str(cert)]
     ) == 0
+    assert calls == [(32, 8, 8)]
     payload = json.loads(cert.read_text())
     assert payload["frame"] is True
     assert payload["A"] > 0.5 and payload["residual"] <= 1e-8
+    assert (payload["blocks"], payload["block_size"]) == (32, 8)
     assert out.exists()
 
     under = write_config(
@@ -180,6 +187,7 @@ def test_dual_window_subcommand(tmp_path):
     ) == 2
     payload2 = json.loads(cert2.read_text())
     assert payload2["frame"] is False
+    assert (payload2["blocks"], payload2["block_size"]) == (16, 16)
     assert not out2.exists()
 
 

@@ -341,8 +341,13 @@ def test_non_frame_reconstruction_fails(ref_grid, rng):
 def test_certificate_export(ref_system, ref_dense_eigs):
     cert = frame_bounds(ref_system)
     data = cert.to_dict()
-    assert set(data) == {"A", "B", "method", "residual", "redundancy"}
+    assert set(data) == {"A", "B", "method", "residual", "redundancy",
+                         "blocks", "block_size"}
     assert data["A"] > 0 and data["redundancy"] == pytest.approx(2.0)
+    # One block per frequency-lattice coset; the blocks tile the grid.
+    assert (data["blocks"], data["block_size"]) == (cert.blocks, cert.block_size) == (32, 8)
+    assert data["blocks"] == ref_system.freq_lattice.count
+    assert data["blocks"] * data["block_size"] == ref_system.grid.size
     assert data["A"] == pytest.approx(ref_dense_eigs[0], rel=1e-4)
     assert data["B"] == pytest.approx(ref_dense_eigs[-1], rel=1e-4)
 

@@ -11,6 +11,7 @@ from gaborgrid.errors import (
     OverlappingSupports,
 )
 from gaborgrid.grid import (
+    _BATCH_BYTES,
     CoeffArray,
     GridLattice,
     GridSignal,
@@ -25,7 +26,6 @@ from gaborgrid.grid import (
 )
 from gaborgrid.lattice import Lattice, PowerWeight, dual_lattice
 from gaborgrid.spaces import (
-    _BATCH_BYTES,
     SpaceSpec,
     check_disjoint_supports,
     continuous_norm,

@@ -1,6 +1,11 @@
+import importlib
+import tracemalloc
+from math import comb, prod
+
 import numpy as np
 import pytest
 
+from gaborgrid import grid as grid_module
 from gaborgrid.errors import GridMismatch, ResourceLimit
 from gaborgrid.gabor import GaborSystem, analyze
 from gaborgrid.grid import (
@@ -8,12 +13,16 @@ from gaborgrid.grid import (
     GridSignal,
     PeriodicGrid,
     sample_gaussian,
+    spectral_derivative,
     translate,
 )
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import derivative_identity_defect, stft
 
 from conftest import random_signal
+
+# The package re-exports the function stft, which hides the module attribute.
+stft_module = importlib.import_module("gaborgrid.stft")
 
 
 def direct_stft_entry(f, psi, k_idx, m_int):
@@ -58,11 +67,18 @@ def test_stft_grid_mismatch(grid16, ref_grid, rng):
         stft(random_signal(grid16, rng), random_signal(ref_grid, rng))
 
 
-def test_stft_resource_limit():
+def test_stft_resource_limit(monkeypatch):
     grid = PeriodicGrid(1, 16.0, 16384)
     f = GridSignal(grid, np.zeros(grid.size))
     with pytest.raises(ResourceLimit):
         stft(f, f)
+    # The refusal guards the full table only; the blocked defect holds none.
+    small = PeriodicGrid(1, 8.0, 64)
+    monkeypatch.setattr(stft_module, "_FULL_STFT_LIMIT", small.size ** 2 - 1)
+    g = sample_gaussian(small)
+    with pytest.raises(ResourceLimit):
+        stft(g, g)
+    assert derivative_identity_defect(g, g, 1) <= 1e-8
 
 
 def test_full_lattice_restriction_equals_stft(grid16, rng):
@@ -182,4 +198,61 @@ def test_derivative_identity_two_dimensional():
     grid = PeriodicGrid(2, 8.0, 64)
     f = sample_gaussian(grid)
     psi = sample_gaussian(grid)
-    assert derivative_identity_defect(f, psi, (1, 1)) <= 1e-8
+    tracemalloc.start()
+    try:
+        defect = derivative_identity_defect(f, psi, (1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert defect <= 1e-8
+    # numpy reports its buffers to tracemalloc: the blocked defect never
+    # holds a full (size, size) complex table (268 MB here).
+    assert peak < 16 * grid.size ** 2
+
+
+def table_defect_rows(f, psi, order):
+    """The derivative-identity defect per time node, from full STFT tables (one
+    per term): the row maxima of
+    |factor * V_psi f - sum_beta C(alpha, beta) V_{psi^(alpha-beta)} f^(beta)|."""
+    grid = f.grid
+    order = tuple(np.atleast_1d(order))
+    xi = grid.freq_nodes()
+    factor = np.prod([(2j * np.pi * xi[:, axis]) ** o for axis, o in enumerate(order)],
+                     axis=0)
+    diff = factor * stft(f, psi).values
+    for beta in np.ndindex(*(o + 1 for o in order)):
+        coeff = prod(comb(o, b) for o, b in zip(order, beta))
+        rem = tuple(o - b for o, b in zip(order, beta))
+        term = stft(spectral_derivative(f, beta), spectral_derivative(psi, rem))
+        diff = diff - coeff * term.values
+    return np.max(np.abs(diff), axis=1)
+
+
+@pytest.mark.parametrize("rows", [None, 5, 1], ids=["budget", "remainder", "single-row"])
+@pytest.mark.parametrize("grid, order", [
+    (PeriodicGrid(1, 4.0, 16), 1),
+    (PeriodicGrid(1, 4.0, 16), 2),
+    *[(PeriodicGrid(2, 2.0, 8), o) for o in [(1, 0), (1, 1), (2, 0), (0, 2)]],
+    # L = 12 is not a power of two.
+    *[(PeriodicGrid(2, 3.0, 12), o) for o in [(1, 0), (1, 1), (2, 0), (0, 2)]],
+], ids=lambda v: str(v.points_per_axis) if isinstance(v, PeriodicGrid) else str(v))
+def test_blocked_defect_matches_table_oracle(grid, order, rows, monkeypatch):
+    if rows is not None:
+        # Blocks of `rows` time nodes: 5 leaves a partial last block.
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
+        assert grid_module._block_rows(grid.size) == rows
+        assert rows == 1 or grid.size % rows
+    rng = np.random.default_rng(23)
+    # Random complex signals make the defect O(1), so the comparison means something.
+    f = random_signal(grid, rng)
+    psi = random_signal(grid, rng)
+    # Translating f translates the defect rows, so move the largest one to the
+    # last time node, which lies in the last (partial) block.
+    nodes = grid.index_vectors()
+    worst = int(np.argmax(table_defect_rows(f, psi, order)))
+    f = translate(f, (nodes[-1] - nodes[worst]) * grid.spacing)
+    expected = table_defect_rows(f, psi, order)
+    assert expected[-1] == pytest.approx(expected.max(), rel=1e-12)
+    assert expected[-1] > 1.0
+    got = derivative_identity_defect(f, psi, order)
+    assert got == pytest.approx(expected[-1], rel=1e-12)
