@@ -224,19 +224,32 @@ def _order_tuple(grid: PeriodicGrid, order) -> tuple[int, ...]:
     return order
 
 
-def spectral_derivative(signal: GridSignal, order) -> GridSignal:
-    """FFT derivative: multiply the spectrum by prod_j (2 pi i xi_j)^order_j."""
-    grid = signal.grid
-    order = _order_tuple(grid, order)
-    spec = np.fft.fftn(signal.reshaped())
+def _derivative_rows(grid: PeriodicGrid, spectra: np.ndarray, order: tuple[int, ...]
+                     ) -> np.ndarray:
+    """(S, size) rows: the inverse DFT of each of the (S,) + grid.shape forward
+    DFTs ``spectra`` times prod_j (2 pi i xi_j)^order_j.  ``spectra`` is
+    left untouched."""
     m = grid.freq_integers_axis() / grid.period
+    spec = spectra
     for axis, o in enumerate(order):
         if o == 0:
             continue
         shape = [1] * grid.dim
         shape[axis] = grid.points_per_axis
         spec = spec * (2j * np.pi * m.reshape(shape)) ** o
-    return GridSignal(grid, np.fft.ifftn(spec).ravel())
+    out = np.fft.ifftn(spec, axes=tuple(range(1, grid.dim + 1)))
+    return out.reshape(-1, grid.size)
+
+
+def spectral_derivative(signal: GridSignal, order) -> GridSignal:
+    """FFT derivative: multiply the spectrum by prod_j (2 pi i xi_j)^order_j.
+
+    The one-row case of the batched kernel ``_derivative_rows``.
+    """
+    grid = signal.grid
+    order = _order_tuple(grid, order)
+    spectra = np.fft.fftn(signal.reshaped())[None]
+    return GridSignal(grid, _derivative_rows(grid, spectra, order)[0])
 
 
 def conjugate_reflection(signal: GridSignal) -> GridSignal:

@@ -7,6 +7,13 @@ discrete norms of the analysis coefficients behave against polynomial
 weights.  Rapidly decreasing profiles (every positive weight order stays
 bounded) signal smooth-class inputs; profiles that are only tamed by
 negative weight orders signal distributional-class inputs.
+
+The Schwartz seminorm and the sampled convolution each have one batched
+kernel, ``_schwartz_rows`` and ``_convolution_rows``, over a stack of S
+signals given as (S, size) rows and their (S,) + grid.shape forward DFTs,
+as ``spaces._row_norms`` is for the space norms.  ``schwartz_seminorm``
+and ``convolve_samples`` are their one-row cases; the verification suites
+call the kernels on blocks of samples.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
+    PeriodicGrid,
+    _derivative_rows,
     _flat_index,
     grids_compatible,
     spectral_derivative,
@@ -65,15 +74,36 @@ def smoothness_seminorm(f: GridSignal, spec: SpaceSpec, order: int) -> float:
     return best
 
 
+def _schwartz_rows(grid: PeriodicGrid, rows: np.ndarray, spectra: np.ndarray,
+                   order: int) -> np.ndarray:
+    """Schwartz seminorms of the (S, size) rows of grid samples, one per row,
+    given their (S,) + grid.shape forward DFTs ``spectra``."""
+    w = PowerWeight(float(order))(grid.centered_nodes())
+    best = np.zeros(rows.shape[0])
+    for alpha in multi_indices(grid.dim, order):
+        g = _derivative_rows(grid, spectra, alpha) if any(alpha) else rows
+        np.maximum(best, np.max(np.abs(g) * w, axis=1), out=best)
+    return best
+
+
 def schwartz_seminorm(f: GridSignal, order: int) -> float:
     """sup over |alpha| <= order and nodes of |f^(alpha)(x)| (1+|x|)^order."""
     order = _check_order(order)
-    w = PowerWeight(float(order))(f.grid.centered_nodes())
-    best = 0.0
-    for alpha in multi_indices(f.grid.dim, order):
-        g = spectral_derivative(f, alpha) if any(alpha) else f
-        best = max(best, float(np.max(np.abs(g.values) * w)))
-    return best
+    rows = f.values.reshape(1, -1)
+    spectra = np.fft.fftn(f.reshaped())[None]
+    return float(_schwartz_rows(f.grid, rows, spectra, order)[0])
+
+
+def _convolution_rows(lat: GridLattice, e_spectra: np.ndarray,
+                      phi_spectra: np.ndarray) -> np.ndarray:
+    """(S, count) rows: the quadrature-weighted periodic convolutions e * phi
+    sampled on the lattice, for the (S,) + grid.shape forward DFTs of the
+    e and phi rows.  ``e_spectra`` is overwritten."""
+    grid = lat.grid
+    e_spectra *= phi_spectra
+    np.fft.ifftn(e_spectra, axes=tuple(range(1, grid.dim + 1)), out=e_spectra)
+    conv = e_spectra.reshape(-1, grid.size)[:, _flat_index(grid, lat.index_points)]
+    return grid.spacing ** grid.dim * conv
 
 
 def convolve_samples(e: GridSignal, phi: GridSignal, lat: GridLattice) -> CoeffArray:
@@ -82,12 +112,9 @@ def convolve_samples(e: GridSignal, phi: GridSignal, lat: GridLattice) -> CoeffA
         raise GridMismatch("signals live on different grids")
     if not grids_compatible(lat.grid, e.grid):
         raise GridMismatch("lattice lives on a different grid")
-    grid = e.grid
-    cell = grid.spacing ** grid.dim
-    conv = cell * np.fft.ifftn(
-        np.fft.fftn(e.reshaped()) * np.fft.fftn(phi.reshaped())
-    )
-    return CoeffArray.over_lattice(lat, conv.ravel()[_flat_index(grid, lat.index_points)])
+    rows = _convolution_rows(lat, np.fft.fftn(e.reshaped())[None],
+                             np.fft.fftn(phi.reshaped())[None])
+    return CoeffArray.over_lattice(lat, rows[0])
 
 
 @dataclass(frozen=True, eq=False)

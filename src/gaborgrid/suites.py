@@ -1,13 +1,18 @@
 """Named verification suites behind the batch driver.
 
-Each suite takes a validated configuration and a dedicated random
-generator and returns report entries: plain dicts with a measured value,
-a threshold, a comparator, and the resulting pass flag.  Informational
-measurements use the comparator ``report`` and always pass.
+Each suite takes a validated configuration, the configured Gabor system
+and a dedicated random generator, and returns report entries: plain dicts
+with a measured value, a threshold, a comparator, and the resulting pass
+flag.  Informational measurements use the comparator ``report`` and always
+pass.  One system serves every suite of a run, so its frame-operator
+blocks are built and eigen-decomposed once.
 
 Suites draw their randomness from a generator seeded by the config seed
 and the suite name, so results do not depend on which other suites run or
-on the execution order.
+on the execution order.  Monte-Carlo families are drawn with one
+``standard_normal`` call per batch and evaluated by the batched kernels;
+batches of grid signals run in blocks of ``grid._block_rows(size)``
+samples, so a family of any size adds a bounded working set.
 """
 
 from __future__ import annotations
@@ -33,21 +38,19 @@ from .grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    idft,
-    lattice_superposition,
+    _block_rows,
+    _superpose,
     sample_bump,
     sample_gaussian,
     sample_oscillation,
     sample_rectangle,
 )
 from .lattice import PowerWeight
-from .smoothness import (
-    convolve_samples,
-    decay_profile,
-    schwartz_seminorm,
-)
+from .smoothness import _convolution_rows, _schwartz_rows, decay_profile
 from .spaces import (
     SpaceSpec,
+    _norm_weight,
+    _row_norms,
     continuous_norm,
     decay_weighted_sup,
     discrete_norm,
@@ -207,21 +210,42 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *suite.encode()]))
 
 
+def _complex_rows(normals: np.ndarray) -> np.ndarray:
+    """(S, n) complex rows from (S, 2, n) standard normals: the real parts,
+    then the imaginary parts, as one standard_normal(n) call each would draw."""
+    return normals[:, 0] + 1j * normals[:, 1]
+
+
 def random_signal(grid: PeriodicGrid, rng: np.random.Generator) -> GridSignal:
-    return GridSignal(
-        grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    )
+    return GridSignal(grid, _complex_rows(rng.standard_normal((1, 2, grid.size)))[0])
+
+
+def _smooth_rows(grid: PeriodicGrid, normals: np.ndarray,
+                 bandwidth: float = 8.0) -> np.ndarray:
+    """(S, size) band-concentrated random signals, grid stand-ins for Schwartz
+    functions, whose spectra are the (S, 2, size) standard normals (as in
+    ``_complex_rows``) under a Gaussian envelope."""
+    radius = np.linalg.norm(grid.freq_integers(), axis=-1)
+    envelope = np.exp(-((radius / bandwidth) ** 2))
+    rows = envelope * _complex_rows(normals) * grid.size
+    shaped = rows.reshape((-1,) + grid.shape)
+    np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)
+    return rows
 
 
 def smooth_random_signal(grid: PeriodicGrid, rng: np.random.Generator,
                          bandwidth: float = 8.0) -> GridSignal:
-    m = grid.freq_integers()
-    radius = np.linalg.norm(m, axis=-1)
-    envelope = np.exp(-((radius / bandwidth) ** 2))
-    spectrum = envelope * (
-        rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    )
-    return idft(grid, spectrum * grid.size)
+    normals = rng.standard_normal((1, 2, grid.size))
+    return GridSignal(grid, _smooth_rows(grid, normals, bandwidth)[0])
+
+
+def adjoint_residual(cfg: SuiteConfig, system: GaborSystem, gamma: GridSignal) -> float:
+    """Wexler-Raz residual of (system.window, gamma) over the adjoint of the
+    configured lattice; an adjoint lattice off the grid is a config error."""
+    try:
+        return wexler_raz_residual(system.window, gamma, cfg.time_step, cfg.freq_step)
+    except NonAlignedAdjointLattice as exc:
+        raise ConfigError(f"system: adjoint lattice not grid-aligned ({exc})") from None
 
 
 def check(suite: str, name: str, value: float, threshold: float,
@@ -267,8 +291,8 @@ def _not_a_frame_entries(suite: str, system: GaborSystem, tol: float) -> list[di
 
 # Individual suites -----------------------------------------------------------
 
-def run_reconstruction(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
-    system = cfg.make_system()
+def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
+                       rng: np.random.Generator) -> list[dict]:
     tol = cfg.tol("reconstruction")
     try:
         gamma = dual_window(system, tol=cfg.tol("frame"))
@@ -289,17 +313,14 @@ def run_reconstruction(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]
     ]
 
 
-def run_wexler_raz(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
-    system = cfg.make_system()
+def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
+                   rng: np.random.Generator) -> list[dict]:
     tol = cfg.tol("wexler_raz")
     try:
         gamma = dual_window(system, tol=cfg.tol("frame"))
     except NotAFrame:
         return _not_a_frame_entries("wexler-raz", system, cfg.tol("frame"))
-    try:
-        residual = wexler_raz_residual(system.window, gamma, cfg.time_step, cfg.freq_step)
-    except NonAlignedAdjointLattice as exc:
-        raise ConfigError(f"system: adjoint lattice not grid-aligned ({exc})") from None
+    residual = adjoint_residual(cfg, system, gamma)
     # Adjoint-lattice identity: analysis after synthesis over the adjoint
     # lattice is (ab)^n times the identity on finitely supported sequences.
     adj = GaborSystem.separable(system.window, 1.0 / cfg.freq_step, 1.0 / cfg.time_step)
@@ -316,9 +337,9 @@ def run_wexler_raz(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     ]
 
 
-def run_frame_bounds(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
+def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
+                     rng: np.random.Generator) -> list[dict]:
     suite = "frame-bounds"
-    system = cfg.make_system()
     tol = cfg.tol("frame")
     cert = frame_bounds(system)
     entries = [
@@ -371,12 +392,9 @@ def run_frame_bounds(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
 def _random_sequences(rng: np.random.Generator, lattice: GridLattice,
                       samples: int) -> CoeffArray:
     """``samples`` random complex sequences over the lattice, one per column,
-    each drawn as standard_normal + 1j * standard_normal."""
-    columns = np.empty((lattice.count, samples), dtype=complex)
-    for s in range(samples):
-        columns[:, s] = (rng.standard_normal(lattice.count)
-                         + 1j * rng.standard_normal(lattice.count))
-    return CoeffArray.over_lattice(lattice, columns)
+    each drawn as standard_normal + 1j * standard_normal, in one draw."""
+    rows = _complex_rows(rng.standard_normal((samples, 2, lattice.count)))
+    return CoeffArray.over_lattice(lattice, rows.T)
 
 
 def _ratio_band(rng, lattice, chi1, chi2, spec, count) -> float:
@@ -385,9 +403,10 @@ def _ratio_band(rng, lattice, chi1, chi2, spec, count) -> float:
     return float(max(np.max(r), np.max(1.0 / r)))
 
 
-def run_window_independence(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
+def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
+                            rng: np.random.Generator) -> list[dict]:
     suite = "window-independence"
-    grid = cfg.make_grid()
+    grid = system.grid
     lattice = GridLattice.cubic(grid, cfg.time_step)
     chi1 = sample_bump(grid, radius=0.3 * cfg.time_step)
     chi2 = sample_bump(grid, radius=0.45 * cfg.time_step)
@@ -454,9 +473,10 @@ def _fourier_entries(cfg, rng, lattice, chi, count, entries, suite) -> None:
             )
 
 
-def run_embedding_chain(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
+def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem,
+                        rng: np.random.Generator) -> list[dict]:
     suite = "embedding-chain"
-    grid = cfg.make_grid()
+    grid = system.grid
     lattice = GridLattice.cubic(grid, cfg.time_step)
     chi = sample_bump(grid, radius=0.45 * cfg.time_step)
     spec = SpaceSpec("Lp_w", 2.0)
@@ -482,20 +502,8 @@ def run_embedding_chain(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict
     # Operator continuity constants over a random family.
     order = 4
     n = cfg.sample_count("continuity")
-    cs = np.empty((lattice.count, n), dtype=complex)
-    convs = np.empty((lattice.count, n), dtype=complex)
-    seminorms = np.empty(n)
-    out_norms = np.empty(n)
-    e_norms = np.empty(n)
-    for s in range(n):
-        cs[:, s] = rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count)
-        phi = smooth_random_signal(grid, rng)
-        e = random_signal(grid, rng)
-        seminorms[s] = schwartz_seminorm(phi, order)
-        c = CoeffArray.over_lattice(lattice, cs[:, s])
-        out_norms[s] = continuous_norm(lattice_superposition(c, phi), spec)
-        convs[:, s] = convolve_samples(e, phi, lattice).values
-        e_norms[s] = continuous_norm(e, spec)
+    cs, convs, seminorms, out_norms, e_norms = _continuity_samples(
+        rng, lattice, spec, n, order)
     in_norms = discrete_norm(CoeffArray.over_lattice(lattice, cs), spec, chi)
     conv_norms = discrete_norm(CoeffArray.over_lattice(lattice, convs), spec, chi)
     sup_ratios = out_norms / (in_norms * seminorms)
@@ -511,12 +519,51 @@ def run_embedding_chain(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict
     return entries
 
 
+def _continuity_samples(rng: np.random.Generator, lattice: GridLattice,
+                        spec: SpaceSpec, samples: int, order: int
+                        ) -> tuple[np.ndarray, ...]:
+    """The random family behind the operator-continuity constants.
+
+    Sample s draws a sequence c over the lattice, then the spectrum of a
+    smooth signal phi (``_smooth_rows``), then a signal e, each as
+    standard_normal + 1j * standard_normal.  Samples run in blocks of
+    ``grid._block_rows(size)``, one draw per block; phi's spectrum is taken
+    once per block and serves the seminorms, the superpositions and the
+    convolutions.  Returns the (count, samples) sequences c and convolution
+    samples of e * phi, and per sample the Schwartz seminorm of phi of the
+    given order and the ``spec`` norms of sum_k c_k T_{x_k}(phi) and of e.
+    """
+    grid = lattice.grid
+    K, N = lattice.count, grid.size
+    axes = tuple(range(1, grid.dim + 1))
+    weight = _norm_weight(grid, spec)
+    cs = np.empty((K, samples), dtype=complex)
+    convs = np.empty((K, samples), dtype=complex)
+    seminorms, out_norms, e_norms = np.empty((3, samples))
+    block = _block_rows(N)
+    for lo in range(0, samples, block):
+        b = min(block, samples - lo)
+        draw = rng.standard_normal((b, 2 * K + 4 * N))
+        c = _complex_rows(draw[:, :2 * K].reshape(b, 2, K))
+        phi = _smooth_rows(grid, draw[:, 2 * K:2 * K + 2 * N].reshape(b, 2, N))
+        e = _complex_rows(draw[:, 2 * K + 2 * N:].reshape(b, 2, N))
+        phi_spectra = np.fft.fftn(phi.reshape((b,) + grid.shape), axes=axes)
+        e_spectra = np.fft.fftn(e.reshape((b,) + grid.shape), axes=axes)
+        part = slice(lo, lo + b)
+        cs[:, part] = c.T
+        seminorms[part] = _schwartz_rows(grid, phi, phi_spectra, order)
+        out_norms[part] = _row_norms(_superpose(lattice, c, phi_spectra), grid, spec, weight)
+        e_norms[part] = _row_norms(e, grid, spec, weight)
+        convs[:, part] = _convolution_rows(lattice, e_spectra, phi_spectra).T
+    return cs, convs, seminorms, out_norms, e_norms
+
+
 _PROFILE_SPACE = SpaceSpec("Lp_w", 1.0, weight=PowerWeight(3.0))
 
 
-def run_decay(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
+def run_decay(cfg: SuiteConfig, system: GaborSystem,
+              rng: np.random.Generator) -> list[dict]:
     suite = "decay"
-    system = cfg.make_system()
     f = sample_gaussian(system.grid, width=math.sqrt(2.0), normalize=True)
     prof = decay_profile(system, f, _PROFILE_SPACE)
     finite = float(np.all(np.isfinite(prof.decay_sups)))
@@ -528,9 +575,9 @@ def run_decay(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     ]
 
 
-def run_growth(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
+def run_growth(cfg: SuiteConfig, system: GaborSystem,
+               rng: np.random.Generator) -> list[dict]:
     suite = "growth"
-    system = cfg.make_system()
     grid = system.grid
     gauss = sample_gaussian(grid, width=math.sqrt(2.0), normalize=True)
     gauss_prof = decay_profile(system, gauss, _PROFILE_SPACE)
@@ -561,13 +608,14 @@ def run_growth(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
     return entries
 
 
-def run_derivative_identity(cfg: SuiteConfig, rng: np.random.Generator) -> list[dict]:
+def run_derivative_identity(cfg: SuiteConfig, system: GaborSystem,
+                            rng: np.random.Generator) -> list[dict]:
     from .stft import derivative_identity_defect
 
     suite = "derivative-identity"
-    grid = cfg.make_grid()
+    grid = system.grid
     f = sample_gaussian(grid)
-    psi = cfg.make_window(grid)
+    psi = system.window
     one = (1,) * cfg.dim
     two = (2,) + (0,) * (cfg.dim - 1)
     return [
@@ -593,9 +641,10 @@ SUITES = {
 def run_suites(cfg: SuiteConfig) -> dict:
     """Execute the configured suites and assemble the (sorted) report."""
     names = sorted(set(cfg.suites))
+    system = cfg.make_system()
     results: list[dict] = []
     for name in names:
-        results.extend(SUITES[name](cfg, suite_rng(cfg.seed, name)))
+        results.extend(SUITES[name](cfg, system, suite_rng(cfg.seed, name)))
     results.sort(key=lambda e: (e["suite"], e["name"]))
     return {
         "schema": 1,

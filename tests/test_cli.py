@@ -210,6 +210,26 @@ def test_dual_window_not_a_frame_exits_2(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("not a frame:")
 
 
+def test_dual_window_non_aligned_adjoint_exits_2(tmp_path, capsys):
+    # A frame whose adjoint time step 1/0.1875 is no multiple of the spacing
+    # 1/16: the same config error as verify, and nothing written.
+    cfg = write_config(
+        tmp_path,
+        system={"window": {"kind": "gaussian"}, "time_step": 1.0, "freq_step": 0.1875},
+    )
+    gamma = tmp_path / "gamma.csv"
+    cert = tmp_path / "cert.json"
+    assert cli.main(
+        ["dual-window", "--config", str(cfg), "--output", str(gamma),
+         "--certificate", str(cert)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: system: adjoint lattice not grid-aligned")
+    assert not gamma.exists() and not cert.exists()
+    assert cli.main(["verify", "--config", str(cfg), "--suites", "wexler-raz"]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_profile_subcommand(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "prof.csv"
