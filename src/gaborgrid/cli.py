@@ -182,7 +182,7 @@ def cmd_dual_window(args) -> int:
     out = args.output or "dual_window.csv"
     if payload["frame"]:
         gamma = dual_window(system, tol=cfg.tol("frame"))
-        payload["residual"] = adjoint_residual(cfg, system, gamma)
+        payload["residual"] = adjoint_residual(system, gamma)
         _write_signal(gamma, out)
         print(f"wrote {out}")
     cert_path = args.certificate or "certificate.json"

@@ -21,10 +21,6 @@ class NonAlignedLattice(GaborGridError):
     """Lattice is not representable on the grid it was paired with."""
 
 
-class NonAlignedAdjointLattice(GaborGridError):
-    """Adjoint lattice of a separable time-frequency lattice misses the grid."""
-
-
 class GridMismatch(GaborGridError):
     """Two signals (or a signal and a lattice) live on incompatible grids."""
 

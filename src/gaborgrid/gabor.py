@@ -22,11 +22,12 @@ lattices, separable or not.  The frame bounds are the extreme eigenvalues
 of the blocks and the canonical dual window is one solve per block; both
 are exact up to rounding.
 
-Wexler-Raz biorthogonality is evaluated independently of that solve: for a
-separable lattice with steps (a, b) the pair (psi, gamma) is dual exactly
-when the inner products of gamma against time-frequency shifts of psi over
-the adjoint lattice (time step 1/b, frequency step 1/a) vanish except for
-the (ab)^n mass at the origin.
+Wexler-Raz biorthogonality is evaluated independently of that solve.  The
+adjoint of the product lattice A x F takes the dual lattice of F as time
+shifts and the dual lattice of A as frequencies; when both are grid-aligned
+the pair (psi, gamma) is dual exactly when the STFT of gamma with window
+psi over the adjoint vanishes except for the mass 1/redundancy at the
+origin ((ab)^n on a separable lattice with steps (a, b)).
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IndexMismatch,
-    NonAlignedAdjointLattice,
-    NonAlignedLattice,
-    NotAFrame,
-    ZeroSignal,
-)
+from .errors import IndexMismatch, NonAlignedLattice, NotAFrame, ZeroSignal
 from .grid import (
     CoeffArray,
     GridLattice,
@@ -52,6 +47,7 @@ from .grid import (
     grids_compatible,
     require_same_grid,
 )
+from .lattice import dual_lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +99,6 @@ def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
     """(grid.size, N0) table of lattice translates of the window."""
     [table] = _translates(window, time_lattice.index_points)
     return table.T
-
-
-def _phase_table(grid, freq_lattice: GridLattice) -> np.ndarray:
-    """(grid.size, N1) table of modulation phases for the frequency lattice."""
-    L = grid.points_per_axis
-    prod = (grid.index_vectors() @ freq_lattice.index_points.T) % L
-    return np.exp(2j * np.pi * prod / L)
 
 
 def _tables(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -222,14 +211,13 @@ class FrameCertificate:
     redundancy: float
     blocks: int
     block_size: int
-    wexler_raz_residual: float | None = None
 
     def to_dict(self) -> dict:
         return {
             "A": self.lower,
             "B": self.upper,
             "method": self.method,
-            "residual": self.wexler_raz_residual,
+            "residual": None,
             "redundancy": self.redundancy,
             "blocks": self.blocks,
             "block_size": self.block_size,
@@ -240,7 +228,9 @@ def _dense_frame_matrix(system: GaborSystem) -> np.ndarray:
     """Full frame-operator matrix, an oracle independent of the block path."""
     grid = system.grid
     W = _shift_table(system.window, system.time_lattice)
-    phases = _phase_table(grid, system.freq_lattice)
+    L = grid.points_per_axis
+    prod = (grid.index_vectors() @ system.freq_lattice.index_points.T) % L
+    phases = np.exp(2j * np.pi * prod / L)
     cell = grid.spacing ** grid.dim
     # S factors over the product lattice: S = cell * (W W^H) hadamard (Phi Phi^H).
     return cell * (W @ W.conj().T) * (phases @ phases.conj().T)
@@ -282,38 +272,32 @@ def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:
     return GridSignal(system.grid, gamma)
 
 
-def wexler_raz_residual(psi: GridSignal, gamma: GridSignal,
-                        time_step: float, freq_step: float) -> float:
-    """Biorthogonality defect over the adjoint lattice.
+def _adjoint_lattices(system: GaborSystem) -> tuple[GridLattice, GridLattice]:
+    """(time, frequency) lattices of the adjoint: the dual lattice of the
+    frequency lattice as time shifts, that of the time lattice as frequencies.
 
-    Scans mu = (time shift in (1/freq_step) Z, frequency shift in
-    (1/time_step) Z) modulo the grid period and returns the largest
-    deviation of (pi(mu) psi, gamma)_L2 from (time_step*freq_step)^n at the
-    origin and 0 elsewhere.  Lattice covariance of the Gram entries makes
-    this origin-anchored scan equivalent to the full double scan.
+    Raises NonAlignedLattice when either dual lattice misses its grid.
     """
-    require_same_grid(psi, gamma)
-    grid = psi.grid
-    try:
-        adj_time = GridLattice.cubic(grid, 1.0 / freq_step)
-        adj_freq = GridLattice.cubic(grid.reciprocal(), 1.0 / time_step)
-    except NonAlignedLattice as exc:
-        raise NonAlignedAdjointLattice(str(exc)) from None
-    cell = grid.spacing ** grid.dim
-    const = (time_step * freq_step) ** grid.dim
-    phases = _phase_table(grid, adj_freq)
-    gbar = np.conj(gamma.values)
-    resh = psi.reshaped()
-    axes = tuple(range(grid.dim))
-    worst = 0.0
-    for i, idx in enumerate(adj_time.index_points):
-        shifted = np.roll(resh, shift=tuple(idx), axis=axes).ravel()
-        inner = cell * (phases.T @ (shifted * gbar))
-        target = np.zeros(adj_freq.count, dtype=complex)
-        if i == 0:
-            target[0] = const
-        worst = max(worst, float(np.max(np.abs(inner - target))))
-    return worst
+    grid = system.grid
+    return (
+        GridLattice(dual_lattice(system.freq_lattice.lattice), grid),
+        GridLattice(dual_lattice(system.time_lattice.lattice), grid.reciprocal()),
+    )
+
+
+def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
+    """Biorthogonality defect of (system.window, gamma) over the adjoint lattice.
+
+    The largest deviation of the STFT of gamma with the system window, over
+    the adjoint lattice, from 1/redundancy at the origin and 0 elsewhere.
+    Lattice covariance of the Gram entries makes this origin-anchored
+    analysis equivalent to the full double scan.  Raises NonAlignedLattice
+    when the adjoint lattice is not grid-aligned.
+    """
+    inner = analyze(GaborSystem(system.window, *_adjoint_lattices(system)), gamma).values
+    target = np.zeros(inner.shape)
+    target[0, 0] = 1.0 / system.redundancy
+    return float(np.max(np.abs(inner - target)))
 
 
 def reconstruction_error(system: GaborSystem, gamma: GridSignal,

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonAlignedAdjointLattice, NonAlignedLattice, NotAFrame
+from .errors import ConfigError, NonAlignedLattice, NotAFrame
 from .gabor import (
     GaborSystem,
+    _adjoint_lattices,
     _dense_frame_matrix,
     analyze,
     dual_window,
@@ -239,12 +240,12 @@ def smooth_random_signal(grid: PeriodicGrid, rng: np.random.Generator,
     return GridSignal(grid, _smooth_rows(grid, normals, bandwidth)[0])
 
 
-def adjoint_residual(cfg: SuiteConfig, system: GaborSystem, gamma: GridSignal) -> float:
-    """Wexler-Raz residual of (system.window, gamma) over the adjoint of the
-    configured lattice; an adjoint lattice off the grid is a config error."""
+def adjoint_residual(system: GaborSystem, gamma: GridSignal) -> float:
+    """Wexler-Raz residual of (system.window, gamma) over the adjoint lattice;
+    an adjoint lattice off the grid is a config error."""
     try:
-        return wexler_raz_residual(system.window, gamma, cfg.time_step, cfg.freq_step)
-    except NonAlignedAdjointLattice as exc:
+        return wexler_raz_residual(system, gamma)
+    except NonAlignedLattice as exc:
         raise ConfigError(f"system: adjoint lattice not grid-aligned ({exc})") from None
 
 
@@ -320,16 +321,16 @@ def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
         gamma = dual_window(system, tol=cfg.tol("frame"))
     except NotAFrame:
         return _not_a_frame_entries("wexler-raz", system, cfg.tol("frame"))
-    residual = adjoint_residual(cfg, system, gamma)
+    residual = adjoint_residual(system, gamma)
     # Adjoint-lattice identity: analysis after synthesis over the adjoint
-    # lattice is (ab)^n times the identity on finitely supported sequences.
-    adj = GaborSystem.separable(system.window, 1.0 / cfg.freq_step, 1.0 / cfg.time_step)
-    adj_dual = GaborSystem.separable(gamma, 1.0 / cfg.freq_step, 1.0 / cfg.time_step)
-    shape = (adj.time_lattice.count, adj.freq_lattice.count)
+    # lattice is 1/redundancy times the identity on finitely supported sequences.
+    adj_time, adj_freq = _adjoint_lattices(system)
+    adj = GaborSystem(system.window, adj_time, adj_freq)
+    adj_dual = GaborSystem(gamma, adj_time, adj_freq)
+    shape = (adj_time.count, adj_freq.count)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = CoeffArray.over_product(adj.time_lattice, adj.freq_lattice, c)
-    const = (cfg.time_step * cfg.freq_step) ** cfg.dim
-    back = analyze(adj, synthesize(adj_dual, coeffs)).values / const
+    coeffs = CoeffArray.over_product(adj_time, adj_freq, c)
+    back = analyze(adj, synthesize(adj_dual, coeffs)).values * system.redundancy
     identity_defect = float(np.max(np.abs(back - c)) / np.max(np.abs(c)))
     return [
         check("wexler-raz", "adjoint_identity_defect", identity_defect, tol, "<="),

@@ -1,23 +1,27 @@
 """Seeded sweep of the block-diagonal frame operator against independent oracles.
 
 Bounds are compared with ``eigvalsh`` of the dense frame matrix, the dual
-window with reconstruction of random signals, and separable systems with the
-Wexler-Raz scan over the adjoint lattice.  Each system is run with a Gaussian
+window with reconstruction of random signals and with the Wexler-Raz residual
+over the adjoint lattice, and that residual on separable systems with a
+direct scan over the adjoint lattice.  Each system is run with a Gaussian
 window and with a seeded random complex window.
 """
 
 import numpy as np
 import pytest
 
+from gaborgrid.errors import NonAlignedLattice
 from gaborgrid.gabor import (
     GaborSystem,
+    _adjoint_lattices,
     _dense_frame_matrix,
+    _frame_blocks,
     dual_window,
     frame_bounds,
     reconstruction_error,
     wexler_raz_residual,
 )
-from gaborgrid.grid import GridLattice, PeriodicGrid, sample_gaussian
+from gaborgrid.grid import GridLattice, GridSignal, PeriodicGrid, sample_gaussian
 from gaborgrid.lattice import Lattice
 
 from conftest import random_signal
@@ -61,6 +65,36 @@ def make_system(name, kind):
 
 ALL = sorted(SEPARABLE) + sorted(SHEARED)
 FRAMES = [name for name in ALL if make_system(name, "gaussian").redundancy >= 1.0]
+# The continuum dual of this frequency lattice is off the grid.
+OFF_GRID_ADJOINT = "2d-sheared-freq-r2"
+ALIGNED = [name for name in FRAMES if name != OFF_GRID_ADJOINT]
+
+
+def _wexler_raz_scan(psi, gamma, a, b):
+    """Separable Wexler-Raz residual by a direct scan, independent of analyze.
+
+    Rolls psi over the adjoint time lattice (1/b) Z^n and takes its inner
+    products with gamma against the modulations of the adjoint frequency
+    lattice (1/a) Z^n; the largest deviation from (ab)^n at the origin and
+    0 elsewhere.
+    """
+    grid = psi.grid
+    adj_time = GridLattice.cubic(grid, 1.0 / b)
+    adj_freq = GridLattice.cubic(grid.reciprocal(), 1.0 / a)
+    L = grid.points_per_axis
+    prod = (grid.index_vectors() @ adj_freq.index_points.T) % L
+    phases = np.exp(2j * np.pi * prod / L)
+    cell = grid.spacing ** grid.dim
+    gbar = np.conj(gamma.values)
+    axes = tuple(range(grid.dim))
+    worst = 0.0
+    for i, idx in enumerate(adj_time.index_points):
+        shifted = np.roll(psi.reshaped(), shift=tuple(idx), axis=axes).ravel()
+        inner = cell * (phases.T @ (shifted * gbar))
+        if i == 0:
+            inner[0] -= (a * b) ** grid.dim
+        worst = max(worst, float(np.max(np.abs(inner))))
+    return worst
 
 
 @pytest.mark.parametrize("kind", WINDOWS)
@@ -91,9 +125,39 @@ def test_dual_reconstructs(name, kind):
 
 
 @pytest.mark.parametrize("kind", WINDOWS)
-@pytest.mark.parametrize("name", [n for n in FRAMES if n in SEPARABLE])
+@pytest.mark.parametrize("name", ALIGNED)
 def test_wexler_raz_of_block_dual(name, kind):
+    system = make_system(name, kind)
+    gamma = dual_window(system, tol=1e-12)
+    assert wexler_raz_residual(system, gamma) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", WINDOWS)
+def test_wexler_raz_off_grid_adjoint(kind):
+    system = make_system(OFF_GRID_ADJOINT, kind)
+    gamma = dual_window(system, tol=1e-12)
+    with pytest.raises(NonAlignedLattice):
+        wexler_raz_residual(system, gamma)
+
+
+@pytest.mark.parametrize("name", ALIGNED)
+def test_adjoint_time_lattice_is_annihilator(name):
+    # The adjoint time lattice is F^perp, the zero coset of the frame blocks.
+    system = make_system(name, "gaussian")
+    cosets, _ = _frame_blocks(system)
+    adj_time, _ = _adjoint_lattices(system)
+    flat = np.ravel_multi_index(adj_time.index_points.T, system.grid.shape)
+    np.testing.assert_array_equal(np.sort(flat), np.sort(cosets[0]))
+
+
+@pytest.mark.parametrize("kind", WINDOWS)
+@pytest.mark.parametrize("name", [n for n in FRAMES if n in SEPARABLE])
+def test_wexler_raz_matches_scan_oracle(name, kind):
     _, _, _, a, b = SEPARABLE[name]
     system = make_system(name, kind)
     gamma = dual_window(system, tol=1e-12)
-    assert wexler_raz_residual(system.window, gamma, a, b) <= 1e-10
+    perturbed = GridSignal(system.grid, 1.01 * gamma.values + 1e-3 * system.window.values)
+    for dual in (gamma, perturbed):
+        expected = _wexler_raz_scan(system.window, dual, a, b)
+        assert wexler_raz_residual(system, dual) == pytest.approx(expected, rel=1e-12,
+                                                                  abs=1e-14)

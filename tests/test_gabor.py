@@ -3,12 +3,13 @@ import pytest
 
 from gaborgrid.errors import (
     IndexMismatch,
-    NonAlignedAdjointLattice,
+    NonAlignedLattice,
     NotAFrame,
     ZeroSignal,
 )
 from gaborgrid.gabor import (
     GaborSystem,
+    _adjoint_lattices,
     _dense_frame_matrix,
     analyze,
     dual_window,
@@ -260,12 +261,12 @@ def test_dual_window_block_residual(ref_system):
 
 def test_wexler_raz_for_canonical_dual(ref_system):
     gamma = dual_window(ref_system, tol=1e-12)
-    assert wexler_raz_residual(ref_system.window, gamma, 1.0, 0.5) <= 1e-8
+    assert wexler_raz_residual(ref_system, gamma) <= 1e-8
 
 
 def test_wexler_raz_orthonormal_basis(ref_grid):
     window = sample_rectangle(ref_grid, width=1.0, normalize=True)
-    assert wexler_raz_residual(window, window, 1.0, 1.0) <= 1e-12
+    assert wexler_raz_residual(GaborSystem.separable(window, 1.0, 1.0), window) <= 1e-12
 
 
 def test_wexler_raz_detects_orthogonal_pair(ref_grid):
@@ -274,33 +275,34 @@ def test_wexler_raz_detects_orthogonal_pair(ref_grid):
     psi = sample_rectangle(ref_grid, width=0.5)
     gamma_vals = np.roll(sample_rectangle(ref_grid, width=0.5).values, 128)
     gamma = GridSignal(ref_grid, gamma_vals)
-    res = wexler_raz_residual(psi, gamma, 1.0, 1.0)
+    res = wexler_raz_residual(GaborSystem.separable(psi, 1.0, 1.0), gamma)
     assert res >= (1.0 * 1.0) ** 1 - 1e-12
 
 
 def test_wexler_raz_alignment_error(ref_grid):
-    psi = sample_gaussian(ref_grid)
-    with pytest.raises(NonAlignedAdjointLattice):
-        wexler_raz_residual(psi, psi, 1.0, 0.3)
+    # Frequency step 0.1875 is aligned, its adjoint time step 16/3 is not.
+    system = GaborSystem.separable(sample_gaussian(ref_grid), 1.0, 0.1875)
+    with pytest.raises(NonAlignedLattice):
+        wexler_raz_residual(system, system.window)
 
 
 def test_wexler_raz_adjoint_identity(ref_system, rng):
     # On the adjoint lattice, analysis after synthesis is (ab)^n times the
     # identity on coefficient space when the windows form a dual pair.
     gamma = dual_window(ref_system, tol=1e-12)
-    psi = ref_system.window
-    adj = GaborSystem.separable(psi, 2.0, 1.0)  # time 1/b, freq 1/a
-    adj_gamma = GaborSystem.separable(gamma, 2.0, 1.0)
-    shape = (adj.time_lattice.count, adj.freq_lattice.count)
+    adj_time, adj_freq = _adjoint_lattices(ref_system)  # time 1/b, freq 1/a
+    adj = GaborSystem(ref_system.window, adj_time, adj_freq)
+    adj_gamma = GaborSystem(gamma, adj_time, adj_freq)
+    shape = (adj_time.count, adj_freq.count)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = CoeffArray.over_product(adj.time_lattice, adj.freq_lattice, c)
+    coeffs = CoeffArray.over_product(adj_time, adj_freq, c)
     back = analyze(adj, synthesize(adj_gamma, coeffs)).values / (1.0 * 0.5)
     assert np.max(np.abs(back - c)) <= 1e-8 * np.max(np.abs(c))
 
 
 def test_duality_equivalence_families(ref_system, rng):
     gamma = dual_window(ref_system, tol=1e-12)
-    residual = wexler_raz_residual(ref_system.window, gamma, 1.0, 0.5)
+    residual = wexler_raz_residual(ref_system, gamma)
     assert residual <= 1e-10
     errors = [
         reconstruction_error(ref_system, gamma, random_signal(ref_system.grid, rng))
@@ -316,7 +318,7 @@ def test_duality_equivalence_families(ref_system, rng):
     ):
         err = reconstruction_error(ref_system, bad, random_signal(ref_system.grid, rng))
         if err >= 1e-3:
-            assert wexler_raz_residual(ref_system.window, bad, 1.0, 0.5) >= 1e-6
+            assert wexler_raz_residual(ref_system, bad) >= 1e-6
 
 
 def test_reconstruction_error_scaled_dual(ref_system, rng):
@@ -361,4 +363,4 @@ def test_two_dimensional_system_reconstructs():
     rng = np.random.default_rng(8)
     f = random_signal(grid, rng)
     assert reconstruction_error(system, gamma, f) <= 1e-8
-    assert wexler_raz_residual(window, gamma, 1.0, 0.5) <= 1e-8
+    assert wexler_raz_residual(system, gamma) <= 1e-8
