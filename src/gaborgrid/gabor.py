@@ -9,6 +9,10 @@ transposes up to the scalar spacing^n and the frame operator
 
 is Hermitian positive semidefinite.  Frame bounds are reported as extreme
 eigenvalues of S, i.e. as the squares of the coefficient-map norm bounds.
+Analysis and synthesis each have one batched kernel over a stack of
+signals, ``_analysis`` and ``_synthesis``, on the system's cached table of
+window translates, one FFT in place per stack; ``analyze``, ``synthesize``,
+``frame_apply`` and ``reconstruction_error`` are their one-signal cases.
 
 The modulations of the frequency lattice F sum to |F| on its annihilator
 F^perp = {u : m . u = 0 mod L for every m in F} and to 0 off it.  With W the
@@ -41,9 +45,9 @@ from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
+    _block_rows,
     _flat_index,
     _translates,
-    _windowed_dft,
     grids_compatible,
     require_same_grid,
 )
@@ -96,17 +100,17 @@ def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
 
 
 def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
-    """(grid.size, N0) table of lattice translates of the window."""
+    """(N0, grid.size) table whose row k is the window translated by lattice point k."""
     [table] = _translates(window, time_lattice.index_points)
-    return table.T
+    return table
 
 
 def _tables(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
     """Cached (shift table, flat frequency bins) for the system."""
     cached = getattr(system, "_op_tables", None)
     if cached is None:
-        W = _shift_table(system.window, system.time_lattice)
-        cached = (W, _flat_index(system.grid, system.freq_lattice.index_points))
+        cached = (_shift_table(system.window, system.time_lattice),
+                  system.freq_lattice._flat_points)
         object.__setattr__(system, "_op_tables", cached)
     return cached
 
@@ -122,7 +126,7 @@ def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
     cached = getattr(system, "_op_blocks", None)
     if cached is None:
         grid = system.grid
-        W, flat_bins = _tables(system)
+        table, flat_bins = _tables(system)
         indicator = np.zeros(grid.shape)
         indicator.flat[flat_bins] = 1.0
         char_sum = np.fft.fftn(indicator).ravel()
@@ -133,7 +137,7 @@ def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
         # all have |F^perp| points, so sorting by label gives whole rows.
         order = np.argsort(members.min(axis=1), kind="stable")
         cosets = order.reshape(-1, annihilator.shape[0])
-        WB = W[cosets]
+        WB = table.T[cosets]
         scale = grid.spacing ** grid.dim * flat_bins.size
         blocks = scale * (WB @ WB.conj().transpose(0, 2, 1))
         cached = (cosets, blocks)
@@ -141,39 +145,53 @@ def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _batched_ifft(rows: np.ndarray, grid) -> np.ndarray:
-    """Unnormalized inverse DFT of each row: plain sums of exp(+2 pi i m . t / L)."""
-    shaped = rows.reshape((rows.shape[0],) + grid.shape)
-    out = np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), norm="forward")
-    return out.reshape(rows.shape[0], grid.size)
+def _analysis(system: GaborSystem, rows: np.ndarray) -> np.ndarray:
+    """(S, N0, |F|) STFT samples on the system lattice of the (S, size)
+    signal rows: each signal times every conjugated window translate of the
+    cached shift table, one batched FFT in place, read at the bins of F."""
+    table, bins = _tables(system)
+    grid = system.grid
+    products = np.empty((rows.shape[0],) + table.shape, dtype=complex)
+    np.multiply(table, np.conj(rows)[:, None, :], out=products)
+    np.conjugate(products, out=products)
+    shaped = products.reshape(products.shape[:2] + grid.shape)
+    np.fft.fftn(shaped, axes=tuple(range(2, grid.dim + 2)), out=shaped)
+    return grid.spacing ** grid.dim * products[:, :, bins]
+
+
+def _synthesis(system: GaborSystem, table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(S, size) rows: sum over k and j of coeffs[s, k, j] times the window
+    translate ``table[k]`` modulated by the j-th frequency of the system.
+
+    Each time node's coefficients are scattered into their bins; one batched
+    unnormalized inverse FFT in place modulates them, the table the rest.
+    """
+    grid = system.grid
+    spectra = np.zeros(coeffs.shape[:2] + (grid.size,), dtype=complex)
+    spectra[:, :, _tables(system)[1]] = coeffs
+    shaped = spectra.reshape(coeffs.shape[:2] + grid.shape)
+    np.fft.ifftn(shaped, axes=tuple(range(2, grid.dim + 2)), norm="forward", out=shaped)
+    spectra *= table
+    return spectra.sum(axis=1)
+
+
+def _synthesis_table(system: GaborSystem, dual: GridSignal | None) -> np.ndarray:
+    """Shift table of the synthesis window: the cached one of the system
+    window, or one built for ``dual``."""
+    if dual is None or dual is system.window:
+        return _tables(system)[0]
+    require_same_grid(dual, system.window)
+    return _shift_table(dual, system.time_lattice)
 
 
 def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
     """Coefficient map: STFT samples of f on the system lattice.
 
-    The windowed-DFT kernel over the time lattice, read at the bins of the
-    frequency lattice.
+    The one-row case of the batched analysis kernel.
     """
     require_same_grid(f, system.window)
-    grid = system.grid
-    [rows] = _windowed_dft([(f, system.window)], system.time_lattice.index_points)
-    bins = _flat_index(grid, system.freq_lattice.index_points)
-    values = grid.spacing ** grid.dim * rows[:, bins]
+    values = _analysis(system, f.values[None])[0]
     return CoeffArray.over_product(system.time_lattice, system.freq_lattice, values)
-
-
-def _synthesize_with(window: GridSignal, coeffs: CoeffArray,
-                     system: GaborSystem) -> GridSignal:
-    W, flat_bins = _tables(system)
-    if window is not system.window:
-        W = _shift_table(window, coeffs.time_lattice)
-    # Scatter each time node's coefficients into its frequency bins; one
-    # inverse FFT per node gives the modulated sum, the shift table the rest.
-    grid = system.grid
-    spectra = np.zeros((W.shape[1], grid.size), dtype=complex)
-    spectra[:, flat_bins] = coeffs.values
-    modulated = _batched_ifft(spectra, grid)
-    return GridSignal(window.grid, np.einsum("tk,kt->t", W, modulated))
 
 
 def synthesize(system: GaborSystem, coeffs: CoeffArray) -> GridSignal:
@@ -183,17 +201,17 @@ def synthesize(system: GaborSystem, coeffs: CoeffArray) -> GridSignal:
         and _lattices_match(coeffs.freq_lattice, system.freq_lattice)
     ):
         raise IndexMismatch("coefficients are not indexed by the system lattice")
-    return _synthesize_with(system.window, coeffs, system)
+    rows = _synthesis(system, _tables(system)[0], coeffs.values[None])
+    return GridSignal(system.grid, rows[0])
 
 
 def frame_apply(system: GaborSystem, f: GridSignal,
                 dual: GridSignal | None = None) -> GridSignal:
     """The operator synthesize(dual) . analyze(window); dual defaults to window."""
-    coeffs = analyze(system, f)
-    window = system.window if dual is None else dual
-    if dual is not None:
-        require_same_grid(dual, system.window)
-    return _synthesize_with(window, coeffs, system)
+    require_same_grid(f, system.window)
+    table = _synthesis_table(system, dual)
+    rows = _synthesis(system, table, _analysis(system, f.values[None]))
+    return GridSignal(system.grid, rows[0])
 
 
 @dataclass(frozen=True)
@@ -227,7 +245,7 @@ class FrameCertificate:
 def _dense_frame_matrix(system: GaborSystem) -> np.ndarray:
     """Full frame-operator matrix, an oracle independent of the block path."""
     grid = system.grid
-    W = _shift_table(system.window, system.time_lattice)
+    W = _shift_table(system.window, system.time_lattice).T
     L = grid.points_per_axis
     prod = (grid.index_vectors() @ system.freq_lattice.index_points.T) % L
     phases = np.exp(2j * np.pi * prod / L)
@@ -300,11 +318,30 @@ def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
     return float(np.max(np.abs(inner - target)))
 
 
+def _reconstruction_errors(system: GaborSystem, gamma: GridSignal,
+                           rows: np.ndarray) -> np.ndarray:
+    """Relative L2 errors of synthesize(gamma) . analyze(window) against the
+    (S, size) signal rows, one per row.
+
+    The dual's shift table is built once; the signals run in blocks under
+    ``grid._BATCH_BYTES``, each one batched analysis and one batched synthesis.
+    """
+    denoms = np.linalg.norm(rows, axis=1)
+    if not np.all(denoms):
+        raise ZeroSignal("reconstruction error undefined for the zero signal")
+    table = _synthesis_table(system, gamma)
+    block = _block_rows(table.size)
+    errors = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], block):
+        signals = rows[lo:lo + block]
+        rec = _synthesis(system, table, _analysis(system, signals))
+        rec -= signals
+        errors[lo:lo + block] = np.linalg.norm(rec, axis=1)
+    return errors / denoms
+
+
 def reconstruction_error(system: GaborSystem, gamma: GridSignal,
                          f: GridSignal) -> float:
     """Relative L2 error of synthesize(gamma) . analyze(window) against identity."""
-    denom = float(np.linalg.norm(f.values))
-    if denom == 0.0:
-        raise ZeroSignal("reconstruction error undefined for the zero signal")
-    rec = frame_apply(system, f, dual=gamma)
-    return float(np.linalg.norm(rec.values - f.values)) / denom
+    require_same_grid(f, system.window)
+    return float(_reconstruction_errors(system, gamma, f.values[None])[0])

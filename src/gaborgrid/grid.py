@@ -393,6 +393,17 @@ class GridLattice:
         return cached
 
     @property
+    def _flat_points(self) -> np.ndarray:
+        """(count,) flat node numbers of the points, cached like ``index_points``;
+        on the reciprocal grid they are the flat DFT bins."""
+        cached = getattr(self, "_flat_points_cache", None)
+        if cached is None:
+            cached = _flat_index(self.grid, self.index_points)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_flat_points_cache", cached)
+        return cached
+
+    @property
     def count(self) -> int:
         return self.index_points.shape[0]
 
@@ -525,7 +536,7 @@ def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np
     """
     grid = lat.grid
     rows = np.zeros((coeffs.shape[0], grid.size), dtype=complex)
-    rows[:, _flat_index(grid, lat.index_points)] = coeffs
+    rows[:, lat._flat_points] = coeffs
     shaped = rows.reshape((-1,) + grid.shape)
     axes = tuple(range(1, grid.dim + 1))
     np.fft.fftn(shaped, axes=axes, out=shaped)

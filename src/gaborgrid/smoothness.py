@@ -31,7 +31,6 @@ from .grid import (
     GridSignal,
     PeriodicGrid,
     _derivative_rows,
-    _flat_index,
     grids_compatible,
     spectral_derivative,
 )
@@ -102,7 +101,7 @@ def _convolution_rows(lat: GridLattice, e_spectra: np.ndarray,
     grid = lat.grid
     e_spectra *= phi_spectra
     np.fft.ifftn(e_spectra, axes=tuple(range(1, grid.dim + 1)), out=e_spectra)
-    conv = e_spectra.reshape(-1, grid.size)[:, _flat_index(grid, lat.index_points)]
+    conv = e_spectra.reshape(-1, grid.size)[:, lat._flat_points]
     return grid.spacing ** grid.dim * conv
 
 

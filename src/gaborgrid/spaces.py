@@ -15,7 +15,11 @@ representatives, so the grid behaves like a box centered at the origin.
 
 The discrete space attached to a lattice norms a sequence c by the norm of
 the superposition sum_lambda c_lambda T_lambda(chi) for a compactly
-supported window chi with pairwise disjoint translates.  Solid kinds admit
+supported window chi with pairwise disjoint translates.  Disjointness
+makes the superposition a gather: each grid node carries c_k chi(t - x_k)
+for the one lattice point k whose translate covers it, read from an
+(owner, local) table built once per call from the support of chi, with no
+FFT and no (count, size) table.  Solid kinds admit
 the direct weighted sequence norm; Fourier kinds admit the periodic
 Fourier-series realization over a fundamental domain of the dual lattice.
 """
@@ -41,9 +45,7 @@ from .grid import (
     PeriodicGrid,
     _block_rows,
     _flat_index,
-    _superpose,
     grids_compatible,
-    lattice_superposition,
 )
 from .lattice import PowerWeight, dual_lattice
 
@@ -142,20 +144,43 @@ def continuous_norm(f: GridSignal, spec: SpaceSpec) -> float:
     return float(_row_norms(rows, f.grid, spec, _norm_weight(f.grid, spec))[0])
 
 
-def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
-    """Raise unless the lattice translates of the window support are disjoint."""
+def _disjoint_translates(window: GridSignal, lat: GridLattice
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, local) per grid node: the lattice point k whose translate of
+    the window support covers the node, and chi(t - x_k) there; both are 0
+    at nodes no translate covers.
+
+    The table shifts the support by each lattice point, count * |supp chi|
+    entries and never a (count, size) table, and raises OverlappingSupports
+    unless every node is hit at most once.
+    """
     if not grids_compatible(window.grid, lat.grid):
         raise DimensionMismatch("window and lattice live on different grids")
-    support = (np.abs(window.values) > 0).astype(float)
-    if not support.any():
+    grid = window.grid
+    support = np.flatnonzero(window.values)
+    if support.size == 0:
         raise OverlappingSupports("window is identically zero")
-    ones = CoeffArray.over_lattice(lat, np.ones(lat.count))
-    coverage = lattice_superposition(ones, window.with_values(support)).values.real
-    # Coverage counts are integers up to FFT rounding.
-    if coverage.max() > 1.5:
+    # More hits than nodes: some node is hit twice (pigeonhole).
+    if support.size * lat.count > grid.size:
         raise OverlappingSupports(
             "lattice translates of the window support overlap on the grid"
         )
+    offsets = np.stack(np.unravel_index(support, grid.shape), axis=-1)
+    nodes = _flat_index(grid, lat.index_points[:, None, :] + offsets)
+    if np.bincount(nodes.ravel(), minlength=grid.size).max() > 1:
+        raise OverlappingSupports(
+            "lattice translates of the window support overlap on the grid"
+        )
+    owner = np.zeros(grid.size, dtype=np.intp)
+    owner[nodes] = np.arange(lat.count)[:, None]
+    local = np.zeros(grid.size, dtype=complex)
+    local[nodes] = window.values[support]
+    return owner, local
+
+
+def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
+    """Raise unless the lattice translates of the window support are disjoint."""
+    _disjoint_translates(window, lat)
 
 
 def _sequence_norms(coeffs: CoeffArray, row_norms, row_size: int | None = None
@@ -186,19 +211,21 @@ def discrete_norm(coeffs: CoeffArray, spec: SpaceSpec, window: GridSignal
                   ) -> float | np.ndarray:
     """Norm of sum_lambda c_lambda T_lambda(window) in the space ``spec``.
 
-    The support check runs once per call; the sequences are superposed and
-    normed in blocks.
+    The translates are disjoint (checked once per call), so the superposition
+    at node t is c_k chi(t - x_k) for the one lattice point k covering t: a
+    gather of the sequence times the window's value there, formed and normed
+    in blocks.
     """
-    lat = coeffs.lattice
-    check_disjoint_supports(window, lat)
+    owner, local = _disjoint_translates(window, coeffs.lattice)
     grid = window.grid
-    spectrum = np.fft.fftn(window.reshaped())
     weight = _norm_weight(grid, spec)
-    return _sequence_norms(
-        coeffs,
-        lambda rows: _row_norms(_superpose(lat, rows, spectrum), grid, spec, weight),
-        grid.size,
-    )
+
+    def row_norms(rows):
+        superposed = np.take(rows, owner, axis=1)
+        superposed *= local
+        return _row_norms(superposed, grid, spec, weight)
+
+    return _sequence_norms(coeffs, row_norms, grid.size)
 
 
 def _separable_counts(lat: GridLattice) -> tuple[int, int]:

@@ -23,3 +23,15 @@ def rng():
 def random_signal(grid, rng):
     vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     return GridSignal(grid, vals)
+
+
+def count_fft_calls(monkeypatch):
+    """Count calls of every numpy.fft transform by name; returns the live dict."""
+    counts = {}
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                 "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts

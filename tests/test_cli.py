@@ -7,7 +7,7 @@ from gaborgrid import cli
 from gaborgrid.errors import ConfigError
 from gaborgrid.formats import validate_report, write_signal_csv
 from gaborgrid.grid import PeriodicGrid, sample_gaussian
-from gaborgrid.suites import SuiteConfig, run_suites
+from gaborgrid.suites import SUITE_NAMES, SuiteConfig, run_suites
 
 from conftest import random_signal
 
@@ -226,8 +226,27 @@ def test_dual_window_non_aligned_adjoint_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: system: adjoint lattice not grid-aligned")
     assert not gamma.exists() and not cert.exists()
-    assert cli.main(["verify", "--config", str(cfg), "--suites", "wexler-raz"]) == 2
-    assert capsys.readouterr().err == err
+
+
+def test_verify_off_grid_adjoint_is_a_diagnostic(tmp_path):
+    # The frame of the test above: verify writes the whole report, and the
+    # wexler-raz suite holds one failing entry naming the adjoint time step.
+    system = {"window": {"kind": "gaussian"}, "time_step": 1.0, "freq_step": 0.1875}
+    cfg = write_config(tmp_path, system=system, suites=list(SUITE_NAMES))
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    validate_report(report)
+    (entry,) = [e for e in report["entries"] if e["suite"] == "wexler-raz"]
+    assert entry["name"] == "adjoint_lattice_on_grid"
+    assert entry["passed"] is False
+    assert entry["value"] == pytest.approx(1 / 3)  # 16/3 is 85 1/3 spacings
+    assert entry["details"] == {"lattice": "time", "step": pytest.approx(16 / 3),
+                                "spacing": 0.0625}
+    # Every other suite keeps the entries it has without wexler-raz.
+    others = [name for name in SUITE_NAMES if name != "wexler-raz"]
+    rest = run_suites(SuiteConfig.from_dict(
+        {"system": system, "suites": others, "seed": 42}))
+    assert [e for e in report["entries"] if e["suite"] != "wexler-raz"] == rest["entries"]
 
 
 def test_profile_subcommand(tmp_path):

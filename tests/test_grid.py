@@ -269,6 +269,15 @@ def test_grid_lattice_shear_enumeration():
     assert lat.count == 16  # the shear generates all of (Z/4)^2
 
 
+def test_grid_lattice_flat_points_cached():
+    grid = PeriodicGrid(2, 4.0, 8)
+    lat = GridLattice(Lattice(np.array([[1.0, 0.5], [0.0, 1.0]])), grid)
+    flat = lat._flat_points
+    idx = lat.index_points
+    np.testing.assert_array_equal(flat, idx[:, 0] * grid.points_per_axis + idx[:, 1])
+    assert lat._flat_points is flat and not flat.flags.writeable
+
+
 def test_grid_lattice_alignment_error(ref_grid):
     with pytest.raises(NonAlignedLattice):
         GridLattice.cubic(ref_grid, 0.1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gaborgrid.errors import (
     NotSolid,
     OverlappingSupports,
 )
+from gaborgrid import grid as grid_module
 from gaborgrid.grid import (
     _BATCH_BYTES,
     CoeffArray,
@@ -36,7 +38,7 @@ from gaborgrid.spaces import (
     solid_discrete_norm,
 )
 
-from conftest import random_signal
+from conftest import count_fft_calls, random_signal
 
 
 def lp(p):
@@ -285,6 +287,129 @@ def test_check_disjoint_supports_rounding_edge(grid):
     wider = sample_rectangle(grid, width=1.0 + grid.spacing)
     with pytest.raises(OverlappingSupports):
         check_disjoint_supports(wider, lat)
+
+
+# Direct superposition of disjoint translates ---------------------------------
+
+# Setup: (grid, lattice generator, bump radius below half the nearest distance).
+_DIRECT_SETUPS = {
+    "1d": (PeriodicGrid(1, 16.0, 128), np.eye(1), 0.45),
+    "2d-separable": (PeriodicGrid(2, 4.0, 32), np.diag([1.0, 0.5]), 0.24),
+    "2d-sheared": (PeriodicGrid(2, 4.0, 32), np.array([[1.0, 0.5], [0.0, 1.0]]), 0.45),
+}
+_DIRECT_SPECS = (
+    [lp_w(p, tau) for p in (1.0, 2.0, 4.0) for tau in (0.0, 2.0)]
+    + [SpaceSpec("C0_w", weight=PowerWeight(1.0)), SpaceSpec("MixedLp", 1.0, 3.0),
+       SpaceSpec("FourierLp_w", 2.0, weight=PowerWeight(1.5))]
+)
+_DIRECT_CASES = [
+    (setup, spec, rows)
+    for setup in _DIRECT_SETUPS
+    for spec in _DIRECT_SPECS
+    if not (setup == "1d" and spec.kind == "MixedLp")
+    for rows in (None, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "setup,spec,block_rows", _DIRECT_CASES,
+    ids=[f"{setup}-{spec.kind}-p{spec.p:g}-tau{spec.tau:g}-{'default' if rows is None else rows}"
+         for setup, spec, rows in _DIRECT_CASES],
+)
+def test_discrete_norm_matches_fft_superposition(setup, spec, block_rows, monkeypatch):
+    # The oracle superposes each column by FFT convolution and norms it.
+    grid, generator, radius = _DIRECT_SETUPS[setup]
+    lat = GridLattice(Lattice(generator), grid)
+    rng = np.random.default_rng(31)
+    # A complex window, so that the Fourier kind sees the window's phase.
+    chi = sample_bump(grid, radius=radius)
+    chi = chi.with_values(chi.values * np.exp(2j * np.pi * rng.random(grid.size)))
+    if block_rows is not None:
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", block_rows * 16 * grid.size)
+    block = grid_module._block_rows(grid.size)
+    samples = 2 * block + 1  # three blocks, the last one partial
+    cols = (rng.standard_normal((lat.count, samples))
+            + 1j * rng.standard_normal((lat.count, samples)))
+    got = discrete_norm(CoeffArray.over_lattice(lat, cols), spec, chi)
+    expected = [continuous_norm(lattice_superposition(CoeffArray.over_lattice(lat, col), chi),
+                                spec)
+                for col in cols.T]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def _index_box(grid, widths):
+    """Indicator of the node box [0, w_0) x ... in integer node indices."""
+    idx = grid.index_vectors()
+    return GridSignal(grid, np.all(idx < np.array(widths), axis=-1).astype(float))
+
+
+@pytest.mark.parametrize("setup", ["1d", "2d-sheared"])
+def test_disjoint_supports_exact_node_counts(setup):
+    grid, generator, _ = _DIRECT_SETUPS[setup]
+    lat = GridLattice(Lattice(generator), grid)
+    step = int(lat.steps[0, 0])  # 8 nodes along the first axis
+    # Boxes of `step` nodes along the first axis tile it (bricks on the
+    # sheared lattice), so adjacent supports pass and the norm sees every node.
+    tile = _index_box(grid, (step,) * grid.dim)
+    check_disjoint_supports(tile, lat)
+    c = CoeffArray.over_lattice(lat, np.arange(1.0, lat.count + 1))
+    cell = grid.spacing ** grid.dim
+    assert discrete_norm(c, lp(1), tile) == pytest.approx(
+        step ** grid.dim * cell * np.sum(c.values.real), rel=1e-14)
+    # One node more along the first axis: neighbouring translates share a node.
+    touching = _index_box(grid, (step + 1,) + (step,) * (grid.dim - 1))
+    with pytest.raises(OverlappingSupports):
+        check_disjoint_supports(touching, lat)
+    with pytest.raises(OverlappingSupports):
+        discrete_norm(c, lp(2), touching)
+    # A shared node is found however small the window is there, and however
+    # few nodes the support has: here 2 per translate, far fewer than the grid.
+    # The node at the first generator is where the next translate starts.
+    neighbour = np.ravel_multi_index(tuple(lat.steps[:, 0]), grid.shape)
+    faint = tile.values.copy()
+    faint[neighbour] = 1e-300
+    with pytest.raises(OverlappingSupports):
+        check_disjoint_supports(GridSignal(grid, faint), lat)
+    pair = np.zeros(grid.size)
+    pair[[0, neighbour]] = 1.0
+    with pytest.raises(OverlappingSupports):
+        check_disjoint_supports(GridSignal(grid, pair), lat)
+    zero = GridSignal(grid, np.zeros(grid.size))
+    with pytest.raises(OverlappingSupports, match="identically zero"):
+        check_disjoint_supports(zero, lat)
+    with pytest.raises(OverlappingSupports, match="identically zero"):
+        discrete_norm(c, lp(2), zero)
+
+
+def test_full_support_overlap_needs_no_table():
+    # More support hits than nodes is refused before the (count, |supp|)
+    # table, which would hold 1024 x 2048 node numbers here (16 MiB).
+    grid = PeriodicGrid(1, 64.0, 2048)
+    lat = GridLattice.cubic(grid, 2 * grid.spacing)
+    gauss = sample_gaussian(grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverlappingSupports):
+            check_disjoint_supports(gauss, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("setup", ["1d", "2d-separable", "2d-sheared"])
+def test_discrete_norm_solid_makes_no_fft(setup, monkeypatch):
+    grid, generator, radius = _DIRECT_SETUPS[setup]
+    lat = GridLattice(Lattice(generator), grid)
+    chi = sample_bump(grid, radius=radius)
+    c = CoeffArray.over_lattice(lat, np.random.default_rng(3).standard_normal((lat.count, 40)))
+    specs = [lp_w(1.0, 0.0), lp_w(4.0, 2.0), SpaceSpec("C0_w", weight=PowerWeight(1.0))]
+    if grid.dim == 2:
+        specs.append(SpaceSpec("MixedLp", 1.0, 3.0))
+    counts = count_fft_calls(monkeypatch)
+    for spec in specs:
+        discrete_norm(c, spec, chi)
+    assert counts == {}
 
 
 def test_solid_shortcut_exact_factor_unweighted(bump_setup, rng):
