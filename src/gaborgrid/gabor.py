@@ -13,6 +13,10 @@ Analysis and synthesis each have one batched kernel over a stack of
 signals, ``_analysis`` and ``_synthesis``, on the system's cached table of
 window translates, one FFT in place per stack; ``analyze``, ``synthesize``,
 ``frame_apply`` and ``reconstruction_error`` are their one-signal cases.
+The FFTs are folded to the frequency lattice F: when every bin of F is a
+multiple of g_a along axis a, its characters are L / g_a periodic there, so
+analysis sums each product over the periods before a transform of that
+size, and synthesis repeats its small inverse transform over them.
 
 The modulations of the frequency lattice F sum to |F| on its annihilator
 F^perp = {u : m . u = 0 mod L for every m in F} and to 0 off it.  With W the
@@ -36,6 +40,7 @@ origin ((ab)^n on a separable lattice with steps (a, b)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,34 +150,64 @@ def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _fold(system: GaborSystem) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """Cached (shape, split, bins) of the transforms folded to the frequency
+    lattice.
+
+    With g_a the gcd of L and every a-th bin coordinate of F, every
+    character of F is n_a = L / g_a periodic along axis a.  So the analysis
+    and synthesis transforms need only ``shape`` = (n_1, ..., n_d); ``split``
+    is the grid shape with axis a split into (g_a, n_a), periods then
+    residues, and ``bins`` are the flat bins of F in ``shape``.
+    """
+    cached = getattr(system, "_op_fold", None)
+    if cached is None:
+        L = system.grid.points_per_axis
+        points = system.freq_lattice.index_points
+        g = np.gcd.reduce(points, axis=0, initial=L)
+        shape = tuple(int(n) for n in L // g)
+        split = tuple(x for n in shape for x in (L // n, n))
+        cached = (shape, split, np.ravel_multi_index(tuple((points // g).T), shape))
+        object.__setattr__(system, "_op_fold", cached)
+    return cached
+
+
 def _analysis(system: GaborSystem, rows: np.ndarray) -> np.ndarray:
     """(S, N0, |F|) STFT samples on the system lattice of the (S, size)
     signal rows: each signal times every conjugated window translate of the
-    cached shift table, one batched FFT in place, read at the bins of F."""
-    table, bins = _tables(system)
+    cached shift table, summed over the periods of the fold (see
+    ``_fold``), then one batched FFT in place of the folded shape, read at
+    the bins of F."""
+    table, _ = _tables(system)
+    _, split, bins = _fold(system)
     grid = system.grid
     products = np.empty((rows.shape[0],) + table.shape, dtype=complex)
     np.multiply(table, np.conj(rows)[:, None, :], out=products)
-    np.conjugate(products, out=products)
-    shaped = products.reshape(products.shape[:2] + grid.shape)
-    np.fft.fftn(shaped, axes=tuple(range(2, grid.dim + 2)), out=shaped)
-    return grid.spacing ** grid.dim * products[:, :, bins]
+    periods = tuple(range(2, 2 * grid.dim + 2, 2))
+    folded = products.reshape(products.shape[:2] + split).sum(axis=periods)
+    np.conjugate(folded, out=folded)
+    np.fft.fftn(folded, axes=tuple(range(2, grid.dim + 2)), out=folded)
+    return grid.spacing ** grid.dim * folded.reshape(folded.shape[:2] + (-1,))[:, :, bins]
 
 
 def _synthesis(system: GaborSystem, table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(S, size) rows: sum over k and j of coeffs[s, k, j] times the window
     translate ``table[k]`` modulated by the j-th frequency of the system.
 
-    Each time node's coefficients are scattered into their bins; one batched
-    unnormalized inverse FFT in place modulates them, the table the rest.
+    Each time node's coefficients are scattered into their bins of the fold
+    (see ``_fold``); one batched unnormalized inverse FFT in place of the
+    folded shape modulates them, repeated over the periods, and the table
+    does the rest.
     """
     grid = system.grid
-    spectra = np.zeros(coeffs.shape[:2] + (grid.size,), dtype=complex)
-    spectra[:, :, _tables(system)[1]] = coeffs
-    shaped = spectra.reshape(coeffs.shape[:2] + grid.shape)
-    np.fft.ifftn(shaped, axes=tuple(range(2, grid.dim + 2)), norm="forward", out=shaped)
-    spectra *= table
-    return spectra.sum(axis=1)
+    shape, split, bins = _fold(system)
+    spectra = np.zeros(coeffs.shape[:2] + (math.prod(shape),), dtype=complex)
+    spectra[:, :, bins] = coeffs
+    small = spectra.reshape(coeffs.shape[:2] + shape)
+    np.fft.ifftn(small, axes=tuple(range(2, grid.dim + 2)), norm="forward", out=small)
+    periodic = np.expand_dims(small, tuple(range(2, 2 * grid.dim + 2, 2)))
+    atoms = table.reshape(table.shape[:1] + split) * periodic
+    return atoms.sum(axis=1).reshape(-1, grid.size)
 
 
 def _synthesis_table(system: GaborSystem, dual: GridSignal | None) -> np.ndarray:

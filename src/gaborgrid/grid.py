@@ -501,32 +501,6 @@ def _translates(signal: GridSignal, index_points: np.ndarray, block: int | None 
         yield windows[tuple(starts[:, lo:lo + step])].reshape(-1, grid.size)
 
 
-def _windowed_dft(terms, index_points: np.ndarray, block: int | None = None):
-    """Yield (K, size) rows: the DFT over t of sum_j f_j(t) conj(psi_j(t - x_k)),
-    bins in DFT order, for the (f_j, psi_j) signal pairs ``terms`` and
-    consecutive blocks of ``block`` index points (one block by default).
-
-    A weighted sum rides on the signals f_j.  The terms are summed in time,
-    so each row takes one FFT however many terms there are.  Each block's
-    gathers are conjugated, multiplied, summed and transformed in place, so
-    a block holds one gather per term and nothing more.
-    """
-    grid = terms[0][0].grid
-    signals = [f.values for f, _ in terms]
-    gathers = [_translates(psi, index_points, block) for _, psi in terms]
-    axes = tuple(range(1, grid.dim + 1))
-    for parts in zip(*gathers):
-        for values, part in zip(signals, parts):
-            np.conjugate(part, out=part)
-            part *= values
-        rows = parts[0]
-        for part in parts[1:]:
-            rows += part
-        shaped = rows.reshape((-1,) + grid.shape)
-        np.fft.fftn(shaped, axes=axes, out=shaped)
-        yield rows
-
-
 def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """(S, size) rows: row s is sum_k coeffs[s, k] T_{x_k}(window), for the
     (S, count) coefficient rows and the window's forward DFT ``spectrum``.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,15 +104,30 @@ class SpaceSpec:
 def _p_norm(values: np.ndarray, p: float, cell: float, axis=None) -> np.ndarray | float:
     if math.isinf(p):
         return np.max(values, axis=axis)
-    return (cell * np.sum(values ** p, axis=axis)) ** (1.0 / p)
+    if p == 4:
+        # Two squarings; the generic power is several times slower.
+        powered = values * values
+        powered *= powered
+    else:
+        powered = values if p == 1 else values ** p
+    return (cell * np.sum(powered, axis=axis)) ** (1.0 / p)
 
 
 def _norm_weight(grid: PeriodicGrid, spec: SpaceSpec) -> np.ndarray:
     """The weight at the nodes the norm sums over: the reciprocal grid's
-    nodes for FourierLp_w, the grid's own nodes otherwise."""
+    nodes for FourierLp_w, the grid's own nodes otherwise.  Read-only."""
     if spec.kind == "FourierLp_w":
         grid = grid.reciprocal()
-    return spec.weight(grid.centered_nodes())
+    return _weight_table(grid, spec.weight.exponent)
+
+
+@lru_cache(maxsize=32)
+def _weight_table(grid: PeriodicGrid, exponent: float) -> np.ndarray:
+    """The power weight (1 + |x|)^exponent at the grid's centered nodes,
+    cached per (grid, exponent) as a read-only array."""
+    table = PowerWeight(exponent)(grid.centered_nodes())
+    table.setflags(write=False)
+    return table
 
 
 def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec,

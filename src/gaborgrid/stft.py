@@ -4,20 +4,20 @@ The transform is the classical windowed integral
 
     V[k, m] = spacing^n * sum_t f(t) conj(psi(t - x_k)) exp(-2 pi i xi_m . t),
 
-evaluated by the windowed-DFT kernel of ``grid``: one batch of FFTs over t,
-a row per time node.  Time nodes run over the whole grid for the full
+evaluated on the translate gather of ``grid``: one batch of FFTs over t, a
+row per time node.  Time nodes run over the whole grid for the full
 transform; frequency bins are kept in DFT order so that bin j of row k is
 the frequency node labelled by ``grid.freq_integers()[j]``.
 
-The STFT derivative identity is checked on the same kernel without a full
-table: each block of time nodes takes one FFT per row for each side, and
-only the running maximum of the difference is kept.
+The STFT derivative identity is checked from the frequency side without a
+full table: the difference of its two sides is one inverse FFT per bin of
+the spectrum of f, shifted by the bin, times the window's conjugate spectrum
+and an aliasing symbol, and only the running maximum is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .grid import (
     PeriodicGrid,
     _block_rows,
     _order_tuple,
-    _windowed_dft,
+    _translates,
     require_same_grid,
-    spectral_derivative,
 )
 
 # Refuse full transforms whose output would exceed 2^26 complex entries.
@@ -61,9 +60,15 @@ def stft(f: GridSignal, psi: GridSignal) -> TFArray:
         raise ResourceLimit(
             f"full STFT needs {grid.size ** 2} entries, over the 2^26 budget"
         )
-    [rows] = _windowed_dft([(f, psi)], grid.index_vectors())
+    [rows] = _translates(psi, grid.index_vectors())
+    np.conjugate(rows, out=rows)
+    rows *= f.values
+    shaped = rows.reshape((-1,) + grid.shape)
+    np.fft.fftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)
     rows *= grid.spacing ** grid.dim
     return TFArray(grid, rows)
+
+
 
 
 def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
@@ -74,14 +79,22 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
 
         sum_{beta <= alpha} C(alpha, beta) V_{psi^(alpha-beta)} f^(beta),
 
-    exactly.  Both sides are computed independently on the grid and the
-    maximum absolute entry difference is returned.  The left side is the
-    STFT times the frequency multiplier; the right side sums the weighted
-    products C f^(beta) conj(psi^(alpha-beta)(t - x)) in time before one
-    FFT, with the derivatives taken spectrally.  So every row takes two
-    FFTs.  Rows are formed in blocks of time nodes under the shared
-    ``grid._BATCH_BYTES`` budget and only the running maximum is kept, so no
-    full (size, size) table is held.
+    exactly.  On the grid, with the derivatives taken spectrally, the STFT at
+    time node k and bin m is spacing^n ifft_eta[F(m + eta) conj Psi(eta)](k)
+    for the DFTs F and Psi of f and psi, and the binomial theorem collapses
+    the right side's multipliers to prod_a (2 pi i (lab(m_a + eta_a) -
+    lab(eta_a)) / P)^alpha_a, where lab is the label of
+    ``grid.freq_integers_axis``.  So the difference of the two sides is the
+    same inverse FFT of F(m + eta) conj Psi(eta) times (2 pi i / P)^|alpha|
+    and the aliasing symbol
+
+        sigma(m, eta) = prod_a lab(m_a)^alpha_a
+                        - prod_a (lab(m_a + eta_a) - lab(eta_a))^alpha_a,
+
+    which is exactly 0 wherever no label wraps.  The maximum absolute entry
+    is returned.  Bins run in blocks under the shared ``grid._BATCH_BYTES``
+    budget; each block is one gather of F, one product and one inverse FFT
+    in place, and only the running maximum is kept.
     """
     require_same_grid(f, psi)
     grid = f.grid
@@ -91,36 +104,37 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
     if all(o == 0 for o in order):
         return 0.0
 
-    xi = grid.freq_nodes()
-    factor = np.ones(grid.size, dtype=complex)
+    L = grid.points_per_axis
+    lab = grid.freq_integers_axis().astype(float)
+    # wrapped[m, eta] = lab(m + eta) - lab(eta); its column eta = 0 is lab(m).
+    bins_axis = np.arange(L)
+    wrapped = lab[(bins_axis[:, None] + bins_axis) % L] - lab
+    bins = grid.index_vectors()
+    # Taking the left side from the same tables as the right side makes
+    # sigma an exact 0 where no label wraps.
+    lhs = np.ones(grid.size)
+    factors = []
     for axis, o in enumerate(order):
         if o:
-            factor = factor * (2j * np.pi * xi[:, axis]) ** o
+            table = wrapped ** o
+            lhs *= table[bins[:, axis], 0]
+            factors.append((axis, table))
 
-    terms = []
-    for beta in _multi_range(order):
-        coeff = 1
-        for o, b in zip(order, beta):
-            coeff *= comb(o, b)
-        df = spectral_derivative(f, beta) if any(beta) else f
-        rem = tuple(o - b for o, b in zip(order, beta))
-        dpsi = spectral_derivative(psi, rem) if any(rem) else psi
-        terms.append((coeff * df, dpsi))
-
-    points = grid.index_vectors()
+    spectrum = GridSignal(grid.reciprocal(), np.fft.fftn(f.reshaped()).ravel())
+    window = np.conj(np.fft.fftn(psi.reshaped()))
+    axes = tuple(range(1, grid.dim + 1))
     block = _block_rows(grid.size)
     worst = 0.0
-    for lhs, rhs in zip(_windowed_dft([(f, psi)], points, block),
-                        _windowed_dft(terms, points, block)):
-        lhs *= factor
-        lhs -= rhs
-        worst = max(worst, float(np.max(np.abs(lhs))))
-    return grid.spacing ** grid.dim * worst
-
-
-def _multi_range(order: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All multi-indices beta with beta <= order componentwise."""
-    out = [()]
-    for o in order:
-        out = [b + (k,) for b in out for k in range(o + 1)]
-    return out
+    for lo, rows in zip(range(0, grid.size, block), _translates(spectrum, -bins, block)):
+        m = bins[lo:lo + block]
+        rhs = 1.0
+        for axis, table in factors:
+            shape = [-1] + [1] * grid.dim
+            shape[axis + 1] = L
+            rhs = rhs * table[m[:, axis]].reshape(shape)
+        shaped = rows.reshape((-1,) + grid.shape)
+        shaped *= window
+        shaped *= lhs[lo:lo + block].reshape((-1,) + (1,) * grid.dim) - rhs
+        np.fft.ifftn(shaped, axes=axes, out=shaped)
+        worst = max(worst, float(np.max(np.abs(rows))))
+    return grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** sum(order) * worst

@@ -17,6 +17,7 @@ samples, so a family of any size adds a bounded working set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -377,7 +378,14 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
               "<"),
     ]
 
-    under = GaborSystem.separable(system.window, 2 * cfg.time_step, 2 * cfg.freq_step)
+    # Scale both steps by the least power of two (at least 2) that
+    # undersamples: one doubling leaves a frame when the redundancy is high
+    # or a step is coprime to the number of grid points.
+    for k in itertools.count(1):
+        under = GaborSystem.separable(system.window, 2 ** k * cfg.time_step,
+                                      2 ** k * cfg.freq_step)
+        if under.redundancy < 1.0:
+            break
     under_cert = frame_bounds(under)
     entries.append(
         check(suite, "undersampled_lower_bound", under_cert.lower, tol, "<=",

@@ -35,3 +35,15 @@ def count_fft_calls(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+def record_fft_shapes(monkeypatch):
+    """Record (name, input shape) of every numpy fftn and ifftn call; returns
+    the live list."""
+    shapes = []
+    for name in ("fftn", "ifftn"):
+        def recorded(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            shapes.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recorded)
+    return shapes

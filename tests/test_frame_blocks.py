@@ -15,16 +15,20 @@ from gaborgrid.gabor import (
     GaborSystem,
     _adjoint_lattices,
     _dense_frame_matrix,
+    _fold,
     _frame_blocks,
+    analyze,
     dual_window,
+    frame_apply,
     frame_bounds,
     reconstruction_error,
     wexler_raz_residual,
 )
 from gaborgrid.grid import GridLattice, GridSignal, PeriodicGrid, sample_gaussian
 from gaborgrid.lattice import Lattice
+from gaborgrid.stft import stft
 
-from conftest import random_signal
+from conftest import random_signal, record_fft_shapes
 
 # name: (dim, period, L, time step, freq step); non-power-of-two L/P ratios.
 SEPARABLE = {
@@ -161,3 +165,44 @@ def test_wexler_raz_matches_scan_oracle(name, kind):
         expected = _wexler_raz_scan(system.window, dual, a, b)
         assert wexler_raz_residual(system, dual) == pytest.approx(expected, rel=1e-12,
                                                                   abs=1e-14)
+
+
+# name: the (n_1, ..., n_d) shape that analysis and synthesis fold to, L / gcd
+# of L and the bin coordinates of F per axis.
+FOLDS = {
+    "1d-L90-r1.5": (9,),
+    "2d-L12-r4": (4, 4),
+    "2d-sheared-time-r4": (4, 4),
+    # F's bins (3, 0) and (1, 3) leave no fold along axis 0.
+    "2d-sheared-freq-r2": (12, 4),
+}
+
+
+@pytest.mark.parametrize("kind", WINDOWS)
+@pytest.mark.parametrize("name", sorted(FOLDS))
+def test_folded_analysis_matches_stft(name, kind, monkeypatch):
+    system = make_system(name, kind)
+    grid = system.grid
+    f = random_signal(grid, np.random.default_rng(7))
+    # The full STFT sampled at the time nodes and bins of the lattice.
+    rows = system.time_lattice._flat_points
+    bins = system.freq_lattice._flat_points
+    expected = stft(f, system.window).values[np.ix_(rows, bins)]
+    assert _fold(system)[0] == FOLDS[name]
+    shapes = record_fft_shapes(monkeypatch)
+    got = analyze(system, f).values
+    assert shapes == [("fftn", (1, system.time_lattice.count) + FOLDS[name])]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("kind", WINDOWS)
+@pytest.mark.parametrize("name", sorted(FOLDS))
+def test_folded_synthesis_matches_dense_frame_matrix(name, kind, monkeypatch):
+    system = make_system(name, kind)
+    f = random_signal(system.grid, np.random.default_rng(8))
+    expected = _dense_frame_matrix(system) @ f.values
+    shapes = record_fft_shapes(monkeypatch)
+    got = frame_apply(system, f).values
+    folded = (1, system.time_lattice.count) + FOLDS[name]
+    assert shapes == [("fftn", folded), ("ifftn", folded)]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))

@@ -19,7 +19,7 @@ from gaborgrid.grid import (
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import derivative_identity_defect, stft
 
-from conftest import random_signal
+from conftest import random_signal, record_fft_shapes
 
 # The package re-exports the function stft, which hides the module attribute.
 stft_module = importlib.import_module("gaborgrid.stft")
@@ -230,11 +230,13 @@ def table_defect_rows(f, psi, order):
 
 @pytest.mark.parametrize("rows", [None, 5, 1], ids=["budget", "remainder", "single-row"])
 @pytest.mark.parametrize("grid, order", [
-    (PeriodicGrid(1, 4.0, 16), 1),
-    (PeriodicGrid(1, 4.0, 16), 2),
+    *[(PeriodicGrid(1, 4.0, 16), o) for o in [1, 2, 4]],
     *[(PeriodicGrid(2, 2.0, 8), o) for o in [(1, 0), (1, 1), (2, 0), (0, 2)]],
     # L = 12 is not a power of two.
-    *[(PeriodicGrid(2, 3.0, 12), o) for o in [(1, 0), (1, 1), (2, 0), (0, 2)]],
+    *[(PeriodicGrid(2, 3.0, 12), o) for o in [(1, 0), (1, 1), (2, 0), (0, 2), (3, 0), (2, 2)]],
+    # Odd L has no Nyquist bin; 21 and 81 points leave a partial block of 5.
+    *[(PeriodicGrid(1, 5.0, 21), o) for o in [1, 3, 4]],
+    *[(PeriodicGrid(2, 3.0, 9), o) for o in [(1, 1), (3, 0), (2, 2)]],
 ], ids=lambda v: str(v.points_per_axis) if isinstance(v, PeriodicGrid) else str(v))
 def test_blocked_defect_matches_table_oracle(grid, order, rows, monkeypatch):
     if rows is not None:
@@ -256,3 +258,26 @@ def test_blocked_defect_matches_table_oracle(grid, order, rows, monkeypatch):
     assert expected[-1] > 1.0
     got = derivative_identity_defect(f, psi, order)
     assert got == pytest.approx(expected[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [None, 5, 1], ids=["budget", "remainder", "single-row"])
+@pytest.mark.parametrize("grid, order", [
+    (PeriodicGrid(1, 4.0, 21), 2),
+    (PeriodicGrid(2, 3.0, 12), (1, 1)),
+], ids=lambda v: str(v.points_per_axis) if isinstance(v, PeriodicGrid) else str(v))
+def test_defect_fft_count(grid, order, rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
+    blocks = -(-grid.size // grid_module._block_rows(grid.size))
+    rng = np.random.default_rng(4)
+    f = random_signal(grid, rng)
+    psi = random_signal(grid, rng)
+    shapes = record_fft_shapes(monkeypatch)
+    derivative_identity_defect(f, psi, order)
+    # One forward FFT each of f and psi, then one inverse FFT per block of bins.
+    forward = [shape for name, shape in shapes if name == "fftn"]
+    inverse = [shape for name, shape in shapes if name == "ifftn"]
+    assert forward == [grid.shape, grid.shape]
+    assert len(inverse) == blocks
+    assert sum(shape[0] for shape in inverse) == grid.size
+    assert all(shape[1:] == grid.shape for shape in inverse)

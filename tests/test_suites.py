@@ -32,6 +32,7 @@ from gaborgrid.suites import (
     _smooth_rows,
     random_signal,
     run_embedding_chain,
+    run_frame_bounds,
     run_suites,
     smooth_random_signal,
     suite_rng,
@@ -162,3 +163,16 @@ def test_one_system_per_verify_run(monkeypatch):
     run_suites(cfg)
     assert len(calls) == 5
 
+
+
+@pytest.mark.parametrize("freq_step, redundancy", [(0.5, 0.5), (0.1875, 0.25)])
+def test_undersampled_check_scales_to_redundancy_below_one(freq_step, redundancy):
+    # Bin step 3 is coprime to L = 256, so F covers every bin: the system has
+    # redundancy 16, and doubling both steps leaves a frame of redundancy 4.
+    cfg = SuiteConfig.from_dict({"system": {"freq_step": freq_step}})
+    system = cfg.make_system()
+    entries = run_frame_bounds(cfg, system, suite_rng(cfg.seed, "frame-bounds"))
+    (entry,) = [e for e in entries if e["name"] == "undersampled_lower_bound"]
+    assert entry["passed"]
+    assert entry["value"] == 0.0
+    assert entry["details"] == {"redundancy": redundancy}
