@@ -110,12 +110,26 @@ def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
     return table
 
 
-def _tables(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (shift table, flat frequency bins) for the system."""
+def _tables(system: GaborSystem) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...],
+                                          np.ndarray]:
+    """Cached (shift table, shape, split, bins) of the system's analysis and
+    synthesis.
+
+    With g_a the gcd of L and every a-th bin coordinate of F, every
+    character of F is n_a = L / g_a periodic along axis a.  So the analysis
+    and synthesis transforms need only ``shape`` = (n_1, ..., n_d); ``split``
+    is the grid shape with axis a split into (g_a, n_a), periods then
+    residues, and ``bins`` are the flat bins of F in ``shape``.
+    """
     cached = getattr(system, "_op_tables", None)
     if cached is None:
-        cached = (_shift_table(system.window, system.time_lattice),
-                  system.freq_lattice._flat_points)
+        L = system.grid.points_per_axis
+        points = system.freq_lattice.index_points
+        g = np.gcd.reduce(points, axis=0, initial=L)
+        shape = tuple(int(n) for n in L // g)
+        split = tuple(x for n in shape for x in (L // n, n))
+        bins = np.ravel_multi_index(tuple((points // g).T), shape)
+        cached = (_shift_table(system.window, system.time_lattice), shape, split, bins)
         object.__setattr__(system, "_op_tables", cached)
     return cached
 
@@ -131,7 +145,8 @@ def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
     cached = getattr(system, "_op_blocks", None)
     if cached is None:
         grid = system.grid
-        table, flat_bins = _tables(system)
+        table = _tables(system)[0]
+        flat_bins = system.freq_lattice._flat_points
         indicator = np.zeros(grid.shape)
         indicator.flat[flat_bins] = 1.0
         char_sum = np.fft.fftn(indicator).ravel()
@@ -150,36 +165,13 @@ def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _fold(system: GaborSystem) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """Cached (shape, split, bins) of the transforms folded to the frequency
-    lattice.
-
-    With g_a the gcd of L and every a-th bin coordinate of F, every
-    character of F is n_a = L / g_a periodic along axis a.  So the analysis
-    and synthesis transforms need only ``shape`` = (n_1, ..., n_d); ``split``
-    is the grid shape with axis a split into (g_a, n_a), periods then
-    residues, and ``bins`` are the flat bins of F in ``shape``.
-    """
-    cached = getattr(system, "_op_fold", None)
-    if cached is None:
-        L = system.grid.points_per_axis
-        points = system.freq_lattice.index_points
-        g = np.gcd.reduce(points, axis=0, initial=L)
-        shape = tuple(int(n) for n in L // g)
-        split = tuple(x for n in shape for x in (L // n, n))
-        cached = (shape, split, np.ravel_multi_index(tuple((points // g).T), shape))
-        object.__setattr__(system, "_op_fold", cached)
-    return cached
-
-
 def _analysis(system: GaborSystem, rows: np.ndarray) -> np.ndarray:
     """(S, N0, |F|) STFT samples on the system lattice of the (S, size)
     signal rows: each signal times every conjugated window translate of the
     cached shift table, summed over the periods of the fold (see
-    ``_fold``), then one batched FFT in place of the folded shape, read at
+    ``_tables``), then one batched FFT in place of the folded shape, read at
     the bins of F."""
-    table, _ = _tables(system)
-    _, split, bins = _fold(system)
+    table, _, split, bins = _tables(system)
     grid = system.grid
     products = np.empty((rows.shape[0],) + table.shape, dtype=complex)
     np.multiply(table, np.conj(rows)[:, None, :], out=products)
@@ -195,12 +187,12 @@ def _synthesis(system: GaborSystem, table: np.ndarray, coeffs: np.ndarray) -> np
     translate ``table[k]`` modulated by the j-th frequency of the system.
 
     Each time node's coefficients are scattered into their bins of the fold
-    (see ``_fold``); one batched unnormalized inverse FFT in place of the
+    (see ``_tables``); one batched unnormalized inverse FFT in place of the
     folded shape modulates them, repeated over the periods, and the table
     does the rest.
     """
     grid = system.grid
-    shape, split, bins = _fold(system)
+    _, shape, split, bins = _tables(system)
     spectra = np.zeros(coeffs.shape[:2] + (math.prod(shape),), dtype=complex)
     spectra[:, :, bins] = coeffs
     small = spectra.reshape(coeffs.shape[:2] + shape)

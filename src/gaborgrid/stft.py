@@ -69,8 +69,6 @@ def stft(f: GridSignal, psi: GridSignal) -> TFArray:
     return TFArray(grid, rows)
 
 
-
-
 def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
     """Discretization defect of the STFT derivative identity.
 
@@ -93,8 +91,9 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
 
     which is exactly 0 wherever no label wraps.  The maximum absolute entry
     is returned.  Bins run in blocks under the shared ``grid._BATCH_BYTES``
-    budget; each block is one gather of F, one product and one inverse FFT
-    in place, and only the running maximum is kept.
+    budget; each block is one gather of F, sigma from the block's own bin
+    labels, one product and one inverse FFT in place, and only the running
+    maximum is kept.
     """
     require_same_grid(f, psi)
     grid = f.grid
@@ -106,20 +105,9 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
 
     L = grid.points_per_axis
     lab = grid.freq_integers_axis().astype(float)
-    # wrapped[m, eta] = lab(m + eta) - lab(eta); its column eta = 0 is lab(m).
-    bins_axis = np.arange(L)
-    wrapped = lab[(bins_axis[:, None] + bins_axis) % L] - lab
+    # Row m of ``shifted`` is lab(m + eta) over eta: a view, no table.
+    shifted = np.lib.stride_tricks.sliding_window_view(np.tile(lab, 2)[:-1], L)
     bins = grid.index_vectors()
-    # Taking the left side from the same tables as the right side makes
-    # sigma an exact 0 where no label wraps.
-    lhs = np.ones(grid.size)
-    factors = []
-    for axis, o in enumerate(order):
-        if o:
-            table = wrapped ** o
-            lhs *= table[bins[:, axis], 0]
-            factors.append((axis, table))
-
     spectrum = GridSignal(grid.reciprocal(), np.fft.fftn(f.reshaped()).ravel())
     window = np.conj(np.fft.fftn(psi.reshaped()))
     axes = tuple(range(1, grid.dim + 1))
@@ -127,14 +115,20 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
     worst = 0.0
     for lo, rows in zip(range(0, grid.size, block), _translates(spectrum, -bins, block)):
         m = bins[lo:lo + block]
-        rhs = 1.0
-        for axis, table in factors:
-            shape = [-1] + [1] * grid.dim
-            shape[axis + 1] = L
-            rhs = rhs * table[m[:, axis]].reshape(shape)
+        # sigma from the block's own bins.  As lab(0) = 0, column eta = 0 of
+        # each factor is lab(m_a)^alpha_a, and the unwrapped entries equal it
+        # exactly, so sigma is an exact 0 there.
+        lhs = rhs = 1.0
+        for axis, o in enumerate(order):
+            if o:
+                factor = (shifted[m[:, axis]] - lab) ** o
+                shape = [-1] + [1] * grid.dim
+                shape[axis + 1] = L
+                lhs = lhs * factor[:, 0]
+                rhs = rhs * factor.reshape(shape)
         shaped = rows.reshape((-1,) + grid.shape)
         shaped *= window
-        shaped *= lhs[lo:lo + block].reshape((-1,) + (1,) * grid.dim) - rhs
+        shaped *= lhs.reshape((-1,) + (1,) * grid.dim) - rhs
         np.fft.ifftn(shaped, axes=axes, out=shaped)
         worst = max(worst, float(np.max(np.abs(rows))))
     return grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** sum(order) * worst

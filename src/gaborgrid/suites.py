@@ -380,10 +380,17 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
 
     # Scale both steps by the least power of two (at least 2) that
     # undersamples: one doubling leaves a frame when the redundancy is high
-    # or a step is coprime to the number of grid points.
+    # or a step is coprime to the number of grid points.  A doubling lowers
+    # the redundancy only while it adds a factor 2 to the gcd of a step
+    # index with L, and never again once one does not; then no power of two
+    # undersamples, and the last system is kept for the check to fail on.
+    under = None
     for k in itertools.count(1):
-        under = GaborSystem.separable(system.window, 2 ** k * cfg.time_step,
-                                      2 ** k * cfg.freq_step)
+        doubled = GaborSystem.separable(system.window, 2 ** k * cfg.time_step,
+                                        2 ** k * cfg.freq_step)
+        if under is not None and doubled.redundancy >= under.redundancy:
+            break
+        under = doubled
         if under.redundancy < 1.0:
             break
     under_cert = frame_bounds(under)

@@ -15,8 +15,8 @@ from gaborgrid.gabor import (
     GaborSystem,
     _adjoint_lattices,
     _dense_frame_matrix,
-    _fold,
     _frame_blocks,
+    _tables,
     analyze,
     dual_window,
     frame_apply,
@@ -188,7 +188,7 @@ def test_folded_analysis_matches_stft(name, kind, monkeypatch):
     rows = system.time_lattice._flat_points
     bins = system.freq_lattice._flat_points
     expected = stft(f, system.window).values[np.ix_(rows, bins)]
-    assert _fold(system)[0] == FOLDS[name]
+    assert _tables(system)[1] == FOLDS[name]
     shapes = record_fft_shapes(monkeypatch)
     got = analyze(system, f).values
     assert shapes == [("fftn", (1, system.time_lattice.count) + FOLDS[name])]

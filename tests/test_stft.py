@@ -210,6 +210,23 @@ def test_derivative_identity_two_dimensional():
     assert peak < 16 * grid.size ** 2
 
 
+def test_derivative_identity_one_dimensional_memory():
+    # In 1-D size is L, so a float table over all bin pairs takes 8 size^2
+    # bytes (134 MB here); the aliasing symbol is built per block of bins,
+    # so the peak stays below size^2 bytes.
+    grid = PeriodicGrid(1, 64.0, 4096)
+    f = sample_gaussian(grid)
+    psi = sample_gaussian(grid)
+    tracemalloc.start()
+    try:
+        defect = derivative_identity_defect(f, psi, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert defect <= 1e-12
+    assert peak < grid.size ** 2
+
+
 def table_defect_rows(f, psi, order):
     """The derivative-identity defect per time node, from full STFT tables (one
     per term): the row maxima of

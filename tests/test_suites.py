@@ -164,7 +164,6 @@ def test_one_system_per_verify_run(monkeypatch):
     assert len(calls) == 5
 
 
-
 @pytest.mark.parametrize("freq_step, redundancy", [(0.5, 0.5), (0.1875, 0.25)])
 def test_undersampled_check_scales_to_redundancy_below_one(freq_step, redundancy):
     # Bin step 3 is coprime to L = 256, so F covers every bin: the system has
@@ -176,3 +175,21 @@ def test_undersampled_check_scales_to_redundancy_below_one(freq_step, redundancy
     assert entry["passed"]
     assert entry["value"] == 0.0
     assert entry["details"] == {"redundancy": redundancy}
+
+
+@pytest.mark.parametrize("grid, system", [
+    # Odd L: no doubling changes a lattice count, redundancy 9 stays.
+    ({"period": 9.0, "points_per_axis": 81}, {"time_step": 1.0, "freq_step": 1 / 9}),
+    # L = 90 holds one factor 2, which step indices 6 and 10 already hold:
+    # redundancy 1.5 stays.
+    ({"period": 15.0, "points_per_axis": 90}, {"time_step": 1.0, "freq_step": 2 / 3}),
+], ids=["L81", "L90"])
+def test_undersampled_search_stops_when_doubling_keeps_a_frame(grid, system):
+    cfg = SuiteConfig.from_dict({"grid": grid, "system": system})
+    cfg.validate()
+    entries = run_frame_bounds(cfg, cfg.make_system(),
+                               suite_rng(cfg.seed, "frame-bounds"))
+    (entry,) = [e for e in entries if e["name"] == "undersampled_lower_bound"]
+    assert not entry["passed"]
+    assert entry["value"] > 0.0
+    assert entry["details"]["redundancy"] >= 1.0
