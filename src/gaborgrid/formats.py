@@ -112,12 +112,15 @@ def read_tfarray_binary(path, period: float) -> TFArray:
 
 # CSV ------------------------------------------------------------------------
 
+# Signal and time-frequency rows are joined from ``tolist`` floats: the bytes
+# csv.writer would write (no field needs quoting, rows end in \r\n) at a
+# fraction of its per-row cost.
+
 def write_signal_csv(signal: GridSignal, path) -> None:
+    rows = (f"{k},{v.real:.17g},{v.imag:.17g}\r\n"
+            for k, v in enumerate(signal.values.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for k, v in enumerate(signal.values):
-            writer.writerow([k, format(v.real, ".17g"), format(v.imag, ".17g")])
+        fh.write("index,re,im\r\n" + "".join(rows))
 
 
 def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
@@ -142,13 +145,10 @@ def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
 
 
 def write_tfarray_csv(tf: TFArray, path) -> None:
+    rows = (f"{k},{m},{v.real:.17g},{v.imag:.17g}\r\n"
+            for k, row in enumerate(tf.values.tolist()) for m, v in enumerate(row))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "m", "re", "im"])
-        for k in range(tf.values.shape[0]):
-            for m in range(tf.values.shape[1]):
-                v = tf.values[k, m]
-                writer.writerow([k, m, format(v.real, ".17g"), format(v.imag, ".17g")])
+        fh.write("k,m,re,im\r\n" + "".join(rows))
 
 
 def write_coeffs_csv(coeffs: CoeffArray, path) -> None:

@@ -52,6 +52,7 @@ from .grid import (
     GridSignal,
     _block_rows,
     _flat_index,
+    _lattice_fold,
     _translates,
     grids_compatible,
     require_same_grid,
@@ -113,23 +114,15 @@ def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
 def _tables(system: GaborSystem) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...],
                                           np.ndarray]:
     """Cached (shift table, shape, split, bins) of the system's analysis and
-    synthesis.
-
-    With g_a the gcd of L and every a-th bin coordinate of F, every
-    character of F is n_a = L / g_a periodic along axis a.  So the analysis
-    and synthesis transforms need only ``shape`` = (n_1, ..., n_d); ``split``
-    is the grid shape with axis a split into (g_a, n_a), periods then
-    residues, and ``bins`` are the flat bins of F in ``shape``.
+    synthesis: the window's translate table and the fold of the bins of F
+    (``grid._lattice_fold``).  Every character of F is periodic with the
+    fold ``shape``, so the analysis and synthesis transforms need only that
+    size; ``bins`` are the flat bins of F in it.
     """
     cached = getattr(system, "_op_tables", None)
     if cached is None:
-        L = system.grid.points_per_axis
-        points = system.freq_lattice.index_points
-        g = np.gcd.reduce(points, axis=0, initial=L)
-        shape = tuple(int(n) for n in L // g)
-        split = tuple(x for n in shape for x in (L // n, n))
-        bins = np.ravel_multi_index(tuple((points // g).T), shape)
-        cached = (_shift_table(system.window, system.time_lattice), shape, split, bins)
+        fold = _lattice_fold(system.freq_lattice.index_points, system.grid.points_per_axis)
+        cached = (_shift_table(system.window, system.time_lattice),) + fold
         object.__setattr__(system, "_op_tables", cached)
     return cached
 

@@ -484,6 +484,27 @@ def _flat_index(grid: PeriodicGrid, index: np.ndarray) -> np.ndarray:
     return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), grid.shape, mode="wrap")
 
 
+def _lattice_fold(points: np.ndarray, L: int
+                  ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """(shape, split, bins): the fold of the (count, dim) integer points
+    modulo L.
+
+    With g_a the gcd of L and every a-th coordinate of the points, each
+    character t -> exp(2 pi i x . t / L) of a point x, and so every sum of
+    them, is n_a = L / g_a periodic along axis a.  ``shape`` is
+    (n_1, ..., n_d); ``split`` is the grid shape with axis a split into
+    (g_a, n_a), periods then residues, so a grid array reshaped to it is
+    folded by a reduction over its even axes; ``bins`` are the flat indices
+    of x / g in ``shape``, wrapped modulo it.  Points distinct modulo L
+    stay distinct modulo n.
+    """
+    g = np.gcd.reduce(points, axis=0, initial=L)
+    shape = tuple(int(n) for n in L // g)
+    split = tuple(x for n in shape for x in (L // n, n))
+    bins = np.ravel_multi_index(tuple((points // g).T), shape, mode="wrap")
+    return shape, split, bins
+
+
 def _translates(signal: GridSignal, index_points: np.ndarray, block: int | None = None):
     """Yield (K, size) tables whose row k is t -> signal(t - x_k), flattened in
     node order, for consecutive blocks of ``block`` index points (one block

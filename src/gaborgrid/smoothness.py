@@ -123,7 +123,9 @@ class DecayProfile:
     ``decay_sups[N]`` is sup over lambda1 of slice_norm * (1+|lambda1|)^N and
     ``growth_sups[N]`` uses the weight (1+|lambda1|)^-N, for N = 0..order.
     ``fitted_order`` is the least-squares slope of log slice_norm against
-    log(1+|lambda1|); ``bounded_order`` is the smallest N whose growth-side
+    log(1+|lambda1|) over the slice norms above 1e-10 of the largest, well
+    clear of rounding, so it is a property of the window and not of the
+    summation order; ``bounded_order`` is the smallest N whose growth-side
     weighted profile is dominated by the inner half of the frequency range
     (None when even the largest N fails).
     """
@@ -190,7 +192,7 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
     decay = np.array([np.max(norms * (1.0 + radii) ** n) for n in orders])
     growth = np.array([np.max(norms * (1.0 + radii) ** (-n)) for n in orders])
 
-    floor = float(np.max(norms)) * 1e-15
+    floor = float(np.max(norms)) * 1e-10
     mask = norms > max(floor, 0.0)
     if np.count_nonzero(mask) >= 2 and np.ptp(np.log1p(radii[mask])) > 0:
         slope = np.polyfit(np.log1p(radii[mask]), np.log(norms[mask]), 1)[0]

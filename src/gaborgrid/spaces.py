@@ -15,13 +15,21 @@ representatives, so the grid behaves like a box centered at the origin.
 
 The discrete space attached to a lattice norms a sequence c by the norm of
 the superposition sum_lambda c_lambda T_lambda(chi) for a compactly
-supported window chi with pairwise disjoint translates.  Disjointness
-makes the superposition a gather: each grid node carries c_k chi(t - x_k)
-for the one lattice point k whose translate covers it, read from an
-(owner, local) table built once per call from the support of chi, with no
-FFT and no (count, size) table.  Solid kinds admit
-the direct weighted sequence norm; Fourier kinds admit the periodic
-Fourier-series realization over a fundamental domain of the dual lattice.
+supported window chi with pairwise disjoint translates, checked once per
+call by exact hit counts.  Every discrete norm is taken at lattice size,
+never on the grid:
+
+* a solid kind is a weighted sequence space: |c_k| times the window's
+  exact local profile, the weighted norm of chi's translate to x_k (per
+  first-axis row for MixedLp), built once per call from the support;
+* for FourierLp_w the inverse transform of the superposition is
+  P^n ifft(chi) times a series in c that is periodic with the fold of the
+  lattice (``grid._lattice_fold``), so one inverse DFT of the fold shape
+  per sequence is normed against |P^n ifft(chi)| w folded onto it.
+
+``solid_discrete_norm`` is the weighted sequence norm itself, and
+``fourier_side_norm`` the periodic Fourier-series realization over a
+fundamental domain of the dual lattice, folded the same way.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .grid import (
     PeriodicGrid,
     _block_rows,
     _flat_index,
+    _lattice_fold,
     grids_compatible,
 )
 from .lattice import PowerWeight, dual_lattice
@@ -113,6 +122,18 @@ def _p_norm(values: np.ndarray, p: float, cell: float, axis=None) -> np.ndarray 
     return (cell * np.sum(powered, axis=axis)) ** (1.0 / p)
 
 
+def _norms(weighted: np.ndarray, spec: SpaceSpec, spacing: float, dim: int) -> np.ndarray:
+    """The norm kernel of every kind: norms of the (S, ...) weighted
+    magnitudes with quadrature cell spacing^dim.  MixedLp takes (S, R, n),
+    the inner exponent over n, then the outer one over R, each with cell
+    ``spacing``; the other kinds norm each row as a whole."""
+    if spec.kind == "MixedLp":
+        inner = _p_norm(weighted, spec.p2, spacing, axis=2)
+        return _p_norm(inner, spec.p, spacing, axis=1)
+    p = math.inf if spec.kind == "C0_w" else spec.p
+    return _p_norm(weighted.reshape(len(weighted), -1), p, spacing ** dim, axis=1)
+
+
 def _norm_weight(grid: PeriodicGrid, spec: SpaceSpec) -> np.ndarray:
     """The weight at the nodes the norm sums over: the reciprocal grid's
     nodes for FourierLp_w, the grid's own nodes otherwise.  Read-only."""
@@ -130,6 +151,11 @@ def _weight_table(grid: PeriodicGrid, exponent: float) -> np.ndarray:
     return table
 
 
+def _check_mixed(grid: PeriodicGrid, spec: SpaceSpec) -> None:
+    if spec.kind == "MixedLp" and grid.dim != 2:
+        raise DimensionMismatch("MixedLp requires a 2-d grid")
+
+
 def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec,
                weight: np.ndarray) -> np.ndarray:
     """Norms of the (S, size) rows of grid samples, one per row.
@@ -137,8 +163,7 @@ def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec,
     ``weight`` is ``_norm_weight(grid, spec)``.  FourierLp_w rows are
     transformed in place.
     """
-    if spec.kind == "MixedLp" and grid.dim != 2:
-        raise DimensionMismatch("MixedLp requires a 2-d grid")
+    _check_mixed(grid, spec)
     if spec.kind == "FourierLp_w":
         shaped = rows.reshape((-1,) + grid.shape)
         np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)
@@ -146,12 +171,7 @@ def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec,
         grid = grid.reciprocal()
     weighted = np.abs(rows)
     weighted *= weight
-    if spec.kind == "MixedLp":
-        table = weighted.reshape((-1,) + grid.shape)
-        inner = _p_norm(table, spec.p2, grid.spacing, axis=2)
-        return _p_norm(inner, spec.p, grid.spacing, axis=1)
-    p = math.inf if spec.kind == "C0_w" else spec.p
-    return _p_norm(weighted, p, grid.spacing ** grid.dim, axis=1)
+    return _norms(weighted.reshape((-1,) + grid.shape), spec, grid.spacing, grid.dim)
 
 
 def continuous_norm(f: GridSignal, spec: SpaceSpec) -> float:
@@ -162,13 +182,12 @@ def continuous_norm(f: GridSignal, spec: SpaceSpec) -> float:
 
 def _disjoint_translates(window: GridSignal, lat: GridLattice
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, local) per grid node: the lattice point k whose translate of
-    the window support covers the node, and chi(t - x_k) there; both are 0
-    at nodes no translate covers.
+    """(nodes, support): the (count, |supp chi|) flat grid nodes of the
+    window support shifted by each lattice point, and the sorted flat nodes
+    of the support itself.
 
-    The table shifts the support by each lattice point, count * |supp chi|
-    entries and never a (count, size) table, and raises OverlappingSupports
-    unless every node is hit at most once.
+    The table has count * |supp chi| entries, never a (count, size) one.
+    Raises OverlappingSupports unless every node is hit at most once.
     """
     if not grids_compatible(window.grid, lat.grid):
         raise DimensionMismatch("window and lattice live on different grids")
@@ -187,16 +206,7 @@ def _disjoint_translates(window: GridSignal, lat: GridLattice
         raise OverlappingSupports(
             "lattice translates of the window support overlap on the grid"
         )
-    owner = np.zeros(grid.size, dtype=np.intp)
-    owner[nodes] = np.arange(lat.count)[:, None]
-    local = np.zeros(grid.size, dtype=complex)
-    local[nodes] = window.values[support]
-    return owner, local
-
-
-def check_disjoint_supports(window: GridSignal, lat: GridLattice) -> None:
-    """Raise unless the lattice translates of the window support are disjoint."""
-    _disjoint_translates(window, lat)
+    return nodes, support
 
 
 def _sequence_norms(coeffs: CoeffArray, row_norms, row_size: int | None = None
@@ -223,25 +233,115 @@ def _sequence_norms(coeffs: CoeffArray, row_norms, row_size: int | None = None
     return float(norms[0]) if values.ndim == 1 else norms
 
 
+def _solid_profile(window: GridSignal, lat: GridLattice, spec: SpaceSpec
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(profile, rows): the window's exact local profile for a solid kind.
+
+    ``profile[k, s]`` is the q-norm, without the cell, of w |chi(t - x_k)|
+    over the nodes t of translate k in its s-th first-axis row, the max
+    when q = inf, and ``rows[k, s]`` is that row of the grid.  MixedLp has a
+    column per first-axis row of the window support and q = p2; Lp_w and
+    C0_w have one column, the whole translate, q = p and no ``rows``.
+    """
+    grid = window.grid
+    _check_mixed(grid, spec)
+    nodes, support = _disjoint_translates(window, lat)
+    magnitudes = _norm_weight(grid, spec)[nodes] * np.abs(window.values[support])
+    if spec.kind == "MixedLp":
+        q = spec.p2
+        first = support // grid.points_per_axis  # sorted: rows are runs
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        rows = (lat.index_points[:, :1] + first[starts]) % grid.points_per_axis
+    else:
+        q = math.inf if spec.kind == "C0_w" else spec.p
+        starts, rows = [0], None
+    if math.isinf(q):
+        return np.maximum.reduceat(magnitudes, starts, axis=1), rows
+    return np.add.reduceat(magnitudes ** q, starts, axis=1) ** (1.0 / q), rows
+
+
+def _fold_profile(table: np.ndarray, split: tuple[int, ...], p: float) -> np.ndarray:
+    """The nonnegative grid ``table`` folded onto the fold shape of
+    ``split`` (see ``grid._lattice_fold``), flattened: entry r is the
+    p-norm, without the cell, of the table over the nodes congruent to r;
+    the max when p = inf."""
+    shaped = table.reshape(split)
+    periods = tuple(range(0, len(split), 2))
+    if math.isinf(p):
+        return shaped.max(axis=periods).ravel()
+    return (shaped ** p).sum(axis=periods).ravel() ** (1.0 / p)
+
+
+def _series_norms(coeffs: CoeffArray, spec: SpaceSpec, shape: tuple[int, ...],
+                  bins: np.ndarray, profile: np.ndarray, spacing: float
+                  ) -> float | np.ndarray:
+    """Norms of the periodic series of each sequence against a folded profile.
+
+    Each sequence is placed at its ``bins`` of ``shape`` (coinciding bins
+    sum) and taken by one unnormalized inverse DFT of that shape: the series
+    at the residues, each weighted by its ``profile`` entry and normed with
+    cell spacing^dim.
+    """
+    axes = tuple(range(1, len(shape) + 1))
+
+    def row_norms(rows):
+        series = np.zeros((rows.shape[0], profile.size), dtype=complex)
+        np.add.at(series, (slice(None), bins), rows)
+        shaped = series.reshape((-1,) + shape)
+        np.fft.ifftn(shaped, axes=axes, norm="forward", out=shaped)
+        weighted = np.abs(series)
+        weighted *= profile
+        return _norms(weighted, spec, spacing, len(shape))
+
+    return _sequence_norms(coeffs, row_norms, profile.size)
+
+
 def discrete_norm(coeffs: CoeffArray, spec: SpaceSpec, window: GridSignal
                   ) -> float | np.ndarray:
     """Norm of sum_lambda c_lambda T_lambda(window) in the space ``spec``.
 
-    The translates are disjoint (checked once per call), so the superposition
-    at node t is c_k chi(t - x_k) for the one lattice point k covering t: a
-    gather of the sequence times the window's value there, formed and normed
-    in blocks.
+    The translates are disjoint (checked once per call), and the norm is
+    taken at lattice size.  A solid kind weights |c_k| by the window's
+    profile (``_solid_profile``), so a sequence costs O(count), times the
+    rows of the window support for MixedLp, whose pairs of a translate and
+    a row add into their grid rows.  For FourierLp_w the inverse transform
+    of the superposition is P^n ifft(chi) times the series
+    sum_k c_k exp(2 pi i x_k . xi), which is periodic with the fold of the
+    lattice (``grid._lattice_fold``): one inverse DFT of the fold shape per
+    sequence against the folded |P^n ifft(chi)| w.
     """
-    owner, local = _disjoint_translates(window, coeffs.lattice)
+    lat = coeffs.lattice
     grid = window.grid
-    weight = _norm_weight(grid, spec)
+    if spec.kind == "MixedLp":
+        profile, rows = _solid_profile(window, lat, spec)
+        combine = np.maximum if math.isinf(spec.p2) else np.add
 
-    def row_norms(rows):
-        superposed = np.take(rows, owner, axis=1)
-        superposed *= local
-        return _row_norms(superposed, grid, spec, weight)
+        def row_norms(seqs):
+            # Each pair (k, s) adds |c_k|^p2 profile[k, s]^p2 to its grid row.
+            weighted = np.abs(seqs)[:, :, None] * profile
+            powered = weighted if math.isinf(spec.p2) else weighted ** spec.p2
+            inner = np.zeros((len(seqs), grid.points_per_axis))
+            combine.at(inner, (slice(None), rows), powered)
+            if not math.isinf(spec.p2):
+                inner = (grid.spacing * inner) ** (1.0 / spec.p2)
+            return _p_norm(inner, spec.p, grid.spacing, axis=1)
 
-    return _sequence_norms(coeffs, row_norms, grid.size)
+        return _sequence_norms(coeffs, row_norms, profile.size)
+    if spec.is_solid:
+        profile = _solid_profile(window, lat, spec)[0][:, 0]
+
+        def row_norms(seqs):
+            weighted = np.abs(seqs)
+            weighted *= profile
+            return _norms(weighted, spec, grid.spacing, grid.dim)
+
+        return _sequence_norms(coeffs, row_norms)
+    _disjoint_translates(window, lat)
+    shape, split, bins = _lattice_fold(lat.index_points, grid.points_per_axis)
+    transform = np.fft.ifftn(window.reshaped()).ravel()
+    table = np.abs(transform) * (grid.period ** grid.dim) * _norm_weight(grid, spec)
+    profile = _fold_profile(table, split, spec.p)
+    return _series_norms(coeffs, spec, shape, bins, profile, 1.0 / grid.period)
 
 
 def _separable_counts(lat: GridLattice) -> tuple[int, int]:
@@ -260,16 +360,12 @@ def solid_discrete_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarr
         raise NotSolid(f"{spec.kind} has no solid sequence shortcut")
     lat = coeffs.lattice
     weight = spec.weight(lat.centered_points)
-    mixed = (-1,) + _separable_counts(lat) if spec.kind == "MixedLp" else None
+    shape = (-1,) + _separable_counts(lat) if spec.kind == "MixedLp" else (-1, lat.count)
 
     def row_norms(rows):
         weighted = np.abs(rows)
         weighted *= weight
-        if mixed:
-            inner = _p_norm(weighted.reshape(mixed), spec.p2, 1.0, axis=2)
-            return _p_norm(inner, spec.p, 1.0, axis=1)
-        p = math.inf if spec.kind == "C0_w" else spec.p
-        return _p_norm(weighted, p, 1.0, axis=1)
+        return _norms(weighted.reshape(shape), spec, 1.0, lat.grid.dim)
 
     return _sequence_norms(coeffs, row_norms)
 
@@ -280,7 +376,10 @@ def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarray
 
     Realizes the Fourier-coefficient description of the discrete space of a
     Fourier kind.  The index lattice must consist of grid frequencies and
-    its dual lattice must be grid-aligned.
+    its dual lattice must be grid-aligned.  The series is periodic with the
+    fold of its labels (``grid._lattice_fold``), so it is taken by one
+    inverse DFT of the fold shape per sequence, against the Lp_w weight on
+    the domain folded onto that shape.
     """
     if spec.kind != "FourierLp_w":
         raise ValueError("fourier_side_norm needs a FourierLp_w space")
@@ -289,26 +388,16 @@ def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarray
     freqs = lat.points * grid.period
     if np.max(np.abs(freqs - np.rint(freqs))) > 1e-9:
         raise NonAlignedLattice("lattice points are not grid frequencies")
-    labels = _flat_index(grid, np.rint(freqs).astype(np.int64))
+    labels = np.rint(freqs).astype(np.int64)
     dual = GridLattice(dual_lattice(lat.lattice), grid)  # raises if misaligned
 
     # The Lp_w weight, zero off the fundamental domain A_dual [0,1)^n (half open).
     y = np.linalg.solve(dual.lattice.generator, grid.nodes().T).T
     inside = np.all((y > -1e-9) & (y < 1.0 - 1e-9), axis=-1)
-    inner = SpaceSpec("Lp_w", spec.p, weight=spec.weight)
-    weight = np.where(inside, _norm_weight(grid, inner), 0.0)
-    axes = tuple(range(1, grid.dim + 1))
-
-    def row_norms(rows):
-        # Unnormalized inverse DFT of each sequence placed at its labels;
-        # labels that coincide modulo L sum.
-        series = np.zeros((rows.shape[0], grid.size), dtype=complex)
-        np.add.at(series, (slice(None), labels), rows)
-        shaped = series.reshape((-1,) + grid.shape)
-        np.fft.ifftn(shaped, axes=axes, norm="forward", out=shaped)
-        return _row_norms(series, grid, inner, weight)
-
-    return _sequence_norms(coeffs, row_norms, grid.size)
+    table = np.where(inside, _weight_table(grid, spec.weight.exponent), 0.0)
+    shape, split, bins = _lattice_fold(labels, grid.points_per_axis)
+    profile = _fold_profile(table, split, spec.p)
+    return _series_norms(coeffs, spec, shape, bins, profile, grid.spacing)
 
 
 def decay_weighted_sup(coeffs: CoeffArray, order: int) -> float | np.ndarray:

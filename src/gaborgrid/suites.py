@@ -439,10 +439,12 @@ def _random_sequences(rng: np.random.Generator, lattice: GridLattice,
     return CoeffArray.over_lattice(lattice, rows.T)
 
 
-def _ratio_band(rng, lattice, chi1, chi2, spec, count) -> float:
-    c = _random_sequences(rng, lattice, count)
-    r = discrete_norm(c, spec, chi1) / discrete_norm(c, spec, chi2)
-    return float(max(np.max(r), np.max(1.0 / r)))
+def _ratio_bands(rng, lattice, chi1, chi2, spec, count) -> tuple[float, float]:
+    """The window-ratio band K over each of two successive draws of
+    ``count`` sequences, drawn as one and normed by one call per window."""
+    c = _random_sequences(rng, lattice, 2 * count)
+    r = (discrete_norm(c, spec, chi1) / discrete_norm(c, spec, chi2)).reshape(2, count)
+    return tuple(float(k) for k in np.maximum(np.max(r, axis=1), np.max(1.0 / r, axis=1)))
 
 
 def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
@@ -458,8 +460,7 @@ def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
         for tau in (0.0, 2.0):
             spec = SpaceSpec("Lp_w", p, weight=PowerWeight(tau))
             label = f"L{p:g}_tau{tau:g}"
-            k1 = _ratio_band(rng, lattice, chi1, chi2, spec, count)
-            k2 = _ratio_band(rng, lattice, chi1, chi2, spec, count)
+            k1, k2 = _ratio_bands(rng, lattice, chi1, chi2, spec, count)
             k_joint = max(k1, k2)
             entries.append(
                 check(suite, f"K_stability_{label}", abs(k_joint - k1) / k1, 0.2, "<=",
@@ -524,14 +525,11 @@ def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem,
     spec = SpaceSpec("Lp_w", 2.0)
     count = cfg.sample_count("ratio_scan")
 
-    def kappas(n):
-        c = _random_sequences(rng, lattice, n)
-        d = discrete_norm(c, spec, chi)
-        return (float(np.min(decay_weighted_sup(c, 3) / d)),
-                float(np.min(d / growth_weighted_sup(c, 3))))
-
-    k1, k2 = kappas(count)
-    k1d, k2d = kappas(count)
+    # Two successive draws of `count` sequences, drawn and normed as one.
+    c = _random_sequences(rng, lattice, 2 * count)
+    d = discrete_norm(c, spec, chi)
+    (k1, k1d), (k2, k2d) = (np.min(r.reshape(2, count), axis=1).tolist() for r in (
+        decay_weighted_sup(c, 3) / d, d / growth_weighted_sup(c, 3)))
     entries = [
         check(suite, "kappa1_positive", k1, 0.0, ">",
               details={"doubled": min(k1, k1d)}),

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import struct
@@ -20,7 +22,7 @@ from gaborgrid.formats import (
     write_tfarray_csv,
     read_tfarray_binary,
 )
-from gaborgrid.grid import CoeffArray, GridLattice, PeriodicGrid
+from gaborgrid.grid import CoeffArray, GridLattice, GridSignal, PeriodicGrid
 from gaborgrid.stft import TFArray
 
 from conftest import random_signal
@@ -64,6 +66,39 @@ def test_signal_csv_round_trip(tmp_path, ref_grid, rng):
     write_signal_csv(f, path)
     back = read_signal_csv(path, ref_grid)
     np.testing.assert_array_equal(back.values, f.values)
+
+
+def _csv_writer_bytes(header, rows):
+    """What csv.writer writes for the header and rows of Python values,
+    floats formatted per scalar at 17 significant digits."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(x, ".17g") if isinstance(x, np.floating) else x for x in row])
+    return buffer.getvalue().encode()
+
+
+def test_csv_writers_match_csv_module_bytes(tmp_path):
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** rng.integers(-320, 300, 64)
+    values = rng.standard_normal(64) * scales + 1j * rng.standard_normal(64)
+    # Signed zeros, subnormals, extremes and exact integers.
+    values[:8] = [-0.0, complex(0.0, -0.0), 5e-324, -2.5e-310 + 1e-315j, 1.7976931348623157e308,
+                  -1.0, complex(3.0, -0.0), 0.1 - 0.2j]
+    grid = PeriodicGrid(1, 8.0, 64)
+    path = tmp_path / "sig.csv"
+    write_signal_csv(GridSignal(grid, values), path)
+    expected = _csv_writer_bytes(["index", "re", "im"],
+                                 ([k, v.real, v.imag] for k, v in enumerate(values)))
+    assert path.read_bytes() == expected
+    table = values.reshape(8, 8)
+    tf_path = tmp_path / "tf.csv"
+    write_tfarray_csv(TFArray(PeriodicGrid(1, 4.0, 8), table), tf_path)
+    expected = _csv_writer_bytes(["k", "m", "re", "im"],
+                                 ([k, m, table[k, m].real, table[k, m].imag]
+                                  for k in range(8) for m in range(8)))
+    assert tf_path.read_bytes() == expected
 
 
 def test_signal_csv_header_checked(tmp_path, ref_grid):

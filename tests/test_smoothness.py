@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaborgrid import smoothness as smoothness_module
 from gaborgrid.errors import GridMismatch
 from gaborgrid.gabor import GaborSystem, analyze, synthesize
 from gaborgrid.grid import (
@@ -246,6 +247,26 @@ def test_profile_gaussian_rapid_decay(ref_system):
     assert prof.passes_decay(10.0)
     assert prof.fitted_order < -2.0
     assert decay_profile(ref_system, f, L1_TAU3).bounded_order == 0
+
+
+def test_profile_fitted_order_ignores_rounding_noise(ref_system, monkeypatch):
+    # Noise of 1e-16 of the largest slice norm, the size of rounding, added
+    # to the Gaussian's slice norms.  With a fit floor of 1e-15 * max it moved
+    # fitted_order by 1.5e-4 to 4.4e-4 relative over these seeds; above the
+    # 1e-10 * max floor it moves by at most 4.1e-10.
+    f = sample_gaussian(ref_system.grid, width=math.sqrt(2.0), normalize=True)
+    base = decay_profile(ref_system, f, L1_TAU3).fitted_order
+    exact = smoothness_module.solid_discrete_norm
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+
+        def noisy(coeffs, spec):
+            norms = exact(coeffs, spec)
+            return norms + 1e-16 * norms.max() * rng.random(norms.shape)
+
+        monkeypatch.setattr(smoothness_module, "solid_discrete_norm", noisy)
+        moved = decay_profile(ref_system, f, L1_TAU3).fitted_order
+        assert moved == pytest.approx(base, rel=1e-7, abs=0)
 
 
 def test_profile_oscillation_growth_only(ref_system):

@@ -12,6 +12,7 @@ from gaborgrid.errors import (
     OverlappingSupports,
 )
 from gaborgrid import grid as grid_module
+from gaborgrid import spaces as spaces_module
 from gaborgrid.grid import (
     _BATCH_BYTES,
     CoeffArray,
@@ -29,7 +30,6 @@ from gaborgrid.grid import (
 from gaborgrid.lattice import Lattice, PowerWeight, dual_lattice
 from gaborgrid.spaces import (
     SpaceSpec,
-    check_disjoint_supports,
     continuous_norm,
     decay_weighted_sup,
     discrete_norm,
@@ -38,7 +38,7 @@ from gaborgrid.spaces import (
     solid_discrete_norm,
 )
 
-from conftest import count_fft_calls, random_signal
+from conftest import count_fft_calls, random_signal, record_fft_shapes
 
 
 def lp(p):
@@ -275,38 +275,50 @@ def test_batched_discrete_norm_refuses_bad_input(ref_grid, rng):
         discrete_norm(batch, SpaceSpec("MixedLp", 1.0, 2.0), chi)
 
 
-# On these grids the FFT coverage of the unit-box tiling is 1 + 2e-16 or
-# 1 + 4e-16 at its largest, so a plain "> 1" test would refuse it.
+# On these grids an FFT of the unit-box tiling reads its coverage as
+# 1 + 2e-16 or 1 + 4e-16 at its largest; the exact hit count must accept it.
 @pytest.mark.parametrize("grid", [PeriodicGrid(1, 15.0, 120), PeriodicGrid(2, 3.0, 24)],
                          ids=["1d", "2d"])
-def test_check_disjoint_supports_rounding_edge(grid):
+def test_disjoint_supports_rounding_edge(grid):
     lat = GridLattice.cubic(grid, 1.0)
+    c = CoeffArray.over_lattice(lat, np.ones(lat.count))
     # Unit boxes tile the torus: every node is covered exactly once.
-    check_disjoint_supports(sample_rectangle(grid, width=1.0), lat)
+    assert discrete_norm(c, lp(1), sample_rectangle(grid, width=1.0)) == pytest.approx(
+        grid.period ** grid.dim, rel=1e-14)
     # One node wider per axis: neighbouring translates share a node.
     wider = sample_rectangle(grid, width=1.0 + grid.spacing)
     with pytest.raises(OverlappingSupports):
-        check_disjoint_supports(wider, lat)
+        discrete_norm(c, lp(1), wider)
 
 
 # Direct superposition of disjoint translates ---------------------------------
 
-# Setup: (grid, lattice generator, bump radius below half the nearest distance).
+# Setup: (grid, lattice generator, bump radius below half the nearest
+# distance).  The lattice fold (grid._lattice_fold) is (16,) on "1d", (4, 8)
+# on "2d-separable" and (8, 4) on "2d-sheared", below L = 32 on every axis;
+# "1d-trivial-fold" has a point at every node, so g = 1, n = L and the
+# window is one node.
 _DIRECT_SETUPS = {
     "1d": (PeriodicGrid(1, 16.0, 128), np.eye(1), 0.45),
     "2d-separable": (PeriodicGrid(2, 4.0, 32), np.diag([1.0, 0.5]), 0.24),
     "2d-sheared": (PeriodicGrid(2, 4.0, 32), np.array([[1.0, 0.5], [0.0, 1.0]]), 0.45),
+    "1d-trivial-fold": (PeriodicGrid(1, 16.0, 48), np.eye(1) / 3.0, 0.15),
 }
+_DIRECT_FOLDS = {"1d": (16,), "2d-separable": (4, 8), "2d-sheared": (8, 4),
+                 "1d-trivial-fold": (48,)}
 _DIRECT_SPECS = (
     [lp_w(p, tau) for p in (1.0, 2.0, 4.0) for tau in (0.0, 2.0)]
     + [SpaceSpec("C0_w", weight=PowerWeight(1.0)), SpaceSpec("MixedLp", 1.0, 3.0),
-       SpaceSpec("FourierLp_w", 2.0, weight=PowerWeight(1.5))]
+       SpaceSpec("FourierLp_w", 2.0, weight=PowerWeight(1.5)),
+       SpaceSpec("MixedLp", math.inf, 2.0),
+       SpaceSpec("MixedLp", 1.0, math.inf, PowerWeight(1.0)),
+       SpaceSpec("FourierLp_w", math.inf, weight=PowerWeight(1.0))]
 )
 _DIRECT_CASES = [
     (setup, spec, rows)
     for setup in _DIRECT_SETUPS
     for spec in _DIRECT_SPECS
-    if not (setup == "1d" and spec.kind == "MixedLp")
+    if not (_DIRECT_SETUPS[setup][0].dim == 1 and spec.kind == "MixedLp")
     for rows in (None, 3)
 ]
 
@@ -324,10 +336,12 @@ def test_discrete_norm_matches_fft_superposition(setup, spec, block_rows, monkey
     # A complex window, so that the Fourier kind sees the window's phase.
     chi = sample_bump(grid, radius=radius)
     chi = chi.with_values(chi.values * np.exp(2j * np.pi * rng.random(grid.size)))
-    if block_rows is not None:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", block_rows * 16 * grid.size)
-    block = grid_module._block_rows(grid.size)
-    samples = 2 * block + 1  # three blocks, the last one partial
+    if block_rows is None:
+        samples = 2 * grid_module._block_rows(grid.size) + 1
+    else:
+        # Three blocks of sequences, the last one partial.
+        monkeypatch.setattr(spaces_module, "_block_rows", lambda row_size: block_rows)
+        samples = 2 * block_rows + 1
     cols = (rng.standard_normal((lat.count, samples))
             + 1j * rng.standard_normal((lat.count, samples)))
     got = discrete_norm(CoeffArray.over_lattice(lat, cols), spec, chi)
@@ -351,17 +365,15 @@ def test_disjoint_supports_exact_node_counts(setup):
     # Boxes of `step` nodes along the first axis tile it (bricks on the
     # sheared lattice), so adjacent supports pass and the norm sees every node.
     tile = _index_box(grid, (step,) * grid.dim)
-    check_disjoint_supports(tile, lat)
     c = CoeffArray.over_lattice(lat, np.arange(1.0, lat.count + 1))
     cell = grid.spacing ** grid.dim
     assert discrete_norm(c, lp(1), tile) == pytest.approx(
         step ** grid.dim * cell * np.sum(c.values.real), rel=1e-14)
     # One node more along the first axis: neighbouring translates share a node.
     touching = _index_box(grid, (step + 1,) + (step,) * (grid.dim - 1))
-    with pytest.raises(OverlappingSupports):
-        check_disjoint_supports(touching, lat)
-    with pytest.raises(OverlappingSupports):
-        discrete_norm(c, lp(2), touching)
+    for spec in (lp(2), SpaceSpec("FourierLp_w", 2.0)):
+        with pytest.raises(OverlappingSupports):
+            discrete_norm(c, spec, touching)
     # A shared node is found however small the window is there, and however
     # few nodes the support has: here 2 per translate, far fewer than the grid.
     # The node at the first generator is where the next translate starts.
@@ -369,16 +381,15 @@ def test_disjoint_supports_exact_node_counts(setup):
     faint = tile.values.copy()
     faint[neighbour] = 1e-300
     with pytest.raises(OverlappingSupports):
-        check_disjoint_supports(GridSignal(grid, faint), lat)
+        discrete_norm(c, lp(2), GridSignal(grid, faint))
     pair = np.zeros(grid.size)
     pair[[0, neighbour]] = 1.0
     with pytest.raises(OverlappingSupports):
-        check_disjoint_supports(GridSignal(grid, pair), lat)
+        discrete_norm(c, SpaceSpec("C0_w"), GridSignal(grid, pair))
     zero = GridSignal(grid, np.zeros(grid.size))
-    with pytest.raises(OverlappingSupports, match="identically zero"):
-        check_disjoint_supports(zero, lat)
-    with pytest.raises(OverlappingSupports, match="identically zero"):
-        discrete_norm(c, lp(2), zero)
+    for spec in (lp(2), SpaceSpec("FourierLp_w", 2.0)):
+        with pytest.raises(OverlappingSupports, match="identically zero"):
+            discrete_norm(c, spec, zero)
 
 
 def test_full_support_overlap_needs_no_table():
@@ -387,10 +398,11 @@ def test_full_support_overlap_needs_no_table():
     grid = PeriodicGrid(1, 64.0, 2048)
     lat = GridLattice.cubic(grid, 2 * grid.spacing)
     gauss = sample_gaussian(grid)
+    c = CoeffArray.over_lattice(lat, np.ones(lat.count))
     tracemalloc.start()
     try:
         with pytest.raises(OverlappingSupports):
-            check_disjoint_supports(gauss, lat)
+            discrete_norm(c, lp(2), gauss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,6 +422,43 @@ def test_discrete_norm_solid_makes_no_fft(setup, monkeypatch):
     for spec in specs:
         discrete_norm(c, spec, chi)
     assert counts == {}
+
+
+@pytest.mark.parametrize("setup", ["1d", "2d-separable", "2d-sheared"])
+def test_discrete_norm_solid_memory_is_lattice_size(setup):
+    # The superposition of S sequences on the grid alone takes S * size * 16
+    # bytes; S fits one block of it.
+    grid, generator, radius = _DIRECT_SETUPS[setup]
+    lat = GridLattice(Lattice(generator), grid)
+    chi = sample_bump(grid, radius=radius)
+    S = 8
+    c = CoeffArray.over_lattice(lat, np.random.default_rng(3).standard_normal((lat.count, S)))
+    specs = [lp_w(1.0, 0.0), lp_w(4.0, 2.0), SpaceSpec("C0_w", weight=PowerWeight(1.0))]
+    if grid.dim == 2:
+        specs += [SpaceSpec("MixedLp", 1.0, 3.0), SpaceSpec("MixedLp", math.inf, 2.0)]
+    for spec in specs:
+        discrete_norm(c, spec, chi)  # the weight table is cached from here on
+        tracemalloc.start()
+        try:
+            discrete_norm(c, spec, chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S * grid.size * 16, spec
+
+
+@pytest.mark.parametrize("setup", sorted(_DIRECT_FOLDS))
+def test_fourier_discrete_norm_transforms_the_fold(setup, monkeypatch):
+    # One inverse transform of the window on the grid, then one of the fold
+    # shape per block of sequences.
+    grid, generator, radius = _DIRECT_SETUPS[setup]
+    lat = GridLattice(Lattice(generator), grid)
+    chi = sample_bump(grid, radius=radius)
+    S = 5
+    c = CoeffArray.over_lattice(lat, np.random.default_rng(4).standard_normal((lat.count, S)))
+    shapes = record_fft_shapes(monkeypatch)
+    discrete_norm(c, SpaceSpec("FourierLp_w", 2.0), chi)
+    assert shapes == [("ifftn", grid.shape), ("ifftn", (S,) + _DIRECT_FOLDS[setup])]
 
 
 def test_solid_shortcut_exact_factor_unweighted(bump_setup, rng):
@@ -538,6 +587,19 @@ def test_fourier_side_matches_direct_series(grid, step, p, rng):
     assert fourier_side_norm(c, spec) == pytest.approx(
         _direct_fourier_side_norm(c, spec), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("grid, step, fold", [
+    (PeriodicGrid(1, 16.0, 256), 1.0, (16,)),
+    (PeriodicGrid(1, 16.0, 64), 1.0, (4,)),  # labels 16 k: four bins, four labels each
+    (PeriodicGrid(2, 4.0, 16), 1.0, (4, 4)),
+], ids=["1d-step1", "1d-wrapped", "2d"])
+def test_fourier_side_norm_transforms_the_fold(grid, step, fold, monkeypatch):
+    lat = GridLattice.cubic(grid, step)
+    c = CoeffArray.over_lattice(lat, np.random.default_rng(6).standard_normal((lat.count, 3)))
+    shapes = record_fft_shapes(monkeypatch)
+    fourier_side_norm(c, SpaceSpec("FourierLp_w", 2.0))
+    assert shapes == [("ifftn", (3,) + fold)]
 
 
 def test_fourier_side_rejects_non_frequency_lattice():
