@@ -107,7 +107,7 @@ def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
 
 def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
     """(N0, grid.size) table whose row k is the window translated by lattice point k."""
-    [table] = _translates(window, time_lattice.index_points)
+    [table] = _translates(window.reshaped(), time_lattice.index_points)
     return table
 
 

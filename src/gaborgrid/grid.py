@@ -505,21 +505,21 @@ def _lattice_fold(points: np.ndarray, L: int
     return shape, split, bins
 
 
-def _translates(signal: GridSignal, index_points: np.ndarray, block: int | None = None):
-    """Yield (K, size) tables whose row k is t -> signal(t - x_k), flattened in
+def _translates(values: np.ndarray, index_points: np.ndarray, block: int | None = None):
+    """Yield (K, size) tables whose row k is t -> values(t - x_k), flattened in
     node order, for consecutive blocks of ``block`` index points (one block
-    of all of them by default).
+    of all of them by default).  ``values`` are grid-shaped samples of any
+    dtype (``GridSignal.reshaped()``, or a real array).
 
     Row k is the L^dim window of a 2^dim-tiled copy that starts at -x_k mod L.
     The tiled copy is built once per call; each block is one fancy index.
     """
-    grid = signal.grid
-    tiled = np.tile(signal.reshaped(), (2,) * grid.dim)
-    windows = np.lib.stride_tricks.sliding_window_view(tiled, grid.shape)
-    starts = np.moveaxis(-index_points % grid.points_per_axis, -1, 0)
+    tiled = np.tile(values, (2,) * values.ndim)
+    windows = np.lib.stride_tricks.sliding_window_view(tiled, values.shape)
+    starts = np.moveaxis(-index_points % values.shape[0], -1, 0)
     step = block or index_points.shape[0]
     for lo in range(0, index_points.shape[0], step):
-        yield windows[tuple(starts[:, lo:lo + step])].reshape(-1, grid.size)
+        yield windows[tuple(starts[:, lo:lo + step])].reshape(-1, values.size)
 
 
 def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np.ndarray:

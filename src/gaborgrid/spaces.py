@@ -15,9 +15,9 @@ representatives, so the grid behaves like a box centered at the origin.
 
 The discrete space attached to a lattice norms a sequence c by the norm of
 the superposition sum_lambda c_lambda T_lambda(chi) for a compactly
-supported window chi with pairwise disjoint translates, checked once per
-call by exact hit counts.  Every discrete norm is taken at lattice size,
-never on the grid:
+supported window chi with pairwise disjoint translates, checked by exact
+hit counts once per window and lattice point set.  Every discrete norm is
+taken at lattice size, never on the grid:
 
 * a solid kind is a weighted sequence space: |c_k| times the window's
   exact local profile, the weighted norm of chi's translate to x_k (per
@@ -187,10 +187,24 @@ def _disjoint_translates(window: GridSignal, lat: GridLattice
     of the support itself.
 
     The table has count * |supp chi| entries, never a (count, size) one.
-    Raises OverlappingSupports unless every node is hit at most once.
+    Raises OverlappingSupports unless every node is hit at most once.  A
+    table that passes is cached on the window per lattice point set, as
+    ``GaborSystem`` caches its operator tables; a refusal is not cached.
     """
     if not grids_compatible(window.grid, lat.grid):
         raise DimensionMismatch("window and lattice live on different grids")
+    tables = getattr(window, "_translate_tables", None)
+    if tables is None:
+        tables = {}
+        object.__setattr__(window, "_translate_tables", tables)
+    key = lat.index_points.tobytes()
+    if key not in tables:
+        tables[key] = _checked_translates(window, lat)
+    return tables[key]
+
+
+def _checked_translates(window: GridSignal, lat: GridLattice
+                        ) -> tuple[np.ndarray, np.ndarray]:
     grid = window.grid
     support = np.flatnonzero(window.values)
     if support.size == 0:
@@ -206,6 +220,8 @@ def _disjoint_translates(window: GridSignal, lat: GridLattice
         raise OverlappingSupports(
             "lattice translates of the window support overlap on the grid"
         )
+    nodes.setflags(write=False)
+    support.setflags(write=False)
     return nodes, support
 
 
@@ -278,15 +294,19 @@ def _series_norms(coeffs: CoeffArray, spec: SpaceSpec, shape: tuple[int, ...],
     """Norms of the periodic series of each sequence against a folded profile.
 
     Each sequence is placed at its ``bins`` of ``shape`` (coinciding bins
-    sum) and taken by one unnormalized inverse DFT of that shape: the series
-    at the residues, each weighted by its ``profile`` entry and normed with
-    cell spacing^dim.
+    sum, so only colliding labels need a scatter-add) and taken by one
+    unnormalized inverse DFT of that shape: the series at the residues, each
+    weighted by its ``profile`` entry and normed with cell spacing^dim.
     """
     axes = tuple(range(1, len(shape) + 1))
+    distinct = np.bincount(bins).max() == 1
 
     def row_norms(rows):
         series = np.zeros((rows.shape[0], profile.size), dtype=complex)
-        np.add.at(series, (slice(None), bins), rows)
+        if distinct:
+            series[:, bins] = rows
+        else:
+            np.add.at(series, (slice(None), bins), rows)
         shaped = series.reshape((-1,) + shape)
         np.fft.ifftn(shaped, axes=axes, norm="forward", out=shaped)
         weighted = np.abs(series)
@@ -300,7 +320,7 @@ def discrete_norm(coeffs: CoeffArray, spec: SpaceSpec, window: GridSignal
                   ) -> float | np.ndarray:
     """Norm of sum_lambda c_lambda T_lambda(window) in the space ``spec``.
 
-    The translates are disjoint (checked once per call), and the norm is
+    The translates are disjoint (``_disjoint_translates``), and the norm is
     taken at lattice size.  A solid kind weights |c_k| by the window's
     profile (``_solid_profile``), so a sequence costs O(count), times the
     rows of the window support for MixedLp, whose pairs of a translate and

@@ -324,7 +324,7 @@ def test_translates_match_translate(grid, rng):
     f = random_signal(grid, rng)
     # Every node, shifted so that half of the index vectors are negative.
     points = grid.index_vectors() - grid.points_per_axis // 2
-    [rows] = _translates(f, points)
+    [rows] = _translates(f.reshaped(), points)
     assert rows.shape == (grid.size, grid.size)
     for row, idx in zip(rows, points):
         np.testing.assert_array_equal(row, translate(f, idx * grid.spacing).values)

@@ -392,6 +392,29 @@ def test_disjoint_supports_exact_node_counts(setup):
             discrete_norm(c, spec, zero)
 
 
+def test_cached_translates_still_refuse_overlap(ref_grid, monkeypatch):
+    # The disjointness check runs once per (window, lattice point set); the
+    # cached table of one lattice does not let an overlapping one through.
+    checks = []
+    checked = spaces_module._checked_translates
+    monkeypatch.setattr(spaces_module, "_checked_translates",
+                        lambda window, lat: checks.append(lat.count) or checked(window, lat))
+    chi = sample_bump(ref_grid, radius=0.45)
+    sparse = GridLattice.cubic(ref_grid, 1.0)
+    dense = GridLattice.cubic(ref_grid, 0.5)
+    c = CoeffArray.over_lattice(sparse, np.arange(1.0, sparse.count + 1))
+    first = discrete_norm(c, lp(2), chi)
+    again = CoeffArray.over_lattice(GridLattice.cubic(ref_grid, 1.0), c.values)
+    assert discrete_norm(again, SpaceSpec("C0_w"), chi) == pytest.approx(
+        float(np.max(c.values.real)) * continuous_norm(chi, SpaceSpec("C0_w")), rel=1e-14)
+    assert checks == [sparse.count]
+    for _ in range(2):
+        with pytest.raises(OverlappingSupports):
+            discrete_norm(CoeffArray.over_lattice(dense, np.ones(dense.count)), lp(2), chi)
+    assert checks == [sparse.count, dense.count, dense.count]
+    assert discrete_norm(c, lp(2), chi) == first
+
+
 def test_full_support_overlap_needs_no_table():
     # More support hits than nodes is refused before the (count, |supp|)
     # table, which would hold 1024 x 2048 node numbers here (16 MiB).

@@ -18,6 +18,7 @@ from gaborgrid.grid import (
 )
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import derivative_identity_defect, stft
+from gaborgrid.suites import SuiteConfig, run_derivative_identity
 
 from conftest import random_signal, record_fft_shapes
 
@@ -227,10 +228,9 @@ def test_derivative_identity_one_dimensional_memory():
     assert peak < grid.size ** 2
 
 
-def table_defect_rows(f, psi, order):
-    """The derivative-identity defect per time node, from full STFT tables (one
-    per term): the row maxima of
-    |factor * V_psi f - sum_beta C(alpha, beta) V_{psi^(alpha-beta)} f^(beta)|."""
+def table_defect(f, psi, order):
+    """|factor * V_psi f - sum_beta C(alpha, beta) V_{psi^(alpha-beta)} f^(beta)|
+    over every (time node, bin) pair, from full STFT tables (one per term)."""
     grid = f.grid
     order = tuple(np.atleast_1d(order))
     xi = grid.freq_nodes()
@@ -242,7 +242,34 @@ def table_defect_rows(f, psi, order):
         rem = tuple(o - b for o, b in zip(order, beta))
         term = stft(spectral_derivative(f, beta), spectral_derivative(psi, rem))
         diff = diff - coeff * term.values
-    return np.max(np.abs(diff), axis=1)
+    return np.abs(diff)
+
+
+def table_defect_rows(f, psi, order):
+    """The derivative-identity defect per time node, from full STFT tables:
+    the row maxima of ``table_defect``."""
+    return np.max(table_defect(f, psi, order), axis=1)
+
+
+def bin_bounds(f, psi, order):
+    """The triangle-inequality bound on the defect of each bin, straight from
+    the definition: spacing^n (2 pi / P)^|alpha| / size times
+    sum_eta |F(m + eta)| |Psi(eta)| |sigma(m, eta)|, where sigma is
+    prod_a lab(m_a)^alpha_a - prod_a (lab(m_a + eta_a) - lab(eta_a))^alpha_a
+    on the integer bin labels."""
+    grid = f.grid
+    order = np.atleast_1d(order)
+    bins = grid.index_vectors()
+    # shift[m, eta] is the flat bin m + eta.
+    shift = np.ravel_multi_index(tuple(np.moveaxis(bins[:, None] + bins[None], -1, 0)),
+                                 grid.shape, mode="wrap")
+    labels = grid.freq_integers()
+    sigma = (np.prod(labels[:, None] ** order, axis=-1)
+             - np.prod((labels[shift] - labels[None]) ** order, axis=-1))
+    spectrum = np.abs(np.fft.fftn(f.reshaped()).ravel())
+    window = np.abs(np.fft.fftn(psi.reshaped()).ravel())
+    total = np.sum(spectrum[shift] * window * np.abs(sigma), axis=1) / grid.size
+    return grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** order.sum() * total
 
 
 @pytest.mark.parametrize("rows", [None, 5, 1], ids=["budget", "remainder", "single-row"])
@@ -285,16 +312,124 @@ def test_blocked_defect_matches_table_oracle(grid, order, rows, monkeypatch):
 def test_defect_fft_count(grid, order, rows, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
-    blocks = -(-grid.size // grid_module._block_rows(grid.size))
+    block = grid_module._block_rows(grid.size)
     rng = np.random.default_rng(4)
     f = random_signal(grid, rng)
     psi = random_signal(grid, rng)
     shapes = record_fft_shapes(monkeypatch)
-    derivative_identity_defect(f, psi, order)
-    # One forward FFT each of f and psi, then one inverse FFT per block of bins.
+    _, evaluated = stft_module._pruned_defect(f, psi, order)
+    # One forward FFT each of f and psi, then inverse FFTs of at most one
+    # block of bin rows each, over the bins transformed and no others.
     forward = [shape for name, shape in shapes if name == "fftn"]
     inverse = [shape for name, shape in shapes if name == "ifftn"]
     assert forward == [grid.shape, grid.shape]
-    assert len(inverse) == blocks
-    assert sum(shape[0] for shape in inverse) == grid.size
-    assert all(shape[1:] == grid.shape for shape in inverse)
+    assert all(1 <= shape[0] <= block and shape[1:] == grid.shape for shape in inverse)
+    assert sum(shape[0] for shape in inverse) == evaluated <= grid.size
+
+
+def test_defect_transforms_two_blocks_on_the_2d_gaussian_pair(monkeypatch):
+    # The 2-d config of the benchmark: P = 8, 32^2, a Gaussian against the
+    # system's Gaussian window.  Both orders transform at most two blocks of
+    # the 1024 bin rows, and the report entries say how many.
+    cfg = SuiteConfig.from_dict({"grid": {"dim": 2, "period": 8.0, "points_per_axis": 32}})
+    system = cfg.make_system()
+    block = grid_module._block_rows(system.grid.size)
+    shapes = record_fft_shapes(monkeypatch)
+    entries = run_derivative_identity(cfg, system, np.random.default_rng(0))
+    inverse = [shape for name, shape in shapes if name == "ifftn"]
+    evaluated = [entry["details"]["rows_evaluated"] for entry in entries]
+    assert [entry["name"] for entry in entries] == ["order1_defect", "order2_defect"]
+    assert all(entry["details"]["rows"] == system.grid.size for entry in entries)
+    assert all(0 < rows <= 2 * block for rows in evaluated)
+    assert sum(shape[0] for shape in inverse) == sum(evaluated)
+
+
+def _delta(grid):
+    values = np.zeros(grid.size)
+    values[0] = 1.0
+    return GridSignal(grid, values)
+
+
+def _pruning_case(name):
+    """(f, psi, order) of a named pruning case."""
+    if name.startswith("noise"):
+        grid, order, seed = {
+            # The maximising bin is second in the bound ranking.
+            "noise-16": (PeriodicGrid(1, 4.0, 16), 2, 0),
+            # 25 of 64 rows can reach the maximum; it is sixth in the ranking.
+            "noise-8x8": (PeriodicGrid(2, 2.0, 8), (1, 1), 4),
+            # Odd L: the maximum is ninth and seventeenth in the ranking.
+            "noise-21": (PeriodicGrid(1, 5.0, 21), 3, 2),
+            "noise-9x9": (PeriodicGrid(2, 3.0, 9), (2, 2), 5),
+        }[name]
+        rng = np.random.default_rng(seed)
+        return random_signal(grid, rng), random_signal(grid, rng), order
+    if name == "gaussian-16x16":
+        grid = PeriodicGrid(2, 4.0, 16)
+        return sample_gaussian(grid), sample_gaussian(grid, width=0.7), (1, 1)
+    # Two deltas: every row is a boxcar of sigma whose maximum, at time
+    # node 0, equals its bound exactly, and the bins +-7 tie at the top.
+    grid = PeriodicGrid(1, 5.0, 15)
+    return _delta(grid), _delta(grid), 1
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["budget", "single-row"])
+@pytest.mark.parametrize("name", ["noise-16", "noise-8x8", "noise-21", "noise-9x9",
+                                  "gaussian-16x16", "tied-deltas-15"])
+def test_pruned_defect_matches_table_oracle(name, rows, monkeypatch):
+    f, psi, order = _pruning_case(name)
+    grid = f.grid
+    if rows is not None:
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
+    block = grid_module._block_rows(grid.size)
+    table = table_defect(f, psi, order)
+    expected = table.max()
+    bins_max = table.max(axis=0)
+    bounds = bin_bounds(f, psi, order)
+    # The bound holds for every bin (the table carries rounding of ~1e-13).
+    assert np.all(bounds >= bins_max - 1e-12 * expected)
+    if name.startswith("noise"):
+        assert np.argmax(bins_max) != np.argmax(bounds)
+    got, evaluated = stft_module._pruned_defect(f, psi, order)
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == derivative_identity_defect(f, psi, order)
+    # Exactly the bins whose widened bound exceeds the maximum must be
+    # transformed: any of them could hold it.  A block may carry up to
+    # block - 1 more.
+    reach = bounds * (1 + 1e-9)
+    must = int(np.count_nonzero(reach > expected * (1 + 1e-12)))
+    may = int(np.count_nonzero(reach > expected * (1 - 1e-12)))
+    assert must >= (2 if name.startswith("tied") else 1)
+    assert must <= evaluated <= min(may + block - 1, grid.size)
+    if name == "gaussian-16x16":
+        assert evaluated < grid.size // 4
+
+
+@pytest.mark.parametrize("grid, order", [
+    (PeriodicGrid(1, 4.0, 16), 2),
+    (PeriodicGrid(1, 3.0, 9), 1),
+    (PeriodicGrid(1, 2.0, 4), 1),
+    (PeriodicGrid(2, 2.0, 4), (1, 1)),
+], ids=["const-16", "const-9", "band-4", "band-4x4"])
+def test_zero_defect_transforms_no_row(grid, order, monkeypatch):
+    # Spectra exact to the bit: a constant f has F = L^n delta_0, and sigma
+    # vanishes at eta = -m for an even order or odd L.  On L = 4, f has
+    # F = 4 delta_1 and psi the spectrum (4, 4, 0, 0) along each axis, so no
+    # product of the two reaches a wrapped label.  Every bound is 0.
+    if grid.points_per_axis == 4:
+        line_f = np.array([1, 1j, -1, -1j])
+        line_psi = np.array([2, 1 + 1j, 0, 1 - 1j])
+        f_values = psi_values = np.ones(1)
+        for _ in range(grid.dim):
+            f_values = np.multiply.outer(f_values, line_f)
+            psi_values = np.multiply.outer(psi_values, line_psi)
+        f = GridSignal(grid, f_values.ravel())
+        psi = GridSignal(grid, psi_values.ravel())
+    else:
+        f = GridSignal(grid, np.full(grid.size, 0.7 + 0.2j))
+        psi = sample_gaussian(grid)
+    assert np.all(bin_bounds(f, psi, order) == 0.0)
+    shapes = record_fft_shapes(monkeypatch)
+    assert stft_module._pruned_defect(f, psi, order) == (0.0, 0)
+    assert [name for name, _ in shapes] == ["fftn", "fftn"]
+    assert np.max(table_defect(f, psi, order)) < 1e-12
