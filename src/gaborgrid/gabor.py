@@ -1,36 +1,48 @@
 """Gabor systems on periodic grids: frame operator, bounds, dual windows.
 
 Analysis maps a signal to its STFT samples on a time x frequency lattice
-(with spacing^n quadrature weight); synthesis is the plain superposition of
-time-frequency shifted windows, so the two dense matrices are conjugate
-transposes up to the scalar spacing^n and the frame operator
+A x F (with spacing^n quadrature weight); synthesis is the plain
+superposition of time-frequency shifted windows, so the two dense matrices
+are conjugate transposes up to the scalar spacing^n and the frame operator
 
     S = synthesize . analyze
 
 is Hermitian positive semidefinite.  Frame bounds are reported as extreme
 eigenvalues of S, i.e. as the squares of the coefficient-map norm bounds.
 Analysis and synthesis each have one batched kernel over a stack of
-signals, ``_analysis`` and ``_synthesis``, on the system's cached table of
-window translates, one FFT in place per stack; ``analyze``, ``synthesize``,
-``frame_apply`` and ``reconstruction_error`` are their one-signal cases.
-The FFTs are folded to the frequency lattice F: when every bin of F is a
-multiple of g_a along axis a, its characters are L / g_a periodic there, so
-analysis sums each product over the periods before a transform of that
-size, and synthesis repeats its small inverse transform over them.
+signals, ``_analysis`` and ``_synthesis``, one FFT in place per stack;
+``analyze``, ``synthesize``, ``frame_apply`` and ``reconstruction_error``
+are their one-signal cases.  The FFTs are folded to F: when every bin of F
+is a multiple of g_a along axis a, its characters are L / g_a periodic
+there.  The window translates are cached in polyphase layout
+W[r, k, p] = psi(r + p - x_k), r over the residues of the fold and p over
+its periods, so analysis sums over the periods by one batched matmul over
+the residues before a transform of the fold shape, and synthesis follows
+its small inverse transform by the transposed matmul.
 
-The modulations of the frequency lattice F sum to |F| on its annihilator
-F^perp = {u : m . u = 0 mod L for every m in F} and to 0 off it.  With W the
-table of lattice translates of the window and h = spacing^n this gives
+The modulations of F sum to |F| on its annihilator
+F^perp = {u : m . u = 0 mod L for every m in F} and to 0 off it, so with
+h = spacing^n
 
-    S[t, t'] = h |F| sum_k W[t, k] conj(W[t', k])  if t - t' in F^perp,
+    S[t, t'] = h |F| sum_k psi(t - x_k) conj(psi(t' - x_k))  if t - t' in F^perp,
 
-and 0 otherwise (the finite Walnut / Zibulski-Zeevi representation).  So S
-is block diagonal over the |F| cosets of F^perp for any pair of grid
-lattices, separable or not.  The frame bounds are the extreme eigenvalues
-of the blocks and the canonical dual window is one solve per block; both
+and 0 otherwise: S is block diagonal over the cosets c of F^perp.  It also
+commutes with the translations by H = A n F^perp, which keep every coset,
+so the characters chi of H split each block into fibers.  On the vectors
+c + f_i + u -> chi(u) y_i (u in H, f_i over F^perp / H) S acts as the
+p x p matrix h |F| Phi Phi^H, where
+
+    Phi_{c,chi}[i, l] = sum_{u in H} psi(c + f_i - a_l - u) chi(u)
+
+and a_l runs over A / H: the finite Zak transform of the window, i.e. the
+finite Zibulski-Zeevi representation.  There are |F| |H| fibers with
+p = |F^perp| / |H| rows and q = |A| / |H| columns, and the redundancy is
+q / p.  This holds for any pair of grid lattices, separable or not.  The
+frame bounds are the extreme eigenvalues of the fibers, and the canonical
+dual window is one fiber solve and one inverse character transform; both
 are exact up to rounding.
 
-Wexler-Raz biorthogonality is evaluated independently of that solve.  The
+Wexler-Raz biorthogonality is evaluated independently of the fibers.  The
 adjoint of the product lattice A x F takes the dual lattice of F as time
 shifts and the dual lattice of A as frequencies; when both are grid-aligned
 the pair (psi, gamma) is dual exactly when the STFT of gamma with window
@@ -105,84 +117,174 @@ def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
     )
 
 
-def _shift_table(window: GridSignal, time_lattice: GridLattice) -> np.ndarray:
-    """(N0, grid.size) table whose row k is the window translated by lattice point k."""
-    [table] = _translates(window.reshaped(), time_lattice.index_points)
+def _fold_order(dim: int) -> tuple[int, ...]:
+    """The axis order that takes (S,) + split, split as in ``_tables``, to
+    (residues, S, periods)."""
+    return tuple(range(2, 2 * dim + 1, 2)) + (0,) + tuple(range(1, 2 * dim, 2))
+
+
+def _polyphase(rows: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
+    """(R, S, P) polyphase layout of the (S, size) grid ``rows``: entry
+    [r, s, p] is row s at the node with residue r and period p of the fold
+    ``split`` (see ``_tables``)."""
+    shaped = rows.reshape((len(rows),) + split).transpose(_fold_order(len(split) // 2))
+    return np.ascontiguousarray(shaped).reshape(math.prod(split[1::2]), len(rows), -1)
+
+
+def _from_polyphase(table: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
+    """The (S, size) grid rows of the (R, S, P) polyphase ``table``; the
+    inverse of ``_polyphase``."""
+    shaped = table.reshape(split[1::2] + table.shape[1:2] + split[::2])
+    order = np.argsort(_fold_order(len(split) // 2))
+    return shaped.transpose(order).reshape(table.shape[1], -1)
+
+
+def _shift_table(window: GridSignal, time_lattice: GridLattice,
+                 split: tuple[int, ...]) -> np.ndarray:
+    """(R, N0, P) polyphase table of the window translates: entry [r, k, p]
+    is psi(r + p - x_k) at the node with residue r and period p of the fold
+    ``split``.  The translates are built and laid out in blocks of time
+    points under ``grid._BATCH_BYTES``, so the table is the only large array.
+    """
+    table = np.empty((math.prod(split[1::2]), time_lattice.count, math.prod(split[::2])),
+                     dtype=complex)
+    block = _block_rows(window.grid.size)
+    translates = _translates(window.reshaped(), time_lattice.index_points, block)
+    for lo, rows in zip(range(0, time_lattice.count, block), translates):
+        table[:, lo:lo + block] = _polyphase(rows, split)
     return table
 
 
 def _tables(system: GaborSystem) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...],
                                           np.ndarray]:
     """Cached (shift table, shape, split, bins) of the system's analysis and
-    synthesis: the window's translate table and the fold of the bins of F
-    (``grid._lattice_fold``).  Every character of F is periodic with the
-    fold ``shape``, so the analysis and synthesis transforms need only that
-    size; ``bins`` are the flat bins of F in it.
+    synthesis: the window's translate table in polyphase layout
+    (``_shift_table``) and the fold of the bins of F (``grid._lattice_fold``).
+    Every character of F is periodic with the fold ``shape``, so the
+    analysis and synthesis transforms need only that size; ``bins`` are the
+    flat bins of F in it.
     """
     cached = getattr(system, "_op_tables", None)
     if cached is None:
-        fold = _lattice_fold(system.freq_lattice.index_points, system.grid.points_per_axis)
-        cached = (_shift_table(system.window, system.time_lattice),) + fold
+        shape, split, bins = _lattice_fold(system.freq_lattice.index_points,
+                                           system.grid.points_per_axis)
+        table = _shift_table(system.window, system.time_lattice, split)
+        cached = (table, shape, split, bins)
         object.__setattr__(system, "_op_tables", cached)
     return cached
 
 
-def _frame_blocks(system: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (cosets, blocks) of the block-diagonal frame operator.
+def _hermite_basis(points: np.ndarray, L: int) -> np.ndarray:
+    """(dim, dim) lower-triangular basis B of the subgroup of (Z/L)^dim whose
+    elements are the (count, dim) ``points``.
 
-    ``cosets`` is the (|F|, |F^perp|) array of flat grid points, one row per
-    coset of the annihilator F^perp; ``blocks[b]`` is S restricted to row b,
-    h |F| W_B W_B^H.  F^perp is read off one FFT of the indicator of F: the
-    character sum over F equals |F| exactly on F^perp and vanishes elsewhere.
+    Column j is an element whose first j coordinates vanish and whose j-th
+    is g_j, the gcd of L and the j-th coordinates of all such elements; it
+    is zero but for B[j, j] = L when they all vanish.  Every element is
+    sum_j s_j B[:, j] mod L for exactly one s in prod_j [0, L / g_j), and
+    the box prod_j [0, g_j) holds exactly one point of every coset.
     """
-    cached = getattr(system, "_op_blocks", None)
+    dim = points.shape[1]
+    basis = np.zeros((dim, dim), dtype=np.int64)
+    for j in range(dim):
+        g = int(np.gcd.reduce(points[:, j], initial=L))
+        if g < L:
+            basis[:, j] = points[points[:, j] == g][0]
+        basis[j, j] = g
+        points = points[points[:, j] == 0]
+    return basis
+
+
+def _coset_points(points: np.ndarray, basis: np.ndarray, L: int) -> np.ndarray:
+    """The sorted points of the box of ``basis`` (``_hermite_basis``) in the
+    cosets that the (count, dim) ``points`` meet, one per coset; the zero
+    coset comes first."""
+    reduced = points % L
+    for j in range(basis.shape[0]):
+        reduced = (reduced - (reduced[:, j] // basis[j, j])[:, None] * basis[:, j]) % L
+    hit = np.zeros(tuple(np.diag(basis)), dtype=bool)
+    hit[tuple(reduced.T)] = True
+    return np.argwhere(hit)
+
+
+def _box(sizes) -> np.ndarray:
+    """(prod(sizes), dim) integer points of prod_j [0, sizes[j]) in C order."""
+    return np.indices(tuple(sizes)).reshape(len(sizes), -1).T
+
+
+def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached (phi, chars, nodes) of the frame operator's Zak fibers.
+
+    ``phi[chi, c]`` is the p x q matrix Phi_{c,chi} of the module docstring,
+    a (|H|, |F|, p, q) stack; ``chars[u, chi]`` is the character chi of H at
+    its element u; ``nodes[u, c, i]`` is the flat grid node c + f_i + u.
+    F^perp is read off the grid by F's generators and H off the time
+    lattice.  Their lower-triangular bases give the elements and characters
+    of H, one point per coset of F^perp in the grid, and the points f_i and
+    a_l of F^perp / H and A / H.  The window gathered at c + f_i - a_l - u
+    is the largest table, size * q entries, and one matmul with the
+    character table contracts it over u.
+    """
+    cached = getattr(system, "_op_fibers", None)
     if cached is None:
         grid = system.grid
-        table = _tables(system)[0]
-        flat_bins = system.freq_lattice._flat_points
-        indicator = np.zeros(grid.shape)
-        indicator.flat[flat_bins] = 1.0
-        char_sum = np.fft.fftn(indicator).ravel()
+        L = grid.points_per_axis
+        steps = system.freq_lattice.steps
         nodes = grid.index_vectors()
-        annihilator = nodes[np.abs(char_sum - flat_bins.size) < 0.5]
-        members = _flat_index(grid, nodes[:, None, :] + annihilator[None, :, :])
-        # Label each point by the smallest point of its coset; the cosets
-        # all have |F^perp| points, so sorting by label gives whole rows.
-        order = np.argsort(members.min(axis=1), kind="stable")
-        cosets = order.reshape(-1, annihilator.shape[0])
-        WB = table.T[cosets]
-        scale = grid.spacing ** grid.dim * flat_bins.size
-        blocks = scale * (WB @ WB.conj().transpose(0, 2, 1))
-        cached = (cosets, blocks)
-        object.__setattr__(system, "_op_blocks", cached)
+        perp = nodes[np.all(nodes @ steps % L == 0, axis=1)]
+        time = system.time_lattice.index_points
+        basis = _hermite_basis(time[np.all(time @ steps % L == 0, axis=1)], L)
+        # The box of the orders L / g_j indexes the elements of H (by their
+        # coefficients in the basis) and its characters (by frequencies).
+        orders = _box(L // np.diag(basis))
+        elements = orders @ basis.T % L
+        chars = np.exp(2j * np.pi * (elements @ orders.T % L) / L)
+        c = _box(np.diag(_hermite_basis(perp, L)))[:, None, :]
+        f = _coset_points(perp, basis, L)
+        a = _coset_points(time, basis, L)
+        # c + f_i - (a_l + u) with both parts reduced mod L lies in (-L, L)^n,
+        # so one period on it is a linear index into the 2^n-tiled window.
+        tiled = np.tile(system.window.reshaped(), (2,) * grid.dim).ravel()
+        strides = (2 * L) ** np.arange(grid.dim)[::-1]
+        ends = (c + f) % L @ strides + L * strides.sum()
+        starts = (elements[:, None] + a) % L @ strides
+        shifted = ends[..., None] - starts[:, None, None, :]
+        phi = (chars.T @ tiled[shifted].reshape(len(chars), -1)).reshape(shifted.shape)
+        cached = (phi, chars, _flat_index(grid, elements[:, None, None] + c + f))
+        object.__setattr__(system, "_op_fibers", cached)
     return cached
 
 
 def _analysis(system: GaborSystem, rows: np.ndarray) -> np.ndarray:
     """(S, N0, |F|) STFT samples on the system lattice of the (S, size)
-    signal rows: each signal times every conjugated window translate of the
-    cached shift table, summed over the periods of the fold (see
-    ``_tables``), then one batched FFT in place of the folded shape, read at
-    the bins of F."""
-    table, _, split, bins = _tables(system)
+    signal rows.
+
+    The conjugated signals in polyphase layout (R, S, P) times the cached
+    table, transposed to (R, P, N0), is one batched matmul over the
+    residues of the fold (see ``_tables``).  Its conjugate is the fold of
+    every signal times every conjugated window translate, and one batched
+    FFT in place of the folded shape, read at the bins of F, finishes the
+    analysis.
+    """
+    table, shape, split, bins = _tables(system)
     grid = system.grid
-    products = np.empty((rows.shape[0],) + table.shape, dtype=complex)
-    np.multiply(table, np.conj(rows)[:, None, :], out=products)
-    periods = tuple(range(2, 2 * grid.dim + 2, 2))
-    folded = products.reshape(products.shape[:2] + split).sum(axis=periods)
+    folded = np.matmul(_polyphase(np.conj(rows), split), table.swapaxes(1, 2))
     np.conjugate(folded, out=folded)
-    np.fft.fftn(folded, axes=tuple(range(2, grid.dim + 2)), out=folded)
-    return grid.spacing ** grid.dim * folded.reshape(folded.shape[:2] + (-1,))[:, :, bins]
+    spectra = np.moveaxis(folded, 0, -1).reshape(folded.shape[1:] + shape)
+    np.fft.fftn(spectra, axes=tuple(range(2, grid.dim + 2)), out=spectra)
+    return grid.spacing ** grid.dim * spectra.reshape(spectra.shape[:2] + (-1,))[:, :, bins]
 
 
 def _synthesis(system: GaborSystem, table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(S, size) rows: sum over k and j of coeffs[s, k, j] times the window
-    translate ``table[k]`` modulated by the j-th frequency of the system.
+    translate of the polyphase ``table`` at time point k modulated by the
+    j-th frequency of the system.
 
-    Each time node's coefficients are scattered into their bins of the fold
-    (see ``_tables``); one batched unnormalized inverse FFT in place of the
-    folded shape modulates them, repeated over the periods, and the table
-    does the rest.
+    Each time point's coefficients are scattered into their bins of the
+    fold (see ``_tables``); one batched unnormalized inverse FFT in place of
+    the folded shape modulates them, and one batched matmul over the
+    residues, (R, S, N0) times the (R, N0, P) table, sums the modulated
+    translates.
     """
     grid = system.grid
     _, shape, split, bins = _tables(system)
@@ -190,18 +292,16 @@ def _synthesis(system: GaborSystem, table: np.ndarray, coeffs: np.ndarray) -> np
     spectra[:, :, bins] = coeffs
     small = spectra.reshape(coeffs.shape[:2] + shape)
     np.fft.ifftn(small, axes=tuple(range(2, grid.dim + 2)), norm="forward", out=small)
-    periodic = np.expand_dims(small, tuple(range(2, 2 * grid.dim + 2, 2)))
-    atoms = table.reshape(table.shape[:1] + split) * periodic
-    return atoms.sum(axis=1).reshape(-1, grid.size)
+    return _from_polyphase(np.matmul(np.moveaxis(spectra, -1, 0).copy(), table), split)
 
 
 def _synthesis_table(system: GaborSystem, dual: GridSignal | None) -> np.ndarray:
-    """Shift table of the synthesis window: the cached one of the system
-    window, or one built for ``dual``."""
+    """Polyphase shift table of the synthesis window: the cached one of the
+    system window, or one built for ``dual``."""
     if dual is None or dual is system.window:
         return _tables(system)[0]
     require_same_grid(dual, system.window)
-    return _shift_table(dual, system.time_lattice)
+    return _shift_table(dual, system.time_lattice, _tables(system)[2])
 
 
 def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
@@ -240,15 +340,15 @@ class FrameCertificate:
 
     lower/upper are eigenvalues of S, i.e. squared bounds for the
     coefficient map; the ratio upper/lower is the frame condition number.
-    ``blocks`` and ``block_size`` give the block-diagonal shape they came from.
+    ``fiber_shape`` is (count, p, q): the Zak fibers they came from are
+    count p x q matrices.
     """
 
     lower: float
     upper: float
     method: str
     redundancy: float
-    blocks: int
-    block_size: int
+    fiber_shape: tuple[int, int, int]
 
     def to_dict(self) -> dict:
         return {
@@ -257,15 +357,15 @@ class FrameCertificate:
             "method": self.method,
             "residual": None,
             "redundancy": self.redundancy,
-            "blocks": self.blocks,
-            "block_size": self.block_size,
+            "fiber_shape": list(self.fiber_shape),
         }
 
 
 def _dense_frame_matrix(system: GaborSystem) -> np.ndarray:
-    """Full frame-operator matrix, an oracle independent of the block path."""
+    """Full frame-operator matrix, an oracle independent of the fiber path."""
     grid = system.grid
-    W = _shift_table(system.window, system.time_lattice).T
+    [table] = _translates(system.window.reshaped(), system.time_lattice.index_points)
+    W = table.T
     L = grid.points_per_axis
     prod = (grid.index_vectors() @ system.freq_lattice.index_points.T) % L
     phases = np.exp(2j * np.pi * prod / L)
@@ -275,9 +375,10 @@ def _dense_frame_matrix(system: GaborSystem) -> np.ndarray:
 
 
 def frame_bounds(system: GaborSystem) -> FrameCertificate:
-    """Extreme eigenvalues of the frame operator, over all of its blocks.
+    """Extreme eigenvalues of the frame operator, over all of its Zak fibers.
 
-    One batched ``eigvalsh`` of the blocks gives the whole spectrum.  An
+    One batched ``eigvalsh`` of the p x p fibers h |F| Phi Phi^H gives the
+    whole spectrum; for p = 1 they are the row sums of |Phi|^2.  An
     undersampled system (redundancy < 1) has a rank-deficient frame
     operator, so its lower bound is reported as an exact zero.  Never
     raises for non-frames; a zero lower bound is data.  The certificate is
@@ -285,28 +386,39 @@ def frame_bounds(system: GaborSystem) -> FrameCertificate:
     """
     cached = getattr(system, "_certificate", None)
     if cached is None:
-        _, blocks = _frame_blocks(system)
-        eigs = np.linalg.eigvalsh(blocks)
+        phi = _zak_fibers(system)[0]
+        if phi.shape[2] == 1:
+            parts = phi.view(float)
+            eigs = np.einsum("...ij,...ij->...i", parts, parts)
+        else:
+            eigs = np.linalg.eigvalsh(phi @ phi.conj().swapaxes(-1, -2))
+        eigs *= system.grid.spacing ** system.grid.dim * system.freq_lattice.count
         lower = 0.0 if system.redundancy < 1.0 else max(float(eigs.min()), 0.0)
-        cached = FrameCertificate(lower, float(eigs.max()), "block-eigen",
-                                  system.redundancy, blocks=blocks.shape[0],
-                                  block_size=blocks.shape[1])
+        shape = (phi.shape[0] * phi.shape[1],) + phi.shape[2:]
+        cached = FrameCertificate(lower, float(eigs.max()), "zak-fiber",
+                                  system.redundancy, fiber_shape=shape)
         object.__setattr__(system, "_certificate", cached)
     return cached
 
 
 def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:
-    """Canonical dual window S^-1 window, by one solve per frame-operator block.
+    """Canonical dual window S^-1 window, by one solve per Zak fiber.
 
+    The window's own character components on the coset c are the column
+    Phi_{c,chi}[:, 0] of a_0 = 0, so each fiber solves h |F| Phi Phi^H y =
+    Phi[:, 0], and the inverse character transform over H, (1/|H|)
+    sum_chi chi(u) y_chi[i], places the dual at the nodes c + f_i + u.
     Raises NotAFrame when the lower frame bound does not exceed ``tol``.
     """
     cert = frame_bounds(system)
     if cert.lower <= tol:
         raise NotAFrame(f"lower frame bound {cert.lower} <= tol {tol}")
-    cosets, blocks = _frame_blocks(system)
+    phi, chars, nodes = _zak_fibers(system)
+    scale = system.grid.spacing ** system.grid.dim * system.freq_lattice.count
+    fibers = np.linalg.solve(scale * (phi @ phi.conj().swapaxes(-1, -2)), phi[..., :1])
     gamma = np.empty(system.grid.size, dtype=complex)
-    rhs = system.window.values[cosets][..., None]
-    gamma[cosets] = np.linalg.solve(blocks, rhs)[..., 0]
+    inverse = chars @ fibers.reshape(len(chars), -1) / len(chars)
+    gamma[nodes] = inverse.reshape(nodes.shape)
     return GridSignal(system.grid, gamma)
 
 
@@ -344,13 +456,15 @@ def _reconstruction_errors(system: GaborSystem, gamma: GridSignal,
     (S, size) signal rows, one per row.
 
     The dual's shift table is built once; the signals run in blocks under
-    ``grid._BATCH_BYTES``, each one batched analysis and one batched synthesis.
+    ``grid._BATCH_BYTES``, each one batched analysis and one batched
+    synthesis.  A signal's largest temporary is its folded coefficients,
+    N0 times the fold size, or the signal itself when that is larger.
     """
     denoms = np.linalg.norm(rows, axis=1)
     if not np.all(denoms):
         raise ZeroSignal("reconstruction error undefined for the zero signal")
     table = _synthesis_table(system, gamma)
-    block = _block_rows(table.size)
+    block = _block_rows(max(table.shape[0] * table.shape[1], system.grid.size))
     errors = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], block):
         signals = rows[lo:lo + block]

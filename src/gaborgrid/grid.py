@@ -328,22 +328,21 @@ def sample_oscillation(grid: PeriodicGrid, frequency: float) -> GridSignal:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_quotient(steps_bytes: bytes, dim: int, L: int) -> tuple[tuple[int, ...], ...]:
-    """Subgroup of (Z/L)^dim generated by the columns of the step matrix."""
-    steps = np.frombuffer(steps_bytes, dtype=np.int64).reshape(dim, dim)
-    gens = [tuple(int(v) % L for v in steps[:, j]) for j in range(dim)]
-    seen = {(0,) * dim}
-    frontier = [(0,) * dim]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple((a + b) % L for a, b in zip(p, g))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return tuple(sorted(seen))
+def _enumerate_quotient(steps_bytes: bytes, dim: int, L: int) -> np.ndarray:
+    """(count, dim) read-only index vectors of the subgroup of (Z/L)^dim
+    generated by the columns of the step matrix, in lexicographic order.
+
+    Column j has order L / gcd(L, its entries), so the combinations of
+    multiples below the orders, at most L^dim of them, reach every point;
+    they are marked on a grid-shaped mask, read back in C order.
+    """
+    steps = np.frombuffer(steps_bytes, dtype=np.int64).reshape(dim, dim) % L
+    orders = [L // math.gcd(L, *(int(v) for v in steps[:, j])) for j in range(dim)]
+    hit = np.zeros((L,) * dim, dtype=bool)
+    hit[tuple(steps @ np.indices(orders).reshape(dim, -1) % L)] = True
+    points = np.argwhere(hit)
+    points.setflags(write=False)
+    return points
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,11 +383,9 @@ class GridLattice:
         """(count, dim) sorted integer index vectors of the points mod P."""
         cached = getattr(self, "_index_points", None)
         if cached is None:
-            pts = _enumerate_quotient(
+            cached = _enumerate_quotient(
                 self.steps.tobytes(), self.grid.dim, self.grid.points_per_axis
             )
-            cached = np.array(pts, dtype=np.int64).reshape(len(pts), self.grid.dim)
-            cached.setflags(write=False)
             object.__setattr__(self, "_index_points", cached)
         return cached
 

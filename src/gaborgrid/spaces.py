@@ -21,7 +21,8 @@ taken at lattice size, never on the grid:
 
 * a solid kind is a weighted sequence space: |c_k| times the window's
   exact local profile, the weighted norm of chi's translate to x_k (per
-  first-axis row for MixedLp), built once per call from the support;
+  first-axis row for MixedLp), built from the support once per window,
+  lattice point set and space;
 * for FourierLp_w the inverse transform of the superposition is
   P^n ifft(chi) times a series in c that is periodic with the fold of the
   lattice (``grid._lattice_fold``), so one inverse DFT of the fold shape
@@ -188,18 +189,24 @@ def _disjoint_translates(window: GridSignal, lat: GridLattice
 
     The table has count * |supp chi| entries, never a (count, size) one.
     Raises OverlappingSupports unless every node is hit at most once.  A
-    table that passes is cached on the window per lattice point set, as
-    ``GaborSystem`` caches its operator tables; a refusal is not cached.
+    table that passes is cached on the window per lattice point set
+    (``_window_cached``); a refusal is not cached.
     """
     if not grids_compatible(window.grid, lat.grid):
         raise DimensionMismatch("window and lattice live on different grids")
-    tables = getattr(window, "_translate_tables", None)
+    return _window_cached(window, lat.index_points.tobytes(),
+                          lambda: _checked_translates(window, lat))
+
+
+def _window_cached(window: GridSignal, key, build):
+    """``build()``, cached on the window under ``key``, as ``GaborSystem``
+    caches its operator tables; a build that raises caches nothing."""
+    tables = getattr(window, "_norm_tables", None)
     if tables is None:
         tables = {}
-        object.__setattr__(window, "_translate_tables", tables)
-    key = lat.index_points.tobytes()
+        object.__setattr__(window, "_norm_tables", tables)
     if key not in tables:
-        tables[key] = _checked_translates(window, lat)
+        tables[key] = build()
     return tables[key]
 
 
@@ -258,10 +265,19 @@ def _solid_profile(window: GridSignal, lat: GridLattice, spec: SpaceSpec
     when q = inf, and ``rows[k, s]`` is that row of the grid.  MixedLp has a
     column per first-axis row of the window support and q = p2; Lp_w and
     C0_w have one column, the whole translate, q = p and no ``rows``.
+    Both are cached on the window per (lattice point set, spec), beside the
+    support table they are built from.
     """
-    grid = window.grid
-    _check_mixed(grid, spec)
+    _check_mixed(window.grid, spec)
     nodes, support = _disjoint_translates(window, lat)
+    return _window_cached(window, (lat.index_points.tobytes(), spec),
+                          lambda: _local_profile(window, lat, spec, nodes, support))
+
+
+def _local_profile(window: GridSignal, lat: GridLattice, spec: SpaceSpec,
+                   nodes: np.ndarray, support: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    grid = window.grid
     magnitudes = _norm_weight(grid, spec)[nodes] * np.abs(window.values[support])
     if spec.kind == "MixedLp":
         q = spec.p2
@@ -272,8 +288,13 @@ def _solid_profile(window: GridSignal, lat: GridLattice, spec: SpaceSpec
         q = math.inf if spec.kind == "C0_w" else spec.p
         starts, rows = [0], None
     if math.isinf(q):
-        return np.maximum.reduceat(magnitudes, starts, axis=1), rows
-    return np.add.reduceat(magnitudes ** q, starts, axis=1) ** (1.0 / q), rows
+        profile = np.maximum.reduceat(magnitudes, starts, axis=1)
+    else:
+        profile = np.add.reduceat(magnitudes ** q, starts, axis=1) ** (1.0 / q)
+    for table in (profile, rows):
+        if table is not None:
+            table.setflags(write=False)
+    return profile, rows
 
 
 def _fold_profile(table: np.ndarray, split: tuple[int, ...], p: float) -> np.ndarray:

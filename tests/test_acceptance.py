@@ -97,7 +97,7 @@ def test_criterion_02_wexler_raz(ref):
     ok = residual <= 1e-8 and elapsed < 1.0
     report(2, ok,
            f"Wexler-Raz residual {residual:.2e} <= 1e-8 over the full adjoint "
-           f"scan in {elapsed:.2f}s (< 1s), computed independently of the block solve")
+           f"scan in {elapsed:.2f}s (< 1s), computed independently of the fiber solve")
 
 
 def test_criterion_03_frame_criterion(ref):
@@ -119,7 +119,7 @@ def test_criterion_03_frame_criterion(ref):
     ok = cond_ok and under_ok and agree <= 1e-6
     report(3, ok,
            f"frame bounds A={cert.lower:.4f}, B/A={cert.upper / cert.lower:.2f} < 10; "
-           f"undersampled A={under_cert.lower:.1e} <= 1e-10; dense/block "
+           f"undersampled A={under_cert.lower:.1e} <= 1e-10; dense/fiber "
            f"disagreement {agree:.1e} <= 1e-6 at L=48")
 
 

@@ -156,7 +156,9 @@ def test_stft_subcommand(tmp_path):
 
 
 def test_dual_window_subcommand(tmp_path, monkeypatch):
-    # The certificate and the dual's frame gate share one eigen-decomposition.
+    # The certificate and the dual's frame gate share one set of Zak fibers.
+    # The frame's fibers have one row, so its bounds are row sums and need
+    # no eigen-decomposition; the undersampled system's have two.
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -168,11 +170,12 @@ def test_dual_window_subcommand(tmp_path, monkeypatch):
         ["dual-window", "--config", str(cfg), "--output", str(out),
          "--certificate", str(cert)]
     ) == 0
-    assert calls == [(32, 8, 8)]
+    assert calls == []
     payload = json.loads(cert.read_text())
     assert payload["frame"] is True
     assert payload["A"] > 0.5 and payload["residual"] <= 1e-8
-    assert (payload["blocks"], payload["block_size"]) == (32, 8)
+    assert payload["method"] == "zak-fiber"
+    assert payload["fiber_shape"] == [256, 1, 2]
     assert out.exists()
 
     under = write_config(
@@ -187,7 +190,8 @@ def test_dual_window_subcommand(tmp_path, monkeypatch):
     ) == 2
     payload2 = json.loads(cert2.read_text())
     assert payload2["frame"] is False
-    assert (payload2["blocks"], payload2["block_size"]) == (16, 16)
+    assert payload2["fiber_shape"] == [128, 2, 1]
+    assert calls == [(8, 16, 2, 2)]
     assert not out2.exists()
 
 

@@ -1,10 +1,11 @@
-"""Seeded sweep of the block-diagonal frame operator against independent oracles.
+"""Seeded sweep of the Zak-fiber frame operator against independent oracles.
 
-Bounds are compared with ``eigvalsh`` of the dense frame matrix, the dual
-window with reconstruction of random signals and with the Wexler-Raz residual
-over the adjoint lattice, and that residual on separable systems with a
-direct scan over the adjoint lattice.  Each system is run with a Gaussian
-window and with a seeded random complex window.
+Bounds are compared with ``eigvalsh`` of the dense frame matrix and with the
+eigenvalues of the coset blocks of S (``_block_oracle``), the dual window
+with the per-block solve, with reconstruction of random signals and with
+the Wexler-Raz residual over the adjoint lattice, and that residual on
+separable systems with a direct scan over the adjoint lattice.  Each system
+is run with a Gaussian window and with a seeded random complex window.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from gaborgrid.gabor import (
     GaborSystem,
     _adjoint_lattices,
     _dense_frame_matrix,
-    _frame_blocks,
     _tables,
     analyze,
     dual_window,
@@ -24,7 +24,14 @@ from gaborgrid.gabor import (
     reconstruction_error,
     wexler_raz_residual,
 )
-from gaborgrid.grid import GridLattice, GridSignal, PeriodicGrid, sample_gaussian
+from gaborgrid.grid import (
+    GridLattice,
+    GridSignal,
+    PeriodicGrid,
+    _flat_index,
+    _translates,
+    sample_gaussian,
+)
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import stft
 
@@ -74,6 +81,32 @@ OFF_GRID_ADJOINT = "2d-sheared-freq-r2"
 ALIGNED = [name for name in FRAMES if name != OFF_GRID_ADJOINT]
 
 
+def _block_oracle(system):
+    """(cosets, blocks) of the frame operator over the cosets of F^perp.
+
+    ``cosets`` is the (|F|, |F^perp|) array of flat grid points, one row per
+    coset of the annihilator F^perp; ``blocks[b]`` is S restricted to row b,
+    h |F| W_B W_B^H.  F^perp is read off one FFT of the indicator of F: the
+    character sum over F equals |F| exactly on F^perp and vanishes elsewhere.
+    """
+    grid = system.grid
+    [table] = _translates(system.window.reshaped(), system.time_lattice.index_points)
+    flat_bins = system.freq_lattice._flat_points
+    indicator = np.zeros(grid.shape)
+    indicator.flat[flat_bins] = 1.0
+    char_sum = np.fft.fftn(indicator).ravel()
+    nodes = grid.index_vectors()
+    annihilator = nodes[np.abs(char_sum - flat_bins.size) < 0.5]
+    members = _flat_index(grid, nodes[:, None, :] + annihilator[None, :, :])
+    # Label each point by the smallest point of its coset; the cosets all
+    # have |F^perp| points, so sorting by label gives whole rows.
+    order = np.argsort(members.min(axis=1), kind="stable")
+    cosets = order.reshape(-1, annihilator.shape[0])
+    WB = table.T[cosets]
+    scale = grid.spacing ** grid.dim * flat_bins.size
+    return cosets, scale * (WB @ WB.conj().transpose(0, 2, 1))
+
+
 def _wexler_raz_scan(psi, gamma, a, b):
     """Separable Wexler-Raz residual by a direct scan, independent of analyze.
 
@@ -106,16 +139,20 @@ def _wexler_raz_scan(psi, gamma, a, b):
 def test_bounds_match_dense_oracle(name, kind):
     system = make_system(name, kind)
     eigs = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    block_eigs = np.sort(np.linalg.eigvalsh(_block_oracle(system)[1]).ravel())
     cert = frame_bounds(system)
-    assert cert.method == "block-eigen"
-    assert cert.blocks == system.freq_lattice.count
-    assert cert.blocks * cert.block_size == system.grid.size
-    assert abs(cert.upper - eigs[-1]) <= 1e-10 * eigs[-1]
-    if system.redundancy < 1.0:
-        assert cert.lower == 0.0
-        assert eigs[0] <= 1e-10 * eigs[-1]
-    else:
-        assert abs(cert.lower - eigs[0]) <= 1e-10 * eigs[-1]
+    assert cert.method == "zak-fiber"
+    # |F| |H| fibers of p x q: their rows tile the grid, q / p is the redundancy.
+    count, p, q = cert.fiber_shape
+    assert count * p == system.grid.size
+    assert q / p == pytest.approx(system.redundancy, rel=1e-15)
+    for oracle in (eigs, block_eigs):
+        assert abs(cert.upper - oracle[-1]) <= 1e-12 * oracle[-1]
+        if system.redundancy < 1.0:
+            assert cert.lower == 0.0
+            assert oracle[0] <= 1e-12 * oracle[-1]
+        else:
+            assert abs(cert.lower - oracle[0]) <= 1e-12 * oracle[-1]
 
 
 @pytest.mark.parametrize("kind", WINDOWS)
@@ -126,6 +163,41 @@ def test_dual_reconstructs(name, kind):
     rng = np.random.default_rng(7)
     for _ in range(3):
         assert reconstruction_error(system, gamma, random_signal(system.grid, rng)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", WINDOWS)
+@pytest.mark.parametrize("name", FRAMES)
+def test_fiber_dual_matches_block_solve(name, kind):
+    system = make_system(name, kind)
+    cosets, blocks = _block_oracle(system)
+    expected = np.empty(system.grid.size, dtype=complex)
+    expected[cosets] = np.linalg.solve(blocks, system.window.values[cosets][..., None])[..., 0]
+    got = dual_window(system, tol=1e-12).values
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# name: (period, L, time step, freq step, (p, q)); the window factorization
+# shapes of Soendergaard (2012), p = a / c and q = M / c with c = gcd(a, M),
+# a the time step in samples and M the number of frequency bins.
+FIBER_SHAPES = {
+    "L90-a6-M9": (15.0, 90, 1.0, 2 / 3, (2, 3)),
+    "L240-a3-M10": (20.0, 240, 0.25, 1.2, (3, 10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_SHAPES))
+def test_fiber_shapes(name):
+    period, L, a, b, (p, q) = FIBER_SHAPES[name]
+    system = GaborSystem.separable(sample_gaussian(PeriodicGrid(1, period, L)), a, b)
+    cert = frame_bounds(system)
+    assert cert.fiber_shape == (L // p, p, q)
+    eigs = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    assert abs(cert.lower - eigs[0]) <= 1e-12 * eigs[-1]
+    assert abs(cert.upper - eigs[-1]) <= 1e-12 * eigs[-1]
+    gamma = dual_window(system, tol=1e-12)
+    f = random_signal(system.grid, np.random.default_rng(3))
+    assert reconstruction_error(system, gamma, f) <= 1e-12
+    assert wexler_raz_residual(system, gamma) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", WINDOWS)
@@ -148,7 +220,7 @@ def test_wexler_raz_off_grid_adjoint(kind):
 def test_adjoint_time_lattice_is_annihilator(name):
     # The adjoint time lattice is F^perp, the zero coset of the frame blocks.
     system = make_system(name, "gaussian")
-    cosets, _ = _frame_blocks(system)
+    cosets, _ = _block_oracle(system)
     adj_time, _ = _adjoint_lattices(system)
     flat = np.ravel_multi_index(adj_time.index_points.T, system.grid.shape)
     np.testing.assert_array_equal(np.sort(flat), np.sort(cosets[0]))

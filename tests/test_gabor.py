@@ -202,7 +202,7 @@ def test_frame_bounds_dense_matches_block():
     system = GaborSystem.separable(sample_gaussian(grid), 1.0, 0.5)
     dense = np.linalg.eigvalsh(_dense_frame_matrix(system))
     block = frame_bounds(system)
-    assert block.method == "block-eigen"
+    assert block.method == "zak-fiber"
     assert block.lower == pytest.approx(dense[0], rel=1e-6)
     assert block.upper == pytest.approx(dense[-1], rel=1e-6)
 
@@ -351,13 +351,14 @@ def test_non_frame_reconstruction_fails(ref_grid, rng):
 def test_certificate_export(ref_system, ref_dense_eigs):
     cert = frame_bounds(ref_system)
     data = cert.to_dict()
-    assert set(data) == {"A", "B", "method", "residual", "redundancy",
-                         "blocks", "block_size"}
+    assert set(data) == {"A", "B", "method", "residual", "redundancy", "fiber_shape"}
     assert data["A"] > 0 and data["redundancy"] == pytest.approx(2.0)
-    # One block per frequency-lattice coset; the blocks tile the grid.
-    assert (data["blocks"], data["block_size"]) == (cert.blocks, cert.block_size) == (32, 8)
-    assert data["blocks"] == ref_system.freq_lattice.count
-    assert data["blocks"] * data["block_size"] == ref_system.grid.size
+    # |F| |H| fibers of p x q; their rows tile the grid and q / p is the
+    # redundancy.
+    count, p, q = data["fiber_shape"]
+    assert data["fiber_shape"] == list(cert.fiber_shape) == [256, 1, 2]
+    assert count * p == ref_system.grid.size
+    assert q / p == data["redundancy"]
     assert data["A"] == pytest.approx(ref_dense_eigs[0], rel=1e-4)
     assert data["B"] == pytest.approx(ref_dense_eigs[-1], rel=1e-4)
 
@@ -395,7 +396,8 @@ def test_batched_reconstruction_matches_per_signal_loop(name):
     grid = system.grid
     gamma = dual_window(system, tol=1e-12)
     # Enough signals for two full blocks and a partial last one.
-    n = 2 * _block_rows(system.time_lattice.count * grid.size) + 1
+    table = _tables(system)[0]
+    n = 2 * _block_rows(max(table.shape[0] * table.shape[1], grid.size)) + 1
     batch_rng, loop_rng = np.random.default_rng(23), np.random.default_rng(23)
     batched = _reconstruction_errors(
         system, gamma, _complex_rows(batch_rng.standard_normal((n, 2, grid.size))))
@@ -426,12 +428,14 @@ def test_batched_reconstruction_zero_signal(ref_system, rng):
 @pytest.mark.parametrize("signals_per_block", [None, 1, 3], ids=["default", "1", "3"])
 def test_reconstruction_fft_count(ref_system, rng, monkeypatch, signals_per_block):
     grid = ref_system.grid
+    # A signal's largest temporary is its (N0, fold size) coefficients.
     table = _tables(ref_system)[0]
+    per_signal = table.shape[0] * table.shape[1]
     if signals_per_block:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", signals_per_block * 16 * table.size)
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", signals_per_block * 16 * per_signal)
     gamma = dual_window(ref_system, tol=1e-12)
     n = 7
-    blocks = -(-n // _block_rows(table.size))
+    blocks = -(-n // _block_rows(per_signal))
     rows = _complex_rows(rng.standard_normal((n, 2, grid.size)))
     counts = count_fft_calls(monkeypatch)
     _reconstruction_errors(ref_system, gamma, rows)

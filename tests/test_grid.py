@@ -14,6 +14,7 @@ from gaborgrid.grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
+    _enumerate_quotient,
     _translates,
     conjugate_reflection,
     dft,
@@ -267,6 +268,42 @@ def test_grid_lattice_shear_enumeration():
     grid = PeriodicGrid(2, 4.0, 4)
     lat = GridLattice(Lattice(np.array([[1.0, 1.0], [0.0, 1.0]])), grid)
     assert lat.count == 16  # the shear generates all of (Z/4)^2
+
+
+def _bfs_quotient(steps, L):
+    """Breadth-first closure of {0} under adding the generator columns mod L."""
+    gens = [tuple(int(v) % L for v in col) for col in np.asarray(steps).T]
+    seen = {(0,) * len(gens)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple((a + b) % L for a, b in zip(p, g))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return np.array(sorted(seen), dtype=np.int64)
+
+
+@pytest.mark.parametrize("steps, L", [
+    ([[16]], 256),
+    ([[6]], 81),          # odd L, step sharing the factor 3
+    ([[7]], 81),          # coprime step: every point
+    ([[-5]], 90),         # negative step
+    ([[2, 0], [0, 3]], 12),
+    ([[2, 1], [0, 2]], 12),       # sheared time lattice
+    ([[3, 1], [0, 3]], 12),       # sheared frequency lattice
+    ([[3, 6], [6, 3]], 9),        # odd L, generators that overlap
+    ([[4, 2], [0, 4]], 32),
+    ([[300, -1], [-13, 2]], 45),  # entries beyond L and below 0
+], ids=lambda v: str(v).replace(" ", ""))
+def test_enumerate_quotient_matches_bfs(steps, L):
+    steps = np.array(steps, dtype=np.int64)
+    got = _enumerate_quotient(steps.tobytes(), steps.shape[0], L)
+    np.testing.assert_array_equal(got, _bfs_quotient(steps, L))
+    assert not got.flags.writeable
 
 
 def test_grid_lattice_flat_points_cached():

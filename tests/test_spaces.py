@@ -415,6 +415,37 @@ def test_cached_translates_still_refuse_overlap(ref_grid, monkeypatch):
     assert discrete_norm(c, lp(2), chi) == first
 
 
+def test_cached_profile_gives_the_same_norms(monkeypatch):
+    # The solid profile is built once per (window, lattice point set, spec);
+    # the cached one gives the norms of a fresh build bit for bit, and a
+    # refused overlap builds and caches nothing.
+    builds = []
+    local = spaces_module._local_profile
+    monkeypatch.setattr(spaces_module, "_local_profile",
+                        lambda window, lat, spec, *tables:
+                        builds.append(spec) or local(window, lat, spec, *tables))
+    grid, generator, radius = _DIRECT_SETUPS["2d-separable"]
+    lat = GridLattice(Lattice(generator), grid)
+    chi = sample_bump(grid, radius=radius)
+    c = CoeffArray.over_lattice(lat, np.random.default_rng(5).standard_normal((lat.count, 6)))
+    specs = [lp_w(2.0, 1.0), lp_w(4.0, 0.0), SpaceSpec("C0_w", weight=PowerWeight(1.0)),
+             SpaceSpec("MixedLp", 1.0, 3.0), SpaceSpec("MixedLp", math.inf, 2.0)]
+    first = [discrete_norm(c, spec, chi) for spec in specs]
+    same_points = CoeffArray.over_lattice(GridLattice(Lattice(generator), grid), c.values)
+    for spec, norms in zip(specs, first):
+        np.testing.assert_array_equal(discrete_norm(same_points, spec, chi), norms)
+    assert builds == specs
+    fresh = GridSignal(grid, chi.values)
+    for spec, norms in zip(specs, first):
+        np.testing.assert_array_equal(discrete_norm(c, spec, fresh), norms)
+    assert builds == 2 * specs
+    dense = GridLattice(Lattice(generator / 2), grid)
+    for _ in range(2):
+        with pytest.raises(OverlappingSupports):
+            discrete_norm(CoeffArray.over_lattice(dense, np.ones(dense.count)), specs[0], chi)
+    assert builds == 2 * specs
+
+
 def test_full_support_overlap_needs_no_table():
     # More support hits than nodes is refused before the (count, |supp|)
     # table, which would hold 1024 x 2048 node numbers here (16 MiB).

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gaborgrid.gabor as gabor_module
 import gaborgrid.grid as grid_module
 from gaborgrid.grid import (
     CoeffArray,
@@ -149,19 +150,31 @@ def test_embedding_chain_memory_is_bounded():
 
 def test_one_system_per_verify_run(monkeypatch):
     # The frame-bounds, reconstruction and wexler-raz suites share one
-    # system, so its blocks are eigen-decomposed once; the other four calls
-    # are the undersampled, dense-oracle, small-block and painless systems.
+    # system, so its Zak fibers are built once; the other three builds are
+    # the undersampled, small dense-oracle and painless systems.  Only the
+    # undersampled fibers (4 x 1) and the dense oracle need eigvalsh; the
+    # others have one row.
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: calls.append(a.shape) or eigvalsh(a))
+    zak_fibers = gabor_module._zak_fibers
+    builds = []
+
+    def counted(system):
+        if getattr(system, "_op_fibers", None) is None:
+            builds.append(system)
+        return zak_fibers(system)
+
+    monkeypatch.setattr(gabor_module, "_zak_fibers", counted)
     cfg = SuiteConfig.from_dict({
         "seed": 11,
         "grid": {"dim": 2, "period": 8.0, "points_per_axis": 32},
         "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
     })
     run_suites(cfg)
-    assert len(calls) == 5
+    assert len(builds) == len({id(s) for s in builds}) == 4
+    assert calls == [(16, 16, 4, 4), (144, 144)]
 
 
 @pytest.mark.parametrize("freq_step, redundancy", [(0.5, 0.5), (0.1875, 0.25)])
@@ -185,11 +198,12 @@ def test_undersampled_check_scales_to_redundancy_below_one(freq_step, redundancy
     ({"period": 15.0, "points_per_axis": 90}, {"time_step": 1.0, "freq_step": 2 / 3}),
 ], ids=["L81", "L90"])
 def test_undersampled_search_stops_when_doubling_keeps_a_frame(grid, system):
+    # Then both steps become the full period: one time-frequency shift.
     cfg = SuiteConfig.from_dict({"grid": grid, "system": system})
     cfg.validate()
     entries = run_frame_bounds(cfg, cfg.make_system(),
                                suite_rng(cfg.seed, "frame-bounds"))
     (entry,) = [e for e in entries if e["name"] == "undersampled_lower_bound"]
-    assert not entry["passed"]
-    assert entry["value"] > 0.0
-    assert entry["details"]["redundancy"] >= 1.0
+    assert entry["passed"]
+    assert entry["value"] == 0.0
+    assert entry["details"] == {"redundancy": 1 / grid["points_per_axis"]}
