@@ -200,6 +200,41 @@ def test_fiber_shapes(name):
     assert wexler_raz_residual(system, gamma) <= 1e-12
 
 
+def _random_lattice(rng, grid, L):
+    """A grid lattice with a seeded nonsingular integer generator whose
+    entries are a divisor of L times -3..3: sheared, negative and
+    beyond-the-period steps, coarse and fine subgroups."""
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    while True:
+        steps = rng.choice(divisors, size=(grid.dim, grid.dim)) * rng.integers(
+            -3, 4, size=(grid.dim, grid.dim))
+        if round(abs(np.linalg.det(steps))) > 0:
+            return GridLattice(Lattice(steps * grid.spacing), grid)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_fibers_match_dense_on_random_lattices(seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 2
+    L = int(rng.choice([6, 9, 10, 12]) if dim == 2 else rng.choice([18, 27, 30, 45, 48]))
+    grid = PeriodicGrid(dim, L / 3, L)
+    system = GaborSystem(random_signal(grid, rng), _random_lattice(rng, grid, L),
+                         _random_lattice(rng, grid.reciprocal(), L))
+    cert = frame_bounds(system)
+    count, p, q = cert.fiber_shape
+    assert count * p == grid.size and q / p == pytest.approx(system.redundancy, rel=1e-15)
+    eigs = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    assert abs(cert.upper - eigs[-1]) <= 1e-12 * eigs[-1]
+    if system.redundancy < 1.0:
+        assert cert.lower == 0.0
+    else:
+        assert abs(cert.lower - eigs[0]) <= 1e-12 * eigs[-1]
+    if cert.lower > 1e-6 * cert.upper:
+        gamma = dual_window(system, tol=0.0)
+        residual = frame_apply(system, gamma).values - system.window.values
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(system.window.values)
+
+
 @pytest.mark.parametrize("kind", WINDOWS)
 @pytest.mark.parametrize("name", ALIGNED)
 def test_wexler_raz_of_block_dual(name, kind):
