@@ -35,12 +35,12 @@ from .formats import (
     write_tfarray_binary,
     write_tfarray_csv,
 )
-from .gabor import dual_window, frame_bounds
+from .gabor import dual_window, frame_bounds, wexler_raz_residual
 from .grid import GridSignal, sample_gaussian, sample_oscillation
 from .smoothness import decay_profile
 from .spaces import continuous_norm
 from .stft import stft
-from .suites import SUITE_NAMES, SuiteConfig, adjoint_residual, run_suites
+from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 
 def load_config(path: str | None) -> SuiteConfig:
@@ -182,7 +182,7 @@ def cmd_dual_window(args) -> int:
     out = args.output or "dual_window.csv"
     if payload["frame"]:
         gamma = dual_window(system, tol=cfg.tol("frame"))
-        payload["residual"] = adjoint_residual(system, gamma)
+        payload["residual"] = wexler_raz_residual(system, gamma)
         _write_signal(gamma, out)
         print(f"wrote {out}")
     cert_path = args.certificate or "certificate.json"

@@ -43,11 +43,13 @@ dual window is one fiber solve and one inverse character transform; both
 are exact up to rounding.
 
 Wexler-Raz biorthogonality is evaluated independently of the fibers.  The
-adjoint of the product lattice A x F takes the dual lattice of F as time
-shifts and the dual lattice of A as frequencies; when both are grid-aligned
-the pair (psi, gamma) is dual exactly when the STFT of gamma with window
-psi over the adjoint vanishes except for the mass 1/redundancy at the
-origin ((ab)^n on a separable lattice with steps (a, b)).
+adjoint of the product lattice A x F is F^perp x A^perp: the time nodes
+that F annihilates as time shifts and the bins that A annihilates as
+frequencies (``_annihilator``).  Both are finite subgroups of their grids,
+so the adjoint exists for every pair of grid lattices, and the pair
+(psi, gamma) is dual exactly when the STFT of gamma with window psi over
+the adjoint vanishes except for the mass 1/redundancy at the origin
+((ab)^n on a separable lattice with steps (a, b)).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
+    PeriodicGrid,
     _block_rows,
     _flat_index,
     _lattice_fold,
@@ -69,7 +72,7 @@ from .grid import (
     grids_compatible,
     require_same_grid,
 )
-from .lattice import dual_lattice
+from .lattice import Lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +198,18 @@ def _hermite_basis(points: np.ndarray, L: int) -> np.ndarray:
     return basis
 
 
+def _annihilator(lattice: GridLattice, target_grid: PeriodicGrid) -> GridLattice:
+    """The finite annihilator of ``lattice`` on ``target_grid`` (the time
+    grid for a frequency lattice, the reciprocal grid for a time lattice):
+    the nodes u with u . m = 0 mod L for every point m of ``lattice``,
+    generated by their ``_hermite_basis``.
+    """
+    L = target_grid.points_per_axis
+    nodes = target_grid.index_vectors()
+    points = nodes[np.all(nodes @ lattice.steps % L == 0, axis=1)]
+    return GridLattice(Lattice(_hermite_basis(points, L) * target_grid.spacing), target_grid)
+
+
 def _coset_points(points: np.ndarray, basis: np.ndarray, L: int) -> np.ndarray:
     """The sorted points of the box of ``basis`` (``_hermite_basis``) in the
     cosets that the (count, dim) ``points`` meet, one per coset; the zero
@@ -218,8 +233,8 @@ def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``phi[chi, c]`` is the p x q matrix Phi_{c,chi} of the module docstring,
     a (|H|, |F|, p, q) stack; ``chars[u, chi]`` is the character chi of H at
     its element u; ``nodes[u, c, i]`` is the flat grid node c + f_i + u.
-    F^perp is read off the grid by F's generators and H off the time
-    lattice.  Their lower-triangular bases give the elements and characters
+    F^perp is ``_annihilator`` of F and H the points of the time lattice
+    in it.  Their lower-triangular bases give the elements and characters
     of H, one point per coset of F^perp in the grid, and the points f_i and
     a_l of F^perp / H and A / H.  The window gathered at c + f_i - a_l - u
     is the largest table, size * q entries, and one matmul with the
@@ -230,8 +245,7 @@ def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         grid = system.grid
         L = grid.points_per_axis
         steps = system.freq_lattice.steps
-        nodes = grid.index_vectors()
-        perp = nodes[np.all(nodes @ steps % L == 0, axis=1)]
+        perp = _annihilator(system.freq_lattice, grid)
         time = system.time_lattice.index_points
         basis = _hermite_basis(time[np.all(time @ steps % L == 0, axis=1)], L)
         # The box of the orders L / g_j indexes the elements of H (by their
@@ -239,8 +253,8 @@ def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         orders = _box(L // np.diag(basis))
         elements = orders @ basis.T % L
         chars = np.exp(2j * np.pi * (elements @ orders.T % L) / L)
-        c = _box(np.diag(_hermite_basis(perp, L)))[:, None, :]
-        f = _coset_points(perp, basis, L)
+        c = _box(np.diag(perp.steps))[:, None, :]
+        f = _coset_points(perp.index_points, basis, L)
         a = _coset_points(time, basis, L)
         # c + f_i - (a_l + u) with both parts reduced mod L lies in (-L, L)^n,
         # so one period on it is a linear index into the 2^n-tiled window.
@@ -423,26 +437,22 @@ def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:
 
 
 def _adjoint_lattices(system: GaborSystem) -> tuple[GridLattice, GridLattice]:
-    """(time, frequency) lattices of the adjoint: the dual lattice of the
-    frequency lattice as time shifts, that of the time lattice as frequencies.
-
-    Raises NonAlignedLattice when either dual lattice misses its grid.
-    """
+    """(time, frequency) lattices of the adjoint, F^perp x A^perp: the
+    annihilator of the frequency lattice as time shifts, that of the time
+    lattice as frequencies."""
     grid = system.grid
-    return (
-        GridLattice(dual_lattice(system.freq_lattice.lattice), grid),
-        GridLattice(dual_lattice(system.time_lattice.lattice), grid.reciprocal()),
-    )
+    return (_annihilator(system.freq_lattice, grid),
+            _annihilator(system.time_lattice, grid.reciprocal()))
 
 
 def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
-    """Biorthogonality defect of (system.window, gamma) over the adjoint lattice.
+    """Biorthogonality defect of (system.window, gamma) over the adjoint
+    lattice F^perp x A^perp.
 
     The largest deviation of the STFT of gamma with the system window, over
     the adjoint lattice, from 1/redundancy at the origin and 0 elsewhere.
     Lattice covariance of the Gram entries makes this origin-anchored
-    analysis equivalent to the full double scan.  Raises NonAlignedLattice
-    when the adjoint lattice is not grid-aligned.
+    analysis equivalent to the full double scan.
     """
     inner = analyze(GaborSystem(system.window, *_adjoint_lattices(system)), gamma).values
     target = np.zeros(inner.shape)

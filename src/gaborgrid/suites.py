@@ -41,7 +41,6 @@ from .grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    _ALIGN_TOL,
     _block_rows,
     _superpose,
     sample_bump,
@@ -49,7 +48,7 @@ from .grid import (
     sample_oscillation,
     sample_rectangle,
 )
-from .lattice import PowerWeight, dual_lattice
+from .lattice import PowerWeight
 from .smoothness import _convolution_rows, _schwartz_rows, decay_profile
 from .spaces import (
     SpaceSpec,
@@ -246,16 +245,6 @@ def smooth_random_signal(grid: PeriodicGrid, rng: np.random.Generator,
     return GridSignal(grid, _smooth_rows(grid, normals, bandwidth)[0])
 
 
-def adjoint_residual(system: GaborSystem, gamma: GridSignal) -> float:
-    """Wexler-Raz residual of (system.window, gamma) over the adjoint lattice
-    for ``dual-window``; an adjoint lattice off the grid is a config error
-    there (the wexler-raz suite reports it as a failing entry)."""
-    try:
-        return wexler_raz_residual(system, gamma)
-    except NonAlignedLattice as exc:
-        raise ConfigError(f"system: adjoint lattice not grid-aligned ({exc})") from None
-
-
 def check(suite: str, name: str, value: float, threshold: float,
           comparator: str, details: dict | None = None) -> dict:
     value = float(value)
@@ -297,25 +286,6 @@ def _not_a_frame_entries(suite: str, system: GaborSystem, tol: float) -> list[di
     return [entry]
 
 
-def _off_grid_adjoint_entries(system: GaborSystem) -> list[dict]:
-    """The wexler-raz diagnostic of a frame whose adjoint lattice misses its
-    grid: how far off the grid, in grid spacings, the adjoint generator entry
-    farthest from it lies, with that step and its lattice named."""
-    grid = system.grid
-    sides = (("time", system.freq_lattice, grid),
-             ("frequency", system.time_lattice, grid.reciprocal()))
-    misses = []
-    for name, lattice, target in sides:
-        steps = dual_lattice(lattice.lattice).generator.ravel()
-        units = steps / target.spacing
-        miss = np.abs(units - np.rint(units))
-        k = int(np.argmax(miss))
-        misses.append((float(miss[k]), name, float(steps[k]), target.spacing))
-    offset, name, step, spacing = max(misses)
-    return [check("wexler-raz", "adjoint_lattice_on_grid", offset, _ALIGN_TOL, "<=",
-                  details={"lattice": name, "step": step, "spacing": spacing})]
-
-
 # Individual suites -----------------------------------------------------------
 
 def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
@@ -345,10 +315,7 @@ def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
         gamma = dual_window(system, tol=cfg.tol("frame"))
     except NotAFrame:
         return _not_a_frame_entries("wexler-raz", system, cfg.tol("frame"))
-    try:
-        adj_time, adj_freq = _adjoint_lattices(system)
-    except NonAlignedLattice:
-        return _off_grid_adjoint_entries(system)
+    adj_time, adj_freq = _adjoint_lattices(system)
     residual = wexler_raz_residual(system, gamma)
     # Adjoint-lattice identity: analysis after synthesis over the adjoint
     # lattice is 1/redundancy times the identity on finitely supported sequences.
@@ -402,22 +369,21 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
               details={"redundancy": under_cert.redundancy})
     )
 
-    # Fiber bounds against the dense-eigen oracle on a small grid; the
-    # entry names keep "block" so that the report keys stay stable.
+    # Fiber bounds against the dense-eigen oracle on a small grid.
     if cfg.dim == 1:
         small_grid = PeriodicGrid(1, 12.0, 48)
     else:
         small_grid = PeriodicGrid(2, 6.0, 12)
     small = GaborSystem.separable(sample_gaussian(small_grid), 1.0, 0.5)
     dense = np.linalg.eigvalsh(_dense_frame_matrix(small))
-    block = frame_bounds(small)
+    fiber = frame_bounds(small)
     entries.append(
-        check(suite, "dense_vs_block_lower",
-              abs(dense[0] - block.lower) / dense[0], 1e-6, "<=")
+        check(suite, "dense_vs_fiber_lower",
+              abs(dense[0] - fiber.lower) / dense[0], 1e-6, "<=")
     )
     entries.append(
-        check(suite, "dense_vs_block_upper",
-              abs(dense[-1] - block.upper) / dense[-1], 1e-6, "<=")
+        check(suite, "dense_vs_fiber_upper",
+              abs(dense[-1] - fiber.upper) / dense[-1], 1e-6, "<=")
     )
 
     # Painless configuration: one-hop rectangle with every modulation.

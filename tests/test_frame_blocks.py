@@ -3,15 +3,16 @@
 Bounds are compared with ``eigvalsh`` of the dense frame matrix and with the
 eigenvalues of the coset blocks of S (``_block_oracle``), the dual window
 with the per-block solve, with reconstruction of random signals and with
-the Wexler-Raz residual over the adjoint lattice, and that residual on
-separable systems with a direct scan over the adjoint lattice.  Each system
-is run with a Gaussian window and with a seeded random complex window.
+the Wexler-Raz residual over the adjoint lattice F^perp x A^perp, and that
+residual with a direct scan of inner products over the adjoint.  Both
+annihilators are read off FFTs of lattice indicators (``_fft_annihilator``).
+Each system is run with a Gaussian window and with a seeded random complex
+window.
 """
 
 import numpy as np
 import pytest
 
-from gaborgrid.errors import NonAlignedLattice
 from gaborgrid.gabor import (
     GaborSystem,
     _adjoint_lattices,
@@ -76,9 +77,17 @@ def make_system(name, kind):
 
 ALL = sorted(SEPARABLE) + sorted(SHEARED)
 FRAMES = [name for name in ALL if make_system(name, "gaussian").redundancy >= 1.0]
-# The continuum dual of this frequency lattice is off the grid.
-OFF_GRID_ADJOINT = "2d-sheared-freq-r2"
-ALIGNED = [name for name in FRAMES if name != OFF_GRID_ADJOINT]
+
+
+def _fft_annihilator(lattice):
+    """(count, dim) sorted index vectors of the annihilator of the grid
+    lattice on the paired grid, read off one FFT of the lattice's indicator:
+    the character sum over the lattice equals its count exactly on the
+    annihilator and vanishes elsewhere."""
+    indicator = np.zeros(lattice.grid.shape)
+    indicator.flat[lattice._flat_points] = 1.0
+    char_sum = np.fft.fftn(indicator).ravel()
+    return lattice.grid.index_vectors()[np.abs(char_sum - lattice.count) < 0.5]
 
 
 def _block_oracle(system):
@@ -86,52 +95,56 @@ def _block_oracle(system):
 
     ``cosets`` is the (|F|, |F^perp|) array of flat grid points, one row per
     coset of the annihilator F^perp; ``blocks[b]`` is S restricted to row b,
-    h |F| W_B W_B^H.  F^perp is read off one FFT of the indicator of F: the
-    character sum over F equals |F| exactly on F^perp and vanishes elsewhere.
+    h |F| W_B W_B^H.
     """
     grid = system.grid
     [table] = _translates(system.window.reshaped(), system.time_lattice.index_points)
-    flat_bins = system.freq_lattice._flat_points
-    indicator = np.zeros(grid.shape)
-    indicator.flat[flat_bins] = 1.0
-    char_sum = np.fft.fftn(indicator).ravel()
-    nodes = grid.index_vectors()
-    annihilator = nodes[np.abs(char_sum - flat_bins.size) < 0.5]
-    members = _flat_index(grid, nodes[:, None, :] + annihilator[None, :, :])
+    annihilator = _fft_annihilator(system.freq_lattice)
+    members = _flat_index(grid, grid.index_vectors()[:, None, :] + annihilator[None, :, :])
     # Label each point by the smallest point of its coset; the cosets all
     # have |F^perp| points, so sorting by label gives whole rows.
     order = np.argsort(members.min(axis=1), kind="stable")
     cosets = order.reshape(-1, annihilator.shape[0])
     WB = table.T[cosets]
-    scale = grid.spacing ** grid.dim * flat_bins.size
+    scale = grid.spacing ** grid.dim * system.freq_lattice.count
     return cosets, scale * (WB @ WB.conj().transpose(0, 2, 1))
 
 
-def _wexler_raz_scan(psi, gamma, a, b):
-    """Separable Wexler-Raz residual by a direct scan, independent of analyze.
+def _wexler_raz_scan(system, gamma):
+    """Wexler-Raz residual by a direct scan, independent of analyze and of
+    the package's adjoint lattices.
 
-    Rolls psi over the adjoint time lattice (1/b) Z^n and takes its inner
-    products with gamma against the modulations of the adjoint frequency
-    lattice (1/a) Z^n; the largest deviation from (ab)^n at the origin and
-    0 elsewhere.
+    Rolls the window over F^perp and takes its inner products with gamma
+    against the modulations of A^perp, both from ``_fft_annihilator``; the
+    largest deviation from |F^perp| |A^perp| / size (1/redundancy) at the
+    origin and 0 elsewhere.
     """
-    grid = psi.grid
-    adj_time = GridLattice.cubic(grid, 1.0 / b)
-    adj_freq = GridLattice.cubic(grid.reciprocal(), 1.0 / a)
+    grid = system.grid
+    adj_time = _fft_annihilator(system.freq_lattice)
+    adj_freq = _fft_annihilator(system.time_lattice)
     L = grid.points_per_axis
-    prod = (grid.index_vectors() @ adj_freq.index_points.T) % L
+    prod = (grid.index_vectors() @ adj_freq.T) % L
     phases = np.exp(2j * np.pi * prod / L)
     cell = grid.spacing ** grid.dim
     gbar = np.conj(gamma.values)
     axes = tuple(range(grid.dim))
     worst = 0.0
-    for i, idx in enumerate(adj_time.index_points):
-        shifted = np.roll(psi.reshaped(), shift=tuple(idx), axis=axes).ravel()
+    for i, idx in enumerate(adj_time):
+        shifted = np.roll(system.window.reshaped(), shift=tuple(idx), axis=axes).ravel()
         inner = cell * (phases.T @ (shifted * gbar))
         if i == 0:
-            inner[0] -= (a * b) ** grid.dim
+            inner[0] -= len(adj_time) * len(adj_freq) / grid.size
         worst = max(worst, float(np.max(np.abs(inner))))
     return worst
+
+
+def _assert_wexler_raz_matches_scan(system, gamma):
+    """The residual of gamma and of a 1e-3 perturbation of it against the scan."""
+    perturbed = GridSignal(system.grid, 1.01 * gamma.values + 1e-3 * system.window.values)
+    for dual in (gamma, perturbed):
+        expected = _wexler_raz_scan(system, dual)
+        assert wexler_raz_residual(system, dual) == pytest.approx(expected, rel=1e-12,
+                                                                  abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", WINDOWS)
@@ -233,25 +246,20 @@ def test_fibers_match_dense_on_random_lattices(seed):
         gamma = dual_window(system, tol=0.0)
         residual = frame_apply(system, gamma).values - system.window.values
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(system.window.values)
+        # Most frames drawn here have a continuum adjoint off the grid.
+        assert wexler_raz_residual(system, gamma) <= 1e-10
+        _assert_wexler_raz_matches_scan(system, gamma)
 
 
 @pytest.mark.parametrize("kind", WINDOWS)
-@pytest.mark.parametrize("name", ALIGNED)
+@pytest.mark.parametrize("name", FRAMES)
 def test_wexler_raz_of_block_dual(name, kind):
     system = make_system(name, kind)
     gamma = dual_window(system, tol=1e-12)
     assert wexler_raz_residual(system, gamma) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", WINDOWS)
-def test_wexler_raz_off_grid_adjoint(kind):
-    system = make_system(OFF_GRID_ADJOINT, kind)
-    gamma = dual_window(system, tol=1e-12)
-    with pytest.raises(NonAlignedLattice):
-        wexler_raz_residual(system, gamma)
-
-
-@pytest.mark.parametrize("name", ALIGNED)
+@pytest.mark.parametrize("name", FRAMES)
 def test_adjoint_time_lattice_is_annihilator(name):
     # The adjoint time lattice is F^perp, the zero coset of the frame blocks.
     system = make_system(name, "gaussian")
@@ -261,17 +269,20 @@ def test_adjoint_time_lattice_is_annihilator(name):
     np.testing.assert_array_equal(np.sort(flat), np.sort(cosets[0]))
 
 
+@pytest.mark.parametrize("name", FRAMES)
+def test_adjoint_freq_lattice_is_annihilator(name):
+    # The adjoint frequency lattice is A^perp, the bins where the character
+    # sum over the time lattice A equals |A|.
+    system = make_system(name, "gaussian")
+    _, adj_freq = _adjoint_lattices(system)
+    np.testing.assert_array_equal(adj_freq.index_points, _fft_annihilator(system.time_lattice))
+
+
 @pytest.mark.parametrize("kind", WINDOWS)
-@pytest.mark.parametrize("name", [n for n in FRAMES if n in SEPARABLE])
+@pytest.mark.parametrize("name", FRAMES)
 def test_wexler_raz_matches_scan_oracle(name, kind):
-    _, _, _, a, b = SEPARABLE[name]
     system = make_system(name, kind)
-    gamma = dual_window(system, tol=1e-12)
-    perturbed = GridSignal(system.grid, 1.01 * gamma.values + 1e-3 * system.window.values)
-    for dual in (gamma, perturbed):
-        expected = _wexler_raz_scan(system.window, dual, a, b)
-        assert wexler_raz_residual(system, dual) == pytest.approx(expected, rel=1e-12,
-                                                                  abs=1e-14)
+    _assert_wexler_raz_matches_scan(system, dual_window(system, tol=1e-12))
 
 
 # name: the (n_1, ..., n_d) shape that analysis and synthesis fold to, L / gcd

@@ -3,7 +3,6 @@ import pytest
 
 from gaborgrid.errors import (
     IndexMismatch,
-    NonAlignedLattice,
     NotAFrame,
     ZeroSignal,
 )
@@ -285,13 +284,6 @@ def test_wexler_raz_detects_orthogonal_pair(ref_grid):
     gamma = GridSignal(ref_grid, gamma_vals)
     res = wexler_raz_residual(GaborSystem.separable(psi, 1.0, 1.0), gamma)
     assert res >= (1.0 * 1.0) ** 1 - 1e-12
-
-
-def test_wexler_raz_alignment_error(ref_grid):
-    # Frequency step 0.1875 is aligned, its adjoint time step 16/3 is not.
-    system = GaborSystem.separable(sample_gaussian(ref_grid), 1.0, 0.1875)
-    with pytest.raises(NonAlignedLattice):
-        wexler_raz_residual(system, system.window)
 
 
 def test_wexler_raz_adjoint_identity(ref_system, rng):
