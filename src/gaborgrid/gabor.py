@@ -9,16 +9,6 @@ are conjugate transposes up to the scalar spacing^n and the frame operator
 
 is Hermitian positive semidefinite.  Frame bounds are reported as extreme
 eigenvalues of S, i.e. as the squares of the coefficient-map norm bounds.
-Analysis and synthesis each have one batched kernel over a stack of
-signals, ``_analysis`` and ``_synthesis``, one FFT in place per stack;
-``analyze``, ``synthesize``, ``frame_apply`` and ``reconstruction_error``
-are their one-signal cases.  The FFTs are folded to F: when every bin of F
-is a multiple of g_a along axis a, its characters are L / g_a periodic
-there.  The window translates are cached in polyphase layout
-W[r, k, p] = psi(r + p - x_k), r over the residues of the fold and p over
-its periods, so analysis sums over the periods by one batched matmul over
-the residues before a transform of the fold shape, and synthesis follows
-its small inverse transform by the transposed matmul.
 
 The modulations of F sum to |F| on its annihilator
 F^perp = {u : m . u = 0 mod L for every m in F} and to 0 off it, so with
@@ -42,6 +32,17 @@ frame bounds are the extreme eigenvalues of the fibers, and the canonical
 dual window is one fiber solve and one inverse character transform; both
 are exact up to rounding.
 
+Analysis and synthesis run on the same fibers (Strohmer 1998; LTFAT's
+``dgt_fac``, Prusa et al. 2014), one batched kernel each, ``_analysis`` and
+``_synthesis``.  Analysis gathers the signals at c + f_i + u, transforms
+them over the characters of H, contracts with conj Phi over i and
+transforms back, which gives per time point and coset c the coset's share
+of the inner product.  The characters of F are constant on the cosets and
+L / g_a periodic along axis a when every bin of F is a multiple of g_a
+there, so one FFT of that fold shape finishes.  Synthesis is its exact
+transpose on the fibers of the synthesis window.  No translate table is
+kept: the largest arrays are Phi, size * q entries, and the coefficients.
+
 Wexler-Raz biorthogonality is evaluated independently of the fibers.  The
 adjoint of the product lattice A x F is F^perp x A^perp: the time nodes
 that F annihilates as time shifts and the bins that A annihilates as
@@ -49,13 +50,15 @@ frequencies (``_annihilator``).  Both are finite subgroups of their grids,
 so the adjoint exists for every pair of grid lattices, and the pair
 (psi, gamma) is dual exactly when the STFT of gamma with window psi over
 the adjoint vanishes except for the mass 1/redundancy at the origin
-((ab)^n on a separable lattice with steps (a, b)).
+((ab)^n on a separable lattice with steps (a, b)).  That STFT is taken from
+blocks of window translates, not from the fibers of the adjoint system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,63 +123,6 @@ def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
     )
 
 
-def _fold_order(dim: int) -> tuple[int, ...]:
-    """The axis order that takes (S,) + split, split as in ``_tables``, to
-    (residues, S, periods)."""
-    return tuple(range(2, 2 * dim + 1, 2)) + (0,) + tuple(range(1, 2 * dim, 2))
-
-
-def _polyphase(rows: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
-    """(R, S, P) polyphase layout of the (S, size) grid ``rows``: entry
-    [r, s, p] is row s at the node with residue r and period p of the fold
-    ``split`` (see ``_tables``)."""
-    shaped = rows.reshape((len(rows),) + split).transpose(_fold_order(len(split) // 2))
-    return np.ascontiguousarray(shaped).reshape(math.prod(split[1::2]), len(rows), -1)
-
-
-def _from_polyphase(table: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
-    """The (S, size) grid rows of the (R, S, P) polyphase ``table``; the
-    inverse of ``_polyphase``."""
-    shaped = table.reshape(split[1::2] + table.shape[1:2] + split[::2])
-    order = np.argsort(_fold_order(len(split) // 2))
-    return shaped.transpose(order).reshape(table.shape[1], -1)
-
-
-def _shift_table(window: GridSignal, time_lattice: GridLattice,
-                 split: tuple[int, ...]) -> np.ndarray:
-    """(R, N0, P) polyphase table of the window translates: entry [r, k, p]
-    is psi(r + p - x_k) at the node with residue r and period p of the fold
-    ``split``.  The translates are built and laid out in blocks of time
-    points under ``grid._BATCH_BYTES``, so the table is the only large array.
-    """
-    table = np.empty((math.prod(split[1::2]), time_lattice.count, math.prod(split[::2])),
-                     dtype=complex)
-    block = _block_rows(window.grid.size)
-    translates = _translates(window.reshaped(), time_lattice.index_points, block)
-    for lo, rows in zip(range(0, time_lattice.count, block), translates):
-        table[:, lo:lo + block] = _polyphase(rows, split)
-    return table
-
-
-def _tables(system: GaborSystem) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...],
-                                          np.ndarray]:
-    """Cached (shift table, shape, split, bins) of the system's analysis and
-    synthesis: the window's translate table in polyphase layout
-    (``_shift_table``) and the fold of the bins of F (``grid._lattice_fold``).
-    Every character of F is periodic with the fold ``shape``, so the
-    analysis and synthesis transforms need only that size; ``bins`` are the
-    flat bins of F in it.
-    """
-    cached = getattr(system, "_op_tables", None)
-    if cached is None:
-        shape, split, bins = _lattice_fold(system.freq_lattice.index_points,
-                                           system.grid.points_per_axis)
-        table = _shift_table(system.window, system.time_lattice, split)
-        cached = (table, shape, split, bins)
-        object.__setattr__(system, "_op_tables", cached)
-    return cached
-
-
 def _hermite_basis(points: np.ndarray, L: int) -> np.ndarray:
     """(dim, dim) lower-triangular basis B of the subgroup of (Z/L)^dim whose
     elements are the (count, dim) ``points``.
@@ -227,95 +173,126 @@ def _box(sizes) -> np.ndarray:
     return np.indices(tuple(sizes)).reshape(len(sizes), -1).T
 
 
-def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (phi, chars, nodes) of the frame operator's Zak fibers.
+class _FiberMaps(NamedTuple):
+    """The index maps of the Zak fibers of a lattice pair (``_fiber_maps``)."""
 
-    ``phi[chi, c]`` is the p x q matrix Phi_{c,chi} of the module docstring,
-    a (|H|, |F|, p, q) stack; ``chars[u, chi]`` is the character chi of H at
-    its element u; ``nodes[u, c, i]`` is the flat grid node c + f_i + u.
-    F^perp is ``_annihilator`` of F and H the points of the time lattice
-    in it.  Their lower-triangular bases give the elements and characters
-    of H, one point per coset of F^perp in the grid, and the points f_i and
-    a_l of F^perp / H and A / H.  The window gathered at c + f_i - a_l - u
-    is the largest table, size * q entries, and one matmul with the
-    character table contracts it over u.
+    chars: np.ndarray
+    nodes: np.ndarray
+    shifts: np.ndarray
+    shape: tuple[int, ...]
+    places: np.ndarray
+    bins: np.ndarray
+
+
+def _fiber_maps(time_lattice: GridLattice, freq_lattice: GridLattice) -> _FiberMaps:
+    """The window-free index maps of the Zak fibers of A x F, cached on the
+    time lattice for its last frequency lattice, so every window on one
+    lattice pair shares them.
+
+    ``chars[u, chi]`` is the character chi of H at u; ``nodes`` are the
+    flat nodes c + f_i + u in (u, c, i) order; ``shifts[chi, c, i, l]``
+    indexes c + f_i - a_l - u (u of index chi) in the 2^n-tiled window.
+    ``shape`` and ``bins`` are the fold of F (``grid._lattice_fold``); the
+    box of c lies in it, as n_a e_a is in F^perp for the fold length n_a
+    of every axis a.
+    ``places``, in (u, c, l) order, are the flat positions of coset c and
+    time point a_l + u in (fold, N0) spectra, the time points in lattice
+    order.
     """
-    cached = getattr(system, "_op_fibers", None)
-    if cached is None:
-        grid = system.grid
+    cached = getattr(time_lattice, "_fiber_maps", None)
+    if cached is None or cached[0] is not freq_lattice:
+        grid = time_lattice.grid
         L = grid.points_per_axis
-        steps = system.freq_lattice.steps
-        perp = _annihilator(system.freq_lattice, grid)
-        time = system.time_lattice.index_points
-        basis = _hermite_basis(time[np.all(time @ steps % L == 0, axis=1)], L)
+        perp = _annihilator(freq_lattice, grid)
+        time = time_lattice.index_points
+        basis = _hermite_basis(time[np.all(time @ freq_lattice.steps % L == 0, axis=1)], L)
         # The box of the orders L / g_j indexes the elements of H (by their
         # coefficients in the basis) and its characters (by frequencies).
         orders = _box(L // np.diag(basis))
         elements = orders @ basis.T % L
         chars = np.exp(2j * np.pi * (elements @ orders.T % L) / L)
-        c = _box(np.diag(perp.steps))[:, None, :]
+        c = _box(np.diag(perp.steps))
         f = _coset_points(perp.index_points, basis, L)
         a = _coset_points(time, basis, L)
         # c + f_i - (a_l + u) with both parts reduced mod L lies in (-L, L)^n,
         # so one period on it is a linear index into the 2^n-tiled window.
-        tiled = np.tile(system.window.reshaped(), (2,) * grid.dim).ravel()
         strides = (2 * L) ** np.arange(grid.dim)[::-1]
-        ends = (c + f) % L @ strides + L * strides.sum()
+        ends = (c[:, None] + f) % L @ strides + L * strides.sum()
         starts = (elements[:, None] + a) % L @ strides
-        shifted = ends[..., None] - starts[:, None, None, :]
-        phi = (chars.T @ tiled[shifted].reshape(len(chars), -1)).reshape(shifted.shape)
-        cached = (phi, chars, _flat_index(grid, elements[:, None, None] + c + f))
+        shape, _, bins = _lattice_fold(freq_lattice.index_points, L)
+        folds = np.ravel_multi_index(tuple(c.T), shape)
+        times = np.searchsorted(time_lattice._flat_points,
+                                _flat_index(grid, elements[:, None] + a))
+        nodes = _flat_index(grid, elements[:, None, None] + c[:, None] + f)
+        places = folds[:, None] * len(time) + times[:, None]
+        maps = _FiberMaps(chars, nodes.ravel(), ends[..., None] - starts[:, None, None, :],
+                          shape, places.ravel(), bins)
+        cached = (freq_lattice, maps)
+        object.__setattr__(time_lattice, "_fiber_maps", cached)
+    return cached[1]
+
+
+def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, _FiberMaps]:
+    """Cached (phi, maps): ``phi[chi, c]`` is the p x q fiber Phi_{c,chi}
+    of the module docstring, one matmul of the characters with the window
+    gathered at the ``shifts`` of ``_fiber_maps``."""
+    cached = getattr(system, "_op_fibers", None)
+    if cached is None:
+        maps = _fiber_maps(system.time_lattice, system.freq_lattice)
+        tiled = np.tile(system.window.reshaped(), (2,) * system.grid.dim).ravel()
+        shifted = tiled[maps.shifts].reshape(len(maps.chars), -1)
+        cached = ((maps.chars.T @ shifted).reshape(maps.shifts.shape), maps)
         object.__setattr__(system, "_op_fibers", cached)
     return cached
 
 
 def _analysis(system: GaborSystem, rows: np.ndarray) -> np.ndarray:
     """(S, N0, |F|) STFT samples on the system lattice of the (S, size)
-    signal rows.
-
-    The conjugated signals in polyphase layout (R, S, P) times the cached
-    table, transposed to (R, P, N0), is one batched matmul over the
-    residues of the fold (see ``_tables``).  Its conjugate is the fold of
-    every signal times every conjugated window translate, and one batched
-    FFT in place of the folded shape, read at the bins of F, finishes the
-    analysis.
-    """
-    table, shape, split, bins = _tables(system)
+    signal rows: the fiber steps of the module docstring, then the cosets
+    scattered into (fold, N0, S) spectra and one batched FFT in place over
+    the fold axes, read at the bins."""
+    phi, (chars, nodes, _, shape, places, bins) = _zak_fibers(system)
     grid = system.grid
-    folded = np.matmul(_polyphase(np.conj(rows), split), table.swapaxes(1, 2))
-    np.conjugate(folded, out=folded)
-    spectra = np.moveaxis(folded, 0, -1).reshape(folded.shape[1:] + shape)
-    np.fft.fftn(spectra, axes=tuple(range(2, grid.dim + 2)), out=spectra)
-    return grid.spacing ** grid.dim * spectra.reshape(spectra.shape[:2] + (-1,))[:, :, bins]
+    count = len(rows)
+    signals = rows.T[nodes]
+    # The quadrature weight and the 1 / |H| of the inverse character transform.
+    signals *= grid.spacing ** grid.dim / len(chars)
+    fibers = (chars.conj().T @ signals.reshape(len(chars), -1)).reshape(phi.shape[:3] + (count,))
+    fibers = np.conj(phi).swapaxes(2, 3) @ fibers
+    spectra = np.zeros((math.prod(shape), system.time_lattice.count, count), dtype=complex)
+    spectra.reshape(-1, count)[places] = (
+        chars @ fibers.reshape(len(chars), -1)).reshape(-1, count)
+    folded = np.moveaxis(spectra.reshape(shape + spectra.shape[1:]), (-1, -2), (0, 1))
+    np.fft.fftn(folded, axes=tuple(range(2, grid.dim + 2)), out=folded)
+    return spectra[bins].T
 
 
-def _synthesis(system: GaborSystem, table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _synthesis(system: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
     """(S, size) rows: sum over k and j of coeffs[s, k, j] times the window
-    translate of the polyphase ``table`` at time point k modulated by the
-    j-th frequency of the system.
+    translate at time point k modulated by the j-th frequency of the
+    system.  The exact transpose of ``_analysis``."""
+    phi, (chars, nodes, _, shape, places, bins) = _zak_fibers(system)
+    count = len(coeffs)
+    spectra = np.zeros((math.prod(shape), coeffs.shape[1], count), dtype=complex)
+    spectra[bins] = coeffs.T
+    folded = np.moveaxis(spectra.reshape(shape + spectra.shape[1:]), (-1, -2), (0, 1))
+    np.fft.ifftn(folded, axes=tuple(range(2, system.grid.dim + 2)), norm="forward", out=folded)
+    sums = spectra.reshape(-1, count)[places]
+    sums *= 1.0 / len(chars)
+    fibers = (chars.conj().T @ sums.reshape(len(chars), -1)).reshape(phi.shape[:2] + (-1, count))
+    fibers = phi @ fibers
+    rows = np.empty((system.grid.size, count), dtype=complex)
+    rows[nodes] = (chars @ fibers.reshape(len(chars), -1)).reshape(-1, count)
+    return rows.T
 
-    Each time point's coefficients are scattered into their bins of the
-    fold (see ``_tables``); one batched unnormalized inverse FFT in place of
-    the folded shape modulates them, and one batched matmul over the
-    residues, (R, S, N0) times the (R, N0, P) table, sums the modulated
-    translates.
-    """
-    grid = system.grid
-    _, shape, split, bins = _tables(system)
-    spectra = np.zeros(coeffs.shape[:2] + (math.prod(shape),), dtype=complex)
-    spectra[:, :, bins] = coeffs
-    small = spectra.reshape(coeffs.shape[:2] + shape)
-    np.fft.ifftn(small, axes=tuple(range(2, grid.dim + 2)), norm="forward", out=small)
-    return _from_polyphase(np.matmul(np.moveaxis(spectra, -1, 0).copy(), table), split)
 
-
-def _synthesis_table(system: GaborSystem, dual: GridSignal | None) -> np.ndarray:
-    """Polyphase shift table of the synthesis window: the cached one of the
-    system window, or one built for ``dual``."""
+def _synthesis_system(system: GaborSystem, dual: GridSignal | None) -> GaborSystem:
+    """The system of the synthesis window: ``system`` itself, or ``dual``
+    on its lattices (whose fibers are cached on that system)."""
     if dual is None or dual is system.window:
-        return _tables(system)[0]
+        return system
     require_same_grid(dual, system.window)
-    return _shift_table(dual, system.time_lattice, _tables(system)[2])
+    return GaborSystem(dual, system.time_lattice, system.freq_lattice)
 
 
 def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
@@ -335,16 +312,14 @@ def synthesize(system: GaborSystem, coeffs: CoeffArray) -> GridSignal:
         and _lattices_match(coeffs.freq_lattice, system.freq_lattice)
     ):
         raise IndexMismatch("coefficients are not indexed by the system lattice")
-    rows = _synthesis(system, _tables(system)[0], coeffs.values[None])
-    return GridSignal(system.grid, rows[0])
+    return GridSignal(system.grid, _synthesis(system, coeffs.values[None])[0])
 
 
 def frame_apply(system: GaborSystem, f: GridSignal,
                 dual: GridSignal | None = None) -> GridSignal:
     """The operator synthesize(dual) . analyze(window); dual defaults to window."""
     require_same_grid(f, system.window)
-    table = _synthesis_table(system, dual)
-    rows = _synthesis(system, table, _analysis(system, f.values[None]))
+    rows = _synthesis(_synthesis_system(system, dual), _analysis(system, f.values[None]))
     return GridSignal(system.grid, rows[0])
 
 
@@ -427,22 +402,25 @@ def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:
     cert = frame_bounds(system)
     if cert.lower <= tol:
         raise NotAFrame(f"lower frame bound {cert.lower} <= tol {tol}")
-    phi, chars, nodes = _zak_fibers(system)
+    phi, (chars, nodes, *_) = _zak_fibers(system)
     scale = system.grid.spacing ** system.grid.dim * system.freq_lattice.count
     fibers = np.linalg.solve(scale * (phi @ phi.conj().swapaxes(-1, -2)), phi[..., :1])
     gamma = np.empty(system.grid.size, dtype=complex)
-    inverse = chars @ fibers.reshape(len(chars), -1) / len(chars)
-    gamma[nodes] = inverse.reshape(nodes.shape)
+    gamma[nodes] = (chars @ fibers.reshape(len(chars), -1)).ravel() / len(chars)
     return GridSignal(system.grid, gamma)
 
 
 def _adjoint_lattices(system: GaborSystem) -> tuple[GridLattice, GridLattice]:
-    """(time, frequency) lattices of the adjoint, F^perp x A^perp: the
-    annihilator of the frequency lattice as time shifts, that of the time
-    lattice as frequencies."""
-    grid = system.grid
-    return (_annihilator(system.freq_lattice, grid),
-            _annihilator(system.time_lattice, grid.reciprocal()))
+    """Cached (time, frequency) lattices of the adjoint, F^perp x A^perp:
+    the annihilator of the frequency lattice as time shifts, that of the
+    time lattice as frequencies."""
+    cached = getattr(system, "_adjoint", None)
+    if cached is None:
+        grid = system.grid
+        cached = (_annihilator(system.freq_lattice, grid),
+                  _annihilator(system.time_lattice, grid.reciprocal()))
+        object.__setattr__(system, "_adjoint", cached)
+    return cached
 
 
 def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
@@ -452,12 +430,28 @@ def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
     The largest deviation of the STFT of gamma with the system window, over
     the adjoint lattice, from 1/redundancy at the origin and 0 elsewhere.
     Lattice covariance of the Gram entries makes this origin-anchored
-    analysis equivalent to the full double scan.
+    analysis equivalent to the full double scan.  Apart from the fibers,
+    gamma times each conjugated translate T_u psi, u in F^perp in blocks
+    under ``grid._BATCH_BYTES``, is folded onto the period of A^perp and
+    one FFT of the fold takes every inner product.
     """
-    inner = analyze(GaborSystem(system.window, *_adjoint_lattices(system)), gamma).values
-    target = np.zeros(inner.shape)
-    target[0, 0] = 1.0 / system.redundancy
-    return float(np.max(np.abs(inner - target)))
+    require_same_grid(gamma, system.window)
+    grid = system.grid
+    adj_time, adj_freq = _adjoint_lattices(system)
+    shape, split, bins = _lattice_fold(adj_freq.index_points, grid.points_per_axis)
+    periods = tuple(range(1, 2 * grid.dim, 2))
+    folded = np.empty((adj_time.count,) + shape, dtype=complex)
+    block = _block_rows(grid.size)
+    translates = _translates(system.window.reshaped(), adj_time.index_points, block)
+    for lo, rows in zip(range(0, adj_time.count, block), translates):
+        np.conjugate(rows, out=rows)
+        rows *= gamma.values
+        np.sum(rows.reshape((len(rows),) + split), axis=periods, out=folded[lo:lo + block])
+    np.fft.fftn(folded, axes=tuple(range(1, grid.dim + 1)), out=folded)
+    inner = folded.reshape(adj_time.count, -1)[:, bins]
+    inner *= grid.spacing ** grid.dim
+    inner[0, 0] -= 1.0 / system.redundancy
+    return float(np.max(np.abs(inner)))
 
 
 def _reconstruction_errors(system: GaborSystem, gamma: GridSignal,
@@ -465,20 +459,21 @@ def _reconstruction_errors(system: GaborSystem, gamma: GridSignal,
     """Relative L2 errors of synthesize(gamma) . analyze(window) against the
     (S, size) signal rows, one per row.
 
-    The dual's shift table is built once; the signals run in blocks under
-    ``grid._BATCH_BYTES``, each one batched analysis and one batched
-    synthesis.  A signal's largest temporary is its folded coefficients,
-    N0 times the fold size, or the signal itself when that is larger.
+    The synthesis runs on the fibers of ``GaborSystem(gamma, A, F)``, built
+    once; the signals run in blocks under ``grid._BATCH_BYTES``.  A
+    signal's largest temporary is its folded coefficients, N0 times the
+    fold size, or the signal itself when that is larger.
     """
     denoms = np.linalg.norm(rows, axis=1)
     if not np.all(denoms):
         raise ZeroSignal("reconstruction error undefined for the zero signal")
-    table = _synthesis_table(system, gamma)
-    block = _block_rows(max(table.shape[0] * table.shape[1], system.grid.size))
+    dual = _synthesis_system(system, gamma)
+    folded = system.time_lattice.count * math.prod(_zak_fibers(system)[1].shape)
+    block = _block_rows(max(folded, system.grid.size))
     errors = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], block):
         signals = rows[lo:lo + block]
-        rec = _synthesis(system, table, _analysis(system, signals))
+        rec = _synthesis(dual, _analysis(system, signals))
         rec -= signals
         errors[lo:lo + block] = np.linalg.norm(rec, axis=1)
     return errors / denoms

@@ -200,14 +200,14 @@ def _disjoint_translates(window: GridSignal, lat: GridLattice
 
 def _window_cached(window: GridSignal, key, build):
     """``build()``, cached on the window under ``key``, as ``GaborSystem``
-    caches its operator tables; a build that raises caches nothing."""
-    tables = getattr(window, "_norm_tables", None)
-    if tables is None:
-        tables = {}
-        object.__setattr__(window, "_norm_tables", tables)
-    if key not in tables:
-        tables[key] = build()
-    return tables[key]
+    caches its Zak fibers; a build that raises caches nothing."""
+    cache = getattr(window, "_norm_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(window, "_norm_cache", cache)
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _checked_translates(window: GridSignal, lat: GridLattice

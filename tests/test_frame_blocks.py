@@ -17,7 +17,7 @@ from gaborgrid.gabor import (
     GaborSystem,
     _adjoint_lattices,
     _dense_frame_matrix,
-    _tables,
+    _zak_fibers,
     analyze,
     dual_window,
     frame_apply,
@@ -51,6 +51,9 @@ SEPARABLE = {
 SHEARED = {
     "2d-sheared-time-r4": (6.0, 12, [[1.0, 0.5], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]),
     "2d-sheared-freq-r2": (6.0, 12, [[1.0, 0.0], [0.0, 2.0]], [[0.5, 1 / 6], [0.0, 0.5]]),
+    # |F| = 18 in a (6, 6) fold: the cosets of F^perp fill half of it.
+    "2d-sheared-zero-fill-r4.5": (6.0, 12, [[1.0, 0.0], [0.0, 1.0]],
+                                  [[1 / 3, 0.0], [1 / 3, 2 / 3]]),
 }
 WINDOWS = ("gaussian", "random")
 
@@ -236,7 +239,13 @@ def test_fibers_match_dense_on_random_lattices(seed):
     cert = frame_bounds(system)
     count, p, q = cert.fiber_shape
     assert count * p == grid.size and q / p == pytest.approx(system.redundancy, rel=1e-15)
-    eigs = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    dense = _dense_frame_matrix(system)
+    # Analysis and synthesis on the fibers, undersampled systems included.
+    f = random_signal(grid, rng)
+    expected = dense @ f.values
+    np.testing.assert_allclose(frame_apply(system, f).values, expected,
+                               rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+    eigs = np.linalg.eigvalsh(dense)
     assert abs(cert.upper - eigs[-1]) <= 1e-12 * eigs[-1]
     if system.redundancy < 1.0:
         assert cert.lower == 0.0
@@ -293,6 +302,9 @@ FOLDS = {
     "2d-sheared-time-r4": (4, 4),
     # F's bins (3, 0) and (1, 3) leave no fold along axis 0.
     "2d-sheared-freq-r2": (12, 4),
+    # F's bins (2, 2) and (0, 4) fold both axes to 6, and the fold has twice
+    # as many points as F.
+    "2d-sheared-zero-fill-r4.5": (6, 6),
 }
 
 
@@ -306,7 +318,7 @@ def test_folded_analysis_matches_stft(name, kind, monkeypatch):
     rows = system.time_lattice._flat_points
     bins = system.freq_lattice._flat_points
     expected = stft(f, system.window).values[np.ix_(rows, bins)]
-    assert _tables(system)[1] == FOLDS[name]
+    assert _zak_fibers(system)[1].shape == FOLDS[name]
     shapes = record_fft_shapes(monkeypatch)
     got = analyze(system, f).values
     assert shapes == [("fftn", (1, system.time_lattice.count) + FOLDS[name])]

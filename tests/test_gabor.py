@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from gaborgrid.gabor import (
     _adjoint_lattices,
     _dense_frame_matrix,
     _reconstruction_errors,
-    _tables,
+    _zak_fibers,
     analyze,
     dual_window,
     frame_apply,
@@ -367,6 +370,40 @@ def test_two_dimensional_system_reconstructs():
     assert wexler_raz_residual(system, gamma) <= 1e-8
 
 
+def test_reconstruction_and_wexler_raz_keep_no_translate_table():
+    # A table of the window's translates over A (128 time points) or over
+    # F^perp (64) would hold 128 or 64 signals' bytes; the fibers, the folded
+    # coefficients and blocks of translates keep each call under 32.
+    grid = PeriodicGrid(1, 128.0, 16384)
+    system = GaborSystem.separable(sample_gaussian(grid), 1.0, 0.5)
+    gamma = dual_window(system, tol=1e-12)
+    f = random_signal(grid, np.random.default_rng(4))
+    for measure in (lambda: reconstruction_error(system, gamma, f),
+                    lambda: wexler_raz_residual(system, gamma)):
+        tracemalloc.start()
+        try:
+            value = measure()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value <= 1e-10
+        assert peak < 32 * f.values.nbytes
+
+
+def test_fiber_maps_are_shared_per_lattice_pair(ref_system):
+    gamma = dual_window(ref_system, tol=1e-12)
+    other = GaborSystem(gamma, ref_system.time_lattice, ref_system.freq_lattice)
+    assert _zak_fibers(other)[1] is _zak_fibers(ref_system)[1]
+    assert _zak_fibers(other)[0] is not _zak_fibers(ref_system)[0]
+    # The same time lattice with another frequency lattice gets its own maps.
+    grid = ref_system.grid
+    finer = GaborSystem(ref_system.window, ref_system.time_lattice,
+                        GridLattice.cubic(grid.reciprocal(), 0.25))
+    f = random_signal(grid, np.random.default_rng(2))
+    expected = analyze(GaborSystem.separable(ref_system.window, 1.0, 0.25), f).values
+    np.testing.assert_allclose(analyze(finer, f).values, expected, rtol=0, atol=1e-13)
+
+
 # Batched reconstruction --------------------------------------------------------
 
 def _reconstruction_system(name):
@@ -388,8 +425,8 @@ def test_batched_reconstruction_matches_per_signal_loop(name):
     grid = system.grid
     gamma = dual_window(system, tol=1e-12)
     # Enough signals for two full blocks and a partial last one.
-    table = _tables(system)[0]
-    n = 2 * _block_rows(max(table.shape[0] * table.shape[1], grid.size)) + 1
+    folded = system.time_lattice.count * math.prod(_zak_fibers(system)[1].shape)
+    n = 2 * _block_rows(max(folded, grid.size)) + 1
     batch_rng, loop_rng = np.random.default_rng(23), np.random.default_rng(23)
     batched = _reconstruction_errors(
         system, gamma, _complex_rows(batch_rng.standard_normal((n, 2, grid.size))))
@@ -421,8 +458,7 @@ def test_batched_reconstruction_zero_signal(ref_system, rng):
 def test_reconstruction_fft_count(ref_system, rng, monkeypatch, signals_per_block):
     grid = ref_system.grid
     # A signal's largest temporary is its (N0, fold size) coefficients.
-    table = _tables(ref_system)[0]
-    per_signal = table.shape[0] * table.shape[1]
+    per_signal = ref_system.time_lattice.count * math.prod(_zak_fibers(ref_system)[1].shape)
     if signals_per_block:
         monkeypatch.setattr(grid_module, "_BATCH_BYTES", signals_per_block * 16 * per_signal)
     gamma = dual_window(ref_system, tol=1e-12)

@@ -150,10 +150,12 @@ def test_embedding_chain_memory_is_bounded():
 
 def test_one_system_per_verify_run(monkeypatch):
     # The frame-bounds, reconstruction and wexler-raz suites share one
-    # system, so its Zak fibers are built once; the other three builds are
-    # the undersampled, small dense-oracle and painless systems.  Only the
-    # undersampled fibers (4 x 1) and the dense oracle need eigvalsh; the
-    # others have one row.
+    # system, so its Zak fibers are built once.  The other seven builds are
+    # the undersampled, small dense-oracle and painless systems of
+    # frame-bounds, the synthesis systems of the dual and of the doubled dual
+    # in reconstruction, and the adjoint-lattice systems ``adj`` and
+    # ``adj_dual`` of wexler-raz.  Only the undersampled fibers (4 x 1) and
+    # the dense oracle need eigvalsh; the others have one row or no bounds.
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -173,7 +175,7 @@ def test_one_system_per_verify_run(monkeypatch):
         "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
     })
     run_suites(cfg)
-    assert len(builds) == len({id(s) for s in builds}) == 4
+    assert len(builds) == len({id(s) for s in builds}) == 8
     assert calls == [(16, 16, 4, 4), (144, 144)]
 
 
