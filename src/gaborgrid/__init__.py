@@ -32,25 +32,20 @@ from .grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    conjugate_reflection,
     dft,
-    idft,
-    lattice_superposition,
     modulate,
     sample_bump,
     sample_gaussian,
     sample_oscillation,
     sample_rectangle,
-    spectral_derivative,
     translate,
 )
-from .lattice import Lattice, PowerWeight, dual_lattice, volume
+from .lattice import Lattice, PowerWeight, dual_lattice
 from .smoothness import (
     DecayProfile,
     convolve_samples,
     decay_profile,
     schwartz_seminorm,
-    smoothness_seminorm,
 )
 from .spaces import (
     SpaceSpec,

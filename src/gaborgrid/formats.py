@@ -7,8 +7,7 @@ values.  The grid period is not stored; readers supply it.
 
 CSV signals use columns ``index,re,im`` with the flat lexicographic node
 index.  Time-frequency tables use ``k,m,re,im`` (flat time node, flat DFT
-bin) and coefficient tables ``lam0,lam1,re,im`` with ordinal positions into
-the lattice enumerations.
+bin).
 
 JSON is emitted by a small writer with sorted keys and floats printed at 17
 significant digits, so byte-identical reruns are a property of the data,
@@ -25,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .grid import CoeffArray, GridSignal, PeriodicGrid
+from .grid import GridSignal, PeriodicGrid
 from .stft import TFArray
 
 _MAGIC = b"GABR"
@@ -98,18 +97,6 @@ def write_tfarray_binary(tf: TFArray, path) -> None:
         _write_complex(fh, tf.values.ravel())
 
 
-def read_tfarray_binary(path, period: float) -> TFArray:
-    with open(path, "rb") as fh:
-        magic, dim, L, rank = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ConfigError(f"bad magic {magic!r} in {path}")
-        if rank != 2:
-            raise ConfigError(f"expected rank-2 payload, found rank {rank}")
-        grid = PeriodicGrid(dim, period, L)
-        values = _read_complex(fh, grid.size ** 2).reshape(grid.size, grid.size)
-        return TFArray(grid, values)
-
-
 # CSV ------------------------------------------------------------------------
 
 # Signal and time-frequency rows are joined from ``tolist`` floats: the bytes
@@ -149,21 +136,6 @@ def write_tfarray_csv(tf: TFArray, path) -> None:
             for k, row in enumerate(tf.values.tolist()) for m, v in enumerate(row))
     with open(path, "w", newline="") as fh:
         fh.write("k,m,re,im\r\n" + "".join(rows))
-
-
-def write_coeffs_csv(coeffs: CoeffArray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if len(coeffs.lattices) == 1:
-            writer.writerow(["lam", "re", "im"])
-            for i, v in enumerate(coeffs.values):
-                writer.writerow([i, format(v.real, ".17g"), format(v.imag, ".17g")])
-            return
-        writer.writerow(["lam0", "lam1", "re", "im"])
-        for i in range(coeffs.values.shape[0]):
-            for j in range(coeffs.values.shape[1]):
-                v = coeffs.values[i, j]
-                writer.writerow([i, j, format(v.real, ".17g"), format(v.imag, ".17g")])
 
 
 def write_profile_csv(profile, path) -> None:

@@ -50,8 +50,9 @@ frequencies (``_annihilator``).  Both are finite subgroups of their grids,
 so the adjoint exists for every pair of grid lattices, and the pair
 (psi, gamma) is dual exactly when the STFT of gamma with window psi over
 the adjoint vanishes except for the mass 1/redundancy at the origin
-((ab)^n on a separable lattice with steps (a, b)).  That STFT is taken from
-blocks of window translates, not from the fibers of the adjoint system.
+((ab)^n on a separable lattice with steps (a, b)).  That STFT is taken by
+the translate-gather kernel of ``stft``, not from the fibers of the
+adjoint system.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .grid import (
     require_same_grid,
 )
 from .lattice import Lattice
+from .stft import _lattice_stft
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,16 +400,22 @@ def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:
     Phi[:, 0], and the inverse character transform over H, (1/|H|)
     sum_chi chi(u) y_chi[i], places the dual at the nodes c + f_i + u.
     Raises NotAFrame when the lower frame bound does not exceed ``tol``.
+    The dual is cached on the system next to the certificate; the gate runs
+    on every call.
     """
     cert = frame_bounds(system)
     if cert.lower <= tol:
         raise NotAFrame(f"lower frame bound {cert.lower} <= tol {tol}")
-    phi, (chars, nodes, *_) = _zak_fibers(system)
-    scale = system.grid.spacing ** system.grid.dim * system.freq_lattice.count
-    fibers = np.linalg.solve(scale * (phi @ phi.conj().swapaxes(-1, -2)), phi[..., :1])
-    gamma = np.empty(system.grid.size, dtype=complex)
-    gamma[nodes] = (chars @ fibers.reshape(len(chars), -1)).ravel() / len(chars)
-    return GridSignal(system.grid, gamma)
+    cached = getattr(system, "_dual", None)
+    if cached is None:
+        phi, (chars, nodes, *_) = _zak_fibers(system)
+        scale = system.grid.spacing ** system.grid.dim * system.freq_lattice.count
+        fibers = np.linalg.solve(scale * (phi @ phi.conj().swapaxes(-1, -2)), phi[..., :1])
+        gamma = np.empty(system.grid.size, dtype=complex)
+        gamma[nodes] = (chars @ fibers.reshape(len(chars), -1)).ravel() / len(chars)
+        cached = GridSignal(system.grid, gamma)
+        object.__setattr__(system, "_dual", cached)
+    return cached
 
 
 def _adjoint_lattices(system: GaborSystem) -> tuple[GridLattice, GridLattice]:
@@ -430,26 +438,13 @@ def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
     The largest deviation of the STFT of gamma with the system window, over
     the adjoint lattice, from 1/redundancy at the origin and 0 elsewhere.
     Lattice covariance of the Gram entries makes this origin-anchored
-    analysis equivalent to the full double scan.  Apart from the fibers,
-    gamma times each conjugated translate T_u psi, u in F^perp in blocks
-    under ``grid._BATCH_BYTES``, is folded onto the period of A^perp and
-    one FFT of the fold takes every inner product.
+    analysis equivalent to the full double scan.  The STFT is the
+    translate-gather kernel ``stft._lattice_stft``, apart from the fibers.
     """
     require_same_grid(gamma, system.window)
-    grid = system.grid
     adj_time, adj_freq = _adjoint_lattices(system)
-    shape, split, bins = _lattice_fold(adj_freq.index_points, grid.points_per_axis)
-    periods = tuple(range(1, 2 * grid.dim, 2))
-    folded = np.empty((adj_time.count,) + shape, dtype=complex)
-    block = _block_rows(grid.size)
-    translates = _translates(system.window.reshaped(), adj_time.index_points, block)
-    for lo, rows in zip(range(0, adj_time.count, block), translates):
-        np.conjugate(rows, out=rows)
-        rows *= gamma.values
-        np.sum(rows.reshape((len(rows),) + split), axis=periods, out=folded[lo:lo + block])
-    np.fft.fftn(folded, axes=tuple(range(1, grid.dim + 1)), out=folded)
-    inner = folded.reshape(adj_time.count, -1)[:, bins]
-    inner *= grid.spacing ** grid.dim
+    inner = _lattice_stft(gamma.values, system.window, adj_time.index_points,
+                          adj_freq.index_points)
     inner[0, 0] -= 1.0 / system.redundancy
     return float(np.max(np.abs(inner)))
 

@@ -97,10 +97,6 @@ class PeriodicGrid:
         grids = np.meshgrid(*([m] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def freq_nodes(self) -> np.ndarray:
-        """(size, dim) frequency coordinates m / P in DFT bin order."""
-        return self.freq_integers() / self.period
-
     def reciprocal(self) -> "PeriodicGrid":
         """The frequency-side grid: spacing 1/P, period L/P, same L."""
         return PeriodicGrid(self.dim, self.points_per_axis / self.period, self.points_per_axis)
@@ -138,9 +134,6 @@ class GridSignal:
         w = self.grid.spacing ** self.grid.dim
         return float(np.sqrt(w * np.sum(np.abs(self.values) ** 2)))
 
-    def with_values(self, values: np.ndarray) -> "GridSignal":
-        return GridSignal(self.grid, values)
-
     def __add__(self, other: "GridSignal") -> "GridSignal":
         require_same_grid(self, other)
         return GridSignal(self.grid, self.values + other.values)
@@ -163,12 +156,6 @@ def require_same_grid(a: GridSignal, b: GridSignal) -> None:
 def dft(signal: GridSignal) -> np.ndarray:
     """Forward DFT (plain sum, no prefactor), flattened in bin order."""
     return np.fft.fftn(signal.reshaped()).ravel()
-
-
-def idft(grid: PeriodicGrid, spectrum: np.ndarray) -> GridSignal:
-    """Inverse of :func:`dft`."""
-    spec = np.asarray(spectrum, dtype=complex).reshape(grid.shape)
-    return GridSignal(grid, np.fft.ifftn(spec).ravel())
 
 
 def _shift_steps(grid: PeriodicGrid, x) -> np.ndarray:
@@ -239,26 +226,6 @@ def _derivative_rows(grid: PeriodicGrid, spectra: np.ndarray, order: tuple[int, 
         spec = spec * (2j * np.pi * m.reshape(shape)) ** o
     out = np.fft.ifftn(spec, axes=tuple(range(1, grid.dim + 1)))
     return out.reshape(-1, grid.size)
-
-
-def spectral_derivative(signal: GridSignal, order) -> GridSignal:
-    """FFT derivative: multiply the spectrum by prod_j (2 pi i xi_j)^order_j.
-
-    The one-row case of the batched kernel ``_derivative_rows``.
-    """
-    grid = signal.grid
-    order = _order_tuple(grid, order)
-    spectra = np.fft.fftn(signal.reshaped())[None]
-    return GridSignal(grid, _derivative_rows(grid, spectra, order)[0])
-
-
-def conjugate_reflection(signal: GridSignal) -> GridSignal:
-    """The signal t -> conj(f(-t)) on the periodic grid."""
-    resh = signal.reshaped()
-    for axis in range(signal.grid.dim):
-        resh = np.flip(resh, axis=axis)
-        resh = np.roll(resh, 1, axis=axis)
-    return GridSignal(signal.grid, np.conj(resh).ravel())
 
 
 def _center_vector(grid: PeriodicGrid, center) -> np.ndarray:
@@ -536,16 +503,3 @@ def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np
     np.fft.ifftn(shaped, axes=axes, out=shaped)
     return rows
 
-
-def lattice_superposition(coeffs: CoeffArray, window: GridSignal) -> GridSignal:
-    """The finite sum sum_lambda c_lambda T_lambda(window) over one lattice.
-
-    One circular convolution of the window with the comb that carries
-    c_lambda at the lattice nodes, taken by FFT.
-    """
-    lat = coeffs.lattice
-    if not grids_compatible(lat.grid, window.grid):
-        raise GridMismatch("window grid does not match the lattice grid")
-    row = coeffs.values.reshape(1, lat.count)
-    rows = _superpose(lat, row, np.fft.fftn(window.reshaped()))
-    return GridSignal(window.grid, rows[0])

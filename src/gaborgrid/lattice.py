@@ -49,11 +49,6 @@ def dual_lattice(lat: Lattice) -> Lattice:
     return Lattice(np.linalg.inv(lat.generator.T))
 
 
-def volume(lat: Lattice) -> float:
-    """Covolume |det A| of a fundamental domain."""
-    return float(abs(np.linalg.det(lat.generator)))
-
-
 @dataclass(frozen=True)
 class PowerWeight:
     """The weight x -> (1 + |x|)^exponent with Euclidean |x|."""

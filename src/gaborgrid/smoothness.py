@@ -1,7 +1,7 @@
 """Smoothness seminorms and coefficient decay/growth profiling.
 
 The test-function side of the space family is probed numerically: the
-derivative seminorm takes the largest space norm over spectral derivatives
+Schwartz seminorm takes the largest weighted sup over spectral derivatives
 up to a given order, and the profiles summarize how the per-frequency
 discrete norms of the analysis coefficients behave against polynomial
 weights.  Rapidly decreasing profiles (every positive weight order stays
@@ -32,12 +32,10 @@ from .grid import (
     PeriodicGrid,
     _derivative_rows,
     grids_compatible,
-    spectral_derivative,
 )
 from .lattice import PowerWeight
 from .spaces import (
     SpaceSpec,
-    continuous_norm,
     discrete_norm,
     solid_discrete_norm,
 )
@@ -61,16 +59,6 @@ def _check_order(order: int) -> int:
     if not 0 <= order <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must lie in 0..{MAX_DERIVATIVE_ORDER}")
     return order
-
-
-def smoothness_seminorm(f: GridSignal, spec: SpaceSpec, order: int) -> float:
-    """max over |alpha| <= order of the space norm of the alpha-th derivative."""
-    order = _check_order(order)
-    best = 0.0
-    for alpha in multi_indices(f.grid.dim, order):
-        g = spectral_derivative(f, alpha) if any(alpha) else f
-        best = max(best, continuous_norm(g, spec))
-    return best
 
 
 def _schwartz_rows(grid: PeriodicGrid, rows: np.ndarray, spectra: np.ndarray,

@@ -4,10 +4,11 @@ The transform is the classical windowed integral
 
     V[k, m] = spacing^n * sum_t f(t) conj(psi(t - x_k)) exp(-2 pi i xi_m . t),
 
-evaluated on the translate gather of ``grid``: one batch of FFTs over t, a
-row per time node.  Time nodes run over the whole grid for the full
-transform; frequency bins are kept in DFT order so that bin j of row k is
-the frequency node labelled by ``grid.freq_integers()[j]``.
+taken by one translate-gather kernel, ``_lattice_stft``, on any time nodes
+x_k and frequency nodes xi_m.  The full transform is its case of every node
+and every bin, bins in DFT order (bin j is labelled by
+``grid.freq_integers()[j]``); the Wexler-Raz residual of ``gabor`` is its
+case of the adjoint lattice.
 
 The STFT derivative identity is checked from the frequency side without a
 full table.  The difference of its two sides has one row per bin: the
@@ -29,6 +30,7 @@ from .grid import (
     GridSignal,
     PeriodicGrid,
     _block_rows,
+    _lattice_fold,
     _order_tuple,
     _translates,
     require_same_grid,
@@ -60,6 +62,38 @@ class TFArray:
         object.__setattr__(self, "values", v)
 
 
+def _lattice_stft(values: np.ndarray, psi: GridSignal, time_points: np.ndarray,
+                  freq_points: np.ndarray) -> np.ndarray:
+    """(K, M) STFT samples of the (size,) signal ``values`` with window psi
+    at the (K, dim) time index points and the (M, dim) distinct, sorted bin
+    index points (as ``GridLattice.index_points``): conjugated translates of
+    psi, in blocks under ``grid._BATCH_BYTES``, times f, folded onto the
+    period of the bins, then one FFT of the fold.  For every bin the fold is
+    the grid, and the products and the FFT fill the table in place.
+    """
+    grid = psi.grid
+    shape, split, bins = _lattice_fold(freq_points, grid.points_per_axis)
+    periods = tuple(range(1, 2 * grid.dim, 2))
+    count = len(time_points)
+    folded = np.empty((count,) + shape, dtype=complex)
+    block = _block_rows(grid.size)
+    translates = _translates(psi.reshaped(), time_points, block)
+    for lo, rows in zip(range(0, count, block), translates):
+        part = folded[lo:lo + block]
+        np.conjugate(rows, out=rows)
+        if part.size < rows.size:
+            rows *= values
+            np.sum(rows.reshape((len(rows),) + split), axis=periods, out=part)
+        else:
+            np.multiply(rows, values, out=part.reshape(rows.shape))
+    np.fft.fftn(folded, axes=tuple(range(1, grid.dim + 1)), out=folded)
+    inner = folded.reshape(count, -1)
+    if len(bins) < inner.shape[1]:
+        inner = inner[:, bins]
+    inner *= grid.spacing ** grid.dim
+    return inner
+
+
 def stft(f: GridSignal, psi: GridSignal) -> TFArray:
     """Full STFT over every (time node, frequency bin) pair."""
     require_same_grid(f, psi)
@@ -68,17 +102,13 @@ def stft(f: GridSignal, psi: GridSignal) -> TFArray:
         raise ResourceLimit(
             f"full STFT needs {grid.size ** 2} entries, over the 2^26 budget"
         )
-    [rows] = _translates(psi.reshaped(), grid.index_vectors())
-    np.conjugate(rows, out=rows)
-    rows *= f.values
-    shaped = rows.reshape((-1,) + grid.shape)
-    np.fft.fftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)
-    rows *= grid.spacing ** grid.dim
-    return TFArray(grid, rows)
+    nodes = grid.index_vectors()
+    return TFArray(grid, _lattice_stft(f.values, psi, nodes, nodes))
 
 
-def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
-    """Discretization defect of the STFT derivative identity.
+def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[float, int]:
+    """(defect, rows_evaluated): the discretization defect of the STFT
+    derivative identity and the number of bin rows transformed to find it.
 
     In the continuum (2 pi i xi)^alpha V_psi f equals the binomial sum of
     STFTs of the derivatives of f against the derivatives of psi,
@@ -97,8 +127,8 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
         sigma(m, eta) = prod_a lab(m_a)^alpha_a
                         - prod_a (lab(m_a + eta_a) - lab(eta_a))^alpha_a,
 
-    which is exactly 0 wherever no label wraps.  The maximum absolute entry
-    is returned.  By the triangle inequality, row m's maximum is at most
+    which is exactly 0 wherever no label wraps.  The defect is the maximum
+    absolute entry.  By the triangle inequality, row m's maximum is at most
     U(m) = sum_eta |G_m(eta)| / size.  One real pass takes U for every bin,
     with no FFT; the rows are then transformed exactly in order of
     decreasing U, and the pass stops once no bound left, widened by a slack
@@ -108,12 +138,6 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> float:
     the real bounds); each block builds sigma from its own bin labels, so no
     table over all bin pairs is held.
     """
-    return _pruned_defect(f, psi, order)[0]
-
-
-def _pruned_defect(f: GridSignal, psi: GridSignal, order) -> tuple[float, int]:
-    """(defect, rows): ``derivative_identity_defect`` and the number of bin
-    rows it transformed to find it."""
     require_same_grid(f, psi)
     grid = f.grid
     order = _order_tuple(grid, order)

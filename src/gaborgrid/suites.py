@@ -5,7 +5,7 @@ and a dedicated random generator, and returns report entries: plain dicts
 with a measured value, a threshold, a comparator, and the resulting pass
 flag.  Informational measurements use the comparator ``report`` and always
 pass.  One system serves every suite of a run, so its frame-operator
-fibers and certificate are built once.
+fibers, certificate and dual window are built once.
 
 Suites draw their randomness from a generator seeded by the config seed
 and the suite name, so results do not depend on which other suites run or
@@ -61,6 +61,7 @@ from .spaces import (
     growth_weighted_sup,
     solid_discrete_norm,
 )
+from .stft import derivative_identity_defect
 
 SUITE_NAMES = (
     "decay",
@@ -237,12 +238,6 @@ def _smooth_rows(grid: PeriodicGrid, normals: np.ndarray,
     shaped = rows.reshape((-1,) + grid.shape)
     np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)
     return rows
-
-
-def smooth_random_signal(grid: PeriodicGrid, rng: np.random.Generator,
-                         bandwidth: float = 8.0) -> GridSignal:
-    normals = rng.standard_normal((1, 2, grid.size))
-    return GridSignal(grid, _smooth_rows(grid, normals, bandwidth)[0])
 
 
 def check(suite: str, name: str, value: float, threshold: float,
@@ -620,8 +615,6 @@ def run_growth(cfg: SuiteConfig, system: GaborSystem,
 
 def run_derivative_identity(cfg: SuiteConfig, system: GaborSystem,
                             rng: np.random.Generator) -> list[dict]:
-    from .stft import _pruned_defect
-
     suite = "derivative-identity"
     grid = system.grid
     f = sample_gaussian(grid)
@@ -629,7 +622,7 @@ def run_derivative_identity(cfg: SuiteConfig, system: GaborSystem,
     entries = []
     for label, order, threshold in (("order1_defect", (1,) * cfg.dim, 1e-8),
                                     ("order2_defect", (2,) + (0,) * (cfg.dim - 1), 1e-6)):
-        defect, rows = _pruned_defect(f, psi, order)
+        defect, rows = derivative_identity_defect(f, psi, order)
         entries.append(check(suite, label, defect, threshold, "<=",
                              details={"rows_evaluated": rows, "rows": grid.size}))
     return entries

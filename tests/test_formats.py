@@ -14,16 +14,14 @@ from gaborgrid.formats import (
     read_signal_binary,
     read_signal_csv,
     validate_report,
-    write_coeffs_csv,
     write_profile_csv,
     write_signal_binary,
     write_signal_csv,
     write_tfarray_binary,
     write_tfarray_csv,
-    read_tfarray_binary,
 )
-from gaborgrid.grid import CoeffArray, GridLattice, GridSignal, PeriodicGrid
-from gaborgrid.stft import TFArray
+from gaborgrid.grid import GridSignal, PeriodicGrid, sample_gaussian
+from gaborgrid.stft import TFArray, stft
 
 from conftest import random_signal
 
@@ -116,16 +114,17 @@ def test_signal_csv_row_count_checked(tmp_path, ref_grid):
 
 
 def test_tfarray_round_trip(tmp_path):
+    # The binary table of ``gaborgrid stft``, read back with struct and
+    # np.frombuffer: the GABR header, then interleaved little-endian re/im.
     grid = PeriodicGrid(1, 4.0, 8)
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    tf = TFArray(grid, values)
+    tf = stft(random_signal(grid, np.random.default_rng(0)), sample_gaussian(grid))
     path = tmp_path / "tf.bin"
     write_tfarray_binary(tf, path)
     raw = path.read_bytes()
-    assert struct.unpack("<4sIII", raw[:16])[3] == 2
-    back = read_tfarray_binary(path, grid.period)
-    np.testing.assert_array_equal(back.values, tf.values)
+    assert struct.unpack("<4sIII", raw[:16]) == (b"GABR", 1, 8, 2)
+    pairs = np.frombuffer(raw[16:], dtype="<f8").reshape(grid.size, grid.size, 2)
+    back = pairs[..., 0] + 1j * pairs[..., 1]
+    assert back.tobytes() == tf.values.tobytes()
     with pytest.raises(ConfigError):
         read_signal_binary(path, grid.period)  # rank mismatch
 
@@ -134,23 +133,6 @@ def test_tfarray_round_trip(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "k,m,re,im"
     assert len(lines) == 1 + 64
-
-
-def test_coeffs_csv(tmp_path, ref_grid, rng):
-    time_lat = GridLattice.cubic(ref_grid, 1.0)
-    freq_lat = GridLattice.cubic(ref_grid.reciprocal(), 0.5)
-    values = rng.standard_normal((16, 32))
-    c2 = CoeffArray.over_product(time_lat, freq_lat, values)
-    path = tmp_path / "c2.csv"
-    write_coeffs_csv(c2, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "lam0,lam1,re,im"
-    assert len(lines) == 1 + 16 * 32
-
-    c1 = CoeffArray.over_lattice(time_lat, values[:, 0])
-    path1 = tmp_path / "c1.csv"
-    write_coeffs_csv(c1, path1)
-    assert path1.read_text().splitlines()[0] == "lam,re,im"
 
 
 def test_profile_export(tmp_path, ref_grid):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from gaborgrid.errors import InvalidLattice
-from gaborgrid.lattice import Lattice, PowerWeight, dual_lattice, volume
+from gaborgrid.grid import GridLattice, PeriodicGrid
+from gaborgrid.lattice import Lattice, PowerWeight, dual_lattice
+
+from conftest import covolume
 
 
 def cofactor_det_2x2(a):
@@ -32,10 +35,18 @@ def test_dual_shear_matches_integrality_brute_force():
 
 
 def test_volume_examples():
-    assert volume(Lattice(np.array([[2.0]]))) == pytest.approx(2.0)
-    assert volume(Lattice(np.eye(2))) == pytest.approx(1.0)
-    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert volume(Lattice(shear)) == pytest.approx(abs(cofactor_det_2x2(shear)))
+    # A lattice containing P Z^n leaves P^n / volume points on the torus.
+    for generator, grid, volume in (
+        (np.array([[2.0]]), PeriodicGrid(1, 8.0, 32), 2.0),
+        (np.eye(2), PeriodicGrid(2, 4.0, 16), 1.0),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), PeriodicGrid(2, 4.0, 16), 1.0),
+        (np.array([[1.0, 0.5], [0.0, 2.0]]), PeriodicGrid(2, 4.0, 16), 2.0),
+    ):
+        lat = Lattice(generator)
+        assert covolume(lat) == pytest.approx(volume)
+        if lat.dim == 2:
+            assert volume == abs(cofactor_det_2x2(generator))
+        assert GridLattice(lat, grid).count * volume == grid.period ** grid.dim
 
 
 def test_singular_generator_rejected():
@@ -52,7 +63,7 @@ def test_volume_product_with_dual_is_one():
         if abs(np.linalg.det(gen)) < 1e-3:
             continue
         lat = Lattice(gen)
-        assert volume(lat) * volume(dual_lattice(lat)) == pytest.approx(1.0, abs=1e-12)
+        assert covolume(lat) * covolume(dual_lattice(lat)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bidual_unimodular_equivalence():

@@ -19,7 +19,6 @@ from gaborgrid.grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    lattice_superposition,
     modulate,
     modulation_phases,
     sample_bump,
@@ -38,7 +37,7 @@ from gaborgrid.spaces import (
     solid_discrete_norm,
 )
 
-from conftest import count_fft_calls, random_signal, record_fft_shapes
+from conftest import count_fft_calls, lattice_superposition, random_signal, record_fft_shapes
 
 
 def lp(p):
@@ -335,7 +334,7 @@ def test_discrete_norm_matches_fft_superposition(setup, spec, block_rows, monkey
     rng = np.random.default_rng(31)
     # A complex window, so that the Fourier kind sees the window's phase.
     chi = sample_bump(grid, radius=radius)
-    chi = chi.with_values(chi.values * np.exp(2j * np.pi * rng.random(grid.size)))
+    chi = GridSignal(grid, chi.values * np.exp(2j * np.pi * rng.random(grid.size)))
     if block_rows is None:
         samples = 2 * grid_module._block_rows(grid.size) + 1
     else:

@@ -7,23 +7,23 @@ import pytest
 
 from gaborgrid import grid as grid_module
 from gaborgrid.errors import GridMismatch, ResourceLimit
-from gaborgrid.gabor import GaborSystem, analyze
+from gaborgrid.gabor import GaborSystem, analyze, dual_window, wexler_raz_residual
 from gaborgrid.grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
     sample_gaussian,
-    spectral_derivative,
     translate,
 )
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import derivative_identity_defect, stft
 from gaborgrid.suites import SuiteConfig, run_derivative_identity
 
-from conftest import random_signal, record_fft_shapes
+from conftest import random_signal, record_fft_shapes, spectral_derivative
 
 # The package re-exports the function stft, which hides the module attribute.
 stft_module = importlib.import_module("gaborgrid.stft")
+gabor_module = importlib.import_module("gaborgrid.gabor")
 
 
 def direct_stft_entry(f, psi, k_idx, m_int):
@@ -79,7 +79,7 @@ def test_stft_resource_limit(monkeypatch):
     g = sample_gaussian(small)
     with pytest.raises(ResourceLimit):
         stft(g, g)
-    assert derivative_identity_defect(g, g, 1) <= 1e-8
+    assert derivative_identity_defect(g, g, 1)[0] <= 1e-8
 
 
 def test_full_lattice_restriction_equals_stft(grid16, rng):
@@ -113,6 +113,62 @@ def test_lattice_entries_match_direct_quadrature(rng):
             assert abs(coeffs.values[i, j] - expected) < 1e-12
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["budget", "3-row-blocks"])
+@pytest.mark.parametrize("grid, time_gen, freq_gen", [
+    (PeriodicGrid(1, 8.0, 32), [[1.0]], [[0.5]]),
+    # Bin step 3 is coprime to L: every bin, in a trivial fold.
+    (PeriodicGrid(1, 8.0, 32), [[0.5]], [[0.375]]),
+    (PeriodicGrid(2, 4.0, 16), [[1.0, 0.5], [0.0, 1.0]], [[0.5, 0.0], [0.25, 1.0]]),
+], ids=["1d", "1d-coprime", "2d-sheared"])
+def test_lattice_stft_is_the_restricted_full_table(grid, time_gen, freq_gen, rows,
+                                                    monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
+    rng = np.random.default_rng(8)
+    f = random_signal(grid, rng)
+    psi = random_signal(grid, rng)
+    time_lat = GridLattice(Lattice(np.array(time_gen)), grid)
+    freq_lat = GridLattice(Lattice(np.array(freq_gen)), grid.reciprocal())
+    got = stft_module._lattice_stft(f.values, psi, time_lat.index_points,
+                                    freq_lat.index_points)
+    table = stft(f, psi).values
+    expected = table[np.ix_(time_lat._flat_points, freq_lat._flat_points)]
+    np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_stft_and_wexler_raz_share_one_kernel(monkeypatch):
+    grid = PeriodicGrid(1, 16.0, 256)
+    system = GaborSystem.separable(sample_gaussian(grid), 1.0, 0.5)
+    gamma = dual_window(system)
+    kernel = stft_module._lattice_stft
+    assert gabor_module._lattice_stft is kernel
+    calls = []
+
+    def counted(values, psi, time_points, freq_points):
+        calls.append((len(time_points), len(freq_points)))
+        return kernel(values, psi, time_points, freq_points)
+
+    monkeypatch.setattr(stft_module, "_lattice_stft", counted)
+    monkeypatch.setattr(gabor_module, "_lattice_stft", counted)
+    stft(gamma, system.window)
+    wexler_raz_residual(system, gamma)
+    # The full table, then the adjoint lattice: 8 time shifts by 16 bins.
+    assert calls == [(256, 256), (8, 16)]
+
+
+def test_stft_holds_one_table():
+    # The full table is the FFT output itself: no second (size, size) copy.
+    grid = PeriodicGrid(1, 16.0, 512)
+    f = sample_gaussian(grid, width=2.0)
+    tracemalloc.start()
+    try:
+        stft(f, sample_gaussian(grid))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * grid.size ** 2
+
+
 def test_sheared_lattice_entries_match_direct_quadrature(rng):
     grid = PeriodicGrid(2, 2.0, 8)
     f = random_signal(grid, rng)
@@ -136,7 +192,7 @@ def test_covariance_under_translation(grid16, rng):
     u = shift_nodes * grid16.spacing
     V = stft(f, psi).values
     Vt = stft(translate(f, u), psi).values
-    xi = grid16.freq_nodes()[:, 0]
+    xi = grid16.freq_integers()[:, 0] / grid16.period
     expected = np.exp(-2j * np.pi * xi * u)[None, :] * np.roll(V, shift_nodes, axis=0)
     np.testing.assert_allclose(Vt, expected, atol=1e-12)
 
@@ -166,14 +222,14 @@ def test_moyal_energy(grid16, rng):
 def test_derivative_identity_trivial_order(grid16, rng):
     f = random_signal(grid16, rng)
     psi = random_signal(grid16, rng)
-    assert derivative_identity_defect(f, psi, 0) == 0.0
+    assert derivative_identity_defect(f, psi, 0) == (0.0, 0)
 
 
 def test_derivative_identity_gaussians(ref_grid):
     f = sample_gaussian(ref_grid)
     psi = sample_gaussian(ref_grid)
-    assert derivative_identity_defect(f, psi, 1) <= 1e-8
-    assert derivative_identity_defect(f, psi, 2) <= 1e-6
+    assert derivative_identity_defect(f, psi, 1)[0] <= 1e-8
+    assert derivative_identity_defect(f, psi, 2)[0] <= 1e-6
 
 
 def test_stft_two_dimensional_entry_oracle():
@@ -201,7 +257,7 @@ def test_derivative_identity_two_dimensional():
     psi = sample_gaussian(grid)
     tracemalloc.start()
     try:
-        defect = derivative_identity_defect(f, psi, (1, 1))
+        defect, _ = derivative_identity_defect(f, psi, (1, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -220,7 +276,7 @@ def test_derivative_identity_one_dimensional_memory():
     psi = sample_gaussian(grid)
     tracemalloc.start()
     try:
-        defect = derivative_identity_defect(f, psi, 1)
+        defect, _ = derivative_identity_defect(f, psi, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -233,7 +289,7 @@ def table_defect(f, psi, order):
     over every (time node, bin) pair, from full STFT tables (one per term)."""
     grid = f.grid
     order = tuple(np.atleast_1d(order))
-    xi = grid.freq_nodes()
+    xi = grid.freq_integers() / grid.period
     factor = np.prod([(2j * np.pi * xi[:, axis]) ** o for axis, o in enumerate(order)],
                      axis=0)
     diff = factor * stft(f, psi).values
@@ -300,7 +356,7 @@ def test_blocked_defect_matches_table_oracle(grid, order, rows, monkeypatch):
     expected = table_defect_rows(f, psi, order)
     assert expected[-1] == pytest.approx(expected.max(), rel=1e-12)
     assert expected[-1] > 1.0
-    got = derivative_identity_defect(f, psi, order)
+    got, _ = derivative_identity_defect(f, psi, order)
     assert got == pytest.approx(expected[-1], rel=1e-12)
 
 
@@ -317,7 +373,7 @@ def test_defect_fft_count(grid, order, rows, monkeypatch):
     f = random_signal(grid, rng)
     psi = random_signal(grid, rng)
     shapes = record_fft_shapes(monkeypatch)
-    _, evaluated = stft_module._pruned_defect(f, psi, order)
+    _, evaluated = derivative_identity_defect(f, psi, order)
     # One forward FFT each of f and psi, then inverse FFTs of at most one
     # block of bin rows each, over the bins transformed and no others.
     forward = [shape for name, shape in shapes if name == "fftn"]
@@ -390,9 +446,8 @@ def test_pruned_defect_matches_table_oracle(name, rows, monkeypatch):
     assert np.all(bounds >= bins_max - 1e-12 * expected)
     if name.startswith("noise"):
         assert np.argmax(bins_max) != np.argmax(bounds)
-    got, evaluated = stft_module._pruned_defect(f, psi, order)
+    got, evaluated = derivative_identity_defect(f, psi, order)
     assert got == pytest.approx(expected, rel=1e-12)
-    assert got == derivative_identity_defect(f, psi, order)
     # Exactly the bins whose widened bound exceeds the maximum must be
     # transformed: any of them could hold it.  A block may carry up to
     # block - 1 more.
@@ -430,6 +485,6 @@ def test_zero_defect_transforms_no_row(grid, order, monkeypatch):
         psi = sample_gaussian(grid)
     assert np.all(bin_bounds(f, psi, order) == 0.0)
     shapes = record_fft_shapes(monkeypatch)
-    assert stft_module._pruned_defect(f, psi, order) == (0.0, 0)
+    assert derivative_identity_defect(f, psi, order) == (0.0, 0)
     assert [name for name, _ in shapes] == ["fftn", "fftn"]
     assert np.max(table_defect(f, psi, order)) < 1e-12

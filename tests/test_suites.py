@@ -13,10 +13,10 @@ import pytest
 import gaborgrid.gabor as gabor_module
 import gaborgrid.grid as grid_module
 from gaborgrid.grid import (
-    CoeffArray,
     GridLattice,
+    GridSignal,
     PeriodicGrid,
-    lattice_superposition,
+    _superpose,
 )
 from gaborgrid.lattice import Lattice
 from gaborgrid.smoothness import (
@@ -35,9 +35,10 @@ from gaborgrid.suites import (
     run_embedding_chain,
     run_frame_bounds,
     run_suites,
-    smooth_random_signal,
     suite_rng,
 )
+
+from conftest import smooth_random_signal
 
 GRIDS = {
     "1d": PeriodicGrid(1, 16.0, 256),
@@ -46,7 +47,8 @@ GRIDS = {
 
 
 def _continuity_oracle(rng, lattice, spec, samples, order):
-    """The per-sample continuity loop through the public one-row functions."""
+    """The per-sample continuity loop through the public one-row functions and
+    the one-row case of the superposition kernel."""
     grid = lattice.grid
     cs = np.empty((lattice.count, samples), dtype=complex)
     convs = np.empty((lattice.count, samples), dtype=complex)
@@ -58,8 +60,8 @@ def _continuity_oracle(rng, lattice, spec, samples, order):
         phi = smooth_random_signal(grid, rng)
         e = random_signal(grid, rng)
         seminorms[s] = schwartz_seminorm(phi, order)
-        c = CoeffArray.over_lattice(lattice, cs[:, s])
-        out_norms[s] = continuous_norm(lattice_superposition(c, phi), spec)
+        superposed = _superpose(lattice, cs[None, :, s], np.fft.fftn(phi.reshaped()))[0]
+        out_norms[s] = continuous_norm(GridSignal(grid, superposed), spec)
         convs[:, s] = convolve_samples(e, phi, lattice).values
         e_norms[s] = continuous_norm(e, spec)
     return cs, convs, seminorms, out_norms, e_norms
@@ -177,6 +179,29 @@ def test_one_system_per_verify_run(monkeypatch):
     run_suites(cfg)
     assert len(builds) == len({id(s) for s in builds}) == 8
     assert calls == [(16, 16, 4, 4), (144, 144)]
+
+
+def test_one_dual_solve_per_verify_run(monkeypatch):
+    # The reconstruction and wexler-raz suites take the dual cached on the
+    # shared system, so its Zak fibers are solved once.  Other solves (the
+    # painless system of frame-bounds, lattice coordinates in the Fourier-side
+    # norms) are not on these fibers.
+    systems = []
+    make_system = SuiteConfig.make_system
+    monkeypatch.setattr(SuiteConfig, "make_system",
+                        lambda cfg: systems.append(make_system(cfg)) or systems[-1])
+    solve = np.linalg.solve
+    rhs = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: rhs.append(b) or solve(a, b))
+    cfg = SuiteConfig.from_dict({
+        "seed": 11,
+        "grid": {"dim": 2, "period": 8.0, "points_per_axis": 32},
+        "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
+    })
+    run_suites(cfg)
+    [system] = systems
+    phi = gabor_module._zak_fibers(system)[0]
+    assert sum(np.shares_memory(b, phi) for b in rhs) == 1
 
 
 @pytest.mark.parametrize("freq_step, redundancy", [(0.5, 0.5), (0.1875, 0.25)])
