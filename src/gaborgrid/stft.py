@@ -69,7 +69,7 @@ def _lattice_stft(values: np.ndarray, psi: GridSignal, time_points: np.ndarray,
     index points (as ``GridLattice.index_points``): conjugated translates of
     psi, in blocks under ``grid._BATCH_BYTES``, times f, folded onto the
     period of the bins, then one FFT of the fold.  For every bin the fold is
-    the grid, and the products and the FFT fill the table in place.
+    the grid and the table is filled in place, with no gather.
     """
     grid = psi.grid
     shape, split, bins = _lattice_fold(freq_points, grid.points_per_axis)
@@ -81,11 +81,8 @@ def _lattice_stft(values: np.ndarray, psi: GridSignal, time_points: np.ndarray,
     for lo, rows in zip(range(0, count, block), translates):
         part = folded[lo:lo + block]
         np.conjugate(rows, out=rows)
-        if part.size < rows.size:
-            rows *= values
-            np.sum(rows.reshape((len(rows),) + split), axis=periods, out=part)
-        else:
-            np.multiply(rows, values, out=part.reshape(rows.shape))
+        rows *= values
+        np.sum(rows.reshape((len(rows),) + split), axis=periods, out=part)
     np.fft.fftn(folded, axes=tuple(range(1, grid.dim + 1)), out=folded)
     inner = folded.reshape(count, -1)
     if len(bins) < inner.shape[1]:

@@ -311,7 +311,8 @@ def test_superposition_continuity_bound(ref_grid, rng):
                 lat, rng.standard_normal(lat.count) + 1j * rng.standard_normal(lat.count)
             )
             phi = smooth_random_signal(ref_grid, rng)
-            out = lattice_superposition(c, phi)
+            out = GridSignal(ref_grid, _superpose(
+                lat, c.values[None], np.fft.fftn(phi.reshaped()))[0])
             norms.append(continuous_norm(out, spec))
             bounds.append(
                 discrete_norm(c, spec, chi)
