@@ -14,13 +14,18 @@ The STFT derivative identity is checked from the frequency side without a
 full table.  The difference of its two sides has one row per bin: the
 inverse FFT of the spectrum of f, shifted by the bin, times the window's
 conjugate spectrum and an aliasing symbol.  Only its maximum is reported,
-so the rows are pruned exactly: one real pass, with no FFT, bounds every
-row's maximum by the sum of its magnitudes, and the rows are transformed
-in order of that bound until no bound left can reach the running maximum.
+so the rows are pruned exactly.  Each row's maximum is at most the sum of
+its magnitudes, and that bound is, for every bin at once, a correlation of
+the two magnitude spectra weighted by the symbol: one FFT (direct sums in
+1-D), widened by a bound on its rounding.  Only the bins whose widened
+bound can reach the running maximum take the direct sum of their own row,
+and the rows are transformed in order of it until none left can.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +45,10 @@ from .grid import (
 _FULL_STFT_LIMIT = 2 ** 26
 
 # Relative slack on the row bounds of the derivative-identity defect: far
-# above the rounding of the bounds and of the transformed rows, so a row
-# is skipped only when its computed maximum cannot reach the running one.
+# above the relative rounding of the bounds (the direct sums, and the
+# correlation once widened by its absolute rounding allowance) and of the
+# transformed rows, so a row is skipped only when its computed maximum
+# cannot reach the running one.
 _BOUND_SLACK = 1e-9
 
 
@@ -91,6 +98,85 @@ def _lattice_stft(values: np.ndarray, psi: GridSignal, time_points: np.ndarray,
     return inner
 
 
+def _correlation_bound(grid: PeriodicGrid, spectrum: np.ndarray, window: np.ndarray,
+                       order: tuple[int, ...]) -> np.ndarray:
+    """The row bound U of every bin, widened by its rounding, from one
+    correlation of the grid-shaped magnitudes ``spectrum`` = |F| and
+    ``window`` = |Psi| (DFT order); flattened in bin order, without the
+    factor spacing^n (2 pi / P)^|alpha| of the defect.
+
+    On each axis the label of bin m + eta is lab(m) + lab(eta) + w with a
+    wrap w in {-L, 0, L}, and w = -L sign(lab(m)) is the only wrap other
+    than 0 that bin m admits.  So sigma(m, eta) = prod_a lab(m_a)^alpha_a -
+    prod_a (lab(m_a) + w_a)^alpha_a depends on m and the wrap pattern alone,
+    and is 0 for the pattern without a wrap.  The sum of |F(m + eta)|
+    |Psi(eta)| over the eta of one pattern is C(lab(m) + w), the linear
+    correlation of |F| and |Psi| in label order, so
+
+        U(m) = (1/size) sum_{w != 0} |sigma(m, w)| C(lab(m) + w).
+
+    Each pattern is a gather of C.  In 1-D, ``np.correlate`` sums C
+    directly: L^2 multiply-adds in one call, with relative rounding only.
+    Direct sums cost size^2 in every dimension, too many on 2-D grids, so
+    there C is one real FFT correlation, zero-padded to a power of two per
+    axis (at least 2L - 1 points, so nothing wraps), and each gathered C is
+    widened by a bound on the FFT's absolute rounding.  Either way the
+    result is at least U up to the relative rounding of the sums.
+    """
+    L = grid.points_per_axis
+    axes = tuple(range(1, grid.dim + 1))
+    # Label order: fftshift puts label -(L // 2) first on every axis.
+    pair = np.fft.fftshift(np.stack([spectrum, window]), axes=axes)
+    if grid.dim == 1:
+        # 2L - 1 lags of at most L terms, summed directly.
+        pad = 2 * L - 1
+        corr = np.roll(np.correlate(pair[0], pair[1], "full"), 1 - L)
+        allowance = 0.0
+    else:
+        pad = 1 << (2 * L - 2).bit_length()
+        s = (pad,) * grid.dim
+        transforms = np.fft.rfftn(pair, s=s, axes=axes)
+        corr = np.fft.irfftn(transforms[0] * np.conj(transforms[1]), s=s,
+                             axes=tuple(range(grid.dim)))
+        # Rounding allowance for every entry of corr.  Higham, Accuracy and
+        # Stability of Numerical Algorithms (2nd ed.), Thm 24.2: an FFT of
+        # N = 2^t points whose twiddle factors carry errors <= mu has
+        # ||fl(Fx) - Fx||_2 <= kappa ||Fx||_2, kappa = t eta / (1 - t eta),
+        # eta = mu + gamma_4 (sqrt(2) + mu), gamma_k = k u / (1 - k u).
+        # For x = |F| and y = |Psi|, with ||Fx||_2 = sqrt(N) ||x||_2 and
+        # |Fx| <= ||x||_1 entrywise, the two forward transforms, the complex
+        # products (error sqrt(2) gamma_2, Lemma 3.5) and the inverse
+        # transform (its 1/N is exact) leave every entry of the correlation
+        # within (3 kappa + sqrt(2) gamma_2) max(||x||_1 ||y||_2, ||x||_2
+        # ||y||_1) of its exact value, to first order;
+        # 5 kappa covers that and the second-order terms.  mu = u: numpy's
+        # pocketfft takes its twiddles to within an ulp.  A radix-4 pass
+        # counts as two radix-2 passes, and the real transforms are taken to
+        # obey the bound of the complex ones.
+        u = np.finfo(float).eps / 2
+        t = grid.dim * (pad.bit_length() - 1)
+        eta = u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + u)
+        one = pair.sum(axis=axes)
+        two = np.sqrt(np.sum(pair ** 2, axis=axes))
+        allowance = 5 * t * eta / (1 - t * eta) * max(one[0] * two[1], two[0] * one[1])
+
+    # Per axis, the lag of bin m without a wrap and with its one wrap, and
+    # the bins that admit the wrap (all but label 0).
+    lab = grid.freq_integers_axis()
+    lags = (lab, lab - L * np.sign(lab))
+    admits = (np.ones(L), (lab != 0).astype(float))
+    powers = [[lag.astype(float) ** o for lag in lags] for o in order]
+    outer = functools.partial(functools.reduce, np.multiply.outer)
+    lhs = outer([p[0] for p in powers])
+    bound = np.zeros(grid.shape)
+    for pattern in list(itertools.product((0, 1), repeat=grid.dim))[1:]:
+        sigma = np.abs(lhs - outer([p[w] for p, w in zip(powers, pattern)]))
+        sigma *= outer([admits[w] for w in pattern])
+        gathered = corr[np.ix_(*(lags[w] % pad for w in pattern))]
+        bound += sigma * (gathered + allowance)
+    return bound.ravel() / grid.size
+
+
 def stft(f: GridSignal, psi: GridSignal) -> TFArray:
     """Full STFT over every (time node, frequency bin) pair."""
     require_same_grid(f, psi)
@@ -126,14 +212,27 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
 
     which is exactly 0 wherever no label wraps.  The defect is the maximum
     absolute entry.  By the triangle inequality, row m's maximum is at most
-    U(m) = sum_eta |G_m(eta)| / size.  One real pass takes U for every bin,
-    with no FFT; the rows are then transformed exactly in order of
-    decreasing U, and the pass stops once no bound left, widened by a slack
-    far above rounding, exceeds the running maximum.  A row with U = 0 is
-    an exact zero and is never transformed.  Both passes run in blocks of
-    bins under the shared ``grid._BATCH_BYTES`` budget (twice the rows for
-    the real bounds); each block builds sigma from its own bin labels, so no
-    table over all bin pairs is held.
+    U(m) = sum_eta |G_m(eta)| / size.  The pruning has two stages:
+
+    - ``_correlation_bound`` gives every bin a bound at least U from one
+      correlation of |F| and |Psi|, widened by its rounding allowance.  The
+      top bin by it is evaluated first and seeds the running maximum; every
+      other bin whose widened bound, times 1 + ``_BOUND_SLACK``, still
+      exceeds that maximum is unsettled.
+    - An unsettled bin takes the direct U: a real gather of |F| along its
+      row, times |Psi| / size and |sigma|, summed.  The unsettled rows are
+      then transformed exactly in order of decreasing U, and the pass stops
+      once no U left, times 1 + ``_BOUND_SLACK``, exceeds the running
+      maximum.
+
+    The value is the one a transform of every row gives, bit for bit.  A
+    row with U = 0 is an exact zero and is never transformed.  When one
+    block of bins holds them all, every bin takes the direct U and no
+    correlation runs.  ``rows_evaluated`` counts the rows transformed by an
+    inverse FFT, not the rows given the direct U.  Gathers and transforms
+    run in blocks of bins under the shared ``grid._BATCH_BYTES`` budget
+    (twice the rows for the real direct bounds); each block builds sigma
+    from its own bin labels, so no table over all bin pairs is held.
     """
     require_same_grid(f, psi)
     grid = f.grid
@@ -166,37 +265,52 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
 
     spectrum = np.fft.fftn(f.reshaped())
     window = np.conj(np.fft.fftn(psi.reshaped()))
-
-    # Pass 1: the bound U of every row; real rows take half the bytes.
-    magnitude = np.abs(window) / grid.size
-    bound = np.empty(grid.size)
-    block = 2 * _block_rows(grid.size)
-    for lo, rows in zip(range(0, grid.size, block),
-                        _translates(np.abs(spectrum), -bins, block)):
-        shaped = rows.reshape((-1,) + grid.shape)
-        shaped *= magnitude
-        shaped *= np.abs(symbol(bins[lo:lo + block]))
-        bound[lo:lo + block] = rows.sum(axis=1)
-
-    # Pass 2: exact rows by decreasing bound.  Only a prefix of each block
-    # can still exceed the running maximum; once none can, stop.  The strict
-    # comparison never transforms a row with U = 0.
-    ranked = np.argsort(-bound, kind="stable")
-    reach = bound[ranked] * (1.0 + _BOUND_SLACK)
+    magnitude = np.abs(spectrum)
+    weight = np.abs(window) / grid.size
     block = _block_rows(grid.size)
-    worst = 0.0
-    evaluated = 0
-    for lo, rows in zip(range(0, grid.size, block),
-                        _translates(spectrum, -bins[ranked], block)):
-        live = int(np.count_nonzero(reach[lo:lo + block] > worst))
-        if not live:
-            break
-        rows = rows[:live]
-        shaped = rows.reshape((-1,) + grid.shape)
-        shaped *= window
-        shaped *= symbol(bins[ranked[lo:lo + live]])
-        np.fft.ifftn(shaped, axes=axes, out=shaped)
-        worst = max(worst, float(np.max(np.abs(rows))))
-        evaluated += live
+
+    def prune(which, worst, evaluated):
+        # The direct U of the bins ``which``: a real gather of |F| in blocks
+        # of twice the rows (real rows take half the bytes), times |Psi| /
+        # size and |sigma|, row sums.
+        bound = np.empty(len(which))
+        step = 2 * block
+        for lo, rows in zip(range(0, len(which), step),
+                            _translates(magnitude, -bins[which], step)):
+            shaped = rows.reshape((-1,) + grid.shape)
+            shaped *= weight
+            shaped *= np.abs(symbol(bins[which[lo:lo + step]]))
+            bound[lo:lo + step] = rows.sum(axis=1)
+        # Exact rows by decreasing U.  Only a prefix of each block can still
+        # exceed the running maximum; once none can, stop.  The strict
+        # comparison never transforms a row with U = 0.
+        rank = np.argsort(-bound, kind="stable")
+        ranked = which[rank]
+        reach = bound[rank] * (1.0 + _BOUND_SLACK)
+        for lo, rows in zip(range(0, len(ranked), block),
+                            _translates(spectrum, -bins[ranked], block)):
+            live = int(np.count_nonzero(reach[lo:lo + block] > worst))
+            if not live:
+                break
+            rows = rows[:live]
+            shaped = rows.reshape((-1,) + grid.shape)
+            shaped *= window
+            shaped *= symbol(bins[ranked[lo:lo + live]])
+            np.fft.ifftn(shaped, axes=axes, out=shaped)
+            worst = max(worst, float(np.max(np.abs(rows))))
+            evaluated += live
+        return worst, evaluated
+
+    if grid.size <= block:
+        # One gather holds every bin: less work than a correlation and a seed.
+        worst, evaluated = prune(np.arange(grid.size), 0.0, 0)
+    else:
+        reach = _correlation_bound(grid, magnitude, np.abs(window), order)
+        reach *= 1.0 + _BOUND_SLACK
+        top = int(np.argmax(reach))
+        worst, evaluated = prune(np.array([top]), 0.0, 0)
+        unsettled = reach > worst
+        unsettled[top] = False
+        worst, evaluated = prune(np.flatnonzero(unsettled), worst, evaluated)
     scale = grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** sum(order)
     return scale * worst, evaluated

@@ -336,9 +336,12 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
         check(suite, "lower_bound_positive", cert.lower, tol, ">",
               details={"B": cert.upper, "method": cert.method,
                        "fiber_shape": list(cert.fiber_shape)}),
-        check(suite, "condition_number", cert.upper / max(cert.lower, 1e-300), 10.0,
-              "<"),
     ]
+    if cert.lower > tol:
+        entries.append(check(suite, "condition_number", cert.upper / cert.lower, 10.0, "<"))
+    else:
+        # A non-frame has no condition number to report.
+        entries.extend(_not_a_frame_entries(suite, system, tol))
 
     # Scale both steps by the least power of two (at least 2) that
     # undersamples: one doubling leaves a frame when the redundancy is high

@@ -82,10 +82,10 @@ def count_fft_calls(monkeypatch):
 
 
 def record_fft_shapes(monkeypatch):
-    """Record (name, input shape) of every numpy fftn and ifftn call; returns
-    the live list."""
+    """Record (name, input shape) of every numpy fftn, ifftn, rfftn and
+    irfftn call; returns the live list."""
     shapes = []
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         def recorded(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             shapes.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)

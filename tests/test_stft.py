@@ -381,6 +381,14 @@ def test_defect_fft_count(grid, order, rows, monkeypatch):
     assert forward == [grid.shape, grid.shape]
     assert all(1 <= shape[0] <= block and shape[1:] == grid.shape for shape in inverse)
     assert sum(shape[0] for shape in inverse) == evaluated <= grid.size
+    # When the bins fill more than one block, a 2-d grid adds one real FFT
+    # pair: the correlation of |F| and |Psi| (both in one rfftn), padded to
+    # 32 >= 2L - 1 points per axis.  A 1-d grid sums it directly.
+    correlation = [(name, shape) for name, shape in shapes if name.startswith(("rfft", "irfft"))]
+    if grid.dim == 2 and grid.size > block:
+        assert correlation == [("rfftn", (2,) + grid.shape), ("irfftn", (32, 17))]
+    else:
+        assert correlation == []
 
 
 def test_defect_transforms_two_blocks_on_the_2d_gaussian_pair(monkeypatch):
@@ -427,6 +435,86 @@ def _pruning_case(name):
     # node 0, equals its bound exactly, and the bins +-7 tie at the top.
     grid = PeriodicGrid(1, 5.0, 15)
     return _delta(grid), _delta(grid), 1
+
+
+def _bench_pair(dim, period, points):
+    """A Gaussian f against the window of the default system on the grid,
+    the pair the derivative-identity suite checks."""
+    cfg = SuiteConfig.from_dict({"grid": {"dim": dim, "period": period,
+                                          "points_per_axis": points}})
+    system = cfg.make_system()
+    return sample_gaussian(system.grid), system.window
+
+
+def _bound_case(name):
+    """(f, psi, order) of a pruning case or of a bench pair."""
+    if name == "resolved-256":
+        # The verify-1d pair: the defect is at rounding level.
+        return (*_bench_pair(1, 16.0, 256), 1)
+    if name == "bench-32x32":
+        return (*_bench_pair(2, 8.0, 32), (1, 1))
+    if name == "resolved-24x24":
+        # Spacing 1/6: most bounds lie far below the FFT's rounding, so the
+        # allowance carries them.
+        grid = PeriodicGrid(2, 4.0, 24)
+        return sample_gaussian(grid), sample_gaussian(grid), (2, 0)
+    return _pruning_case(name)
+
+
+def _correlation_bounds(f, psi, order):
+    """``stft._correlation_bound`` with the defect's scale, as ``bin_bounds``."""
+    grid = f.grid
+    order = tuple(int(o) for o in np.atleast_1d(order))
+    spectrum = np.abs(np.fft.fftn(f.reshaped()))
+    window = np.abs(np.fft.fftn(psi.reshaped()))
+    scale = grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** sum(order)
+    return scale * stft_module._correlation_bound(grid, spectrum, window, order)
+
+
+@pytest.mark.parametrize("name", ["noise-16", "noise-8x8", "noise-21", "noise-9x9",
+                                  "gaussian-16x16", "tied-deltas-15", "resolved-256",
+                                  "bench-32x32", "resolved-24x24"])
+def test_correlation_bound_is_an_upper_bound(name):
+    f, psi, order = _bound_case(name)
+    expected = bin_bounds(f, psi, order)
+    bounds = _correlation_bounds(f, psi, order)
+    # The pruning compares the widened bound times 1 + slack, which must
+    # cover the bound from the definition for every bin.
+    assert np.all(bounds * (1 + stft_module._BOUND_SLACK) >= expected)
+    if f.grid.dim == 1:
+        # Summed directly: the same bound up to the rounding of the sums.
+        np.testing.assert_allclose(bounds, expected, rtol=1e-12, atol=0)
+
+
+def test_defect_settles_the_2d_bench_pair_by_correlation(monkeypatch):
+    # The verify-2d pair (P = 8, 32^2, 1024 bins): per order, the direct
+    # bound gathers at most one block of bin rows and at most one block is
+    # transformed.
+    f, psi = _bench_pair(2, 8.0, 32)
+    block = grid_module._block_rows(f.grid.size)
+    assert f.grid.size > block
+    translates = stft_module._translates
+    gathered = []
+
+    def recorded(values, index_points, block=None):
+        gathered.append((values.dtype.kind, len(index_points)))
+        return translates(values, index_points, block)
+
+    monkeypatch.setattr(stft_module, "_translates", recorded)
+    shapes = record_fft_shapes(monkeypatch)
+    for order in [(1, 1), (2, 0)]:
+        gathered.clear()
+        shapes.clear()
+        defect, evaluated = derivative_identity_defect(f, psi, order)
+        direct = sum(rows for kind, rows in gathered if kind == "f")
+        assert 0 < direct <= block
+        assert 0 < evaluated <= block
+        assert [name for name, _ in shapes].count("rfftn") == 1
+        assert sum(shape[0] for name, shape in shapes if name == "ifftn") == evaluated
+        # The correlation settles exactly the bins the definition's bound does.
+        reach = 1 + stft_module._BOUND_SLACK
+        assert (np.count_nonzero(_correlation_bounds(f, psi, order) * reach > defect)
+                == np.count_nonzero(bin_bounds(f, psi, order) * reach > defect))
 
 
 @pytest.mark.parametrize("rows", [None, 1], ids=["budget", "single-row"])

@@ -234,3 +234,26 @@ def test_undersampled_search_stops_when_doubling_keeps_a_frame(grid, system):
     assert entry["passed"]
     assert entry["value"] == 0.0
     assert entry["details"] == {"redundancy": 1 / grid["points_per_axis"]}
+
+
+def test_non_frame_reports_no_condition_number():
+    # Redundancy 1/2: the lower frame bound is 0, so the condition number
+    # would be B / 1e-300.  The not-a-frame entry stands in its place.
+    cfg = SuiteConfig.from_dict({"system": {"time_step": 2.0, "freq_step": 1.0}})
+    entries = run_frame_bounds(cfg, cfg.make_system(), suite_rng(cfg.seed, "frame-bounds"))
+    by_name = {entry["name"]: entry for entry in entries}
+    assert "condition_number" not in by_name
+    assert not by_name["lower_bound_positive"]["passed"]
+    frame = by_name["frame"]
+    assert not frame["passed"]
+    assert frame["value"] == by_name["lower_bound_positive"]["value"]
+    assert frame["details"]["redundancy"] == 0.5
+    assert all(abs(entry["value"]) < 1e3 for entry in entries)
+
+
+def test_frame_reports_its_condition_number():
+    cfg = SuiteConfig.from_dict({})
+    entries = run_frame_bounds(cfg, cfg.make_system(), suite_rng(cfg.seed, "frame-bounds"))
+    (entry,) = [e for e in entries if e["name"] == "condition_number"]
+    assert entry["passed"] and 1.0 <= entry["value"] < 10.0
+    assert "frame" not in {e["name"] for e in entries}
