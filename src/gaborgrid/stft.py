@@ -226,13 +226,12 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
       maximum.
 
     The value is the one a transform of every row gives, bit for bit.  A
-    row with U = 0 is an exact zero and is never transformed.  When one
-    block of bins holds them all, every bin takes the direct U and no
-    correlation runs.  ``rows_evaluated`` counts the rows transformed by an
-    inverse FFT, not the rows given the direct U.  Gathers and transforms
-    run in blocks of bins under the shared ``grid._BATCH_BYTES`` budget
-    (twice the rows for the real direct bounds); each block builds sigma
-    from its own bin labels, so no table over all bin pairs is held.
+    row with U = 0 is an exact zero and is never transformed.
+    ``rows_evaluated`` counts the rows transformed by an inverse FFT, not
+    the rows given the direct U.  Gathers and transforms run in blocks of
+    bins under the shared ``grid._BATCH_BYTES`` budget (twice the rows for
+    the real direct bounds); each block builds sigma from its own bin
+    labels, so no table over all bin pairs is held.
     """
     require_same_grid(f, psi)
     grid = f.grid
@@ -301,16 +300,12 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
             evaluated += live
         return worst, evaluated
 
-    if grid.size <= block:
-        # One gather holds every bin: less work than a correlation and a seed.
-        worst, evaluated = prune(np.arange(grid.size), 0.0, 0)
-    else:
-        reach = _correlation_bound(grid, magnitude, np.abs(window), order)
-        reach *= 1.0 + _BOUND_SLACK
-        top = int(np.argmax(reach))
-        worst, evaluated = prune(np.array([top]), 0.0, 0)
-        unsettled = reach > worst
-        unsettled[top] = False
-        worst, evaluated = prune(np.flatnonzero(unsettled), worst, evaluated)
+    reach = _correlation_bound(grid, magnitude, np.abs(window), order)
+    reach *= 1.0 + _BOUND_SLACK
+    top = int(np.argmax(reach))
+    worst, evaluated = prune(np.array([top]), 0.0, 0)
+    unsettled = reach > worst
+    unsettled[top] = False
+    worst, evaluated = prune(np.flatnonzero(unsettled), worst, evaluated)
     scale = grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** sum(order)
     return scale * worst, evaluated

@@ -316,15 +316,19 @@ def bin_bounds(f, psi, order):
     grid = f.grid
     order = np.atleast_1d(order)
     bins = grid.index_vectors()
-    # shift[m, eta] is the flat bin m + eta.
-    shift = np.ravel_multi_index(tuple(np.moveaxis(bins[:, None] + bins[None], -1, 0)),
-                                 grid.shape, mode="wrap")
     labels = grid.freq_integers()
-    sigma = (np.prod(labels[:, None] ** order, axis=-1)
-             - np.prod((labels[shift] - labels[None]) ** order, axis=-1))
     spectrum = np.abs(np.fft.fftn(f.reshaped()).ravel())
     window = np.abs(np.fft.fftn(psi.reshaped()).ravel())
-    total = np.sum(spectrum[shift] * window * np.abs(sigma), axis=1) / grid.size
+    total = np.empty(grid.size)
+    # Bins in blocks of 256, so the 64^2 grid holds no size^2 table.
+    for lo in range(0, grid.size, 256):
+        m = bins[lo:lo + 256]
+        # shift[m, eta] is the flat bin m + eta.
+        shift = np.ravel_multi_index(tuple(np.moveaxis(m[:, None] + bins[None], -1, 0)),
+                                     grid.shape, mode="wrap")
+        sigma = (np.prod(labels[lo:lo + 256, None] ** order, axis=-1)
+                 - np.prod((labels[shift] - labels[None]) ** order, axis=-1))
+        total[lo:lo + 256] = np.sum(spectrum[shift] * window * np.abs(sigma), axis=1) / grid.size
     return grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** order.sum() * total
 
 
@@ -381,11 +385,11 @@ def test_defect_fft_count(grid, order, rows, monkeypatch):
     assert forward == [grid.shape, grid.shape]
     assert all(1 <= shape[0] <= block and shape[1:] == grid.shape for shape in inverse)
     assert sum(shape[0] for shape in inverse) == evaluated <= grid.size
-    # When the bins fill more than one block, a 2-d grid adds one real FFT
-    # pair: the correlation of |F| and |Psi| (both in one rfftn), padded to
-    # 32 >= 2L - 1 points per axis.  A 1-d grid sums it directly.
+    # A 2-d grid adds one real FFT pair: the correlation of |F| and |Psi|
+    # (both in one rfftn), padded to 32 >= 2L - 1 points per axis.  A 1-d
+    # grid sums it directly.
     correlation = [(name, shape) for name, shape in shapes if name.startswith(("rfft", "irfft"))]
-    if grid.dim == 2 and grid.size > block:
+    if grid.dim == 2:
         assert correlation == [("rfftn", (2,) + grid.shape), ("irfftn", (32, 17))]
     else:
         assert correlation == []
@@ -453,6 +457,10 @@ def _bound_case(name):
         return (*_bench_pair(1, 16.0, 256), 1)
     if name == "bench-32x32":
         return (*_bench_pair(2, 8.0, 32), (1, 1))
+    if name.startswith("resolved-64x64"):
+        # The resolved 2-d config (P = 8): the allowance carries nearly every
+        # bound, and the FFT has the most passes of any case here.
+        return (*_bench_pair(2, 8.0, 64), (1, 1) if name.endswith("11") else (2, 0))
     if name == "resolved-24x24":
         # Spacing 1/6: most bounds lie far below the FFT's rounding, so the
         # allowance carries them.
@@ -473,7 +481,8 @@ def _correlation_bounds(f, psi, order):
 
 @pytest.mark.parametrize("name", ["noise-16", "noise-8x8", "noise-21", "noise-9x9",
                                   "gaussian-16x16", "tied-deltas-15", "resolved-256",
-                                  "bench-32x32", "resolved-24x24"])
+                                  "bench-32x32", "resolved-24x24", "resolved-64x64-11",
+                                  "resolved-64x64-20"])
 def test_correlation_bound_is_an_upper_bound(name):
     f, psi, order = _bound_case(name)
     expected = bin_bounds(f, psi, order)
@@ -574,5 +583,7 @@ def test_zero_defect_transforms_no_row(grid, order, monkeypatch):
     assert np.all(bin_bounds(f, psi, order) == 0.0)
     shapes = record_fft_shapes(monkeypatch)
     assert derivative_identity_defect(f, psi, order) == (0.0, 0)
-    assert [name for name, _ in shapes] == ["fftn", "fftn"]
+    # No inverse FFT; a 2-d grid adds only the correlation's real FFT pair.
+    correlation = ["rfftn", "irfftn"] if grid.dim == 2 else []
+    assert [name for name, _ in shapes] == ["fftn", "fftn", *correlation]
     assert np.max(table_defect(f, psi, order)) < 1e-12
