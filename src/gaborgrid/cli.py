@@ -1,157 +1,94 @@
-"""Batch verification driver.
+"""Batch verification driver: maps flags to library calls.
 
 Subcommands::
 
     gaborgrid verify      --config cfg.json [--suites a,b] [--output out.json]
+                          [--csv out.csv] [--format json|csv|both]
     gaborgrid stft        --config cfg.json --input sig.csv --output tf.csv
     gaborgrid dual-window --config cfg.json --output gamma.csv --certificate c.json
     gaborgrid norms       --config cfg.json --input sig.csv [--output norms.json]
     gaborgrid profile     --config cfg.json (--input sig.csv | --preset name) ...
 
-Flags override config-file fields.  Exit codes: 0 success (numerical
-failures are report data, not errors), 2 configuration error or a system
-that is not a frame where a dual window is required, 3 internal error.
-Reports are byte-deterministic for a fixed config and seed.
+``--seed`` and ``--suites`` override the config.  ``verify`` writes the JSON
+report at ``--output``, else ``output.report``, else ``report.json``, unless
+``--format csv``; it writes the CSV report at ``--csv``, else ``output.csv``,
+else next to the JSON path when ``--format`` is ``csv`` or ``both``.  Every
+file format, and the choice between CSV and binary by suffix, lives in
+:mod:`gaborgrid.formats`.  Exit codes: 0 success (numerical failures are
+report data, not errors), 2 configuration error or a system that is not a
+frame where a dual window is required, 3 internal error.  Reports are
+byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, GaborGridError, NotAFrame
 from .formats import (
     dump_json,
     profile_summary,
-    read_signal_binary,
-    read_signal_csv,
-    validate_report,
+    read_signal,
     write_profile_csv,
-    write_signal_binary,
-    write_signal_csv,
-    write_tfarray_binary,
-    write_tfarray_csv,
+    write_report,
+    write_signal,
+    write_tfarray,
 )
 from .gabor import dual_window, frame_bounds, wexler_raz_residual
-from .grid import GridSignal, sample_gaussian, sample_oscillation
+from .grid import sample_gaussian, sample_oscillation
 from .smoothness import decay_profile
 from .spaces import continuous_norm
 from .stft import stft
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 
-def load_config(path: str | None) -> SuiteConfig:
+def _read_config(path: str | None) -> dict:
     if path is None:
-        return SuiteConfig.from_dict({})
+        return {}
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
-    return SuiteConfig.from_dict(data)
+
+
+def load_config(path: str | None) -> SuiteConfig:
+    return SuiteConfig.from_dict(_read_config(path))
 
 
 def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
-    from dataclasses import replace
-
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
     if getattr(args, "suites", None):
-        names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-        updates["suites"] = names
-    if getattr(args, "output", None):
-        updates["report_path"] = args.output
-    if getattr(args, "csv", None):
-        updates["csv_path"] = args.csv
-    if not updates:
-        return cfg
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
-
-
-def emit_report(report: dict, json_path: str | None = None,
-                csv_path: str | None = None) -> list[str]:
-    """Write the report deterministically; returns the paths written."""
-    validate_report(report)
-    written = []
-    if json_path:
-        Path(json_path).write_text(dump_json(report) + "\n")
-        written.append(json_path)
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["suite", "name", "passed", "value", "threshold", "comparator", "details"]
-            )
-            for e in report["entries"]:
-                details = ";".join(
-                    f"{k}={_fmt(v)}" for k, v in sorted(e["details"].items())
-                )
-                writer.writerow(
-                    [
-                        e["suite"],
-                        e["name"],
-                        str(e["passed"]).lower(),
-                        _fmt(e["value"]),
-                        _fmt(e["threshold"]),
-                        e["comparator"],
-                        details,
-                    ]
-                )
-        written.append(csv_path)
-    return written
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _read_signal(path: str, grid) -> GridSignal:
-    if path.endswith((".bin", ".gabr")):
-        sig = read_signal_binary(path, grid.period)
-        if sig.grid.points_per_axis != grid.points_per_axis or sig.grid.dim != grid.dim:
-            raise ConfigError(f"input: {path} shape does not match the config grid")
-        return sig
-    return read_signal_csv(path, grid)
-
-
-def _write_signal(sig: GridSignal, path: str) -> None:
-    if path.endswith((".bin", ".gabr")):
-        write_signal_binary(sig, path)
-    else:
-        write_signal_csv(sig, path)
+        updates["suites"] = tuple(s.strip() for s in args.suites.split(",") if s.strip())
+    return replace(cfg, **updates)
 
 
 # Subcommands ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    data = _read_config(args.config)
+    cfg = _apply_overrides(SuiteConfig.from_dict(data), args)
     report = run_suites(cfg)
-    json_path = cfg.report_path or "report.json"
-    csv_path = cfg.csv_path
-    if args.format == "csv" and not csv_path:
+    output = data.get("output", {})
+    json_path = args.output or output.get("report") or "report.json"
+    csv_path = args.csv or output.get("csv")
+    if not csv_path and args.format != "json":
         csv_path = str(Path(json_path).with_suffix(".csv"))
+    if args.format == "csv":
         json_path = None
-    elif args.format == "both" and not csv_path:
-        csv_path = str(Path(json_path).with_suffix(".csv"))
-    written = emit_report(report, json_path, csv_path)
+    written = write_report(report, json_path, csv_path)
     failed = sum(1 for e in report["entries"] if not e["passed"])
     print(
         f"ran {len(report['suites'])} suites, {len(report['entries'])} checks, "
-        f"{failed} failed -> {', '.join(written) if written else 'no output'}"
+        f"{failed} failed -> {', '.join(written)}"
     )
     return 0
 
@@ -161,14 +98,9 @@ def cmd_stft(args) -> int:
     grid = cfg.make_grid()
     if args.input is None:
         raise ConfigError("input: --input is required for stft")
-    f = _read_signal(args.input, grid)
-    window = cfg.make_window(grid)
-    table = stft(f, window)
+    table = stft(read_signal(args.input, grid), cfg.make_window(grid))
     out = args.output or "stft.csv"
-    if out.endswith((".bin", ".gabr")):
-        write_tfarray_binary(table, out)
-    else:
-        write_tfarray_csv(table, out)
+    write_tfarray(table, out)
     print(f"wrote {out}")
     return 0
 
@@ -183,7 +115,7 @@ def cmd_dual_window(args) -> int:
     if payload["frame"]:
         gamma = dual_window(system, tol=cfg.tol("frame"))
         payload["residual"] = wexler_raz_residual(system, gamma)
-        _write_signal(gamma, out)
+        write_signal(gamma, out)
         print(f"wrote {out}")
     cert_path = args.certificate or "certificate.json"
     Path(cert_path).write_text(dump_json(payload) + "\n")
@@ -199,7 +131,7 @@ def cmd_norms(args) -> int:
     grid = cfg.make_grid()
     if args.input is None:
         raise ConfigError("input: --input is required for norms")
-    f = _read_signal(args.input, grid)
+    f = read_signal(args.input, grid)
     records = [
         {"spec": spec.to_dict(), "lattice": None, "value": continuous_norm(f, spec)}
         for spec in cfg.spaces
@@ -218,7 +150,7 @@ def cmd_profile(args) -> int:
     system = cfg.make_system()
     grid = system.grid
     if args.input:
-        f = _read_signal(args.input, grid)
+        f = read_signal(args.input, grid)
     elif args.preset == "gaussian":
         f = sample_gaussian(grid, width=2.0 ** 0.5, normalize=True)
     elif args.preset == "oscillation":
@@ -252,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suites", help=f"comma list from {', '.join(SUITE_NAMES)}")
     p.add_argument("--output", help="report JSON path (default report.json)")
-    p.add_argument("--csv", help="also write a CSV report here")
+    p.add_argument("--csv", help="CSV report path")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
 
     p = sub.add_parser("stft", help="full STFT of a signal file")

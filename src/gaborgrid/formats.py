@@ -1,13 +1,18 @@
-"""File formats: CSV and binary signal dumps, deterministic JSON.
+"""Every file the toolkit reads or writes: signals, tables, profiles, reports.
+
+A path ending in ``.bin`` or ``.gabr`` is binary, any other path CSV
+(``read_signal``, ``write_signal``, ``write_tfarray``).
 
 Binary layout: a 16-byte header ``magic "GABR", u32 dim, u32 L, u32 rank``
 (little endian) followed by float64 interleaved re/im pairs; rank 1 is a
 signal of L^dim values, rank 2 a full time-frequency table of L^dim x L^dim
-values.  The grid period is not stored; readers supply it.
+values.  The grid period is not stored; readers take the config grid and
+refuse a file of another dim or L.
 
 CSV signals use columns ``index,re,im`` with the flat lexicographic node
 index.  Time-frequency tables use ``k,m,re,im`` (flat time node, flat DFT
-bin).
+bin).  Report CSVs have one row per entry, ``details`` flattened to sorted
+``key=value`` pairs joined by ``;``.
 
 JSON is emitted by a small writer with sorted keys and floats printed at 17
 significant digits, so byte-identical reruns are a property of the data,
@@ -19,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -31,9 +37,8 @@ _MAGIC = b"GABR"
 _HEADER = struct.Struct("<4sIII")
 
 
-def dump_json(obj: Any, indent: int = 0) -> str:
+def dump_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -49,11 +54,11 @@ def dump_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [dump_json(v, indent) for v in obj]
+        items = [dump_json(v) for v in obj]
         return "[" + ", ".join(items) + "]"
     if isinstance(obj, dict):
         keys = sorted(obj.keys())
-        items = [f'{dump_json(str(k))}: {dump_json(obj[k], indent)}' for k in keys]
+        items = [f'{dump_json(str(k))}: {dump_json(obj[k])}' for k in keys]
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -80,14 +85,15 @@ def write_signal_binary(signal: GridSignal, path) -> None:
         _write_complex(fh, signal.values)
 
 
-def read_signal_binary(path, period: float) -> GridSignal:
+def read_signal_binary(path, grid: PeriodicGrid) -> GridSignal:
     with open(path, "rb") as fh:
         magic, dim, L, rank = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC:
             raise ConfigError(f"bad magic {magic!r} in {path}")
         if rank != 1:
             raise ConfigError(f"expected rank-1 payload, found rank {rank}")
-        grid = PeriodicGrid(dim, period, L)
+        if (dim, L) != (grid.dim, grid.points_per_axis):
+            raise ConfigError(f"input: {path} shape does not match the config grid")
         return GridSignal(grid, _read_complex(fh, grid.size))
 
 
@@ -163,7 +169,68 @@ def profile_summary(profile) -> dict:
     }
 
 
-# Report schema ----------------------------------------------------------------
+# Suffix dispatch --------------------------------------------------------------
+
+def _is_binary(path) -> bool:
+    return str(path).endswith((".bin", ".gabr"))
+
+
+def read_signal(path, grid: PeriodicGrid) -> GridSignal:
+    return (read_signal_binary if _is_binary(path) else read_signal_csv)(path, grid)
+
+
+def write_signal(signal: GridSignal, path) -> None:
+    (write_signal_binary if _is_binary(path) else write_signal_csv)(signal, path)
+
+
+def write_tfarray(tf: TFArray, path) -> None:
+    (write_tfarray_binary if _is_binary(path) else write_tfarray_csv)(tf, path)
+
+
+# Reports ----------------------------------------------------------------------
+
+def write_report(report: dict, json_path, csv_path) -> list[str]:
+    """Validate the report, then write it as JSON and/or CSV (a path of None
+    skips that format); returns the paths written."""
+    validate_report(report)
+    written = []
+    if json_path:
+        Path(json_path).write_text(dump_json(report) + "\n")
+        written.append(str(json_path))
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["suite", "name", "passed", "value", "threshold", "comparator", "details"]
+            )
+            for e in report["entries"]:
+                details = ";".join(
+                    f"{k}={_fmt(v)}" for k, v in sorted(e["details"].items())
+                )
+                writer.writerow(
+                    [
+                        e["suite"],
+                        e["name"],
+                        str(e["passed"]).lower(),
+                        _fmt(e["value"]),
+                        _fmt(e["threshold"]),
+                        e["comparator"],
+                        details,
+                    ]
+                )
+        written.append(str(csv_path))
+    return written
+
+
+def _fmt(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
 
 _ENTRY_KEYS = {"suite", "name", "passed", "value", "threshold", "comparator", "details"}
 

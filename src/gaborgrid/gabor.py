@@ -288,10 +288,10 @@ def _synthesis(system: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-def _synthesis_system(system: GaborSystem, dual: GridSignal | None) -> GaborSystem:
+def _synthesis_system(system: GaborSystem, dual: GridSignal) -> GaborSystem:
     """The system of the synthesis window: ``system`` itself, or ``dual``
     on its lattices (whose fibers are cached on that system)."""
-    if dual is None or dual is system.window:
+    if dual is system.window:
         return system
     require_same_grid(dual, system.window)
     return GaborSystem(dual, system.time_lattice, system.freq_lattice)
@@ -317,11 +317,10 @@ def synthesize(system: GaborSystem, coeffs: CoeffArray) -> GridSignal:
     return GridSignal(system.grid, _synthesis(system, coeffs.values[None])[0])
 
 
-def frame_apply(system: GaborSystem, f: GridSignal,
-                dual: GridSignal | None = None) -> GridSignal:
-    """The operator synthesize(dual) . analyze(window); dual defaults to window."""
+def frame_apply(system: GaborSystem, f: GridSignal) -> GridSignal:
+    """The frame operator S = synthesize . analyze, both with the window."""
     require_same_grid(f, system.window)
-    rows = _synthesis(_synthesis_system(system, dual), _analysis(system, f.values[None]))
+    rows = _synthesis(system, _analysis(system, f.values[None]))
     return GridSignal(system.grid, rows[0])
 
 

@@ -202,9 +202,9 @@ def modulate(signal: GridSignal, xi) -> GridSignal:
 
 def _order_tuple(grid: PeriodicGrid, order) -> tuple[int, ...]:
     if np.isscalar(order):
-        order = (int(order),) * 1 if grid.dim == 1 else None
-        if order is None:
+        if grid.dim != 1:
             raise DimensionMismatch("scalar derivative order needs a 1-d grid")
+        order = (int(order),)
     order = tuple(int(o) for o in np.atleast_1d(order))
     if len(order) != grid.dim or any(o < 0 for o in order):
         raise DimensionMismatch(f"derivative order must be {grid.dim} non-negative ints")

@@ -129,20 +129,20 @@ class DecayProfile:
     def order(self) -> int:
         return len(self.decay_sups) - 1
 
-    def passes_decay(self, ratio_limit: float = 10.0) -> bool:
+    def passes_decay(self) -> bool:
         """Rapid-decay signature: every weighted sup finite and the top
-        weight order within ratio_limit of the unweighted sup."""
+        weight order within a factor 10 of the unweighted sup."""
         if not np.all(np.isfinite(self.decay_sups)):
             return False
         if self.decay_sups[0] == 0.0:
             return True
-        return bool(self.decay_sups[-1] <= ratio_limit * self.decay_sups[0])
+        return bool(self.decay_sups[-1] <= 10.0 * self.decay_sups[0])
 
 
-def _bounded_order(radii: np.ndarray, norms: np.ndarray, max_order: int,
-                   margin: float = 10.0) -> int | None:
-    """Smallest N with the (1+r)^-N weighted sup within margin of the inner
-    half's unweighted peak; an all-zero profile is bounded at order zero."""
+def _bounded_order(radii: np.ndarray, norms: np.ndarray) -> int | None:
+    """Smallest N <= MAX_DERIVATIVE_ORDER with the (1+r)^-N weighted sup
+    within a factor 10 of the inner half's unweighted peak; an all-zero
+    profile is bounded at order zero."""
     peak = float(np.max(norms))
     if peak == 0.0:
         return 0
@@ -150,16 +150,15 @@ def _bounded_order(radii: np.ndarray, norms: np.ndarray, max_order: int,
     inner_peak = float(np.max(inner)) if inner.size else 0.0
     if inner_peak == 0.0:
         return None
-    for order in range(max_order + 1):
+    for order in range(MAX_DERIVATIVE_ORDER + 1):
         weighted = norms * (1.0 + radii) ** (-order)
-        if float(np.max(weighted)) <= margin * inner_peak:
+        if float(np.max(weighted)) <= 10.0 * inner_peak:
             return order
     return None
 
 
 def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
-                  window: GridSignal | None = None,
-                  max_order: int = MAX_DERIVATIVE_ORDER) -> DecayProfile:
+                  window: GridSignal | None = None) -> DecayProfile:
     """Decay and growth profile of the analysis coefficients; see DecayProfile.
 
     Slice norms use the solid sequence shortcut when the space is solid and
@@ -167,7 +166,6 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
     Rapid-decay tests read ``decay_sups``; slowly increasing inputs read the
     growth-side fields ``growth_sups`` and ``bounded_order``.
     """
-    max_order = _check_order(max_order)
     coeffs = analyze(system, f)
     slices = CoeffArray.over_lattice(system.time_lattice, coeffs.values)  # a column per frequency
     if window is None:
@@ -176,7 +174,7 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
         norms = discrete_norm(slices, spec, window)
     pts = system.freq_lattice.centered_points
     radii = np.linalg.norm(pts, axis=-1)
-    orders = np.arange(max_order + 1)
+    orders = np.arange(MAX_DERIVATIVE_ORDER + 1)
     decay = np.array([np.max(norms * (1.0 + radii) ** n) for n in orders])
     growth = np.array([np.max(norms * (1.0 + radii) ** (-n)) for n in orders])
 
@@ -192,5 +190,5 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
         decay_sups=decay,
         growth_sups=growth,
         fitted_order=float(slope),
-        bounded_order=_bounded_order(radii, norms, max_order),
+        bounded_order=_bounded_order(radii, norms),
     )

@@ -105,8 +105,9 @@ class SuiteConfig:
     suites: tuple = SUITE_NAMES
     tolerances: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
-    report_path: str | None = None
-    csv_path: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
@@ -122,14 +123,13 @@ class SuiteConfig:
             raise ConfigError(f"schema: unsupported version {data.get('schema')!r}")
         grid = data.get("grid", {})
         system = data.get("system", {})
-        out = data.get("output", {})
         try:
             spaces = tuple(
                 SpaceSpec.from_dict(s) for s in data.get("spaces", [{"kind": "Lp_w", "p": 2.0}])
             )
         except ValueError as exc:
             raise ConfigError(f"spaces: {exc}") from None
-        cfg = cls(
+        return cls(
             seed=data.get("seed", 42),
             dim=grid.get("dim", 1),
             period=grid.get("period", 16.0),
@@ -141,11 +141,7 @@ class SuiteConfig:
             suites=tuple(data.get("suites", SUITE_NAMES)),
             tolerances=dict(data.get("tolerances", {})),
             samples=dict(data.get("samples", {})),
-            report_path=out.get("report"),
-            csv_path=out.get("csv"),
         )
-        cfg.validate()
-        return cfg
 
     def validate(self) -> None:
         if not isinstance(self.seed, int):
@@ -157,11 +153,10 @@ class SuiteConfig:
         if not (isinstance(self.points_per_axis, int) and self.points_per_axis >= 2):
             raise ConfigError("grid.points_per_axis: must be an integer >= 2")
         spacing = self.period / self.points_per_axis
-        for name, value in (("system.time_step", self.time_step),):
-            steps = value / spacing
-            if abs(steps - round(steps)) > 1e-9 or value <= 0:
-                raise ConfigError(f"{name}: {value!r} is not a positive multiple "
-                                  f"of the grid spacing {spacing}")
+        steps = self.time_step / spacing
+        if abs(steps - round(steps)) > 1e-9 or self.time_step <= 0:
+            raise ConfigError(f"system.time_step: {self.time_step!r} is not a positive "
+                              f"multiple of the grid spacing {spacing}")
         bins = self.freq_step * self.period
         if abs(bins - round(bins)) > 1e-9 or self.freq_step <= 0:
             raise ConfigError(f"system.freq_step: {self.freq_step!r} is not a "
@@ -227,13 +222,12 @@ def random_signal(grid: PeriodicGrid, rng: np.random.Generator) -> GridSignal:
     return GridSignal(grid, _complex_rows(rng.standard_normal((1, 2, grid.size)))[0])
 
 
-def _smooth_rows(grid: PeriodicGrid, normals: np.ndarray,
-                 bandwidth: float = 8.0) -> np.ndarray:
+def _smooth_rows(grid: PeriodicGrid, normals: np.ndarray) -> np.ndarray:
     """(S, size) band-concentrated random signals, grid stand-ins for Schwartz
     functions, whose spectra are the (S, 2, size) standard normals (as in
-    ``_complex_rows``) under a Gaussian envelope."""
+    ``_complex_rows``) under a Gaussian envelope 8 frequency bins wide."""
     radius = np.linalg.norm(grid.freq_integers(), axis=-1)
-    envelope = np.exp(-((radius / bandwidth) ** 2))
+    envelope = np.exp(-((radius / 8.0) ** 2))
     rows = envelope * _complex_rows(normals) * grid.size
     shaped = rows.reshape((-1,) + grid.shape)
     np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)

@@ -5,7 +5,7 @@ import pytest
 
 from gaborgrid import cli
 from gaborgrid.errors import ConfigError
-from gaborgrid.formats import validate_report, write_signal_csv
+from gaborgrid.formats import validate_report, write_signal_binary, write_signal_csv
 from gaborgrid.grid import PeriodicGrid, sample_gaussian
 from gaborgrid.suites import SUITE_NAMES, SuiteConfig, run_suites
 
@@ -99,6 +99,20 @@ def test_verify_csv_output(tmp_path):
     assert len(csv_text.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("flags, written", [
+    (["--csv", "out.csv"], "out.csv"),
+    ([], "report.csv"),  # next to the config's report path
+], ids=["csv-flag", "next-to-json"])
+def test_verify_format_csv_writes_no_json(tmp_path, monkeypatch, flags, written):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, suites=["derivative-identity"])
+    assert cli.main(["verify", "--config", str(cfg), "--format", "csv", *flags]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", written]
+    lines = (tmp_path / written).read_text().splitlines()
+    assert lines[0] == "suite,name,passed,value,threshold,comparator,details"
+    assert len(lines) == 3
+
+
 def test_undersampled_config_is_diagnosed_not_crashed(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -135,6 +149,15 @@ def test_norms_subcommand(tmp_path, capsys):
     assert len(records) == 2
     assert records[0]["value"] == pytest.approx(2.0 ** -0.25, rel=1e-10)
     assert records[1]["value"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_norms_binary_input_on_other_grid_exits_2(tmp_path, capsys):
+    sig_path = tmp_path / "sig.bin"
+    write_signal_binary(sample_gaussian(PeriodicGrid(1, 16.0, 128)), sig_path)
+    cfg = write_config(tmp_path)  # L = 256
+    assert cli.main(["norms", "--config", str(cfg), "--input", str(sig_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: input: {sig_path} shape does not match the config grid\n")
 
 
 def test_stft_subcommand(tmp_path):

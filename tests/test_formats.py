@@ -11,12 +11,16 @@ from gaborgrid.errors import ConfigError
 from gaborgrid.formats import (
     dump_json,
     profile_summary,
+    read_signal,
     read_signal_binary,
     read_signal_csv,
     validate_report,
     write_profile_csv,
+    write_report,
+    write_signal,
     write_signal_binary,
     write_signal_csv,
+    write_tfarray,
     write_tfarray_binary,
     write_tfarray_csv,
 )
@@ -47,15 +51,26 @@ def test_signal_binary_round_trip(tmp_path, ref_grid, rng):
     magic, dim, L, rank = struct.unpack("<4sIII", raw[:16])
     assert magic == b"GABR" and dim == 1 and L == 256 and rank == 1
     assert len(raw) == 16 + 16 * ref_grid.size
-    back = read_signal_binary(path, ref_grid.period)
+    back = read_signal_binary(path, ref_grid)
     np.testing.assert_array_equal(back.values, f.values)
 
 
-def test_signal_binary_bad_magic(tmp_path):
+def test_signal_binary_bad_magic(tmp_path, ref_grid):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\0" * 28)
     with pytest.raises(ConfigError):
-        read_signal_binary(path, 16.0)
+        read_signal_binary(path, ref_grid)
+
+
+@pytest.mark.parametrize("grid", [PeriodicGrid(1, 16.0, 128), PeriodicGrid(2, 16.0, 16)],
+                         ids=["L", "dim"])
+def test_signal_binary_rejects_other_grid(tmp_path, ref_grid, grid):
+    # A well-formed file of 256 points read against a config grid of
+    # another L, or of the same size in another dim.
+    path = tmp_path / "sig.bin"
+    write_signal_binary(sample_gaussian(ref_grid), path)
+    with pytest.raises(ConfigError, match="shape does not match the config grid"):
+        read_signal_binary(path, grid)
 
 
 def test_signal_csv_round_trip(tmp_path, ref_grid, rng):
@@ -64,6 +79,19 @@ def test_signal_csv_round_trip(tmp_path, ref_grid, rng):
     write_signal_csv(f, path)
     back = read_signal_csv(path, ref_grid)
     np.testing.assert_array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("suffix, binary", [(".csv", False), (".bin", True), (".gabr", True)])
+def test_suffix_selects_the_format(tmp_path, suffix, binary):
+    grid = PeriodicGrid(1, 4.0, 8)
+    f = random_signal(grid, np.random.default_rng(1))
+    path = tmp_path / f"sig{suffix}"
+    write_signal(f, path)
+    assert path.read_bytes().startswith(b"GABR") == binary
+    assert read_signal(path, grid).values.tobytes() == f.values.tobytes()
+    tf_path = tmp_path / f"tf{suffix}"
+    write_tfarray(stft(f, sample_gaussian(grid)), tf_path)
+    assert tf_path.read_bytes().startswith(b"GABR\x01\0\0\0\x08\0\0\0\x02") == binary
 
 
 def _csv_writer_bytes(header, rows):
@@ -126,7 +154,7 @@ def test_tfarray_round_trip(tmp_path):
     back = pairs[..., 0] + 1j * pairs[..., 1]
     assert back.tobytes() == tf.values.tobytes()
     with pytest.raises(ConfigError):
-        read_signal_binary(path, grid.period)  # rank mismatch
+        read_signal_binary(path, grid)  # rank mismatch
 
     csv_path = tmp_path / "tf.csv"
     write_tfarray_csv(tf, csv_path)
@@ -172,6 +200,20 @@ def good_entry(name="x"):
 
 def test_validate_report_accepts_good():
     validate_report(make_report([good_entry("a"), good_entry("b")]))
+
+
+def test_write_report_validates_before_writing(tmp_path):
+    json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    with pytest.raises(ValueError):
+        write_report(make_report([good_entry("b"), good_entry("a")]), json_path, csv_path)
+    assert not json_path.exists() and not csv_path.exists()
+    entry = dict(good_entry(), details={"b": 0.1, "a": None, "c": True})
+    assert write_report(make_report([entry]), json_path, csv_path) == [str(json_path),
+                                                                       str(csv_path)]
+    assert json.loads(json_path.read_text())["entries"] == [entry]
+    assert csv_path.read_bytes() == (
+        b"suite,name,passed,value,threshold,comparator,details\r\n"
+        b"decay,x,true,1,2,<=,a=;b=0.10000000000000001;c=true\r\n")
 
 
 def test_validate_report_rejects_bad():

@@ -236,7 +236,7 @@ def test_profile_gaussian_rapid_decay(ref_system):
     f = sample_gaussian(ref_system.grid, width=math.sqrt(2.0), normalize=True)
     prof = decay_profile(ref_system, f, L1_TAU3)
     assert np.all(np.isfinite(prof.decay_sups))
-    assert prof.passes_decay(10.0)
+    assert prof.passes_decay()
     assert prof.fitted_order < -2.0
     assert decay_profile(ref_system, f, L1_TAU3).bounded_order == 0
 
@@ -267,7 +267,7 @@ def test_profile_oscillation_growth_only(ref_system):
     osc = GridSignal(grid, np.exp(2j * np.pi * 4.0 * x))
     osc = osc * (1.0 / osc.l2_norm())
     prof = decay_profile(ref_system, osc, L1_TAU3)
-    assert not prof.passes_decay(10.0)
+    assert not prof.passes_decay()
     assert prof.bounded_order == 0  # peak is interior, growth side is tame
     peak = prof.freq_points[np.argmax(prof.slice_norms), 0]
     assert peak == pytest.approx(4.0)
