@@ -43,7 +43,7 @@ from .grid import sample_gaussian, sample_oscillation
 from .smoothness import decay_profile
 from .spaces import continuous_norm
 from .stft import stft
-from .suites import SUITE_NAMES, SuiteConfig, run_suites
+from .suites import SUITE_NAMES, SuiteConfig, _section, run_suites
 
 
 def _read_config(path: str | None) -> dict:
@@ -76,8 +76,8 @@ def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
 def cmd_verify(args) -> int:
     data = _read_config(args.config)
     cfg = _apply_overrides(SuiteConfig.from_dict(data), args)
+    output = _section(data, "output")
     report = run_suites(cfg)
-    output = data.get("output", {})
     json_path = args.output or output.get("report") or "report.json"
     csv_path = args.csv or output.get("csv")
     if not csv_path and args.format != "json":

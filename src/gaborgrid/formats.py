@@ -87,7 +87,10 @@ def write_signal_binary(signal: GridSignal, path) -> None:
 
 def read_signal_binary(path, grid: PeriodicGrid) -> GridSignal:
     with open(path, "rb") as fh:
-        magic, dim, L, rank = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ConfigError(f"{path}: header truncated, expected {_HEADER.size} bytes")
+        magic, dim, L, rank = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ConfigError(f"bad magic {magic!r} in {path}")
         if rank != 1:
@@ -127,10 +130,14 @@ def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
         for row in reader:
             if not row:
                 continue
-            k = int(row[0])
+            try:
+                k, real, imag = int(row[0]), float(row[1]), float(row[2])
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}: row {reader.line_num}: expected "
+                                  f"index,re,im numbers, got {','.join(row)!r}") from None
             if not 0 <= k < grid.size:
                 raise ConfigError(f"{path}: index {k} outside grid of size {grid.size}")
-            values[k] = float(row[1]) + 1j * float(row[2])
+            values[k] = real + 1j * imag
             seen += 1
     if seen != grid.size:
         raise ConfigError(f"{path}: expected {grid.size} rows, found {seen}")

@@ -72,6 +72,7 @@ from .grid import (
     _block_rows,
     _flat_index,
     _lattice_fold,
+    _tiled_windows,
     _translates,
     grids_compatible,
     require_same_grid,
@@ -354,7 +355,8 @@ class FrameCertificate:
 def _dense_frame_matrix(system: GaborSystem) -> np.ndarray:
     """Full frame-operator matrix, an oracle independent of the fiber path."""
     grid = system.grid
-    [table] = _translates(system.window.reshaped(), system.time_lattice.index_points)
+    [table] = _translates(_tiled_windows(system.window.reshaped()),
+                           system.time_lattice.index_points)
     W = table.T
     L = grid.points_per_axis
     prod = (grid.index_vectors() @ system.freq_lattice.index_points.T) % L

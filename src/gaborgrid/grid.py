@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -211,23 +211,6 @@ def _order_tuple(grid: PeriodicGrid, order) -> tuple[int, ...]:
     return order
 
 
-def _derivative_rows(grid: PeriodicGrid, spectra: np.ndarray, order: tuple[int, ...]
-                     ) -> np.ndarray:
-    """(S, size) rows: the inverse DFT of each of the (S,) + grid.shape forward
-    DFTs ``spectra`` times prod_j (2 pi i xi_j)^order_j.  ``spectra`` is
-    left untouched."""
-    m = grid.freq_integers_axis() / grid.period
-    spec = spectra
-    for axis, o in enumerate(order):
-        if o == 0:
-            continue
-        shape = [1] * grid.dim
-        shape[axis] = grid.points_per_axis
-        spec = spec * (2j * np.pi * m.reshape(shape)) ** o
-    out = np.fft.ifftn(spec, axes=tuple(range(1, grid.dim + 1)))
-    return out.reshape(-1, grid.size)
-
-
 def _center_vector(grid: PeriodicGrid, center) -> np.ndarray:
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.shape == (1,) and grid.dim == 2:
@@ -242,18 +225,22 @@ def sample_gaussian(grid: PeriodicGrid, center=0.0, width: float = 1.0,
     """Samples of exp(-pi |x - c|^2 / width^2), periodized over +-1 images.
 
     Truncating the periodization at one wrap image keeps the error below
-    1e-15 once period >= 10 * width.  With ``normalize`` the quadrature
-    L^2 norm is scaled to one.
+    1e-15 once period >= 10 * width.  The Gaussian and its image sum are
+    products over the axes, so each axis sums its three images once (3 L
+    exponentials per axis) and the grid values are the outer product of
+    the axis sums.  With ``normalize`` the quadrature L^2 norm is scaled
+    to one.
     """
-    c = _center_vector(grid, center)
-    d = grid.nodes() - c
-    d = np.mod(d + grid.period / 2, grid.period) - grid.period / 2
-    vals = np.zeros(grid.size)
     shifts = (-grid.period, 0.0, grid.period)
-    for image in np.ndindex(*(3,) * grid.dim):
-        offset = np.array([shifts[i] for i in image])
-        vals += np.exp(-np.pi * np.sum((d + offset) ** 2, axis=-1) / width ** 2)
-    sig = GridSignal(grid, vals)
+    factors = []
+    for c in _center_vector(grid, center):
+        d = grid.axis_nodes() - c
+        d = np.mod(d + grid.period / 2, grid.period) - grid.period / 2
+        vals = np.zeros(grid.points_per_axis)
+        for shift in shifts:
+            vals += np.exp(-np.pi * (d + shift) ** 2 / width ** 2)
+        factors.append(vals)
+    sig = GridSignal(grid, reduce(np.multiply.outer, factors).ravel())
     if normalize:
         sig = sig * (1.0 / sig.l2_norm())
     return sig
@@ -469,21 +456,28 @@ def _lattice_fold(points: np.ndarray, L: int
     return shape, split, bins
 
 
-def _translates(values: np.ndarray, index_points: np.ndarray, block: int | None = None):
+def _tiled_windows(values: np.ndarray) -> np.ndarray:
+    """The L^dim sliding windows of a 2^dim-tiled copy of the grid-shaped
+    ``values`` (``GridSignal.reshaped()``, or a real array): window s is
+    t -> values(t + s), so window -x mod L is the translate by x.  Built
+    once per array, gathered from by ``_translates``."""
+    tiled = np.tile(values, (2,) * values.ndim)
+    return np.lib.stride_tricks.sliding_window_view(tiled, values.shape)
+
+
+def _translates(windows: np.ndarray, index_points: np.ndarray, block: int | None = None):
     """Yield (K, size) tables whose row k is t -> values(t - x_k), flattened in
     node order, for consecutive blocks of ``block`` index points (one block
-    of all of them by default).  ``values`` are grid-shaped samples of any
-    dtype (``GridSignal.reshaped()``, or a real array).
+    of all of them by default), from the ``_tiled_windows(values)``.
 
-    Row k is the L^dim window of a 2^dim-tiled copy that starts at -x_k mod L.
-    The tiled copy is built once per call; each block is one fancy index.
+    Row k is the window that starts at -x_k mod L; each block is one fancy
+    index.
     """
-    tiled = np.tile(values, (2,) * values.ndim)
-    windows = np.lib.stride_tricks.sliding_window_view(tiled, values.shape)
-    starts = np.moveaxis(-index_points % values.shape[0], -1, 0)
+    shape = windows.shape[windows.ndim // 2:]
+    starts = np.moveaxis(-index_points % shape[0], -1, 0)
     step = block or index_points.shape[0]
     for lo in range(0, index_points.shape[0], step):
-        yield windows[tuple(starts[:, lo:lo + step])].reshape(-1, values.size)
+        yield windows[tuple(starts[:, lo:lo + step])].reshape(-1, math.prod(shape))
 
 
 def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np.ndarray:

@@ -14,12 +14,15 @@ signals given as (S, size) rows and their (S,) + grid.shape forward DFTs,
 as ``spaces._row_norms`` is for the space norms.  ``schwartz_seminorm``
 and ``convolve_samples`` are their one-row cases; the verification suites
 call the kernels on blocks of samples.
+
+The derivative multiplier prod_j (2 pi i xi_j)^alpha_j and the inverse DFT
+are tensor products over the axes, so the Schwartz kernel takes the
+derivative stack one axis at a time (``_derivative_blocks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -30,12 +33,11 @@ from .grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    _derivative_rows,
     grids_compatible,
 )
-from .lattice import PowerWeight
 from .spaces import (
     SpaceSpec,
+    _weight_table,
     discrete_norm,
     solid_discrete_norm,
 )
@@ -45,15 +47,6 @@ from .spaces import (
 MAX_DERIVATIVE_ORDER = 6
 
 
-def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
-    """All derivative multi-indices with total order at most max_order."""
-    return [
-        alpha
-        for alpha in product(range(max_order + 1), repeat=dim)
-        if sum(alpha) <= max_order
-    ]
-
-
 def _check_order(order: int) -> int:
     order = int(order)
     if not 0 <= order <= MAX_DERIVATIVE_ORDER:
@@ -61,15 +54,51 @@ def _check_order(order: int) -> int:
     return order
 
 
+def _derivative_blocks(grid: PeriodicGrid, spectra: np.ndarray, order: int):
+    """Yield, for every multi-index alpha with 0 < |alpha| <= order, the
+    (S,) + grid.shape inverse DFTs of the forward DFTs ``spectra`` times
+    prod_j (2 pi i xi_j)^alpha_j, in one of two block buffers reused from
+    one alpha to the next; ``spectra`` is left untouched.
+
+    The stack is built one axis at a time: for each order b of the last
+    axis, one inverse FFT along it of spectra (2 pi i xi)^b; on a 2-D grid,
+    then, for each a <= order - b, that block times (2 pi i xi)^a along the
+    first axis and one inverse FFT along it.  At order 4 that is 19
+    single-axis transforms where full 2-D transforms per alpha take 28.
+    """
+    xi = 2j * np.pi * (grid.freq_integers_axis() / grid.period)
+    last = np.empty_like(spectra)
+    block = np.empty_like(spectra)
+    for b in range(order + 1):
+        if grid.dim == 1 and b == 0:
+            continue
+        source = np.multiply(spectra, xi ** b, out=last) if b else spectra
+        np.fft.ifft(source, axis=-1, out=last)
+        if grid.dim == 1:
+            yield last
+            continue
+        for a in range(order - b + 1):
+            if a == b == 0:
+                continue
+            source = np.multiply(last, (xi ** a)[:, None], out=block) if a else last
+            np.fft.ifft(source, axis=1, out=block)
+            yield block
+
+
 def _schwartz_rows(grid: PeriodicGrid, rows: np.ndarray, spectra: np.ndarray,
                    order: int) -> np.ndarray:
     """Schwartz seminorms of the (S, size) rows of grid samples, one per row,
-    given their (S,) + grid.shape forward DFTs ``spectra``."""
-    w = PowerWeight(float(order))(grid.centered_nodes())
-    best = np.zeros(rows.shape[0])
-    for alpha in multi_indices(grid.dim, order):
-        g = _derivative_rows(grid, spectra, alpha) if any(alpha) else rows
-        np.maximum(best, np.max(np.abs(g) * w, axis=1), out=best)
+    given their (S,) + grid.shape forward DFTs ``spectra`` (left untouched):
+    the running maximum of the weighted sups, with the weight
+    (1 + |x|)^order of ``spaces._weight_table``, of the rows and of their
+    ``_derivative_blocks``."""
+    w = _weight_table(grid, float(order))
+    best = np.max(np.abs(rows) * w, axis=1)
+    weighted = np.empty(rows.shape)
+    for block in _derivative_blocks(grid, spectra, order):
+        np.abs(block.reshape(rows.shape), out=weighted)
+        weighted *= w
+        np.maximum(best, np.max(weighted, axis=1), out=best)
     return best
 
 

@@ -37,6 +37,7 @@ from .grid import (
     _block_rows,
     _lattice_fold,
     _order_tuple,
+    _tiled_windows,
     _translates,
     require_same_grid,
 )
@@ -84,7 +85,7 @@ def _lattice_stft(values: np.ndarray, psi: GridSignal, time_points: np.ndarray,
     count = len(time_points)
     folded = np.empty((count,) + shape, dtype=complex)
     block = _block_rows(grid.size)
-    translates = _translates(psi.reshaped(), time_points, block)
+    translates = _translates(_tiled_windows(psi.reshaped()), time_points, block)
     for lo, rows in zip(range(0, count, block), translates):
         part = folded[lo:lo + block]
         np.conjugate(rows, out=rows)
@@ -267,6 +268,9 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
     magnitude = np.abs(spectrum)
     weight = np.abs(window) / grid.size
     block = _block_rows(grid.size)
+    # Both prune passes gather bin rows of |F| and of F from these views.
+    magnitude_windows = _tiled_windows(magnitude)
+    spectrum_windows = _tiled_windows(spectrum)
 
     def prune(which, worst, evaluated):
         # The direct U of the bins ``which``: a real gather of |F| in blocks
@@ -275,7 +279,7 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
         bound = np.empty(len(which))
         step = 2 * block
         for lo, rows in zip(range(0, len(which), step),
-                            _translates(magnitude, -bins[which], step)):
+                            _translates(magnitude_windows, -bins[which], step)):
             shaped = rows.reshape((-1,) + grid.shape)
             shaped *= weight
             shaped *= np.abs(symbol(bins[which[lo:lo + step]]))
@@ -287,7 +291,7 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
         ranked = which[rank]
         reach = bound[rank] * (1.0 + _BOUND_SLACK)
         for lo, rows in zip(range(0, len(ranked), block),
-                            _translates(spectrum, -bins[ranked], block)):
+                            _translates(spectrum_windows, -bins[ranked], block)):
             live = int(np.count_nonzero(reach[lo:lo + block] > worst))
             if not live:
                 break

@@ -87,6 +87,15 @@ _DEFAULT_SAMPLES = {
 }
 
 
+def _section(data: dict, key: str) -> dict:
+    """The config object at ``key`` (empty when absent); anything else is a
+    ConfigError naming the key."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: must be an object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Validated batch configuration; see README for the JSON schema."""
@@ -121,8 +130,8 @@ class SuiteConfig:
             raise ConfigError("config root must be an object")
         if data.get("schema", 1) != 1:
             raise ConfigError(f"schema: unsupported version {data.get('schema')!r}")
-        grid = data.get("grid", {})
-        system = data.get("system", {})
+        grid, system, tolerances, samples = (
+            _section(data, key) for key in ("grid", "system", "tolerances", "samples"))
         try:
             spaces = tuple(
                 SpaceSpec.from_dict(s) for s in data.get("spaces", [{"kind": "Lp_w", "p": 2.0}])
@@ -139,8 +148,8 @@ class SuiteConfig:
             freq_step=system.get("freq_step", 0.5),
             spaces=spaces,
             suites=tuple(data.get("suites", SUITE_NAMES)),
-            tolerances=dict(data.get("tolerances", {})),
-            samples=dict(data.get("samples", {})),
+            tolerances=dict(tolerances),
+            samples=dict(samples),
         )
 
     def validate(self) -> None:
@@ -161,6 +170,8 @@ class SuiteConfig:
         if abs(bins - round(bins)) > 1e-9 or self.freq_step <= 0:
             raise ConfigError(f"system.freq_step: {self.freq_step!r} is not a "
                               f"positive multiple of 1/period")
+        if not isinstance(self.window, dict):
+            raise ConfigError("system.window: must be an object")
         kind = self.window.get("kind")
         if kind not in ("gaussian", "bump", "rectangle"):
             raise ConfigError(f"system.window.kind: unknown kind {kind!r}")

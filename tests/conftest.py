@@ -1,13 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from gaborgrid.grid import (
     PeriodicGrid,
     GridSignal,
-    _derivative_rows,
+    _center_vector,
     _order_tuple,
     sample_gaussian,
 )
+from gaborgrid.lattice import PowerWeight
 
 
 @pytest.fixture(scope="session")
@@ -56,12 +59,66 @@ def conjugate_reflection(f):
     return GridSignal(f.grid, np.conj(f.values[flat]))
 
 
+def multi_indices(dim, max_order):
+    """All derivative multi-indices with total order at most max_order."""
+    return [
+        alpha
+        for alpha in product(range(max_order + 1), repeat=dim)
+        if sum(alpha) <= max_order
+    ]
+
+
+def derivative_rows(grid, spectra, order):
+    """(S, size) rows: the inverse DFT of each of the (S,) + grid.shape forward
+    DFTs ``spectra`` times prod_j (2 pi i xi_j)^order_j, by one full
+    ``ifftn`` per multi-index: the reference for the per-axis derivative
+    stack of ``smoothness._schwartz_rows``."""
+    m = grid.freq_integers_axis() / grid.period
+    spec = spectra
+    for axis, o in enumerate(order):
+        if o == 0:
+            continue
+        shape = [1] * grid.dim
+        shape[axis] = grid.points_per_axis
+        spec = spec * (2j * np.pi * m.reshape(shape)) ** o
+    out = np.fft.ifftn(spec, axes=tuple(range(1, grid.dim + 1)))
+    return out.reshape(-1, grid.size)
+
+
+def schwartz_rows(grid, rows, spectra, order):
+    """Schwartz seminorms of the (S, size) rows, one ``derivative_rows`` per
+    multi-index: the reference for ``smoothness._schwartz_rows``."""
+    w = PowerWeight(float(order))(grid.centered_nodes())
+    best = np.zeros(rows.shape[0])
+    for alpha in multi_indices(grid.dim, order):
+        g = derivative_rows(grid, spectra, alpha) if any(alpha) else rows
+        np.maximum(best, np.max(np.abs(g) * w, axis=1), out=best)
+    return best
+
+
 def spectral_derivative(f, order):
     """The derivative of one signal by the Fourier multiplier
-    prod_j (2 pi i xi_j)^order_j: the one-row case of ``grid._derivative_rows``,
-    the kernel of the Schwartz seminorm."""
+    prod_j (2 pi i xi_j)^order_j: the one-row case of ``derivative_rows``."""
     spectra = np.fft.fftn(f.reshaped())[None]
-    return GridSignal(f.grid, _derivative_rows(f.grid, spectra, _order_tuple(f.grid, order))[0])
+    return GridSignal(f.grid, derivative_rows(f.grid, spectra, _order_tuple(f.grid, order))[0])
+
+
+def gaussian_images(grid, center=0.0, width=1.0, normalize=False):
+    """exp(-pi |x - c|^2 / width^2) summed over the 3^dim wrap images at every
+    node: the reference for the per-axis outer product of
+    ``grid.sample_gaussian``."""
+    c = _center_vector(grid, center)
+    d = grid.nodes() - c
+    d = np.mod(d + grid.period / 2, grid.period) - grid.period / 2
+    vals = np.zeros(grid.size)
+    shifts = (-grid.period, 0.0, grid.period)
+    for image in np.ndindex(*(3,) * grid.dim):
+        offset = np.array([shifts[i] for i in image])
+        vals += np.exp(-np.pi * np.sum((d + offset) ** 2, axis=-1) / width ** 2)
+    sig = GridSignal(grid, vals)
+    if normalize:
+        sig = sig * (1.0 / sig.l2_norm())
+    return sig
 
 
 def covolume(lat):

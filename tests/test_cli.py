@@ -41,6 +41,8 @@ def test_config_validation_errors(tmp_path):
         SuiteConfig.from_dict({"suites": ["nope"]})
     with pytest.raises(ConfigError, match="window.kind"):
         SuiteConfig.from_dict({"system": {"window": {"kind": "hann"}}})
+    with pytest.raises(ConfigError, match="system.window: must be an object"):
+        SuiteConfig.from_dict({"system": {"window": 5}})
     with pytest.raises(ConfigError, match="seed"):
         SuiteConfig.from_dict({"seed": "forty-two"})
     with pytest.raises(ConfigError, match="schema"):
@@ -158,6 +160,37 @@ def test_norms_binary_input_on_other_grid_exits_2(tmp_path, capsys):
     assert cli.main(["norms", "--config", str(cfg), "--input", str(sig_path)]) == 2
     assert capsys.readouterr().err == (
         f"config error: input: {sig_path} shape does not match the config grid\n")
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("short.bin", b"GAB", "header truncated"),
+    ("bad.csv", b"index,re,im\r\n0,abc,0\r\n", "row 2: expected index,re,im numbers"),
+], ids=["short-binary-header", "non-numeric-csv-field"])
+def test_norms_unreadable_input_exits_2(tmp_path, capsys, name, content, message):
+    sig_path = tmp_path / name
+    sig_path.write_bytes(content)
+    cfg = write_config(tmp_path)
+    assert cli.main(["norms", "--config", str(cfg), "--input", str(sig_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {sig_path}") and message in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid", 5), ("system", [1.0]), ("samples", None), ("tolerances", "frame"),
+])
+def test_config_section_not_an_object_exits_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: must be an object")
+
+
+def test_verify_output_not_an_object_exits_2_before_any_suite(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_suites", lambda cfg: pytest.fail("a suite ran"))
+    cfg = write_config(tmp_path, output=None)
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: output: must be an object, got NoneType\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_stft_subcommand(tmp_path):

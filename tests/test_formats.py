@@ -141,6 +141,23 @@ def test_signal_csv_row_count_checked(tmp_path, ref_grid):
         read_signal_csv(path, ref_grid)
 
 
+@pytest.mark.parametrize("row", ["0,abc,0", "0,1.0", "x,1.0,0.0"],
+                         ids=["non-numeric", "two-fields", "bad-index"])
+def test_signal_csv_bad_row_names_file_and_row(tmp_path, ref_grid, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,re,im\n{row}\n")
+    with pytest.raises(ConfigError, match=f"{path}: row 2: expected index,re,im numbers"):
+        read_signal_csv(path, ref_grid)
+
+
+@pytest.mark.parametrize("size", [0, 3, 15])
+def test_signal_binary_short_header(tmp_path, ref_grid, size):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"GABR\x01\x00\x00\x00\x00\x01\x00\x00\x01\x00\x00"[:size])
+    with pytest.raises(ConfigError, match="header truncated"):
+        read_signal_binary(path, ref_grid)
+
+
 def test_tfarray_round_trip(tmp_path):
     # The binary table of ``gaborgrid stft``, read back with struct and
     # np.frombuffer: the GABR header, then interleaved little-endian re/im.

@@ -30,6 +30,7 @@ from gaborgrid.grid import (
     GridSignal,
     PeriodicGrid,
     _flat_index,
+    _tiled_windows,
     _translates,
     sample_gaussian,
 )
@@ -101,7 +102,8 @@ def _block_oracle(system):
     h |F| W_B W_B^H.
     """
     grid = system.grid
-    [table] = _translates(system.window.reshaped(), system.time_lattice.index_points)
+    [table] = _translates(_tiled_windows(system.window.reshaped()),
+                           system.time_lattice.index_points)
     annihilator = _fft_annihilator(system.freq_lattice)
     members = _flat_index(grid, grid.index_vectors()[:, None, :] + annihilator[None, :, :])
     # Label each point by the smallest point of its coset; the cosets all

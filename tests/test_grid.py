@@ -16,6 +16,7 @@ from gaborgrid.grid import (
     PeriodicGrid,
     _enumerate_quotient,
     _superpose,
+    _tiled_windows,
     _translates,
     dft,
     modulate,
@@ -28,6 +29,7 @@ from gaborgrid.lattice import Lattice
 
 from conftest import (
     conjugate_reflection,
+    gaussian_images,
     lattice_superposition,
     random_signal,
     spectral_derivative,
@@ -205,6 +207,32 @@ def test_gaussian_2d_center():
     assert g.values[flat].real == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("grid", [
+    PeriodicGrid(1, 16.0, 256), PeriodicGrid(1, 8.0, 33),
+    PeriodicGrid(2, 8.0, 32), PeriodicGrid(2, 12.0, 24), PeriodicGrid(2, 8.0, 33),
+], ids=["1d-256", "1d-33", "2d-32", "2d-24", "2d-33"])
+@pytest.mark.parametrize("center, width, normalize", [
+    (0.0, 1.0, False), (1.3, 2.0 ** 0.5, False), (-2.75, 2.0 ** 0.5, True),
+], ids=["origin", "off-origin", "off-origin-normalized"])
+def test_gaussian_outer_product_matches_image_sum(grid, center, width, normalize):
+    # The per-axis image sums, multiplied out, against the 3^dim images at
+    # every node: the same arithmetic in 1-D, a product of the same factors
+    # in 2-D.
+    got = sample_gaussian(grid, center, width, normalize).values
+    expected = gaussian_images(grid, center, width, normalize).values
+    if grid.dim == 1:
+        assert np.array_equal(got, expected)
+    else:
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_gaussian_2d_separate_centers_match_image_sum():
+    grid = PeriodicGrid(2, 8.0, 32)
+    got = sample_gaussian(grid, (1.25, -3.0), 2.0 ** 0.5).values
+    expected = gaussian_images(grid, (1.25, -3.0), 2.0 ** 0.5).values
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
 def test_bump_support_and_center(ref_grid):
     chi = sample_bump(ref_grid, center=0.0, radius=0.5)
     x = ref_grid.centered_nodes()[:, 0]
@@ -361,7 +389,7 @@ def test_translates_match_translate(grid, rng):
     f = random_signal(grid, rng)
     # Every node, shifted so that half of the index vectors are negative.
     points = grid.index_vectors() - grid.points_per_axis // 2
-    [rows] = _translates(f.reshaped(), points)
+    [rows] = _translates(_tiled_windows(f.reshaped()), points)
     assert rows.shape == (grid.size, grid.size)
     for row, idx in zip(rows, points):
         np.testing.assert_array_equal(row, translate(f, idx * grid.spacing).values)

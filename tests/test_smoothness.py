@@ -18,17 +18,21 @@ from gaborgrid.grid import (
 )
 from gaborgrid.lattice import PowerWeight
 from gaborgrid.smoothness import (
+    MAX_DERIVATIVE_ORDER,
+    _schwartz_rows,
     convolve_samples,
     decay_profile,
-    multi_indices,
     schwartz_seminorm,
 )
 from gaborgrid.spaces import SpaceSpec, continuous_norm
 
 from conftest import (
     conjugate_reflection,
+    count_fft_calls,
     lattice_superposition,
+    multi_indices,
     random_signal,
+    schwartz_rows,
     smooth_random_signal,
     spectral_derivative,
 )
@@ -83,6 +87,47 @@ def test_schwartz_seminorm_monotone_in_order(ref_grid):
     vals = [schwartz_seminorm(f, n) for n in range(4)]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
     assert vals[0] == pytest.approx(1.0, abs=1e-12)  # peak of the Gaussian
+
+
+def _seminorm_rows(grid, rng):
+    """Two smooth rows and one noise row, with their forward DFTs."""
+    rows = np.stack([smooth_random_signal(grid, rng).values,
+                     smooth_random_signal(grid, rng).values,
+                     random_signal(grid, rng).values])
+    spectra = np.fft.fftn(rows.reshape((3,) + grid.shape),
+                          axes=tuple(range(1, grid.dim + 1)))
+    return rows, spectra
+
+
+@pytest.mark.parametrize("grid", [
+    PeriodicGrid(1, 16.0, 256), PeriodicGrid(1, 8.0, 33),
+    PeriodicGrid(2, 4.0, 16), PeriodicGrid(2, 8.0, 32), PeriodicGrid(2, 8.0, 33),
+], ids=["1d-256", "1d-33", "2d-16", "2d-32", "2d-33"])
+def test_schwartz_rows_match_per_multi_index_oracle(grid):
+    # The per-axis derivative stack against one full inverse DFT per
+    # multi-index: the same arithmetic in 1-D, the row-column order of the
+    # same transforms in 2-D.
+    rows, spectra = _seminorm_rows(grid, np.random.default_rng(7))
+    before = spectra.copy()
+    for order in range(MAX_DERIVATIVE_ORDER + 1):
+        got = _schwartz_rows(grid, rows, spectra, order)
+        expected = schwartz_rows(grid, rows, spectra, order)
+        if grid.dim == 1:
+            assert np.array_equal(got, expected), order
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+    assert np.array_equal(spectra, before)
+
+
+def test_schwartz_rows_transform_one_axis_at_a_time(monkeypatch):
+    # Order 4 on a 2-D block: 5 transforms along the last axis (one per
+    # order b) and 14 along the first (one per alpha other than 0), no
+    # full 2-D transform.
+    grid = PeriodicGrid(2, 8.0, 32)
+    rows, spectra = _seminorm_rows(grid, np.random.default_rng(7))
+    counts = count_fft_calls(monkeypatch)
+    _schwartz_rows(grid, rows, spectra, 4)
+    assert counts == {"ifft": 19}
 
 
 def test_superposition_delta_gives_translate(ref_grid):
