@@ -21,7 +21,6 @@ from .gabor import (
     GaborSystem,
     analyze,
     dual_window,
-    frame_apply,
     frame_bounds,
     reconstruction_error,
     synthesize,
@@ -33,7 +32,6 @@ from .grid import (
     GridSignal,
     PeriodicGrid,
     dft,
-    modulate,
     sample_bump,
     sample_gaussian,
     sample_oscillation,
@@ -43,9 +41,7 @@ from .grid import (
 from .lattice import Lattice, PowerWeight, dual_lattice
 from .smoothness import (
     DecayProfile,
-    convolve_samples,
     decay_profile,
-    schwartz_seminorm,
 )
 from .spaces import (
     SpaceSpec,

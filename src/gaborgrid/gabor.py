@@ -318,13 +318,6 @@ def synthesize(system: GaborSystem, coeffs: CoeffArray) -> GridSignal:
     return GridSignal(system.grid, _synthesis(system, coeffs.values[None])[0])
 
 
-def frame_apply(system: GaborSystem, f: GridSignal) -> GridSignal:
-    """The frame operator S = synthesize . analyze, both with the window."""
-    require_same_grid(f, system.window)
-    rows = _synthesis(system, _analysis(system, f.values[None]))
-    return GridSignal(system.grid, rows[0])
-
-
 @dataclass(frozen=True)
 class FrameCertificate:
     """Extreme eigenvalues of the frame operator plus bookkeeping.

@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     IndexMismatch,
-    NonAlignedFrequency,
     NonAlignedLattice,
     NonAlignedShift,
 )
@@ -71,10 +70,8 @@ class PeriodicGrid:
         return np.arange(self.points_per_axis) * self.spacing
 
     def index_vectors(self) -> np.ndarray:
-        """(size, dim) integer index vectors in lexicographic order."""
-        L = self.points_per_axis
-        grids = np.meshgrid(*([np.arange(L)] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """(size, dim) read-only integer index vectors in lexicographic order."""
+        return _index_table(self.dim, self.points_per_axis, False)
 
     def nodes(self) -> np.ndarray:
         """(size, dim) node coordinates in [0, P)^dim."""
@@ -86,20 +83,31 @@ class PeriodicGrid:
         return np.mod(x + self.period / 2, self.period) - self.period / 2
 
     def freq_integers_axis(self) -> np.ndarray:
-        """Per-axis integer frequency labels in DFT bin order."""
-        L = self.points_per_axis
-        m = np.arange(L)
-        return np.where(m < (L + 1) // 2, m, m - L)
+        """Per-axis read-only integer frequency labels in DFT bin order."""
+        return _index_table(1, self.points_per_axis, True)[:, 0]
 
     def freq_integers(self) -> np.ndarray:
-        """(size, dim) integer frequency labels, bins flattened in C order."""
-        m = self.freq_integers_axis()
-        grids = np.meshgrid(*([m] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """(size, dim) read-only integer frequency labels, bins flattened in
+        C order."""
+        return _index_table(self.dim, self.points_per_axis, True)
 
     def reciprocal(self) -> "PeriodicGrid":
         """The frequency-side grid: spacing 1/P, period L/P, same L."""
         return PeriodicGrid(self.dim, self.points_per_axis / self.period, self.points_per_axis)
+
+
+@lru_cache(maxsize=None)
+def _index_table(dim: int, L: int, frequencies: bool) -> np.ndarray:
+    """(L^dim, dim) read-only integer vectors in lexicographic order, cached
+    per (dim, L): the node indices, or with ``frequencies`` the integer
+    labels of the DFT bins."""
+    axis = np.arange(L)
+    if frequencies:
+        axis = np.where(axis < (L + 1) // 2, axis, axis - L)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    table = np.stack([g.ravel() for g in grids], axis=-1)
+    table.setflags(write=False)
+    return table
 
 
 def grids_compatible(a: PeriodicGrid, b: PeriodicGrid) -> bool:
@@ -174,30 +182,6 @@ def translate(signal: GridSignal, x) -> GridSignal:
     steps = _shift_steps(signal.grid, x)
     rolled = np.roll(signal.reshaped(), shift=tuple(steps), axis=tuple(range(signal.grid.dim)))
     return GridSignal(signal.grid, rolled.ravel())
-
-
-def _freq_integer(grid: PeriodicGrid, xi) -> np.ndarray:
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (grid.dim,):
-        raise DimensionMismatch(f"frequency must have {grid.dim} components")
-    m = xi * grid.period
-    rounded = np.rint(m)
-    if np.max(np.abs(m - rounded)) > _ALIGN_TOL:
-        raise NonAlignedFrequency(f"{xi} is not a multiple of 1/period")
-    return rounded.astype(int)
-
-
-def modulation_phases(grid: PeriodicGrid, m: np.ndarray) -> np.ndarray:
-    """exp(2 pi i xi . x_k) over all nodes for integer frequency labels m."""
-    L = grid.points_per_axis
-    phase = (grid.index_vectors() @ np.atleast_1d(m)) % L
-    return np.exp(2j * np.pi * phase / L)
-
-
-def modulate(signal: GridSignal, xi) -> GridSignal:
-    """Pointwise modulation (M_xi f)(t) = exp(2 pi i xi . t) f(t)."""
-    m = _freq_integer(signal.grid, xi)
-    return GridSignal(signal.grid, signal.values * modulation_phases(signal.grid, m))
 
 
 def _order_tuple(grid: PeriodicGrid, order) -> tuple[int, ...]:

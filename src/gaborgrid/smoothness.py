@@ -11,9 +11,10 @@ negative weight orders signal distributional-class inputs.
 The Schwartz seminorm and the sampled convolution each have one batched
 kernel, ``_schwartz_rows`` and ``_convolution_rows``, over a stack of S
 signals given as (S, size) rows and their (S,) + grid.shape forward DFTs,
-as ``spaces._row_norms`` is for the space norms.  ``schwartz_seminorm``
-and ``convolve_samples`` are their one-row cases; the verification suites
-call the kernels on blocks of samples.
+as ``spaces._row_norms`` is for the space norms.  The embedding-chain
+suite calls the seminorm kernel on blocks of sampled smooth signals, and
+the convolution kernel once, on the witness of its closed-form
+convolution constant.
 
 The derivative multiplier prod_j (2 pi i xi_j)^alpha_j and the inverse DFT
 are tensor products over the axes, so the Schwartz kernel takes the
@@ -26,14 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
 from .gabor import GaborSystem, analyze
 from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    grids_compatible,
 )
 from .spaces import (
     SpaceSpec,
@@ -45,13 +44,6 @@ from .spaces import (
 # Spectral differentiation stays trustworthy to roughly this order at the
 # grid sizes this package targets.
 MAX_DERIVATIVE_ORDER = 6
-
-
-def _check_order(order: int) -> int:
-    order = int(order)
-    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order must lie in 0..{MAX_DERIVATIVE_ORDER}")
-    return order
 
 
 def _derivative_blocks(grid: PeriodicGrid, spectra: np.ndarray, order: int):
@@ -102,14 +94,6 @@ def _schwartz_rows(grid: PeriodicGrid, rows: np.ndarray, spectra: np.ndarray,
     return best
 
 
-def schwartz_seminorm(f: GridSignal, order: int) -> float:
-    """sup over |alpha| <= order and nodes of |f^(alpha)(x)| (1+|x|)^order."""
-    order = _check_order(order)
-    rows = f.values.reshape(1, -1)
-    spectra = np.fft.fftn(f.reshaped())[None]
-    return float(_schwartz_rows(f.grid, rows, spectra, order)[0])
-
-
 def _convolution_rows(lat: GridLattice, e_spectra: np.ndarray,
                       phi_spectra: np.ndarray) -> np.ndarray:
     """(S, count) rows: the quadrature-weighted periodic convolutions e * phi
@@ -120,17 +104,6 @@ def _convolution_rows(lat: GridLattice, e_spectra: np.ndarray,
     np.fft.ifftn(e_spectra, axes=tuple(range(1, grid.dim + 1)), out=e_spectra)
     conv = e_spectra.reshape(-1, grid.size)[:, lat._flat_points]
     return grid.spacing ** grid.dim * conv
-
-
-def convolve_samples(e: GridSignal, phi: GridSignal, lat: GridLattice) -> CoeffArray:
-    """Quadrature-weighted periodic convolution e * phi sampled on a lattice."""
-    if not grids_compatible(e.grid, phi.grid):
-        raise GridMismatch("signals live on different grids")
-    if not grids_compatible(lat.grid, e.grid):
-        raise GridMismatch("lattice lives on a different grid")
-    rows = _convolution_rows(lat, np.fft.fftn(e.reshaped())[None],
-                             np.fft.fftn(phi.reshaped())[None])
-    return CoeffArray.over_lattice(lat, rows[0])
 
 
 @dataclass(frozen=True, eq=False)

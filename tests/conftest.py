@@ -3,14 +3,21 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gaborgrid.errors import DimensionMismatch, GridMismatch, NonAlignedFrequency
+from gaborgrid.gabor import _analysis, _synthesis
 from gaborgrid.grid import (
+    CoeffArray,
     PeriodicGrid,
     GridSignal,
+    _ALIGN_TOL,
     _center_vector,
     _order_tuple,
+    grids_compatible,
+    require_same_grid,
     sample_gaussian,
 )
 from gaborgrid.lattice import PowerWeight
+from gaborgrid.smoothness import MAX_DERIVATIVE_ORDER, _convolution_rows, _schwartz_rows
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +64,62 @@ def conjugate_reflection(f):
     """The signal t -> conj(f(-t)), read at the negated node indices."""
     flat = np.ravel_multi_index(tuple((-f.grid.index_vectors()).T), f.grid.shape, mode="wrap")
     return GridSignal(f.grid, np.conj(f.values[flat]))
+
+
+def freq_integer(grid, xi):
+    """The integer label m = xi P of a grid frequency xi; NonAlignedFrequency
+    unless xi is a multiple of 1/P."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.shape != (grid.dim,):
+        raise DimensionMismatch(f"frequency must have {grid.dim} components")
+    m = xi * grid.period
+    rounded = np.rint(m)
+    if np.max(np.abs(m - rounded)) > _ALIGN_TOL:
+        raise NonAlignedFrequency(f"{xi} is not a multiple of 1/period")
+    return rounded.astype(int)
+
+
+def modulation_phases(grid, m):
+    """exp(2 pi i xi . x_k) over all nodes for integer frequency labels m."""
+    L = grid.points_per_axis
+    phase = (grid.index_vectors() @ np.atleast_1d(m)) % L
+    return np.exp(2j * np.pi * phase / L)
+
+
+def modulate(signal, xi):
+    """Pointwise modulation (M_xi f)(t) = exp(2 pi i xi . t) f(t)."""
+    m = freq_integer(signal.grid, xi)
+    return GridSignal(signal.grid, signal.values * modulation_phases(signal.grid, m))
+
+
+def frame_apply(system, f):
+    """The frame operator S = synthesize . analyze, both with the window: the
+    one-signal case of the fiber kernels."""
+    require_same_grid(f, system.window)
+    rows = _synthesis(system, _analysis(system, f.values[None]))
+    return GridSignal(system.grid, rows[0])
+
+
+def schwartz_seminorm(f, order):
+    """sup over |alpha| <= order and nodes of |f^(alpha)(x)| (1+|x|)^order:
+    the one-row case of ``smoothness._schwartz_rows``."""
+    order = int(order)
+    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order must lie in 0..{MAX_DERIVATIVE_ORDER}")
+    spectra = np.fft.fftn(f.reshaped())[None]
+    return float(_schwartz_rows(f.grid, f.values.reshape(1, -1), spectra, order)[0])
+
+
+def convolve_samples(e, phi, lat):
+    """Quadrature-weighted periodic convolution e * phi sampled on a lattice:
+    the one-row case of ``smoothness._convolution_rows``."""
+    if not grids_compatible(e.grid, phi.grid):
+        raise GridMismatch("signals live on different grids")
+    if not grids_compatible(lat.grid, e.grid):
+        raise GridMismatch("lattice lives on a different grid")
+    rows = _convolution_rows(lat, np.fft.fftn(e.reshaped())[None],
+                             np.fft.fftn(phi.reshaped())[None])
+    return CoeffArray.over_lattice(lat, rows[0])
 
 
 def multi_indices(dim, max_order):

@@ -33,11 +33,7 @@ from gaborgrid.grid import (
     sample_rectangle,
 )
 from gaborgrid.lattice import PowerWeight
-from gaborgrid.smoothness import (
-    convolve_samples,
-    decay_profile,
-    schwartz_seminorm,
-)
+from gaborgrid.smoothness import decay_profile
 from gaborgrid.spaces import (
     SpaceSpec,
     continuous_norm,
@@ -50,11 +46,14 @@ from gaborgrid.spaces import (
 from gaborgrid.stft import derivative_identity_defect
 from gaborgrid.suites import (
     SuiteConfig,
+    _superposition_norms,
     random_signal,
+    run_embedding_chain,
     run_suites,
+    suite_rng,
 )
 
-from conftest import smooth_random_signal
+from conftest import convolve_samples, schwartz_seminorm, smooth_random_signal
 
 SEED = 42
 _MODULE_T0 = time.perf_counter()
@@ -283,11 +282,17 @@ def test_criterion_09_embedding_chain(ref):
     k1d, k2d = kappas(200)
     k1_both, k2_both = min(k1, k1d), min(k2, k2d)
     stable = (k1 - k1_both) / k1 <= 0.5 and (k2 - k2_both) / k2 <= 0.5
-    ok = k1 > 0 and k2 > 0 and stable
+    # The exact infima bound every scan from below.
+    cfg = SuiteConfig.from_dict({"seed": SEED})
+    exact = {e["name"]: e["value"] for e in run_embedding_chain(
+        cfg, ref["system"], suite_rng(SEED, "embedding-chain"))}
+    bounded = exact["kappa1_positive"] <= k1_both and exact["kappa2_positive"] <= k2_both
+    ok = k1 > 0 and k2 > 0 and stable and bounded
     report(9, ok,
            f"embedding chain: kappa1 = {k1:.3f} > 0, kappa2 = {k2:.3f} > 0, "
            f"stable under doubling (drifts {(k1 - k1_both) / k1:.1%}, "
-           f"{(k2 - k2_both) / k2:.1%})")
+           f"{(k2 - k2_both) / k2:.1%}); at least the exact "
+           f"{exact['kappa1_positive']:.3f}, {exact['kappa2_positive']:.4f}")
 
 
 def test_criterion_10_decay_growth_dichotomy(ref):
@@ -324,6 +329,9 @@ def test_criterion_11_operator_continuity(ref):
     order = 4
     rng = np.random.default_rng(SEED)
     sup_ratios, conv_ratios = [], []
+    sup_exact, conv_exact = [], []
+    # ||chi||_{E_d} norms every sequence with one profile value p.
+    p = continuous_norm(chi, spec) / math.sqrt(grid.spacing)
     for _ in range(100):
         c = CoeffArray.over_lattice(
             lattice,
@@ -342,15 +350,22 @@ def test_criterion_11_operator_continuity(ref):
             discrete_norm(conv, spec, chi)
             / (continuous_norm(e, spec) * seminorm)
         )
+        norm = _superposition_norms(lattice, np.fft.fftn(phi.reshaped())[None])[0][0]
+        sup_exact.append(norm / p / seminorm)
+        conv_exact.append(grid.spacing * p * norm / seminorm)
     c_sup, c_conv = max(sup_ratios), max(conv_ratios)
     violation = max(
         max(r / c_sup for r in sup_ratios), max(r / c_conv for r in conv_ratios)
     ) - 1.0
-    ok = violation <= 0.01 and order <= 4
+    # The closed-form sup over c (and over e) of each phi bounds its sample.
+    bounded = all(r <= x * (1 + 1e-12) for r, x in zip(sup_ratios + conv_ratios,
+                                                       sup_exact + conv_exact))
+    ok = violation <= 0.01 and order <= 4 and bounded
     report(11, ok,
            f"operator continuity: fitted constants C_sup={c_sup:.4f}, "
            f"C_conv={c_conv:.4f} at Schwartz order {order} <= 4; worst "
-           f"violation of the fitted bound {violation:.2%} <= 1%")
+           f"violation of the fitted bound {violation:.2%} <= 1%; the exact "
+           f"constants over the same phi are {max(sup_exact):.3e}, {max(conv_exact):.3e}")
 
 
 def test_criterion_12_determinism_and_runtime(tmp_path):

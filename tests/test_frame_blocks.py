@@ -20,7 +20,6 @@ from gaborgrid.gabor import (
     _zak_fibers,
     analyze,
     dual_window,
-    frame_apply,
     frame_bounds,
     reconstruction_error,
     wexler_raz_residual,
@@ -37,7 +36,7 @@ from gaborgrid.grid import (
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import stft
 
-from conftest import random_signal, record_fft_shapes
+from conftest import frame_apply, random_signal, record_fft_shapes
 
 # name: (dim, period, L, time step, freq step); non-power-of-two L/P ratios.
 SEPARABLE = {

@@ -18,7 +18,6 @@ from gaborgrid.gabor import (
     _zak_fibers,
     analyze,
     dual_window,
-    frame_apply,
     frame_bounds,
     reconstruction_error,
     synthesize,
@@ -37,7 +36,7 @@ from gaborgrid.lattice import Lattice
 from gaborgrid.suites import _complex_rows
 from gaborgrid.suites import random_signal as suite_random_signal
 
-from conftest import count_fft_calls, random_signal
+from conftest import count_fft_calls, frame_apply, modulate, random_signal
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +175,7 @@ def test_frame_apply_positivity(ref_system, rng):
 
 
 def test_frame_apply_commutes_with_lattice_shifts(ref_system, rng):
-    from gaborgrid.grid import modulate, translate
+    from gaborgrid.grid import translate
 
     f = random_signal(ref_system.grid, rng)
     lam0 = 3.0   # time lattice point

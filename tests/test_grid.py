@@ -19,7 +19,6 @@ from gaborgrid.grid import (
     _tiled_windows,
     _translates,
     dft,
-    modulate,
     sample_bump,
     sample_gaussian,
     sample_rectangle,
@@ -31,6 +30,7 @@ from conftest import (
     conjugate_reflection,
     gaussian_images,
     lattice_superposition,
+    modulate,
     random_signal,
     spectral_derivative,
 )
@@ -47,6 +47,21 @@ def test_grid_geometry(small_grid):
     np.testing.assert_allclose(small_grid.axis_nodes()[:3], [0.0, 0.25, 0.5])
     m = small_grid.freq_integers_axis()
     assert m[0] == 0 and m[7] == 7 and m[8] == -8 and m[-1] == -1
+
+
+@pytest.mark.parametrize("dim, L", [(1, 16), (1, 9), (2, 6), (2, 5)])
+def test_index_tables_are_cached_read_only_meshgrids(dim, L):
+    grid = PeriodicGrid(dim, 3.0, L)
+    axis = grid.freq_integers_axis()
+    for table, values in ((grid.index_vectors(), np.arange(L)), (grid.freq_integers(), axis)):
+        expected = np.stack([g.ravel() for g in np.meshgrid(*[values] * dim, indexing="ij")],
+                            axis=-1)
+        assert np.array_equal(table, expected)
+        assert not table.flags.writeable
+    # One table per (dim, L), whatever the period.
+    other = PeriodicGrid(dim, 7.0, L)
+    assert other.index_vectors() is grid.index_vectors()
+    assert other.freq_integers() is grid.freq_integers()
 
 
 def test_reciprocal_grid(ref_grid):

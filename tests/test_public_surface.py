@@ -18,16 +18,16 @@ EXPORTED = {
     "NonAlignedShift", "NotAFrame", "NotSolid", "OverlappingSupports",
     "ResourceLimit", "ZeroSignal",
     # gabor
-    "FrameCertificate", "GaborSystem", "analyze", "dual_window", "frame_apply",
-    "frame_bounds", "reconstruction_error", "synthesize", "wexler_raz_residual",
+    "FrameCertificate", "GaborSystem", "analyze", "dual_window", "frame_bounds",
+    "reconstruction_error", "synthesize", "wexler_raz_residual",
     # grid
-    "CoeffArray", "GridLattice", "GridSignal", "PeriodicGrid", "dft", "modulate",
+    "CoeffArray", "GridLattice", "GridSignal", "PeriodicGrid", "dft",
     "sample_bump", "sample_gaussian", "sample_oscillation", "sample_rectangle",
     "translate",
     # lattice
     "Lattice", "PowerWeight", "dual_lattice",
     # smoothness
-    "DecayProfile", "convolve_samples", "decay_profile", "schwartz_seminorm",
+    "DecayProfile", "decay_profile",
     # spaces
     "SpaceSpec", "continuous_norm", "decay_weighted_sup", "discrete_norm",
     "fourier_side_norm", "growth_weighted_sup", "solid_discrete_norm",

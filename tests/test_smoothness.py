@@ -12,7 +12,6 @@ from gaborgrid.grid import (
     GridSignal,
     PeriodicGrid,
     _superpose,
-    modulate,
     sample_bump,
     sample_gaussian,
 )
@@ -20,19 +19,20 @@ from gaborgrid.lattice import PowerWeight
 from gaborgrid.smoothness import (
     MAX_DERIVATIVE_ORDER,
     _schwartz_rows,
-    convolve_samples,
     decay_profile,
-    schwartz_seminorm,
 )
 from gaborgrid.spaces import SpaceSpec, continuous_norm
 
 from conftest import (
     conjugate_reflection,
+    convolve_samples,
     count_fft_calls,
     lattice_superposition,
+    modulate,
     multi_indices,
     random_signal,
     schwartz_rows,
+    schwartz_seminorm,
     smooth_random_signal,
     spectral_derivative,
 )

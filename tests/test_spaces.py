@@ -19,8 +19,6 @@ from gaborgrid.grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    modulate,
-    modulation_phases,
     sample_bump,
     sample_gaussian,
     sample_rectangle,
@@ -37,7 +35,14 @@ from gaborgrid.spaces import (
     solid_discrete_norm,
 )
 
-from conftest import count_fft_calls, lattice_superposition, random_signal, record_fft_shapes
+from conftest import (
+    count_fft_calls,
+    lattice_superposition,
+    modulate,
+    modulation_phases,
+    random_signal,
+    record_fft_shapes,
+)
 
 
 def lp(p):

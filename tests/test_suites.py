@@ -1,8 +1,10 @@
-"""Batched Monte-Carlo kernels of the verification suites against the
-per-sample loops they replace, and the shared system of a verify run.
+"""The verification suites: batched kernels against the per-sample loops
+they replace, the closed-form constants of the embedding-chain and
+window-independence suites against Monte-Carlo scans and dense SVDs, and
+the shared system of a verify run.
 
-The batched paths keep the arithmetic of the one-sample code, so every
-comparison here is exact (``np.array_equal``), not a tolerance.
+The batched paths keep the arithmetic of the one-sample code, so those
+comparisons are exact (``np.array_equal``), not a tolerance.
 """
 
 import tracemalloc
@@ -12,79 +14,46 @@ import pytest
 
 import gaborgrid.gabor as gabor_module
 import gaborgrid.grid as grid_module
+import gaborgrid.suites as suites_module
+from gaborgrid.formats import dump_json
 from gaborgrid.grid import (
+    CoeffArray,
     GridLattice,
-    GridSignal,
     PeriodicGrid,
-    _superpose,
+    _flat_index,
+    _lattice_fold,
+    sample_bump,
 )
-from gaborgrid.lattice import Lattice
-from gaborgrid.smoothness import (
-    _convolution_rows,
-    _schwartz_rows,
-    convolve_samples,
-    schwartz_seminorm,
+from gaborgrid.lattice import Lattice, PowerWeight
+from gaborgrid.smoothness import MAX_DERIVATIVE_ORDER, _convolution_rows, _schwartz_rows
+from gaborgrid.spaces import (
+    SpaceSpec,
+    continuous_norm,
+    decay_weighted_sup,
+    discrete_norm,
+    growth_weighted_sup,
+    solid_discrete_norm,
 )
-from gaborgrid.spaces import SpaceSpec, continuous_norm
 from gaborgrid.suites import (
     SuiteConfig,
-    _continuity_samples,
     _random_sequences,
     _smooth_rows,
+    _superposition_norms,
     random_signal,
     run_embedding_chain,
     run_frame_bounds,
+    run_growth,
     run_suites,
+    run_window_independence,
     suite_rng,
 )
 
-from conftest import smooth_random_signal
+from conftest import convolve_samples, schwartz_seminorm, smooth_random_signal
 
 GRIDS = {
     "1d": PeriodicGrid(1, 16.0, 256),
     "2d": PeriodicGrid(2, 8.0, 32),
 }
-
-
-def _continuity_oracle(rng, lattice, spec, samples, order):
-    """The per-sample continuity loop through the public one-row functions and
-    the one-row case of the superposition kernel."""
-    grid = lattice.grid
-    cs = np.empty((lattice.count, samples), dtype=complex)
-    convs = np.empty((lattice.count, samples), dtype=complex)
-    seminorms = np.empty(samples)
-    out_norms = np.empty(samples)
-    e_norms = np.empty(samples)
-    for s in range(samples):
-        cs[:, s] = rng.standard_normal(lattice.count) + 1j * rng.standard_normal(lattice.count)
-        phi = smooth_random_signal(grid, rng)
-        e = random_signal(grid, rng)
-        seminorms[s] = schwartz_seminorm(phi, order)
-        superposed = _superpose(lattice, cs[None, :, s], np.fft.fftn(phi.reshaped()))[0]
-        out_norms[s] = continuous_norm(GridSignal(grid, superposed), spec)
-        convs[:, s] = convolve_samples(e, phi, lattice).values
-        e_norms[s] = continuous_norm(e, spec)
-    return cs, convs, seminorms, out_norms, e_norms
-
-
-@pytest.mark.parametrize("rows", [None, 3], ids=["default-budget", "3-row-blocks"])
-@pytest.mark.parametrize("name, samples", [("1d", 40), ("2d", 20)])
-def test_continuity_samples_match_per_sample_loop(name, samples, rows, monkeypatch):
-    grid = GRIDS[name]
-    if rows is not None:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
-    # Both budgets leave a partial last block.
-    assert samples % grid_module._block_rows(grid.size) != 0
-    lattice = GridLattice.cubic(grid, 1.0)
-    spec = SpaceSpec("Lp_w", 2.0)
-    rng = np.random.default_rng(5)
-    got = _continuity_samples(rng, lattice, spec, samples, 4)
-    ref_rng = np.random.default_rng(5)
-    expected = _continuity_oracle(ref_rng, lattice, spec, samples, 4)
-    for label, a, b in zip(("c", "convolutions", "seminorms", "superposition norms",
-                            "e norms"), got, expected):
-        assert np.array_equal(a, b), label
-    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -257,3 +226,165 @@ def test_frame_reports_its_condition_number():
     (entry,) = [e for e in entries if e["name"] == "condition_number"]
     assert entry["passed"] and 1.0 <= entry["value"] < 10.0
     assert "frame" not in {e["name"] for e in entries}
+
+
+# Closed-form constants of embedding-chain and window-independence ----------
+
+# The verify configs of the benchmark: the 1-D default and the 2-D 32^2 grid.
+CONFIGS = {
+    "1d": {},
+    "2d": {"grid": {"dim": 2, "period": 8.0, "points_per_axis": 32},
+           "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25}},
+}
+
+
+def _by_name(entries):
+    return {entry["name"]: entry for entry in entries}
+
+
+def _constant_entries(cfg):
+    system = cfg.make_system()
+    return _by_name(
+        run_embedding_chain(cfg, system, suite_rng(cfg.seed, "embedding-chain"))
+        + run_window_independence(cfg, system, suite_rng(cfg.seed, "window-independence")))
+
+
+def _l2(rows, grid):
+    return np.sqrt(grid.spacing ** grid.dim * np.sum(np.abs(rows) ** 2, axis=-1))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_closed_forms_bound_monte_carlo_scans(name):
+    # An exact infimum is at most every sampled ratio, an exact supremum at
+    # least every one.
+    cfg = SuiteConfig.from_dict(CONFIGS[name])
+    entries = _constant_entries(cfg)
+    grid = cfg.make_grid()
+    lattice = GridLattice.cubic(grid, cfg.time_step)
+    chi1 = sample_bump(grid, radius=0.3)
+    chi2 = sample_bump(grid, radius=0.45)
+    c = _random_sequences(np.random.default_rng(3), lattice, 400)
+    spec = SpaceSpec("Lp_w", 2.0)
+    d = discrete_norm(c, spec, chi2)
+    assert np.all(decay_weighted_sup(c, 3) / d >= entries["kappa1_positive"]["value"])
+    assert np.all(d / growth_weighted_sup(c, 3) >= entries["kappa2_positive"]["value"])
+    for p in (1.0, 2.0, 4.0):
+        for tau in (0.0, 2.0):
+            spec_k = SpaceSpec("Lp_w", p, weight=PowerWeight(tau))
+            r = discrete_norm(c, spec_k, chi1) / discrete_norm(c, spec_k, chi2)
+            band = entries[f"K_attained_L{p:g}_tau{tau:g}"]["details"]["K"]
+            # At tau = 0 every sequence attains K, up to rounding.
+            assert np.all(np.maximum(r, 1.0 / r) <= band * (1 + 1e-12))
+    spec_w = SpaceSpec("Lp_w", 2.0, weight=PowerWeight(2.0))
+    weighted = entries["solid_shortcut_weighted_band"]["details"]
+    ratios = discrete_norm(c, spec_w, chi2) / solid_discrete_norm(c, spec_w)
+    assert np.all((weighted["low"] <= ratios) & (ratios <= weighted["high"]))
+
+    # Per phi, the sampled superposition and convolution ratios against the
+    # closed forms ||S_phi|| / p and h^n p ||S_phi||.
+    rng = np.random.default_rng(4)
+    p = continuous_norm(chi2, spec) / grid.spacing ** (grid.dim / 2)
+    axes = tuple(range(1, grid.dim + 1))
+    for _ in range(3):
+        phi = smooth_random_signal(grid, rng)
+        phi_hat = np.fft.fftn(phi.reshaped())
+        norm = _superposition_norms(lattice, phi_hat[None])[0][0]
+        out = grid_module._superpose(lattice, c.values.T, phi_hat)
+        assert np.all(_l2(out, grid) / d <= norm / p * (1 + 1e-12))
+        e = np.stack([random_signal(grid, rng).values for _ in range(50)])
+        conv = _convolution_rows(lattice, np.fft.fftn(e.reshape((50,) + grid.shape), axes=axes),
+                                 phi_hat[None])
+        conv_norms = discrete_norm(CoeffArray.over_lattice(lattice, conv.T), spec, chi2)
+        assert np.all(conv_norms / _l2(e, grid) <= grid.spacing ** grid.dim * p * norm
+                      * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("grid", [
+    PeriodicGrid(1, 16.0, 256), PeriodicGrid(2, 4.0, 16), PeriodicGrid(2, 8.0, 32),
+], ids=["1d-256", "2d-16", "2d-32"])
+def test_fold_constants_match_dense_svd(grid):
+    lattice = GridLattice.cubic(grid, 1.0)
+    phi = smooth_random_signal(grid, np.random.default_rng(6))
+    norm = _superposition_norms(lattice, np.fft.fftn(phi.reshaped())[None])[0][0]
+    # Entry (t, k) of the superposition is phi(t - x_k); entry (k, t) of the
+    # sampled convolution is h^n phi(x_k - t).
+    nodes = grid.index_vectors()
+    points = lattice.index_points
+    superposition = phi.values[_flat_index(grid, nodes[:, None, :] - points[None, :, :])]
+    convolution = (grid.spacing ** grid.dim
+                   * phi.values[_flat_index(grid, points[:, None, :] - nodes[None, :, :])])
+    assert norm == pytest.approx(np.linalg.norm(superposition, 2), rel=1e-12)
+    assert grid.spacing ** grid.dim * norm == pytest.approx(np.linalg.norm(convolution, 2),
+                                                            rel=1e-12)
+    # In the suite's norms, the convolution's sup over e is the
+    # superposition's sup over c times the window constant ||chi||^2.
+    chi = sample_bump(grid, radius=0.45)
+    spec = SpaceSpec("Lp_w", 2.0)
+    p = continuous_norm(chi, spec) / grid.spacing ** (grid.dim / 2)
+    conv_sup = p * np.linalg.norm(convolution, 2)
+    sup = np.linalg.norm(superposition, 2) / p
+    assert conv_sup == pytest.approx(sup * continuous_norm(chi, spec) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_reported_constants_are_consistent(name):
+    cfg = SuiteConfig.from_dict(CONFIGS[name])
+    entries = _constant_entries(cfg)
+    grid = cfg.make_grid()
+    chi = sample_bump(grid, radius=0.45)
+    conv, sup = entries["convolution_attained"], entries["superposition_attained"]
+    assert (conv["details"]["constant"] / sup["details"]["constant"]
+            == pytest.approx(continuous_norm(chi, SpaceSpec("Lp_w", 2.0)) ** 2, rel=1e-13))
+    for entry in entries.values():
+        if "attained" in entry["name"]:
+            assert entry["passed"] and 0.0 <= entry["value"] <= 1e-12, entry["name"]
+    assert entries["kappa1_positive"]["details"]["method"] == "closed-form"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_wrong_profile_fails_every_attained_check(name, monkeypatch):
+    profile = suites_module._solid_profile
+    monkeypatch.setattr(suites_module, "_solid_profile",
+                        lambda window, lat, spec: (profile(window, lat, spec)[0] ** 1.01, None))
+    entries = _constant_entries(SuiteConfig.from_dict(CONFIGS[name]))
+    attained = [e for e in entries.values() if "attained" in e["name"]]
+    assert len(attained) == 10
+    assert not any(e["passed"] for e in attained)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_wrong_fold_fails_the_continuity_checks(name, monkeypatch):
+    # Folding onto the residues of the doubled lattice adds bins that the
+    # lattice's own plane waves do not reach.
+    monkeypatch.setattr(suites_module, "_lattice_fold",
+                        lambda points, L: _lattice_fold(2 * points, L))
+    entries = _constant_entries(SuiteConfig.from_dict(CONFIGS[name]))
+    failing = {e["name"] for e in entries.values() if not e["passed"]}
+    assert failing >= {"superposition_attained", "convolution_attained"}
+    assert not failing & {"kappa1_attained", "kappa2_attained"}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_constant_entries_do_not_depend_on_the_block_size(name, monkeypatch):
+    cfg = SuiteConfig.from_dict(
+        {**CONFIGS[name], "suites": ["embedding-chain", "window-independence"]})
+    grid = cfg.make_grid()
+    expected = dump_json(run_suites(cfg))
+    monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * 3)
+    # Both budgets leave a partial last block of smooth signals.
+    samples = cfg.sample_count("continuity")
+    assert samples % 3 != 0
+    assert samples % (2 ** 17 // (16 * grid.size)) != 0
+    assert dump_json(run_suites(cfg)) == expected
+
+
+def test_unbounded_order_fails_its_check():
+    # At L / P = 8 the oscillation sits at the Nyquist bin, so the inner half
+    # of its profile is empty and no order bounds it.
+    cfg = SuiteConfig.from_dict({"seed": 5, "grid": {"period": 8.0, "points_per_axis": 64}})
+    entries = _by_name(run_growth(cfg, cfg.make_system(), suite_rng(cfg.seed, "growth")))
+    entry = entries["oscillation_bounded_order"]
+    assert not entry["passed"]
+    assert entry["value"] == MAX_DERIVATIVE_ORDER + 1
+    assert str(MAX_DERIVATIVE_ORDER) in entry["details"]["unbounded"]
+    assert entries["gaussian_bounded_order"]["details"] == {}

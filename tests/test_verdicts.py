@@ -1,9 +1,11 @@
-"""The pass/fail sets of the benchmark's verify configs, pinned.
+"""The entry names and pass/fail sets of the benchmark's verify configs, pinned.
 
 A change meant to make the toolkit faster or smaller must not flip a
-verdict.  The configs come from ``perfbench/run.py`` itself, so they are
-the ones the benchmark runs.  A change that fixes one of the known 2-D
-failures (ROADMAP N1) updates the expected set here on purpose.
+verdict, and renaming or dropping an entry moves the benchmark's share of
+passed checks.  The configs come from ``perfbench/run.py`` itself, so they
+are the ones the benchmark runs.  A change that fixes one of the known 2-D
+failures (ROADMAP N1), or renames an entry, updates the expected sets here
+on purpose.
 """
 
 import importlib.util
@@ -23,6 +25,49 @@ def _bench_config(workload, seed):
     return module.make_config(workload, "full", seed)
 
 
+# Both verify configs report the same 39 entries, as "suite/name".
+NAMES = {
+    "decay/gaussian_sups_finite",
+    "decay/gaussian_top_to_bottom_ratio",
+    "derivative-identity/order1_defect",
+    "derivative-identity/order2_defect",
+    "embedding-chain/convolution_attained",
+    "embedding-chain/kappa1_attained",
+    "embedding-chain/kappa1_positive",
+    "embedding-chain/kappa2_attained",
+    "embedding-chain/kappa2_positive",
+    "embedding-chain/superposition_attained",
+    "frame-bounds/condition_number",
+    "frame-bounds/dense_vs_fiber_lower",
+    "frame-bounds/dense_vs_fiber_upper",
+    "frame-bounds/lower_bound_positive",
+    "frame-bounds/painless_dual_is_scaled_window",
+    "frame-bounds/painless_tightness",
+    "frame-bounds/undersampled_lower_bound",
+    "growth/gaussian_bounded_order",
+    "growth/oscillation_bounded_order",
+    "growth/oscillation_fails_decay",
+    "growth/oscillation_to_gaussian_weight2",
+    "growth/top_band_bounded_order",
+    "reconstruction/max_relative_error",
+    "reconstruction/scaled_dual_error_is_one",
+    "wexler-raz/adjoint_identity_defect",
+    "wexler-raz/residual",
+    "window-independence/K_attained_L1_tau0",
+    "window-independence/K_attained_L1_tau2",
+    "window-independence/K_attained_L2_tau0",
+    "window-independence/K_attained_L2_tau2",
+    "window-independence/K_attained_L4_tau0",
+    "window-independence/K_attained_L4_tau2",
+    "window-independence/fourier_parseval_deviation",
+    "window-independence/fourier_vs_bump_band_L1",
+    "window-independence/fourier_vs_bump_band_L4",
+    "window-independence/solid_shortcut_exact_L1",
+    "window-independence/solid_shortcut_exact_L2",
+    "window-independence/solid_shortcut_exact_L4",
+    "window-independence/solid_shortcut_weighted_band",
+}
+
 FAILING = {
     "verify-1d": set(),
     # P = 8 on a 32^2 grid: L / P = 4 is below what these checks resolve.
@@ -40,6 +85,8 @@ FAILING = {
 @pytest.mark.parametrize("workload", sorted(FAILING))
 def test_bench_configs_keep_their_failing_sets(workload, seed):
     report = run_suites(SuiteConfig.from_dict(_bench_config(workload, seed)))
+    names = [f"{e['suite']}/{e['name']}" for e in report["entries"]]
+    assert len(names) == len(NAMES) == 39
+    assert set(names) == NAMES
     failing = {f"{e['suite']}/{e['name']}" for e in report["entries"] if not e["passed"]}
     assert failing == FAILING[workload]
-    assert len(report["entries"]) == 39
