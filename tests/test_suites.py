@@ -326,10 +326,18 @@ def test_fold_constants_match_dense_svd(grid):
     assert conv_sup == pytest.approx(sup * continuous_norm(chi, spec) ** 2, rel=1e-12)
 
 
+# kappa1, kappa2 and K at p = 1, tau = 2, from a separate prototype of the
+# closed forms.
+CLOSED_FORMS = {"1d": (4.0175, 0.24470, 1.6496), "2d": (6.1975, 0.15381, 3.9296)}
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_reported_constants_are_consistent(name):
     cfg = SuiteConfig.from_dict(CONFIGS[name])
     entries = _constant_entries(cfg)
+    got = (entries["kappa1_positive"]["value"], entries["kappa2_positive"]["value"],
+           entries["K_attained_L1_tau2"]["details"]["K"])
+    assert got == pytest.approx(CLOSED_FORMS[name], rel=1e-4)
     grid = cfg.make_grid()
     chi = sample_bump(grid, radius=0.45)
     conv, sup = entries["convolution_attained"], entries["superposition_attained"]
