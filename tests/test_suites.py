@@ -36,6 +36,7 @@ from gaborgrid.spaces import (
 )
 from gaborgrid.suites import (
     SuiteConfig,
+    _phi_family,
     _random_sequences,
     _smooth_rows,
     _superposition_norms,
@@ -54,6 +55,40 @@ GRIDS = {
     "1d": PeriodicGrid(1, 16.0, 256),
     "2d": PeriodicGrid(2, 8.0, 32),
 }
+
+
+def _phi_family_oracle(rng, lattice, samples, order):
+    """The per-sample loop over smooth phi through the one-row functions:
+    the first phi with the largest ||S_phi|| over its Schwartz seminorm."""
+    grid = lattice.grid
+    best = (-1.0,)
+    for s in range(samples):
+        phi = smooth_random_signal(grid, rng)
+        spectrum = np.fft.fftn(phi.reshaped())
+        norms, residues = _superposition_norms(lattice, spectrum[None])
+        ratio = norms[0] / schwartz_seminorm(phi, order)
+        if ratio > best[0]:
+            best = (float(ratio), float(norms[0]), spectrum, int(residues[0]), s)
+    return best
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["default-budget", "3-row-blocks"])
+@pytest.mark.parametrize("name, samples", [("1d", 40), ("2d", 20)])
+def test_continuity_samples_match_per_sample_loop(name, samples, rows, monkeypatch):
+    grid = GRIDS[name]
+    if rows is not None:
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
+    # Both budgets leave a partial last block.
+    assert samples % grid_module._block_rows(grid.size) != 0
+    lattice = GridLattice.cubic(grid, 1.0)
+    rng = np.random.default_rng(5)
+    got = _phi_family(rng, lattice, samples, 4)
+    ref_rng = np.random.default_rng(5)
+    expected = _phi_family_oracle(ref_rng, lattice, samples, 4)
+    for label, a, b in zip(("ratio", "operator norm", "spectrum", "residue", "sample"),
+                           got, expected):
+        assert np.array_equal(a, b), label
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
