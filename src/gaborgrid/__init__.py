@@ -7,7 +7,6 @@ from .errors import (
     GridMismatch,
     IndexMismatch,
     InvalidLattice,
-    NonAlignedFrequency,
     NonAlignedLattice,
     NonAlignedShift,
     NotAFrame,

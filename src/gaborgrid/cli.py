@@ -15,9 +15,10 @@ report at ``--output``, else ``output.report``, else ``report.json``, unless
 else next to the JSON path when ``--format`` is ``csv`` or ``both``.  Every
 file format, and the choice between CSV and binary by suffix, lives in
 :mod:`gaborgrid.formats`.  Exit codes: 0 success (numerical failures are
-report data, not errors), 2 configuration error or a system that is not a
-frame where a dual window is required, 3 internal error.  Reports are
-byte-deterministic for a fixed config and seed.
+report data, not errors), 2 configuration error (a config key the program
+does not read among them) or a system that is not a frame where a dual
+window is required, 3 internal error.  Reports are byte-deterministic for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from .formats import (
     write_signal,
     write_tfarray,
 )
-from .gabor import dual_window, frame_bounds, wexler_raz_residual
+from .gabor import FRAME_THRESHOLD, dual_window, frame_bounds, wexler_raz_residual
 from .grid import sample_gaussian, sample_oscillation
 from .smoothness import decay_profile
 from .spaces import continuous_norm
 from .stft import stft
-from .suites import SUITE_NAMES, SuiteConfig, _section, run_suites
+from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 
 def _read_config(path: str | None) -> dict:
@@ -76,7 +77,7 @@ def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
 def cmd_verify(args) -> int:
     data = _read_config(args.config)
     cfg = _apply_overrides(SuiteConfig.from_dict(data), args)
-    output = _section(data, "output")
+    output = data.get("output", {})  # checked by SuiteConfig.from_dict
     report = run_suites(cfg)
     json_path = args.output or output.get("report") or "report.json"
     csv_path = args.csv or output.get("csv")
@@ -109,20 +110,18 @@ def cmd_dual_window(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     system = cfg.make_system()
     cert = frame_bounds(system)
-    payload = cert.to_dict()
-    payload["frame"] = cert.lower > cfg.tol("frame")
+    payload = dict(cert.to_dict(), frame=cert.is_frame)
     out = args.output or "dual_window.csv"
-    if payload["frame"]:
-        gamma = dual_window(system, tol=cfg.tol("frame"))
+    if cert.is_frame:
+        gamma = dual_window(system)
         payload["residual"] = wexler_raz_residual(system, gamma)
         write_signal(gamma, out)
         print(f"wrote {out}")
     cert_path = args.certificate or "certificate.json"
     Path(cert_path).write_text(dump_json(payload) + "\n")
     print(f"wrote {cert_path}")
-    if not payload["frame"]:
-        raise NotAFrame(f"lower frame bound {cert.lower} <= tol {cfg.tol('frame')}; "
-                        "no dual window written")
+    if not cert.is_frame:
+        raise NotAFrame(f"lower frame bound {cert.lower} <= {FRAME_THRESHOLD}; no dual window")
     return 0
 
 

@@ -13,10 +13,6 @@ class NonAlignedShift(GaborGridError):
     """Translation amount is not an integer multiple of the grid spacing."""
 
 
-class NonAlignedFrequency(GaborGridError):
-    """Modulation frequency is not a grid frequency node."""
-
-
 class NonAlignedLattice(GaborGridError):
     """Lattice is not representable on the grid it was paired with."""
 
@@ -38,7 +34,7 @@ class ResourceLimit(GaborGridError):
 
 
 class NotAFrame(GaborGridError):
-    """System has no positive lower frame bound at the requested tolerance."""
+    """System's lower frame bound is at or below ``gabor.FRAME_THRESHOLD``."""
 
 
 class ZeroSignal(GaborGridError):

@@ -80,6 +80,9 @@ from .grid import (
 from .lattice import Lattice
 from .stft import _lattice_stft
 
+# A system whose lower frame bound is at most this is not a frame (fixed).
+FRAME_THRESHOLD = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class GaborSystem:
@@ -334,6 +337,11 @@ class FrameCertificate:
     redundancy: float
     fiber_shape: tuple[int, int, int]
 
+    @property
+    def is_frame(self) -> bool:
+        """The package's one frame gate: the lower bound exceeds FRAME_THRESHOLD."""
+        return self.lower > FRAME_THRESHOLD
+
     def to_dict(self) -> dict:
         return {
             "A": self.lower,
@@ -386,20 +394,20 @@ def frame_bounds(system: GaborSystem) -> FrameCertificate:
     return cached
 
 
-def dual_window(system: GaborSystem, tol: float = 1e-12) -> GridSignal:
+def dual_window(system: GaborSystem) -> GridSignal:
     """Canonical dual window S^-1 window, by one solve per Zak fiber.
 
     The window's own character components on the coset c are the column
     Phi_{c,chi}[:, 0] of a_0 = 0, so each fiber solves h |F| Phi Phi^H y =
     Phi[:, 0], and the inverse character transform over H, (1/|H|)
     sum_chi chi(u) y_chi[i], places the dual at the nodes c + f_i + u.
-    Raises NotAFrame when the lower frame bound does not exceed ``tol``.
-    The dual is cached on the system next to the certificate; the gate runs
-    on every call.
+    Raises NotAFrame when the certificate is not a frame
+    (``FrameCertificate.is_frame``).  The dual is cached on the system next
+    to the certificate; the gate runs on every call.
     """
     cert = frame_bounds(system)
-    if cert.lower <= tol:
-        raise NotAFrame(f"lower frame bound {cert.lower} <= tol {tol}")
+    if not cert.is_frame:
+        raise NotAFrame(f"lower frame bound {cert.lower} <= {FRAME_THRESHOLD}")
     cached = getattr(system, "_dual", None)
     if cached is None:
         phi, (chars, nodes, *_) = _zak_fibers(system)

@@ -37,7 +37,6 @@ from .grid import (
 from .spaces import (
     SpaceSpec,
     _weight_table,
-    discrete_norm,
     solid_discrete_norm,
 )
 
@@ -159,21 +158,16 @@ def _bounded_order(radii: np.ndarray, norms: np.ndarray) -> int | None:
     return None
 
 
-def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec,
-                  window: GridSignal | None = None) -> DecayProfile:
+def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec) -> DecayProfile:
     """Decay and growth profile of the analysis coefficients; see DecayProfile.
 
-    Slice norms use the solid sequence shortcut when the space is solid and
-    no window is supplied, otherwise the discrete norm with the window.
+    Slice norms are the solid sequence norms of the solid space ``spec``.
     Rapid-decay tests read ``decay_sups``; slowly increasing inputs read the
     growth-side fields ``growth_sups`` and ``bounded_order``.
     """
     coeffs = analyze(system, f)
     slices = CoeffArray.over_lattice(system.time_lattice, coeffs.values)  # a column per frequency
-    if window is None:
-        norms = solid_discrete_norm(slices, spec)
-    else:
-        norms = discrete_norm(slices, spec, window)
+    norms = solid_discrete_norm(slices, spec)
     pts = system.freq_lattice.centered_points
     radii = np.linalg.norm(pts, axis=-1)
     orders = np.arange(MAX_DERIVATIVE_ORDER + 1)

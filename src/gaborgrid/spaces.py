@@ -103,12 +103,9 @@ class SpaceSpec:
         def exponent(v):
             return math.inf if v in ("inf", None) else float(v)
 
-        kind = data.get("kind")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown space kind {kind!r}")
-        p = exponent(data.get("p", data.get("p1", 2.0)))
+        p = exponent(data.get("p", 2.0))
         p2 = exponent(data["p2"]) if "p2" in data else None
-        return cls(kind, p, p2, PowerWeight(float(data.get("tau", 0.0))))
+        return cls(data.get("kind"), p, p2, PowerWeight(float(data.get("tau", 0.0))))
 
 
 def _p_norm(values: np.ndarray, p: float, cell: float, axis=None) -> np.ndarray | float:

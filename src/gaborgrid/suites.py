@@ -29,8 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonAlignedLattice, NotAFrame
+from .errors import ConfigError, NonAlignedLattice
 from .gabor import (
+    FRAME_THRESHOLD,
+    FrameCertificate,
     GaborSystem,
     _adjoint_lattices,
     _dense_frame_matrix,
@@ -81,26 +83,49 @@ SUITE_NAMES = (
     "window-independence",
 )
 
-_DEFAULT_TOLERANCES = {
-    "reconstruction": 1e-8,
-    "wexler_raz": 1e-8,
-    "frame": 1e-10,
+_DEFAULT_SAMPLES = {"ratio_scan": 200, "reconstruction": 50, "continuity": 100}
+
+# The closed schema: the keys of each config object ("" is the root and
+# "spaces" each entry of its list); ``output`` is read by the command line.
+_KEYS = {
+    "": ("schema", "seed", "grid", "system", "spaces", "suites", "samples", "output"),
+    "grid": ("dim", "period", "points_per_axis"),
+    "system": ("window", "time_step", "freq_step"),
+    "samples": tuple(_DEFAULT_SAMPLES),
+    "output": ("report", "csv"),
+    "spaces": ("kind", "p", "p2", "tau"),
 }
 
-_DEFAULT_SAMPLES = {
-    "ratio_scan": 200,
-    "reconstruction": 50,
-    "continuity": 100,
+# Window kinds: the sampler and its parameters with their defaults; a
+# rectangle's width of None is the time step.
+_WINDOWS = {
+    "gaussian": (sample_gaussian, {"center": 0.0, "width": 1.0, "normalize": False}),
+    "bump": (sample_bump, {"center": 0.0, "radius": 0.45}),
+    "rectangle": (sample_rectangle, {"width": None, "start": 0.0, "normalize": False}),
 }
 
 
-def _section(data: dict, key: str) -> dict:
-    """The config object at ``key`` (empty when absent); anything else is a
-    ConfigError naming the key."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: must be an object, got {type(value).__name__}")
-    return value
+def _number(value) -> bool:
+    """A finite int or float; JSON booleans are not numbers."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _object(data, name: str, keys) -> dict:
+    """``data`` as the config object ``name`` ("" for the root) with no key
+    outside ``keys``; anything else is a ConfigError naming the dotted key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name or 'config root'}: must be an object, got {type(data).__name__}")
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"{name + '.' if name else ''}{key}: unknown key")
+    return data
+
+
+def _space(i: int, entry) -> SpaceSpec:
+    try:
+        return SpaceSpec.from_dict(_object(entry, f"spaces[{i}]", _KEYS["spaces"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"spaces[{i}]: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -111,112 +136,98 @@ class SuiteConfig:
     dim: int = 1
     period: float = 16.0
     points_per_axis: int = 256
-    window: dict = field(
-        default_factory=lambda: {"kind": "gaussian", "center": 0.0, "width": 1.0,
-                                 "normalize": False}
-    )
+    window: dict = field(default_factory=lambda: {"kind": "gaussian"})
     time_step: float = 1.0
     freq_step: float = 0.5
     spaces: tuple = (SpaceSpec("Lp_w", 2.0),)
     suites: tuple = SUITE_NAMES
-    tolerances: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.validate()
 
-    def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
-
     def sample_count(self, name: str) -> int:
-        return int(self.samples.get(name, _DEFAULT_SAMPLES[name]))
+        return self.samples.get(name, _DEFAULT_SAMPLES[name])
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be an object")
+        _object(data, "", _KEYS[""])
         if data.get("schema", 1) != 1:
             raise ConfigError(f"schema: unsupported version {data.get('schema')!r}")
-        grid, system, tolerances, samples = (
-            _section(data, key) for key in ("grid", "system", "tolerances", "samples"))
-        try:
-            spaces = tuple(
-                SpaceSpec.from_dict(s) for s in data.get("spaces", [{"kind": "Lp_w", "p": 2.0}])
-            )
-        except ValueError as exc:
-            raise ConfigError(f"spaces: {exc}") from None
-        return cls(
-            seed=data.get("seed", 42),
-            dim=grid.get("dim", 1),
-            period=grid.get("period", 16.0),
-            points_per_axis=grid.get("points_per_axis", 256),
-            window=system.get("window", {"kind": "gaussian"}),
-            time_step=system.get("time_step", 1.0),
-            freq_step=system.get("freq_step", 0.5),
-            spaces=spaces,
-            suites=tuple(data.get("suites", SUITE_NAMES)),
-            tolerances=dict(tolerances),
-            samples=dict(samples),
-        )
+        grid, system, samples, output = (_object(data.get(key, {}), key, _KEYS[key])
+                                         for key in ("grid", "system", "samples", "output"))
+        for key, value in output.items():
+            if not (value is None or isinstance(value, str)):
+                raise ConfigError(f"output.{key}: must be a path or null, got {value!r}")
+        fields = {**grid, **system, "samples": samples}
+        for key in ("spaces", "suites"):
+            if not isinstance(data.get(key, []), list):
+                raise ConfigError(f"{key}: must be a list")
+        if "seed" in data:
+            fields["seed"] = data["seed"]
+        if "spaces" in data:
+            fields["spaces"] = tuple(_space(i, entry) for i, entry in enumerate(data["spaces"]))
+        if "suites" in data:
+            fields["suites"] = tuple(data["suites"])
+        return cls(**fields)
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed: must be an integer")
-        if self.dim not in (1, 2):
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise ConfigError("seed: must be a non-negative integer")
+        if not (type(self.dim) is int and self.dim in (1, 2)):
             raise ConfigError(f"grid.dim: must be 1 or 2, got {self.dim!r}")
-        if not (isinstance(self.period, (int, float)) and self.period > 0):
+        if not (_number(self.period) and self.period > 0):
             raise ConfigError(f"grid.period: must be positive, got {self.period!r}")
-        if not (isinstance(self.points_per_axis, int) and self.points_per_axis >= 2):
+        if not (type(self.points_per_axis) is int and self.points_per_axis >= 2):
             raise ConfigError("grid.points_per_axis: must be an integer >= 2")
-        spacing = self.period / self.points_per_axis
-        steps = self.time_step / spacing
-        if abs(steps - round(steps)) > 1e-9 or self.time_step <= 0:
-            raise ConfigError(f"system.time_step: {self.time_step!r} is not a positive "
-                              f"multiple of the grid spacing {spacing}")
-        bins = self.freq_step * self.period
-        if abs(bins - round(bins)) > 1e-9 or self.freq_step <= 0:
-            raise ConfigError(f"system.freq_step: {self.freq_step!r} is not a "
-                              f"positive multiple of 1/period")
+        for key, unit in (("time_step", self.period / self.points_per_axis),
+                          ("freq_step", 1.0 / self.period)):
+            step = getattr(self, key)
+            if not (_number(step) and step > 0 and abs(step / unit - round(step / unit)) <= 1e-9):
+                raise ConfigError(f"system.{key}: {step!r} is not a positive multiple of {unit}")
+        self._window()
+        unknown = [name for name in self.suites if name not in SUITE_NAMES]
+        if unknown:
+            raise ConfigError(f"suites: unknown names {unknown}")
+        for key, value in _object(self.samples, "samples", _KEYS["samples"]).items():
+            if not (type(value) is int and value > 0):
+                raise ConfigError(f"samples.{key}: must be a positive integer")
+
+    def _window(self) -> tuple:
+        """The window's sampler and its arguments: the keys of its kind over
+        the kind's defaults (``_WINDOWS``), each of an admissible type."""
         if not isinstance(self.window, dict):
             raise ConfigError("system.window: must be an object")
         kind = self.window.get("kind")
-        if kind not in ("gaussian", "bump", "rectangle"):
+        if not (isinstance(kind, str) and kind in _WINDOWS):
             raise ConfigError(f"system.window.kind: unknown kind {kind!r}")
-        if kind == "bump":
-            radius = self.window.get("radius", 0.45)
-            if not 0 < radius < self.period / 2:
-                raise ConfigError("system.window.radius: must lie in (0, period/2)")
-        unknown = set(self.suites) - set(SUITE_NAMES)
-        if unknown:
-            raise ConfigError(f"suites: unknown names {sorted(unknown)}")
-        for key in self.tolerances:
-            if key not in _DEFAULT_TOLERANCES:
-                raise ConfigError(f"tolerances.{key}: unknown tolerance")
-        for key, value in self.samples.items():
-            if key not in _DEFAULT_SAMPLES:
-                raise ConfigError(f"samples.{key}: unknown sample size")
-            if not (isinstance(value, int) and value > 0):
-                raise ConfigError(f"samples.{key}: must be a positive integer")
+        sampler, defaults = _WINDOWS[kind]
+        _object(self.window, "system.window", ("kind", *defaults))
+        params = {key: self.window.get(key, default) for key, default in defaults.items()}
+        if kind == "rectangle" and params["width"] is None:
+            params["width"] = self.time_step
+        for key, value in params.items():
+            if key == "normalize":
+                valid, expected = isinstance(value, bool), "true or false"
+            elif key in ("center", "start"):
+                coords = value if isinstance(value, list) and len(value) == self.dim else [value]
+                valid, expected = all(map(_number, coords)), f"a number or {self.dim} numbers"
+            elif key == "radius":
+                valid, expected = _number(value) and 0 < value < self.period / 2, "in (0, period/2)"
+            elif kind == "rectangle":
+                valid, expected = _number(value) and 0 < value <= self.period, "in (0, period]"
+            else:
+                valid, expected = _number(value) and value > 0, "positive"
+            if not valid:
+                raise ConfigError(f"system.window.{key}: must be {expected}, got {value!r}")
+        return sampler, params
 
     def make_grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.dim, float(self.period), self.points_per_axis)
 
     def make_window(self, grid: PeriodicGrid) -> GridSignal:
-        spec = self.window
-        kind = spec.get("kind", "gaussian")
-        if kind == "gaussian":
-            return sample_gaussian(
-                grid,
-                center=spec.get("center", 0.0),
-                width=spec.get("width", 1.0),
-                normalize=spec.get("normalize", False),
-            )
-        if kind == "bump":
-            return sample_bump(grid, center=spec.get("center", 0.0),
-                               radius=spec.get("radius", 0.45))
-        return sample_rectangle(grid, width=spec.get("width", self.time_step),
-                                start=spec.get("start", 0.0),
-                                normalize=spec.get("normalize", False))
+        sampler, params = self._window()
+        return sampler(grid, **params)
 
     def make_system(self) -> GaborSystem:
         grid = self.make_grid()
@@ -286,22 +297,19 @@ def report_entry(suite: str, name: str, value: float | None,
     }
 
 
-def _not_a_frame_entries(suite: str, system: GaborSystem, tol: float) -> list[dict]:
-    cert = frame_bounds(system)
-    entry = check(suite, "frame", cert.lower, tol, ">",
-                  details={"B": cert.upper, "redundancy": cert.redundancy})
-    return [entry]
+def _not_a_frame_entry(suite: str, cert: FrameCertificate) -> dict:
+    return check(suite, "frame", cert.lower, FRAME_THRESHOLD, ">",
+                 details={"B": cert.upper, "redundancy": cert.redundancy})
 
 
 # Individual suites -----------------------------------------------------------
 
 def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
                        rng: np.random.Generator) -> list[dict]:
-    tol = cfg.tol("reconstruction")
-    try:
-        gamma = dual_window(system, tol=cfg.tol("frame"))
-    except NotAFrame:
-        return _not_a_frame_entries("reconstruction", system, cfg.tol("frame"))
+    cert = frame_bounds(system)
+    if not cert.is_frame:
+        return [_not_a_frame_entry("reconstruction", cert)]
+    gamma = dual_window(system)
     shape = (cfg.sample_count("reconstruction"), 2, system.grid.size)
     errors = _reconstruction_errors(system, gamma, _complex_rows(rng.standard_normal(shape)))
     doubled = GridSignal(system.grid, 2.0 * gamma.values)
@@ -309,7 +317,7 @@ def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
         reconstruction_error(system, doubled, random_signal(system.grid, rng)) - 1.0
     )
     return [
-        check("reconstruction", "max_relative_error", np.max(errors), tol, "<=",
+        check("reconstruction", "max_relative_error", np.max(errors), 1e-8, "<=",
               details={"signals": len(errors)}),
         check("reconstruction", "scaled_dual_error_is_one", drift, 1e-6, "<="),
     ]
@@ -317,11 +325,10 @@ def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
 
 def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
                    rng: np.random.Generator) -> list[dict]:
-    tol = cfg.tol("wexler_raz")
-    try:
-        gamma = dual_window(system, tol=cfg.tol("frame"))
-    except NotAFrame:
-        return _not_a_frame_entries("wexler-raz", system, cfg.tol("frame"))
+    cert = frame_bounds(system)
+    if not cert.is_frame:
+        return [_not_a_frame_entry("wexler-raz", cert)]
+    gamma = dual_window(system)
     adj_time, adj_freq = _adjoint_lattices(system)
     residual = wexler_raz_residual(system, gamma)
     # Adjoint-lattice identity: analysis after synthesis over the adjoint
@@ -334,26 +341,25 @@ def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
     back = analyze(adj, synthesize(adj_dual, coeffs)).values * system.redundancy
     identity_defect = float(np.max(np.abs(back - c)) / np.max(np.abs(c)))
     return [
-        check("wexler-raz", "adjoint_identity_defect", identity_defect, tol, "<="),
-        check("wexler-raz", "residual", residual, tol, "<="),
+        check("wexler-raz", "adjoint_identity_defect", identity_defect, 1e-8, "<="),
+        check("wexler-raz", "residual", residual, 1e-8, "<="),
     ]
 
 
 def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
                      rng: np.random.Generator) -> list[dict]:
     suite = "frame-bounds"
-    tol = cfg.tol("frame")
     cert = frame_bounds(system)
     entries = [
-        check(suite, "lower_bound_positive", cert.lower, tol, ">",
+        check(suite, "lower_bound_positive", cert.lower, FRAME_THRESHOLD, ">",
               details={"B": cert.upper, "method": cert.method,
                        "fiber_shape": list(cert.fiber_shape)}),
     ]
-    if cert.lower > tol:
+    if cert.is_frame:
         entries.append(check(suite, "condition_number", cert.upper / cert.lower, 10.0, "<"))
     else:
         # A non-frame has no condition number to report.
-        entries.extend(_not_a_frame_entries(suite, system, tol))
+        entries.append(_not_a_frame_entry(suite, cert))
 
     # Scale both steps by the least power of two (at least 2) that
     # undersamples: one doubling leaves a frame when the redundancy is high
@@ -375,7 +381,7 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
             break
     under_cert = frame_bounds(under)
     entries.append(
-        check(suite, "undersampled_lower_bound", under_cert.lower, tol, "<=",
+        check(suite, "undersampled_lower_bound", under_cert.lower, FRAME_THRESHOLD, "<=",
               details={"redundancy": under_cert.redundancy})
     )
 
@@ -405,7 +411,7 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
         check(suite, "painless_tightness",
               abs(pcert.lower - pcert.upper) / pcert.upper, 1e-12, "<=")
     )
-    pgamma = dual_window(painless, tol=1e-12)
+    pgamma = dual_window(painless)
     defect = float(np.max(np.abs(pgamma.values - rect.values / pcert.upper)))
     entries.append(check(suite, "painless_dual_is_scaled_window", defect, 1e-10, "<="))
     return entries

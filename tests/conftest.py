@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gaborgrid.errors import DimensionMismatch, GridMismatch, NonAlignedFrequency
+from gaborgrid.errors import DimensionMismatch, GridMismatch
 from gaborgrid.gabor import _analysis, _synthesis
 from gaborgrid.grid import (
     CoeffArray,
@@ -67,15 +67,15 @@ def conjugate_reflection(f):
 
 
 def freq_integer(grid, xi):
-    """The integer label m = xi P of a grid frequency xi; NonAlignedFrequency
-    unless xi is a multiple of 1/P."""
+    """The integer label m = xi P of a grid frequency xi; ValueError unless
+    xi is a multiple of 1/P."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (grid.dim,):
         raise DimensionMismatch(f"frequency must have {grid.dim} components")
     m = xi * grid.period
     rounded = np.rint(m)
     if np.max(np.abs(m - rounded)) > _ALIGN_TOL:
-        raise NonAlignedFrequency(f"{xi} is not a multiple of 1/period")
+        raise ValueError(f"{xi} is not a multiple of 1/period")
     return rounded.astype(int)
 
 

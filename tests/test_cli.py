@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,8 +48,8 @@ def test_config_validation_errors(tmp_path):
         SuiteConfig.from_dict({"seed": "forty-two"})
     with pytest.raises(ConfigError, match="schema"):
         SuiteConfig.from_dict({"schema": 9})
-    # The dual solve shares the frame tolerance; a separate solver key is refused.
-    with pytest.raises(ConfigError, match="tolerances.cg: unknown tolerance"):
+    # The thresholds are fixed; a section that would set one is refused.
+    with pytest.raises(ConfigError, match="tolerances: unknown key"):
         SuiteConfig.from_dict({"tolerances": dict(cg=1e-12)})
     cfg = write_config(tmp_path, tolerances=dict(cg=1e-12))
     assert cli.main(["dual-window", "--config", str(cfg),
@@ -176,12 +177,81 @@ def test_norms_unreadable_input_exits_2(tmp_path, capsys, name, content, message
 
 
 @pytest.mark.parametrize("key, value", [
-    ("grid", 5), ("system", [1.0]), ("samples", None), ("tolerances", "frame"),
+    ("grid", 5), ("system", [1.0]), ("samples", None),
 ])
 def test_config_section_not_an_object_exits_2(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, **{key: value})
     assert cli.main(["verify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: must be an object")
+
+
+# Each key the config does not read, misspelled or removed, is refused by its
+# dotted name.
+UNKNOWN_KEYS = {
+    "grdi": {"grdi": {"dim": 2}},
+    "grid.points": {"grid": {"dim": 1, "points": 64}},
+    "system.timestep": {"system": {"timestep": 2.0}},
+    "system.window.widht": {"system": {"window": {"kind": "bump", "widht": 0.3}}},
+    "sample": {"sample": {"continuity": 4}},
+    "samples.continuty": {"samples": {"continuty": 4}},
+    "output.reprot": {"output": {"reprot": "r.json"}},
+    "tolerances": {"tolerances": {"frame": 1e-10}},
+    "spaces[0].p1": {"spaces": [{"kind": "Lp_w", "p1": 2.0}]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNKNOWN_KEYS))
+def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.setattr(cli, "run_suites", lambda cfg: pytest.fail("a suite ran"))
+    cfg = write_config(tmp_path, **UNKNOWN_KEYS[key])
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
+
+
+# Malformed values: each is refused by its dotted key before any suite runs,
+# never crashes (exit 3) nor is read as something else.
+MALFORMED_VALUES = {
+    "spaces-not-a-list": ({"spaces": 5}, "spaces: must be a list"),
+    "space-not-an-object": ({"spaces": [5]}, "spaces[0]: must be an object"),
+    "suites-not-a-list": ({"suites": 5}, "suites: must be a list"),
+    "float-dim": ({"grid": {"dim": 2.0, "period": 8.0, "points_per_axis": 32}}, "grid.dim:"),
+    "string-time-step": ({"system": {"time_step": "1"}}, "system.time_step:"),
+    "zero-width": ({"system": {"window": {"kind": "gaussian", "width": 0}}},
+                   "system.window.width:"),
+    "negative-width": ({"system": {"window": {"kind": "gaussian", "width": -1}}},
+                       "system.window.width:"),
+    "boolean-seed": ({"seed": True}, "seed:"),
+    "boolean-sample-count": ({"samples": {"continuity": True}}, "samples.continuity:"),
+    "negative-seed": ({"seed": -1}, "seed:"),
+    "string-center": ({"system": {"window": {"kind": "gaussian", "center": "a"}}},
+                      "system.window.center:"),
+    "bump-radius-half-period": ({"system": {"window": {"kind": "bump", "radius": 8.0}}},
+                                "system.window.radius:"),
+    "report-not-a-path": ({"output": {"report": 5}}, "output.report:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_VALUES))
+def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr(cli, "run_suites", lambda cfg: pytest.fail("a suite ran"))
+    overrides, message = MALFORMED_VALUES[name]
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_readme_config_example_runs(tmp_path, monkeypatch):
+    # The example of "Config schema (version 1)" in the README, as a user
+    # would copy it, with one cheap suite.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config schema (version 1)", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    SuiteConfig.from_dict(example)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(example))
+    assert cli.main(["verify", "--config", "cfg.json", "--suites", "derivative-identity"]) == 0
+    report = json.loads((tmp_path / example["output"]["report"]).read_text())
+    assert report["suites"] == ["derivative-identity"]
 
 
 def test_verify_output_not_an_object_exits_2_before_any_suite(tmp_path, capsys, monkeypatch):
@@ -254,9 +324,7 @@ def test_dual_window_subcommand(tmp_path, monkeypatch):
 @pytest.mark.parametrize("overrides", [
     # Redundancy 1/2: the lower frame bound is exactly zero.
     {"system": {"window": {"kind": "gaussian"}, "time_step": 2.0, "freq_step": 1.0}},
-    # A frame (A is about 0.83) that a frame tolerance of 1.0 refuses.
-    {"tolerances": {"frame": 1.0}},
-], ids=["undersampled", "frame-tolerance"])
+], ids=["undersampled"])
 def test_dual_window_not_a_frame_exits_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     gamma = tmp_path / "gamma.csv"

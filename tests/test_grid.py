@@ -5,7 +5,6 @@ from gaborgrid.errors import (
     DimensionMismatch,
     GridMismatch,
     IndexMismatch,
-    NonAlignedFrequency,
     NonAlignedLattice,
     NonAlignedShift,
 )
@@ -121,7 +120,7 @@ def test_modulate_dft_shift_theorem():
 
 
 def test_modulate_rejects_non_grid_frequency(small_grid, rng):
-    with pytest.raises(NonAlignedFrequency):
+    with pytest.raises(ValueError, match="not a multiple of 1/period"):
         modulate(random_signal(small_grid, rng), 0.3)
 
 

@@ -14,7 +14,7 @@ import gaborgrid
 EXPORTED = {
     # errors
     "ConfigError", "DimensionMismatch", "GaborGridError", "GridMismatch",
-    "IndexMismatch", "InvalidLattice", "NonAlignedFrequency", "NonAlignedLattice",
+    "IndexMismatch", "InvalidLattice", "NonAlignedLattice",
     "NonAlignedShift", "NotAFrame", "NotSolid", "OverlappingSupports",
     "ResourceLimit", "ZeroSignal",
     # gabor

@@ -326,16 +326,6 @@ def test_profile_top_band_bounded_at_positive_order(ref_system):
     assert 0 < prof.bounded_order <= 6
 
 
-def test_profile_with_bump_window_matches_solid_up_to_factor(ref_system, rng):
-    spec = SpaceSpec("Lp_w", 2.0)
-    chi = sample_bump(ref_system.grid, radius=0.45)
-    f = random_signal(ref_system.grid, rng)
-    solid = decay_profile(ref_system, f, spec)
-    bump = decay_profile(ref_system, f, spec, window=chi)
-    factor = continuous_norm(chi, spec)
-    np.testing.assert_allclose(bump.slice_norms, factor * solid.slice_norms, rtol=1e-10)
-
-
 # Continuity scans ------------------------------------------------------------
 
 def continuity_constant(op_norms, input_bounds):
