@@ -215,6 +215,8 @@ def sample_gaussian(grid: PeriodicGrid, center=0.0, width: float = 1.0,
     the axis sums.  With ``normalize`` the quadrature L^2 norm is scaled
     to one.
     """
+    if not 0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width!r}")
     shifts = (-grid.period, 0.0, grid.period)
     factors = []
     for c in _center_vector(grid, center):

@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     IndexMismatch,
     NonAlignedLattice,
@@ -60,7 +61,13 @@ from .grid import (
 )
 from .lattice import PowerWeight, dual_lattice
 
-_KINDS = ("Lp_w", "C0_w", "MixedLp", "FourierLp_w")
+# The keys of each kind's config object beside "kind".
+_KIND_KEYS = {
+    "Lp_w": ("p", "tau"),
+    "C0_w": ("tau",),
+    "MixedLp": ("p", "p2", "tau"),
+    "FourierLp_w": ("p", "tau"),
+}
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class SpaceSpec:
     weight: PowerWeight = field(default_factory=PowerWeight)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_KEYS:
             raise ValueError(f"unknown space kind {self.kind!r}")
         exps = [self.p] + ([self.p2] if self.kind == "MixedLp" else [])
         if self.kind == "MixedLp" and self.p2 is None:
@@ -99,13 +106,29 @@ class SpaceSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SpaceSpec":
-        def exponent(v):
-            return math.inf if v in ("inf", None) else float(v)
-
-        p = exponent(data.get("p", 2.0))
-        p2 = exponent(data["p2"]) if "p2" in data else None
-        return cls(data.get("kind"), p, p2, PowerWeight(float(data.get("tau", 0.0))))
+    def from_dict(cls, data: dict, name: str = "space") -> "SpaceSpec":
+        """The spec of the config object ``name`` with only its kind's keys
+        (``_KIND_KEYS``): each exponent a number, "inf" or null (infinity),
+        tau a finite number.  Any other key or value is a ConfigError naming
+        ``name.<key>``; an unknown kind or an exponent below 1 is a ValueError."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"{name}: must be an object, got {type(data).__name__}")
+        kind = data.get("kind")
+        if not (isinstance(kind, str) and kind in _KIND_KEYS):
+            raise ValueError(f"unknown space kind {kind!r}")
+        values = {"p": 2.0, "p2": None, "tau": 0.0}
+        for key, value in data.items():
+            if key == "kind":
+                continue
+            if key not in _KIND_KEYS[kind]:
+                raise ConfigError(f"{name}.{key}: unknown key")
+            if key != "tau" and value in ("inf", None):
+                value = math.inf
+            elif not (type(value) in (int, float) and (key != "tau" or math.isfinite(value))):
+                expected = "a finite number" if key == "tau" else 'a number, "inf" or null'
+                raise ConfigError(f"{name}.{key}: must be {expected}, got {value!r}")
+            values[key] = float(value)
+        return cls(kind, values["p"], values["p2"], PowerWeight(values["tau"]))
 
 
 def _p_norm(values: np.ndarray, p: float, cell: float, axis=None) -> np.ndarray | float:

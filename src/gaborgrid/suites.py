@@ -1,17 +1,22 @@
 """Named verification suites behind the batch driver.
 
 Each suite takes a validated configuration, the configured Gabor system
-and a dedicated random generator, and returns report entries: plain dicts
-with a measured value, a threshold, a comparator, and the resulting pass
-flag.  Informational measurements use the comparator ``report`` and always
-pass.  One system serves every suite of a run, so its frame-operator
+and its own stream of standard normals, and returns report entries: plain
+dicts with a measured value, a threshold, a comparator, and the resulting
+pass flag.  Informational measurements use the comparator ``report`` and
+always pass.  One system serves every suite of a run, so its frame-operator
 fibers, certificate and dual window are built once.
 
-Suites draw their randomness from a generator seeded by the config seed
-and the suite name, so results do not depend on which other suites run or
-on the execution order.  Monte-Carlo families are drawn with one
-``standard_normal`` call per batch and evaluated by the batched kernels;
-batches of grid signals run in blocks of ``grid._block_rows(size)``
+Suites draw their randomness from a ``NormalStream`` keyed by the config
+seed and the suite name, so results do not depend on which other suites
+run or on the execution order.  The stream is counter-based: its i-th
+value is a pure function of the key and i, so it is split-invariant (a
+draw of a values and then b values equals one draw of a + b) and a family
+drawn in blocks equals the family drawn at once.  A given seed's sampled
+entries differ from those of earlier versions, whose suites drew from
+NumPy's generators; the verdicts do not.  Monte-Carlo families are drawn
+with one ``standard_normal`` call per batch and evaluated by the batched
+kernels; batches of grid signals run in blocks of ``grid._block_rows(size)``
 samples, so a family of any size adds a bounded working set.
 
 The extremal constants of embedding-chain and window-independence are
@@ -85,15 +90,15 @@ SUITE_NAMES = (
 
 _DEFAULT_SAMPLES = {"ratio_scan": 200, "reconstruction": 50, "continuity": 100}
 
-# The closed schema: the keys of each config object ("" is the root and
-# "spaces" each entry of its list); ``output`` is read by the command line.
+# The closed schema: the keys of each config object ("" is the root; each
+# entry of "spaces" is closed per kind by ``SpaceSpec.from_dict``);
+# ``output`` is read by the command line.
 _KEYS = {
     "": ("schema", "seed", "grid", "system", "spaces", "suites", "samples", "output"),
     "grid": ("dim", "period", "points_per_axis"),
     "system": ("window", "time_step", "freq_step"),
     "samples": tuple(_DEFAULT_SAMPLES),
     "output": ("report", "csv"),
-    "spaces": ("kind", "p", "p2", "tau"),
 }
 
 # Window kinds: the sampler and its parameters with their defaults; a
@@ -123,8 +128,8 @@ def _object(data, name: str, keys) -> dict:
 
 def _space(i: int, entry) -> SpaceSpec:
     try:
-        return SpaceSpec.from_dict(_object(entry, f"spaces[{i}]", _KEYS["spaces"]))
-    except (TypeError, ValueError) as exc:
+        return SpaceSpec.from_dict(entry, f"spaces[{i}]")
+    except ValueError as exc:
         raise ConfigError(f"spaces[{i}]: {exc}") from None
 
 
@@ -234,8 +239,50 @@ class SuiteConfig:
         return GaborSystem.separable(self.make_window(grid), self.time_step, self.freq_step)
 
 
-def suite_rng(seed: int, suite: str) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, *suite.encode()]))
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
+# and the multipliers of the finalizer.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _splitmix(z: np.ndarray) -> None:
+    """SplitMix64's finalizer of a uint64 array, in place.  Array arithmetic
+    wraps modulo 2^64 silently; a numpy scalar's would warn."""
+    z ^= z >> 30
+    z *= _MIX[0]
+    z ^= z >> 27
+    z *= _MIX[1]
+    z ^= z >> 31
+
+
+class NormalStream:
+    """Standard normals keyed by (seed, suite name), counter-based (Salmon
+    et al., SC 2011): value i is the Box-Muller normal of the two 32-bit
+    halves of SplitMix64(key + (i + 1) gamma), a pure function of the key
+    and i.  Each ``standard_normal`` call returns the next values in C
+    order, so a draw of a values and then b values equals one draw of a + b.
+    The key absorbs every 64-bit limb of the seed and every byte of the name."""
+
+    def __init__(self, seed: int, suite: str):
+        limbs = [seed >> shift & 0xFFFFFFFFFFFFFFFF
+                 for shift in range(0, max(seed.bit_length(), 1), 64)]
+        self._key = np.zeros(1, dtype=np.uint64)
+        for word in (len(limbs), *limbs, *suite.encode()):
+            self._key ^= np.uint64(word)
+            self._key += _GAMMA
+            _splitmix(self._key)
+        self._drawn = 0
+
+    def standard_normal(self, shape) -> np.ndarray:
+        count = int(np.prod(shape))
+        bits = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        self._drawn += count
+        bits *= _GAMMA
+        bits += self._key
+        _splitmix(bits)
+        # u1 = (high + 1) / 2^32 in (0, 1], u2 = low / 2^32 in [0, 1).
+        radius = np.sqrt(-2.0 * np.log(((bits >> 32) + 1) * 2.0 ** -32))
+        return (radius * np.cos((bits & 0xFFFFFFFF) * (2.0 ** -32 * 2.0 * np.pi))).reshape(shape)
 
 
 def _complex_rows(normals: np.ndarray) -> np.ndarray:
@@ -247,7 +294,7 @@ def _complex_rows(normals: np.ndarray) -> np.ndarray:
     return rows
 
 
-def random_signal(grid: PeriodicGrid, rng: np.random.Generator) -> GridSignal:
+def random_signal(grid: PeriodicGrid, rng: NormalStream) -> GridSignal:
     return GridSignal(grid, _complex_rows(rng.standard_normal((1, 2, grid.size)))[0])
 
 
@@ -305,7 +352,7 @@ def _not_a_frame_entry(suite: str, cert: FrameCertificate) -> dict:
 # Individual suites -----------------------------------------------------------
 
 def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
-                       rng: np.random.Generator) -> list[dict]:
+                       rng: NormalStream) -> list[dict]:
     cert = frame_bounds(system)
     if not cert.is_frame:
         return [_not_a_frame_entry("reconstruction", cert)]
@@ -324,7 +371,7 @@ def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
 
 
 def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
-                   rng: np.random.Generator) -> list[dict]:
+                   rng: NormalStream) -> list[dict]:
     cert = frame_bounds(system)
     if not cert.is_frame:
         return [_not_a_frame_entry("wexler-raz", cert)]
@@ -347,7 +394,7 @@ def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
 
 
 def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
-                     rng: np.random.Generator) -> list[dict]:
+                     rng: NormalStream) -> list[dict]:
     suite = "frame-bounds"
     cert = frame_bounds(system)
     entries = [
@@ -417,7 +464,7 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
     return entries
 
 
-def _random_sequences(rng: np.random.Generator, lattice: GridLattice,
+def _random_sequences(rng: NormalStream, lattice: GridLattice,
                       samples: int) -> CoeffArray:
     """``samples`` random complex sequences over the lattice, one per column,
     each drawn as standard_normal + 1j * standard_normal, in one draw."""
@@ -442,7 +489,7 @@ def _attained(suite: str, name: str, constant: float, attained: float,
 
 
 def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
-                            rng: np.random.Generator) -> list[dict]:
+                            rng: NormalStream) -> list[dict]:
     suite = "window-independence"
     grid = system.grid
     lattice = GridLattice.cubic(grid, cfg.time_step)
@@ -519,7 +566,7 @@ def _fourier_entries(cfg, rng, lattice, chi, entries, suite) -> None:
 
 
 def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem,
-                        rng: np.random.Generator) -> list[dict]:
+                        rng: NormalStream) -> list[dict]:
     suite = "embedding-chain"
     grid = system.grid
     lattice = GridLattice.cubic(grid, cfg.time_step)
@@ -600,7 +647,7 @@ def _superposition_norms(lattice: GridLattice, spectra: np.ndarray
     return norms, residues
 
 
-def _phi_family(rng: np.random.Generator, lattice: GridLattice, samples: int,
+def _phi_family(rng: NormalStream, lattice: GridLattice, samples: int,
                 order: int) -> tuple:
     """The sampled sup over smooth phi (``_smooth_rows``) of ||S_phi|| over
     the Schwartz seminorm of the given order, in blocks of
@@ -629,7 +676,7 @@ _PROFILE_SPACE = SpaceSpec("Lp_w", 1.0, weight=PowerWeight(3.0))
 
 
 def run_decay(cfg: SuiteConfig, system: GaborSystem,
-              rng: np.random.Generator) -> list[dict]:
+              rng: NormalStream) -> list[dict]:
     suite = "decay"
     f = sample_gaussian(system.grid, width=math.sqrt(2.0), normalize=True)
     prof = decay_profile(system, f, _PROFILE_SPACE)
@@ -643,7 +690,7 @@ def run_decay(cfg: SuiteConfig, system: GaborSystem,
 
 
 def run_growth(cfg: SuiteConfig, system: GaborSystem,
-               rng: np.random.Generator) -> list[dict]:
+               rng: NormalStream) -> list[dict]:
     suite = "growth"
     grid = system.grid
     gauss = sample_gaussian(grid, width=math.sqrt(2.0), normalize=True)
@@ -678,7 +725,7 @@ def _order_check(suite: str, name: str, order: int | None, threshold: float) -> 
 
 
 def run_derivative_identity(cfg: SuiteConfig, system: GaborSystem,
-                            rng: np.random.Generator) -> list[dict]:
+                            rng: NormalStream) -> list[dict]:
     suite = "derivative-identity"
     grid = system.grid
     f = sample_gaussian(grid)
@@ -710,7 +757,7 @@ def run_suites(cfg: SuiteConfig) -> dict:
     system = cfg.make_system()
     results: list[dict] = []
     for name in names:
-        results.extend(SUITES[name](cfg, system, suite_rng(cfg.seed, name)))
+        results.extend(SUITES[name](cfg, system, NormalStream(cfg.seed, name)))
     results.sort(key=lambda e: (e["suite"], e["name"]))
     return {
         "schema": 1,

@@ -45,12 +45,12 @@ from gaborgrid.spaces import (
 )
 from gaborgrid.stft import derivative_identity_defect
 from gaborgrid.suites import (
+    NormalStream,
     SuiteConfig,
     _superposition_norms,
     random_signal,
     run_embedding_chain,
     run_suites,
-    suite_rng,
 )
 
 from conftest import convolve_samples, schwartz_seminorm, smooth_random_signal
@@ -285,7 +285,7 @@ def test_criterion_09_embedding_chain(ref):
     # The exact infima bound every scan from below.
     cfg = SuiteConfig.from_dict({"seed": SEED})
     exact = {e["name"]: e["value"] for e in run_embedding_chain(
-        cfg, ref["system"], suite_rng(SEED, "embedding-chain"))}
+        cfg, ref["system"], NormalStream(SEED, "embedding-chain"))}
     bounded = exact["kappa1_positive"] <= k1_both and exact["kappa2_positive"] <= k2_both
     ok = k1 > 0 and k2 > 0 and stable and bounded
     report(9, ok,

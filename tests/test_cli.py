@@ -197,6 +197,9 @@ UNKNOWN_KEYS = {
     "output.reprot": {"output": {"reprot": "r.json"}},
     "tolerances": {"tolerances": {"frame": 1e-10}},
     "spaces[0].p1": {"spaces": [{"kind": "Lp_w", "p1": 2.0}]},
+    # Keys of another kind: C0_w has no exponent, Lp_w no second one.
+    "spaces[0].p": {"spaces": [{"kind": "C0_w", "p": 3}]},
+    "spaces[1].p2": {"spaces": [{"kind": "C0_w"}, {"kind": "Lp_w", "p2": 7}]},
 }
 
 
@@ -228,6 +231,12 @@ MALFORMED_VALUES = {
     "bump-radius-half-period": ({"system": {"window": {"kind": "bump", "radius": 8.0}}},
                                 "system.window.radius:"),
     "report-not-a-path": ({"output": {"report": 5}}, "output.report:"),
+    "boolean-p": ({"spaces": [{"kind": "Lp_w", "p": True}]}, "spaces[0].p:"),
+    "boolean-tau": ({"spaces": [{"kind": "Lp_w", "p": 2.0, "tau": True}]}, "spaces[0].tau:"),
+    "boolean-p2": ({"spaces": [{"kind": "MixedLp", "p": 2.0, "p2": False}]}, "spaces[0].p2:"),
+    "string-p": ({"spaces": [{"kind": "FourierLp_w", "p": "2"}]}, "spaces[0].p:"),
+    "unknown-space-kind": ({"spaces": [{"kind": "Lp", "p": 2.0}]},
+                           "spaces[0]: unknown space kind"),
 }
 
 

@@ -247,6 +247,12 @@ def test_gaussian_2d_separate_centers_match_image_sum():
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, float("inf"), float("nan")])
+def test_gaussian_rejects_a_width_not_positive_and_finite(ref_grid, width):
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        sample_gaussian(ref_grid, width=width)
+
+
 def test_bump_support_and_center(ref_grid):
     chi = sample_bump(ref_grid, center=0.0, radius=0.5)
     x = ref_grid.centered_nodes()[:, 0]

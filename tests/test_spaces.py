@@ -1,10 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gaborgrid.errors import (
+    ConfigError,
     DimensionMismatch,
     IndexMismatch,
     NonAlignedLattice,
@@ -726,6 +728,23 @@ def test_space_spec_round_trip():
     assert math.isinf(inf_spec.p)
     with pytest.raises(ValueError):
         SpaceSpec.from_dict({"kind": "nope"})
+    assert SpaceSpec.from_dict({"kind": "C0_w", "tau": 1}) == SpaceSpec("C0_w", 2.0, None,
+                                                                       PowerWeight(1.0))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "Lp_w", "p": True}, "space.p: must be a number"),
+    ({"kind": "Lp_w", "tau": False}, "space.tau: must be a finite number"),
+    ({"kind": "Lp_w", "tau": math.inf}, "space.tau: must be a finite number"),
+    ({"kind": "Lp_w", "p": [2.0]}, "space.p: must be a number"),
+    ({"kind": "C0_w", "p": 3}, "space.p: unknown key"),
+    ({"kind": "Lp_w", "p2": 7}, "space.p2: unknown key"),
+    ({"kind": "FourierLp_w", "p2": 2.0}, "space.p2: unknown key"),
+    (["Lp_w"], "space: must be an object"),
+])
+def test_space_spec_from_dict_refuses_by_key(data, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SpaceSpec.from_dict(data)
     with pytest.raises(ValueError):
         SpaceSpec("Lp_w", 0.5)
 

@@ -7,7 +7,11 @@ The batched paths keep the arithmetic of the one-sample code, so those
 comparisons are exact (``np.array_equal``), not a tolerance.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from gaborgrid.spaces import (
     solid_discrete_norm,
 )
 from gaborgrid.suites import (
+    NormalStream,
     SuiteConfig,
     _phi_family,
     _random_sequences,
@@ -46,7 +51,6 @@ from gaborgrid.suites import (
     run_growth,
     run_suites,
     run_window_independence,
-    suite_rng,
 )
 
 from conftest import convolve_samples, schwartz_seminorm, smooth_random_signal
@@ -81,14 +85,14 @@ def test_continuity_samples_match_per_sample_loop(name, samples, rows, monkeypat
     # Both budgets leave a partial last block.
     assert samples % grid_module._block_rows(grid.size) != 0
     lattice = GridLattice.cubic(grid, 1.0)
-    rng = np.random.default_rng(5)
+    rng = NormalStream(5, "embedding-chain")
     got = _phi_family(rng, lattice, samples, 4)
-    ref_rng = np.random.default_rng(5)
+    ref_rng = NormalStream(5, "embedding-chain")
     expected = _phi_family_oracle(ref_rng, lattice, samples, 4)
     for label, a, b in zip(("ratio", "operator norm", "spectrum", "residue", "sample"),
                            got, expected):
         assert np.array_equal(a, b), label
-    assert rng.standard_normal() == ref_rng.standard_normal()
+    assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -127,15 +131,67 @@ def test_convolution_rows_match_one_row_function(name, generator):
 
 def test_random_sequences_match_column_draws():
     lattice = GridLattice.cubic(GRIDS["1d"], 1.0)
-    rng = np.random.default_rng(13)
+    rng = NormalStream(13, "window-independence")
     got = _random_sequences(rng, lattice, 7).values
-    ref_rng = np.random.default_rng(13)
+    ref_rng = NormalStream(13, "window-independence")
     expected = np.empty((lattice.count, 7), dtype=complex)
     for s in range(7):
         expected[:, s] = (ref_rng.standard_normal(lattice.count)
                           + 1j * ref_rng.standard_normal(lattice.count))
     assert np.array_equal(got, expected)
     assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
+
+# The suites' normal stream ----------------------------------------------------
+
+def test_normal_stream_is_split_invariant():
+    rng = NormalStream(3, "reconstruction")
+    first, second = rng.standard_normal((3, 2, 5)), rng.standard_normal((7,))
+    assert first.shape == (3, 2, 5) and second.shape == (7,)
+    whole = NormalStream(3, "reconstruction").standard_normal(37)
+    assert np.array_equal(np.concatenate([first.ravel(), second]), whole)
+
+
+def test_normal_stream_is_keyed_by_seed_and_suite():
+    draw = NormalStream(3, "wexler-raz").standard_normal(64)
+    assert draw.tobytes() == NormalStream(3, "wexler-raz").standard_normal(64).tobytes()
+    for seed, suite in ((3, "reconstruction"), (4, "wexler-raz")):
+        assert not np.any(NormalStream(seed, suite).standard_normal(64) == draw)
+
+
+def test_normal_stream_takes_every_limb_of_a_large_seed():
+    big = NormalStream(2 ** 64 + 3, "decay").standard_normal(16)
+    assert np.all(np.isfinite(big))
+    assert np.array_equal(big, NormalStream(2 ** 64 + 3, "decay").standard_normal(16))
+    assert not np.array_equal(big, NormalStream(3, "decay").standard_normal(16))
+    assert not np.array_equal(big, NormalStream(2 ** 128 + 3, "decay").standard_normal(16))
+
+
+def test_normal_stream_moments():
+    x = NormalStream(0, "growth").standard_normal(200_000)
+    assert np.all(np.isfinite(x))
+    assert abs(np.mean(x)) < 0.01
+    assert abs(np.var(x) - 1.0) < 0.02
+
+
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # A fresh interpreter: this one has loaded numpy.random already.  The
+    # tiny 2-D config of the benchmark, every suite.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(dump_json({
+        "seed": 3, "grid": {"dim": 2, "period": 4.0, "points_per_axis": 16},
+        "samples": {"ratio_scan": 4, "reconstruction": 3, "continuity": 4}}))
+    script = ("import sys; from gaborgrid.cli import main; "
+              f"code = main(['verify', '--config', {str(cfg)!r}, "
+              f"'--output', {str(tmp_path / 'report.json')!r}]); "
+              "print(code, 'numpy.random' in sys.modules)")
+    src = str(Path(suites_module.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_embedding_chain_memory_is_bounded():
@@ -146,7 +202,7 @@ def test_embedding_chain_memory_is_bounded():
     system = cfg.make_system()
     tracemalloc.start()
     try:
-        entries = run_embedding_chain(cfg, system, suite_rng(cfg.seed, "embedding-chain"))
+        entries = run_embedding_chain(cfg, system, NormalStream(cfg.seed, "embedding-chain"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -214,7 +270,7 @@ def test_undersampled_check_scales_to_redundancy_below_one(freq_step, redundancy
     # redundancy 16, and doubling both steps leaves a frame of redundancy 4.
     cfg = SuiteConfig.from_dict({"system": {"freq_step": freq_step}})
     system = cfg.make_system()
-    entries = run_frame_bounds(cfg, system, suite_rng(cfg.seed, "frame-bounds"))
+    entries = run_frame_bounds(cfg, system, NormalStream(cfg.seed, "frame-bounds"))
     (entry,) = [e for e in entries if e["name"] == "undersampled_lower_bound"]
     assert entry["passed"]
     assert entry["value"] == 0.0
@@ -233,7 +289,7 @@ def test_undersampled_search_stops_when_doubling_keeps_a_frame(grid, system):
     cfg = SuiteConfig.from_dict({"grid": grid, "system": system})
     cfg.validate()
     entries = run_frame_bounds(cfg, cfg.make_system(),
-                               suite_rng(cfg.seed, "frame-bounds"))
+                               NormalStream(cfg.seed, "frame-bounds"))
     (entry,) = [e for e in entries if e["name"] == "undersampled_lower_bound"]
     assert entry["passed"]
     assert entry["value"] == 0.0
@@ -244,7 +300,7 @@ def test_non_frame_reports_no_condition_number():
     # Redundancy 1/2: the lower frame bound is 0, so the condition number
     # would be B / 1e-300.  The not-a-frame entry stands in its place.
     cfg = SuiteConfig.from_dict({"system": {"time_step": 2.0, "freq_step": 1.0}})
-    entries = run_frame_bounds(cfg, cfg.make_system(), suite_rng(cfg.seed, "frame-bounds"))
+    entries = run_frame_bounds(cfg, cfg.make_system(), NormalStream(cfg.seed, "frame-bounds"))
     by_name = {entry["name"]: entry for entry in entries}
     assert "condition_number" not in by_name
     assert not by_name["lower_bound_positive"]["passed"]
@@ -257,7 +313,7 @@ def test_non_frame_reports_no_condition_number():
 
 def test_frame_reports_its_condition_number():
     cfg = SuiteConfig.from_dict({})
-    entries = run_frame_bounds(cfg, cfg.make_system(), suite_rng(cfg.seed, "frame-bounds"))
+    entries = run_frame_bounds(cfg, cfg.make_system(), NormalStream(cfg.seed, "frame-bounds"))
     (entry,) = [e for e in entries if e["name"] == "condition_number"]
     assert entry["passed"] and 1.0 <= entry["value"] < 10.0
     assert "frame" not in {e["name"] for e in entries}
@@ -280,8 +336,8 @@ def _by_name(entries):
 def _constant_entries(cfg):
     system = cfg.make_system()
     return _by_name(
-        run_embedding_chain(cfg, system, suite_rng(cfg.seed, "embedding-chain"))
-        + run_window_independence(cfg, system, suite_rng(cfg.seed, "window-independence")))
+        run_embedding_chain(cfg, system, NormalStream(cfg.seed, "embedding-chain"))
+        + run_window_independence(cfg, system, NormalStream(cfg.seed, "window-independence")))
 
 
 def _l2(rows, grid):
@@ -425,7 +481,7 @@ def test_unbounded_order_fails_its_check():
     # At L / P = 8 the oscillation sits at the Nyquist bin, so the inner half
     # of its profile is empty and no order bounds it.
     cfg = SuiteConfig.from_dict({"seed": 5, "grid": {"period": 8.0, "points_per_axis": 64}})
-    entries = _by_name(run_growth(cfg, cfg.make_system(), suite_rng(cfg.seed, "growth")))
+    entries = _by_name(run_growth(cfg, cfg.make_system(), NormalStream(cfg.seed, "growth")))
     entry = entries["oscillation_bounded_order"]
     assert not entry["passed"]
     assert entry["value"] == MAX_DERIVATIVE_ORDER + 1
