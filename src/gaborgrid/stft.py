@@ -11,15 +11,15 @@ and every bin, bins in DFT order (bin j is labelled by
 case of the adjoint lattice.
 
 The STFT derivative identity is checked from the frequency side without a
-full table.  The difference of its two sides has one row per bin: the
-inverse FFT of the spectrum of f, shifted by the bin, times the window's
-conjugate spectrum and an aliasing symbol.  Only its maximum is reported,
-so the rows are pruned exactly.  Each row's maximum is at most the sum of
-its magnitudes, and that bound is, for every bin at once, a correlation of
-the two magnitude spectra weighted by the symbol: one FFT (direct sums in
-1-D), widened by a bound on its rounding.  Only the bins whose widened
-bound can reach the running maximum take the direct sum of their own row,
-and the rows are transformed in order of it until none left can.
+full table and without an inverse FFT.  The difference of its two sides
+has one row per bin: the inverse FFT of the spectrum of f, shifted by the
+bin, times the window's conjugate spectrum and an aliasing symbol.  The
+check needs a verdict against a threshold, so the maximum over all rows is
+enclosed, not found.  Each row's maximum is at most the sum of its
+magnitudes, and that bound is, for every bin at once, a correlation of the
+two magnitude spectra weighted by the symbol: one FFT (direct sums in 1-D),
+widened by a bound on its rounding.  The top bin's row is at least its
+2-norm over the grid size (Parseval).
 """
 
 from __future__ import annotations
@@ -45,12 +45,13 @@ from .grid import (
 # Refuse full transforms whose output would exceed 2^26 complex entries.
 _FULL_STFT_LIMIT = 2 ** 26
 
-# Relative slack on the row bounds of the derivative-identity defect: far
-# above the relative rounding of the bounds (the direct sums, and the
-# correlation once widened by its absolute rounding allowance) and of the
-# transformed rows, so a row is skipped only when its computed maximum
-# cannot reach the running one.
-_BOUND_SLACK = 1e-9
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): (1 + delta_1) ... (1 + delta_k),
+    every |delta_i| <= u, lies within 1 +- gamma_k."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,23 +144,31 @@ def _correlation_bound(grid: PeriodicGrid, spectrum: np.ndarray, window: np.ndar
         # Stability of Numerical Algorithms (2nd ed.), Thm 24.2: an FFT of
         # N = 2^t points whose twiddle factors carry errors <= mu has
         # ||fl(Fx) - Fx||_2 <= kappa ||Fx||_2, kappa = t eta / (1 - t eta),
-        # eta = mu + gamma_4 (sqrt(2) + mu), gamma_k = k u / (1 - k u).
-        # For x = |F| and y = |Psi|, with ||Fx||_2 = sqrt(N) ||x||_2 and
-        # |Fx| <= ||x||_1 entrywise, the two forward transforms, the complex
-        # products (error sqrt(2) gamma_2, Lemma 3.5) and the inverse
-        # transform (its 1/N is exact) leave every entry of the correlation
-        # within (3 kappa + sqrt(2) gamma_2) max(||x||_1 ||y||_2, ||x||_2
-        # ||y||_1) of its exact value, to first order;
-        # 5 kappa covers that and the second-order terms.  mu = u: numpy's
-        # pocketfft takes its twiddles to within an ulp.  A radix-4 pass
-        # counts as two radix-2 passes, and the real transforms are taken to
-        # obey the bound of the complex ones.
-        u = np.finfo(float).eps / 2
+        # eta = mu + gamma_4 (sqrt(2) + mu).  mu = u: numpy's pocketfft
+        # takes its twiddles to within an ulp.  A radix-4 pass counts as two
+        # radix-2 passes, and the real transforms are taken to obey the
+        # bound of the complex ones.
+        #
+        # For x = |F|, y = |Psi| (padded to N points) let X = Fx, Y = Fy, so
+        # ||X||_2 = sqrt(N) ||x||_2, and the exact correlation is
+        # c = F^-1(X conj Y).  The computed X~, Y~ are within kappa ||X||_2
+        # and kappa ||Y||_2; each computed product Z~ is within
+        # sqrt(2) gamma_2 |X~| |Y~| of X~ conj Y~ (Lemma 3.5), and
+        # sqrt(2) gamma_2 < eta <= kappa.  By Cauchy-Schwarz every entry of
+        # F^-1(a b) is at most ||a||_2 ||b||_2 / N, so the entries of
+        # F^-1(Z~ - X conj Y), split as (X~ - X) conj Y~ + X conj(Y~ - Y)
+        # plus the product rounding, are within
+        # (kappa (1 + kappa) + kappa + kappa (1 + kappa)^2) ||x||_2 ||y||_2,
+        # which is at most 4 kappa ||x||_2 ||y||_2.  The inverse transform
+        # (its 1/N is exact) adds at most kappa ||F^-1 Z~||_2 <= kappa
+        # ||corr||_2 / (1 - kappa) <= 2 kappa ||corr||_2, read from its own
+        # output.  The slack in both constants covers the rounding of the
+        # norms and of the allowance itself.
         t = grid.dim * (pad.bit_length() - 1)
-        eta = u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + u)
-        one = pair.sum(axis=axes)
-        two = np.sqrt(np.sum(pair ** 2, axis=axes))
-        allowance = 5 * t * eta / (1 - t * eta) * max(one[0] * two[1], two[0] * one[1])
+        eta = _UNIT_ROUNDOFF + _gamma(4) * (np.sqrt(2) + _UNIT_ROUNDOFF)
+        kappa = t * eta / (1 - t * eta)
+        norms = np.sqrt(np.sum(pair ** 2, axis=axes))
+        allowance = kappa * (4 * norms[0] * norms[1] + 2 * np.sqrt(np.sum(corr ** 2)))
 
     # Per axis, the lag of bin m without a wrap and with its one wrap, and
     # the bins that admit the wrap (all but label 0).
@@ -190,9 +199,10 @@ def stft(f: GridSignal, psi: GridSignal) -> TFArray:
     return TFArray(grid, _lattice_stft(f.values, psi, nodes, nodes))
 
 
-def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[float, int]:
-    """(defect, rows_evaluated): the discretization defect of the STFT
-    derivative identity and the number of bin rows transformed to find it.
+def derivative_identity_defect(f: GridSignal, psi: GridSignal,
+                               order) -> tuple[float, float]:
+    """(lower, upper): an enclosure of the discretization defect of the STFT
+    derivative identity, taken from the computed spectra of f and psi.
 
     In the continuum (2 pi i xi)^alpha V_psi f equals the binomial sum of
     STFTs of the derivatives of f against the derivatives of psi,
@@ -211,28 +221,22 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
         sigma(m, eta) = prod_a lab(m_a)^alpha_a
                         - prod_a (lab(m_a + eta_a) - lab(eta_a))^alpha_a,
 
-    which is exactly 0 wherever no label wraps.  The defect is the maximum
-    absolute entry.  By the triangle inequality, row m's maximum is at most
-    U(m) = sum_eta |G_m(eta)| / size.  The pruning has two stages:
+    which is exactly 0 wherever no label wraps.  The defect D is the maximum
+    absolute entry over every (time node, bin) pair, times the scale
+    s = spacing^n (2 pi / P)^|alpha|.  No row is transformed:
 
-    - ``_correlation_bound`` gives every bin a bound at least U from one
-      correlation of |F| and |Psi|, widened by its rounding allowance.  The
-      top bin by it is evaluated first and seeds the running maximum; every
-      other bin whose widened bound, times 1 + ``_BOUND_SLACK``, still
-      exceeds that maximum is unsettled.
-    - An unsettled bin takes the direct U: a real gather of |F| along its
-      row, times |Psi| / size and |sigma|, summed.  The unsettled rows are
-      then transformed exactly in order of decreasing U, and the pass stops
-      once no U left, times 1 + ``_BOUND_SLACK``, exceeds the running
-      maximum.
+    - upper: row m's maximum is at most U(m) = sum_eta |G_m(eta)| / size
+      (triangle inequality), and ``_correlation_bound`` bounds U for every
+      bin at once.  upper is s times the largest bound.
+    - lower: the inverse FFT r of G_m has ||r||_2 = ||G_m||_2 / sqrt(size)
+      (Parseval), so max_k |r(k)| >= ||G_m||_2 / size.  lower is s times
+      that at the bin of the largest bound.
 
-    The value is the one a transform of every row gives, bit for bit.  A
-    row with U = 0 is an exact zero and is never transformed.
-    ``rows_evaluated`` counts the rows transformed by an inverse FFT, not
-    the rows given the direct U.  Gathers and transforms run in blocks of
-    bins under the shared ``grid._BATCH_BYTES`` budget (twice the rows for
-    the real direct bounds); each block builds sigma from its own bin
-    labels, so no table over all bin pairs is held.
+    Both are moved outward by their own rounding, so lower <= D <= upper
+    for the exact inverse transforms of the computed spectra.  A check
+    passes when upper is at most its threshold and fails otherwise; the
+    failure is proven when lower is above it too.  sigma is exact while
+    L^|alpha| < 2^53 (every integer product is then a float).
     """
     require_same_grid(f, psi)
     grid = f.grid
@@ -240,76 +244,34 @@ def derivative_identity_defect(f: GridSignal, psi: GridSignal, order) -> tuple[f
     if any(o > 4 for o in order):
         raise DimensionMismatch("order components must lie in 0..4")
     if all(o == 0 for o in order):
-        return 0.0, 0
+        return 0.0, 0.0
 
     L = grid.points_per_axis
-    lab = grid.freq_integers_axis().astype(float)
-    # Row m of ``shifted`` is lab(m + eta) over eta: a view, no table.
-    shifted = np.lib.stride_tricks.sliding_window_view(np.tile(lab, 2)[:-1], L)
-    bins = grid.index_vectors()
-    axes = tuple(range(1, grid.dim + 1))
-
-    def symbol(m):
-        # sigma for the bins m, broadcastable to (len(m),) + grid.shape.  As
-        # lab(0) = 0, column eta = 0 of each factor is lab(m_a)^alpha_a, and
-        # the unwrapped entries equal it exactly, so sigma is an exact 0 there.
-        lhs = rhs = 1.0
-        for axis, o in enumerate(order):
-            if o:
-                factor = (shifted[m[:, axis]] - lab) ** o
-                shape = [-1] + [1] * grid.dim
-                shape[axis + 1] = L
-                lhs = lhs * factor[:, 0]
-                rhs = rhs * factor.reshape(shape)
-        return lhs.reshape((-1,) + (1,) * grid.dim) - rhs
-
-    spectrum = np.fft.fftn(f.reshaped())
-    window = np.conj(np.fft.fftn(psi.reshaped()))
-    magnitude = np.abs(spectrum)
-    weight = np.abs(window) / grid.size
-    block = _block_rows(grid.size)
-    # Both prune passes gather bin rows of |F| and of F from these views.
-    magnitude_windows = _tiled_windows(magnitude)
-    spectrum_windows = _tiled_windows(spectrum)
-
-    def prune(which, worst, evaluated):
-        # The direct U of the bins ``which``: a real gather of |F| in blocks
-        # of twice the rows (real rows take half the bytes), times |Psi| /
-        # size and |sigma|, row sums.
-        bound = np.empty(len(which))
-        step = 2 * block
-        for lo, rows in zip(range(0, len(which), step),
-                            _translates(magnitude_windows, -bins[which], step)):
-            shaped = rows.reshape((-1,) + grid.shape)
-            shaped *= weight
-            shaped *= np.abs(symbol(bins[which[lo:lo + step]]))
-            bound[lo:lo + step] = rows.sum(axis=1)
-        # Exact rows by decreasing U.  Only a prefix of each block can still
-        # exceed the running maximum; once none can, stop.  The strict
-        # comparison never transforms a row with U = 0.
-        rank = np.argsort(-bound, kind="stable")
-        ranked = which[rank]
-        reach = bound[rank] * (1.0 + _BOUND_SLACK)
-        for lo, rows in zip(range(0, len(ranked), block),
-                            _translates(spectrum_windows, -bins[ranked], block)):
-            live = int(np.count_nonzero(reach[lo:lo + block] > worst))
-            if not live:
-                break
-            rows = rows[:live]
-            shaped = rows.reshape((-1,) + grid.shape)
-            shaped *= window
-            shaped *= symbol(bins[ranked[lo:lo + live]])
-            np.fft.ifftn(shaped, axes=axes, out=shaped)
-            worst = max(worst, float(np.max(np.abs(rows))))
-            evaluated += live
-        return worst, evaluated
-
-    reach = _correlation_bound(grid, magnitude, np.abs(window), order)
-    reach *= 1.0 + _BOUND_SLACK
-    top = int(np.argmax(reach))
-    worst, evaluated = prune(np.array([top]), 0.0, 0)
-    unsettled = reach > worst
-    unsettled[top] = False
-    worst, evaluated = prune(np.flatnonzero(unsettled), worst, evaluated)
+    spectrum = np.abs(np.fft.fftn(f.reshaped()))
+    window = np.abs(np.fft.fftn(psi.reshaped()))
+    bound = _correlation_bound(grid, spectrum, window, order)
+    top = grid.index_vectors()[int(np.argmax(bound))]
+    # |G_m| at the top bin m.  Per axis lab(m_a + eta_a) - lab(eta_a) is
+    # lab(m_a) plus its wrap.
+    lab = grid.freq_integers_axis()
+    factors = [(lab[(m + np.arange(L)) % L] - lab).astype(float) ** o
+               for m, o in zip(top, order)]
+    sigma = (np.prod([float(lab[m]) ** o for m, o in zip(top, order)])
+             - functools.reduce(np.multiply.outer, factors))
+    row = np.roll(spectrum, tuple(-top), axis=tuple(range(grid.dim))) * window
+    row *= np.abs(sigma)
+    # Every step here and in ``_correlation_bound`` acts on nonnegative
+    # numbers, so each computed end is its exact value times at most K
+    # factors 1 + delta, |delta| <= u, and gamma_K moves it outward.  K
+    # counts |F| and |Psi| (hypot, within an ulp: 2 each) and, for upper,
+    # their product and the L - 1 additions of the 1-D correlation (in 2-D
+    # and up the allowance covers the FFT correlation and adding it is 1),
+    # the product with |sigma|, the 2^n - 1 additions over wrap patterns and
+    # the division by size; for lower, the two products, the square, the
+    # size - 1 additions, the square root and the division by size; for
+    # both, the product with s and the 2 of forming and applying 1 -+ gamma.
+    widen = _gamma(grid.size + L + 2 ** grid.dim + 8)
     scale = grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** sum(order)
-    return scale * worst, evaluated
+    lower = scale * np.sqrt(np.sum(row ** 2)) / grid.size * (1 - widen)
+    upper = scale * float(np.max(bound)) * (1 + widen)
+    return float(lower), float(upper)

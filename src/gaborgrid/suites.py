@@ -733,9 +733,9 @@ def run_derivative_identity(cfg: SuiteConfig, system: GaborSystem,
     entries = []
     for label, order, threshold in (("order1_defect", (1,) * cfg.dim, 1e-8),
                                     ("order2_defect", (2,) + (0,) * (cfg.dim - 1), 1e-6)):
-        defect, rows = derivative_identity_defect(f, psi, order)
-        entries.append(check(suite, label, defect, threshold, "<=",
-                             details={"rows_evaluated": rows, "rows": grid.size}))
+        lower, upper = derivative_identity_defect(f, psi, order)
+        entries.append(check(suite, label, upper, threshold, "<=",
+                             details={"method": "enclosure", "lower": lower, "upper": upper}))
     return entries
 
 

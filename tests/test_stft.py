@@ -17,7 +17,7 @@ from gaborgrid.grid import (
 )
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import derivative_identity_defect, stft
-from gaborgrid.suites import SuiteConfig, run_derivative_identity
+from gaborgrid.suites import NormalStream, SuiteConfig, run_derivative_identity
 
 from conftest import random_signal, record_fft_shapes, spectral_derivative
 
@@ -73,13 +73,13 @@ def test_stft_resource_limit(monkeypatch):
     f = GridSignal(grid, np.zeros(grid.size))
     with pytest.raises(ResourceLimit):
         stft(f, f)
-    # The refusal guards the full table only; the blocked defect holds none.
+    # The refusal guards the full table only; the defect holds none.
     small = PeriodicGrid(1, 8.0, 64)
     monkeypatch.setattr(stft_module, "_FULL_STFT_LIMIT", small.size ** 2 - 1)
     g = sample_gaussian(small)
     with pytest.raises(ResourceLimit):
         stft(g, g)
-    assert derivative_identity_defect(g, g, 1)[0] <= 1e-8
+    assert derivative_identity_defect(g, g, 1)[1] <= 1e-8
 
 
 def test_full_lattice_restriction_equals_stft(grid16, rng):
@@ -222,14 +222,15 @@ def test_moyal_energy(grid16, rng):
 def test_derivative_identity_trivial_order(grid16, rng):
     f = random_signal(grid16, rng)
     psi = random_signal(grid16, rng)
-    assert derivative_identity_defect(f, psi, 0) == (0.0, 0)
+    assert derivative_identity_defect(f, psi, 0) == (0.0, 0.0)
 
 
 def test_derivative_identity_gaussians(ref_grid):
     f = sample_gaussian(ref_grid)
     psi = sample_gaussian(ref_grid)
-    assert derivative_identity_defect(f, psi, 1)[0] <= 1e-8
-    assert derivative_identity_defect(f, psi, 2)[0] <= 1e-6
+    for order, threshold in [(1, 1e-8), (2, 1e-6)]:
+        lower, upper = derivative_identity_defect(f, psi, order)
+        assert 0.0 < lower <= upper <= threshold
 
 
 def test_stft_two_dimensional_entry_oracle():
@@ -257,30 +258,30 @@ def test_derivative_identity_two_dimensional():
     psi = sample_gaussian(grid)
     tracemalloc.start()
     try:
-        defect, _ = derivative_identity_defect(f, psi, (1, 1))
+        _, upper = derivative_identity_defect(f, psi, (1, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert defect <= 1e-8
-    # numpy reports its buffers to tracemalloc: the blocked defect never
-    # holds a full (size, size) complex table (268 MB here).
+    assert upper <= 1e-8
+    # numpy reports its buffers to tracemalloc: the defect never holds a
+    # full (size, size) complex table (268 MB here).
     assert peak < 16 * grid.size ** 2
 
 
 def test_derivative_identity_one_dimensional_memory():
     # In 1-D size is L, so a float table over all bin pairs takes 8 size^2
-    # bytes (134 MB here); the aliasing symbol is built per block of bins,
-    # so the peak stays below size^2 bytes.
+    # bytes (134 MB here); the aliasing symbol is built for one bin only, so
+    # the peak stays below size^2 bytes.
     grid = PeriodicGrid(1, 64.0, 4096)
     f = sample_gaussian(grid)
     psi = sample_gaussian(grid)
     tracemalloc.start()
     try:
-        defect, _ = derivative_identity_defect(f, psi, 1)
+        _, upper = derivative_identity_defect(f, psi, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert defect <= 1e-12
+    assert upper <= 1e-12
     assert peak < grid.size ** 2
 
 
@@ -301,26 +302,18 @@ def table_defect(f, psi, order):
     return np.abs(diff)
 
 
-def table_defect_rows(f, psi, order):
-    """The derivative-identity defect per time node, from full STFT tables:
-    the row maxima of ``table_defect``."""
-    return np.max(table_defect(f, psi, order), axis=1)
-
-
-def bin_bounds(f, psi, order):
-    """The triangle-inequality bound on the defect of each bin, straight from
-    the definition: spacing^n (2 pi / P)^|alpha| / size times
-    sum_eta |F(m + eta)| |Psi(eta)| |sigma(m, eta)|, where sigma is
-    prod_a lab(m_a)^alpha_a - prod_a (lab(m_a + eta_a) - lab(eta_a))^alpha_a
-    on the integer bin labels."""
+def _bin_rows(f, psi, order):
+    """Yield (slice of bins, F(m + eta) conj Psi(eta), sigma(m, eta)) for
+    blocks of 256 bins m, straight from the definition: sigma is prod_a
+    lab(m_a)^alpha_a - prod_a (lab(m_a + eta_a) - lab(eta_a))^alpha_a on the
+    integer bin labels.  Blocks keep the 64^2 grid from holding a size^2
+    table."""
     grid = f.grid
     order = np.atleast_1d(order)
     bins = grid.index_vectors()
     labels = grid.freq_integers()
-    spectrum = np.abs(np.fft.fftn(f.reshaped()).ravel())
-    window = np.abs(np.fft.fftn(psi.reshaped()).ravel())
-    total = np.empty(grid.size)
-    # Bins in blocks of 256, so the 64^2 grid holds no size^2 table.
+    spectrum = np.fft.fftn(f.reshaped()).ravel()
+    window = np.conj(np.fft.fftn(psi.reshaped()).ravel())
     for lo in range(0, grid.size, 256):
         m = bins[lo:lo + 256]
         # shift[m, eta] is the flat bin m + eta.
@@ -328,8 +321,46 @@ def bin_bounds(f, psi, order):
                                      grid.shape, mode="wrap")
         sigma = (np.prod(labels[lo:lo + 256, None] ** order, axis=-1)
                  - np.prod((labels[shift] - labels[None]) ** order, axis=-1))
-        total[lo:lo + 256] = np.sum(spectrum[shift] * window * np.abs(sigma), axis=1) / grid.size
-    return grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** order.sum() * total
+        yield slice(lo, lo + 256), spectrum[shift] * window, sigma
+
+
+def _scale(grid, order):
+    return grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** int(np.sum(order))
+
+
+def bin_bounds(f, psi, order):
+    """The triangle-inequality bound on the defect of each bin, straight from
+    the definition: spacing^n (2 pi / P)^|alpha| / size times
+    sum_eta |F(m + eta)| |Psi(eta)| |sigma(m, eta)|."""
+    total = np.empty(f.grid.size)
+    for block, product, sigma in _bin_rows(f, psi, order):
+        total[block] = np.sum(np.abs(product) * np.abs(sigma), axis=1) / f.grid.size
+    return _scale(f.grid, order) * total
+
+
+def row_defect(f, psi, order):
+    """The defect with every bin row transformed: spacing^n (2 pi / P)^|alpha|
+    times the largest |ifft_eta[F(m + eta) conj Psi(eta) sigma(m, eta)]|.
+    Its rounding is relative to each row's own size, so it resolves defects
+    far below the rounding of the full tables."""
+    grid = f.grid
+    axes = tuple(range(1, grid.dim + 1))
+    worst = 0.0
+    for _, product, sigma in _bin_rows(f, psi, order):
+        rows = (product * sigma).reshape((-1,) + grid.shape)
+        worst = max(worst, float(np.max(np.abs(np.fft.ifftn(rows, axes=axes)))))
+    return _scale(grid, order) * worst
+
+
+def _same_under_budget(f, psi, order, rows, monkeypatch):
+    """The enclosure, after checking that a ``grid._BATCH_BYTES`` budget of
+    ``rows`` grid-sized rows gives it bit for bit."""
+    enclosure = derivative_identity_defect(f, psi, order)
+    if rows is not None:
+        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * f.grid.size * rows)
+        assert grid_module._block_rows(f.grid.size) == rows
+        assert derivative_identity_defect(f, psi, order) == enclosure
+    return enclosure
 
 
 @pytest.mark.parametrize("rows", [None, 5, 1], ids=["budget", "remainder", "single-row"])
@@ -338,30 +369,21 @@ def bin_bounds(f, psi, order):
     *[(PeriodicGrid(2, 2.0, 8), o) for o in [(1, 0), (1, 1), (2, 0), (0, 2)]],
     # L = 12 is not a power of two.
     *[(PeriodicGrid(2, 3.0, 12), o) for o in [(1, 0), (1, 1), (2, 0), (0, 2), (3, 0), (2, 2)]],
-    # Odd L has no Nyquist bin; 21 and 81 points leave a partial block of 5.
+    # Odd L has no Nyquist bin.
     *[(PeriodicGrid(1, 5.0, 21), o) for o in [1, 3, 4]],
     *[(PeriodicGrid(2, 3.0, 9), o) for o in [(1, 1), (3, 0), (2, 2)]],
 ], ids=lambda v: str(v.points_per_axis) if isinstance(v, PeriodicGrid) else str(v))
 def test_blocked_defect_matches_table_oracle(grid, order, rows, monkeypatch):
-    if rows is not None:
-        # Blocks of `rows` time nodes: 5 leaves a partial last block.
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
-        assert grid_module._block_rows(grid.size) == rows
-        assert rows == 1 or grid.size % rows
     rng = np.random.default_rng(23)
-    # Random complex signals make the defect O(1), so the comparison means something.
+    # Random complex signals make the defect O(1), so the table's own
+    # rounding (about 1e-13 of it) cannot blur the comparison.
     f = random_signal(grid, rng)
     psi = random_signal(grid, rng)
-    # Translating f translates the defect rows, so move the largest one to the
-    # last time node, which lies in the last (partial) block.
-    nodes = grid.index_vectors()
-    worst = int(np.argmax(table_defect_rows(f, psi, order)))
-    f = translate(f, (nodes[-1] - nodes[worst]) * grid.spacing)
-    expected = table_defect_rows(f, psi, order)
-    assert expected[-1] == pytest.approx(expected.max(), rel=1e-12)
-    assert expected[-1] > 1.0
-    got, _ = derivative_identity_defect(f, psi, order)
-    assert got == pytest.approx(expected[-1], rel=1e-12)
+    expected = np.max(table_defect(f, psi, order))
+    assert expected > 1.0
+    lower, upper = _same_under_budget(f, psi, order, rows, monkeypatch)
+    assert 0.0 < lower <= expected * (1 + 1e-12)
+    assert expected <= upper * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("rows", [None, 5, 1], ids=["budget", "remainder", "single-row"])
@@ -370,46 +392,55 @@ def test_blocked_defect_matches_table_oracle(grid, order, rows, monkeypatch):
     (PeriodicGrid(2, 3.0, 12), (1, 1)),
 ], ids=lambda v: str(v.points_per_axis) if isinstance(v, PeriodicGrid) else str(v))
 def test_defect_fft_count(grid, order, rows, monkeypatch):
-    if rows is not None:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
-    block = grid_module._block_rows(grid.size)
     rng = np.random.default_rng(4)
     f = random_signal(grid, rng)
     psi = random_signal(grid, rng)
     shapes = record_fft_shapes(monkeypatch)
-    _, evaluated = derivative_identity_defect(f, psi, order)
-    # One forward FFT each of f and psi, then inverse FFTs of at most one
-    # block of bin rows each, over the bins transformed and no others.
-    forward = [shape for name, shape in shapes if name == "fftn"]
-    inverse = [shape for name, shape in shapes if name == "ifftn"]
-    assert forward == [grid.shape, grid.shape]
-    assert all(1 <= shape[0] <= block and shape[1:] == grid.shape for shape in inverse)
-    assert sum(shape[0] for shape in inverse) == evaluated <= grid.size
-    # A 2-d grid adds one real FFT pair: the correlation of |F| and |Psi|
-    # (both in one rfftn), padded to 32 >= 2L - 1 points per axis.  A 1-d
-    # grid sums it directly.
-    correlation = [(name, shape) for name, shape in shapes if name.startswith(("rfft", "irfft"))]
+    _same_under_budget(f, psi, order, rows, monkeypatch)
+    # One forward FFT each of f and psi and no inverse FFT of any bin row.  A
+    # 2-d grid adds one real FFT pair: the correlation of |F| and |Psi| (both
+    # in one rfftn), padded to 32 >= 2L - 1 points per axis.  A 1-d grid sums
+    # it directly.
+    expected = [("fftn", grid.shape)] * 2
     if grid.dim == 2:
-        assert correlation == [("rfftn", (2,) + grid.shape), ("irfftn", (32, 17))]
-    else:
-        assert correlation == []
+        expected += [("rfftn", (2,) + grid.shape), ("irfftn", (32, 17))]
+    assert shapes == expected * (1 if rows is None else 2)
 
 
-def test_defect_transforms_two_blocks_on_the_2d_gaussian_pair(monkeypatch):
-    # The 2-d config of the benchmark: P = 8, 32^2, a Gaussian against the
-    # system's Gaussian window.  Both orders transform at most two blocks of
-    # the 1024 bin rows, and the report entries say how many.
-    cfg = SuiteConfig.from_dict({"grid": {"dim": 2, "period": 8.0, "points_per_axis": 32}})
+def _bench_suite(points, monkeypatch=None):
+    """The derivative-identity entries of the 2-d config (P = 8) at points^2,
+    and with ``monkeypatch`` the FFTs that the suite itself calls."""
+    cfg = SuiteConfig.from_dict({"grid": {"dim": 2, "period": 8.0,
+                                          "points_per_axis": points}})
     system = cfg.make_system()
-    block = grid_module._block_rows(system.grid.size)
-    shapes = record_fft_shapes(monkeypatch)
-    entries = run_derivative_identity(cfg, system, np.random.default_rng(0))
-    inverse = [shape for name, shape in shapes if name == "ifftn"]
-    evaluated = [entry["details"]["rows_evaluated"] for entry in entries]
+    shapes = record_fft_shapes(monkeypatch) if monkeypatch else None
+    entries = run_derivative_identity(cfg, system, NormalStream(cfg.seed, "derivative-identity"))
+    return entries, shapes
+
+
+def test_derivative_identity_entries_carry_the_enclosure(monkeypatch):
+    # The verify-2d config (32^2): both entries fail, and the lower end of
+    # the enclosure proves it.
+    entries, shapes = _bench_suite(32, monkeypatch)
     assert [entry["name"] for entry in entries] == ["order1_defect", "order2_defect"]
-    assert all(entry["details"]["rows"] == system.grid.size for entry in entries)
-    assert all(0 < rows <= 2 * block for rows in evaluated)
-    assert sum(shape[0] for shape in inverse) == sum(evaluated)
+    assert "ifftn" not in [name for name, _ in shapes]
+    for entry in entries:
+        details = entry["details"]
+        assert details == {"method": "enclosure", "lower": details["lower"],
+                           "upper": entry["value"]}
+        assert not entry["passed"]
+        assert entry["threshold"] < details["lower"] <= details["upper"]
+
+
+@pytest.mark.parametrize("points", [64, 128, 256])
+def test_derivative_identity_passes_on_resolved_2d_grids(points):
+    # Resolved grids pass both orders from the upper end alone.  At 256^2
+    # the order (1, 1) bound is 5.4e-9 against 1e-8, so a looser FFT
+    # rounding allowance would leave it undecided.
+    for entry in _bench_suite(points)[0]:
+        details = entry["details"]
+        assert entry["passed"]
+        assert details["lower"] <= details["upper"] == entry["value"] <= entry["threshold"]
 
 
 def _delta(grid):
@@ -419,12 +450,13 @@ def _delta(grid):
 
 
 def _pruning_case(name):
-    """(f, psi, order) of a named pruning case."""
+    """(f, psi, order) of a named case where the top bin by bound need not
+    hold the maximum."""
     if name.startswith("noise"):
         grid, order, seed = {
             # The maximising bin is second in the bound ranking.
             "noise-16": (PeriodicGrid(1, 4.0, 16), 2, 0),
-            # 25 of 64 rows can reach the maximum; it is sixth in the ranking.
+            # The maximum is sixth in the ranking.
             "noise-8x8": (PeriodicGrid(2, 2.0, 8), (1, 1), 4),
             # Odd L: the maximum is ninth and seventeenth in the ranking.
             "noise-21": (PeriodicGrid(1, 5.0, 21), 3, 2),
@@ -475,8 +507,7 @@ def _correlation_bounds(f, psi, order):
     order = tuple(int(o) for o in np.atleast_1d(order))
     spectrum = np.abs(np.fft.fftn(f.reshaped()))
     window = np.abs(np.fft.fftn(psi.reshaped()))
-    scale = grid.spacing ** grid.dim * (2 * np.pi / grid.period) ** sum(order)
-    return scale * stft_module._correlation_bound(grid, spectrum, window, order)
+    return _scale(grid, order) * stft_module._correlation_bound(grid, spectrum, window, order)
 
 
 @pytest.mark.parametrize("name", ["noise-16", "noise-8x8", "noise-21", "noise-9x9",
@@ -487,43 +518,31 @@ def test_correlation_bound_is_an_upper_bound(name):
     f, psi, order = _bound_case(name)
     expected = bin_bounds(f, psi, order)
     bounds = _correlation_bounds(f, psi, order)
-    # The pruning compares the widened bound times 1 + slack, which must
-    # cover the bound from the definition for every bin.
-    assert np.all(bounds * (1 + stft_module._BOUND_SLACK) >= expected)
+    # Every bin's bound covers the one from the definition, up to the
+    # relative rounding of both sums (below 1e-12 here).
+    assert np.all(bounds * (1 + 1e-12) >= expected)
     if f.grid.dim == 1:
         # Summed directly: the same bound up to the rounding of the sums.
         np.testing.assert_allclose(bounds, expected, rtol=1e-12, atol=0)
+    # The enclosure's upper end is the largest bound, widened by its rounding.
+    _, upper = derivative_identity_defect(f, psi, order)
+    assert np.max(bounds) <= upper <= np.max(bounds) * (1 + 1e-12)
 
 
 def test_defect_settles_the_2d_bench_pair_by_correlation(monkeypatch):
-    # The verify-2d pair (P = 8, 32^2, 1024 bins): per order, the direct
-    # bound gathers at most one block of bin rows and at most one block is
-    # transformed.
+    # The verify-2d pair (P = 8, 32^2, 1024 bins): per order, one
+    # correlation settles the verdict.  Its bound is within 1e-4 of the
+    # maximum that a transform of every row finds, and the top row's
+    # Parseval bound proves the failure.
     f, psi = _bench_pair(2, 8.0, 32)
-    block = grid_module._block_rows(f.grid.size)
-    assert f.grid.size > block
-    translates = stft_module._translates
-    gathered = []
-
-    def recorded(values, index_points, block=None):
-        gathered.append((values.dtype.kind, len(index_points)))
-        return translates(values, index_points, block)
-
-    monkeypatch.setattr(stft_module, "_translates", recorded)
-    shapes = record_fft_shapes(monkeypatch)
     for order in [(1, 1), (2, 0)]:
-        gathered.clear()
-        shapes.clear()
-        defect, evaluated = derivative_identity_defect(f, psi, order)
-        direct = sum(rows for kind, rows in gathered if kind == "f")
-        assert 0 < direct <= block
-        assert 0 < evaluated <= block
-        assert [name for name, _ in shapes].count("rfftn") == 1
-        assert sum(shape[0] for name, shape in shapes if name == "ifftn") == evaluated
-        # The correlation settles exactly the bins the definition's bound does.
-        reach = 1 + stft_module._BOUND_SLACK
-        assert (np.count_nonzero(_correlation_bounds(f, psi, order) * reach > defect)
-                == np.count_nonzero(bin_bounds(f, psi, order) * reach > defect))
+        exact = row_defect(f, psi, order)
+        shapes = record_fft_shapes(monkeypatch)
+        lower, upper = derivative_identity_defect(f, psi, order)
+        assert [name for name, _ in shapes] == ["fftn", "fftn", "rfftn", "irfftn"]
+        monkeypatch.undo()
+        assert 1e-6 < lower <= exact <= upper
+        assert upper == pytest.approx(exact, rel=1e-4)
 
 
 @pytest.mark.parametrize("rows", [None, 1], ids=["budget", "single-row"])
@@ -531,10 +550,6 @@ def test_defect_settles_the_2d_bench_pair_by_correlation(monkeypatch):
                                   "gaussian-16x16", "tied-deltas-15"])
 def test_pruned_defect_matches_table_oracle(name, rows, monkeypatch):
     f, psi, order = _pruning_case(name)
-    grid = f.grid
-    if rows is not None:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
-    block = grid_module._block_rows(grid.size)
     table = table_defect(f, psi, order)
     expected = table.max()
     bins_max = table.max(axis=0)
@@ -542,19 +557,26 @@ def test_pruned_defect_matches_table_oracle(name, rows, monkeypatch):
     # The bound holds for every bin (the table carries rounding of ~1e-13).
     assert np.all(bounds >= bins_max - 1e-12 * expected)
     if name.startswith("noise"):
+        # The top bin by bound, whose row gives the lower end, is not the
+        # one that holds the maximum.
         assert np.argmax(bins_max) != np.argmax(bounds)
-    got, evaluated = derivative_identity_defect(f, psi, order)
-    assert got == pytest.approx(expected, rel=1e-12)
-    # Exactly the bins whose widened bound exceeds the maximum must be
-    # transformed: any of them could hold it.  A block may carry up to
-    # block - 1 more.
-    reach = bounds * (1 + 1e-9)
-    must = int(np.count_nonzero(reach > expected * (1 + 1e-12)))
-    may = int(np.count_nonzero(reach > expected * (1 - 1e-12)))
-    assert must >= (2 if name.startswith("tied") else 1)
-    assert must <= evaluated <= min(may + block - 1, grid.size)
-    if name == "gaussian-16x16":
-        assert evaluated < grid.size // 4
+    lower, upper = _same_under_budget(f, psi, order, rows, monkeypatch)
+    assert 0.0 < lower <= expected * (1 + 1e-12)
+    assert expected <= upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("resolved", ["resolved-256", "resolved-24x24", "resolved-64x64-11",
+                                      "resolved-64x64-20"])
+def test_enclosure_contains_the_every_row_defect(resolved):
+    # Defects at rounding level, where the tables' own rounding (5.7e-15 at
+    # the verify-1d pair) exceeds the defect (2.70e-15): the transform of
+    # every row resolves them.  The row rounding is far below 1e-9 of the
+    # Parseval bound and of U.
+    f, psi, order = _bound_case(resolved)
+    exact = row_defect(f, psi, order)
+    lower, upper = derivative_identity_defect(f, psi, order)
+    assert lower <= exact * (1 + 1e-9)
+    assert exact <= upper * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("grid, order", [
@@ -582,8 +604,12 @@ def test_zero_defect_transforms_no_row(grid, order, monkeypatch):
         psi = sample_gaussian(grid)
     assert np.all(bin_bounds(f, psi, order) == 0.0)
     shapes = record_fft_shapes(monkeypatch)
-    assert derivative_identity_defect(f, psi, order) == (0.0, 0)
-    # No inverse FFT; a 2-d grid adds only the correlation's real FFT pair.
+    lower, upper = derivative_identity_defect(f, psi, order)
+    # No inverse FFT; a 2-d grid adds only the correlation's real FFT pair,
+    # whose rounding allowance is all that is left of the upper end: about
+    # 1e-14 of ||F||_2 ||Psi||_2 = 512, times sigma and the scale (3.4e-11).
     correlation = ["rfftn", "irfftn"] if grid.dim == 2 else []
     assert [name for name, _ in shapes] == ["fftn", "fftn", *correlation]
+    assert lower == 0.0
+    assert upper == 0.0 if grid.dim == 1 else 0.0 < upper < 1e-10
     assert np.max(table_defect(f, psi, order)) < 1e-12

@@ -463,10 +463,13 @@ def test_a_wrong_fold_fails_the_continuity_checks(name, monkeypatch):
     assert not failing & {"kappa1_attained", "kappa2_attained"}
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", [*sorted(CONFIGS), "2d-64"])
 def test_constant_entries_do_not_depend_on_the_block_size(name, monkeypatch):
+    # 2d-64 is the resolved 2-d grid (P = 8).
+    config = CONFIGS.get(name) or {**CONFIGS["2d"], "grid": {**CONFIGS["2d"]["grid"],
+                                                             "points_per_axis": 64}}
     cfg = SuiteConfig.from_dict(
-        {**CONFIGS[name], "suites": ["embedding-chain", "window-independence"]})
+        {**config, "suites": ["derivative-identity", "embedding-chain", "window-independence"]})
     grid = cfg.make_grid()
     expected = dump_json(run_suites(cfg))
     monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * 3)
