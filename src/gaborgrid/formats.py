@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -66,10 +67,8 @@ def dump_json(obj: Any) -> str:
 # Binary signals --------------------------------------------------------------
 
 def _write_complex(fh, values: np.ndarray) -> None:
-    inter = np.empty(2 * values.size)
-    inter[0::2] = values.real
-    inter[1::2] = values.imag
-    fh.write(inter.astype("<f8").tobytes())
+    # Little-endian complex128 is the interleaved float64 re/im pairs.
+    fh.write(np.ascontiguousarray(values, dtype="<c16"))
 
 
 def _read_complex(fh, count: int) -> np.ndarray:
@@ -108,15 +107,20 @@ def write_tfarray_binary(tf: TFArray, path) -> None:
 
 # CSV ------------------------------------------------------------------------
 
-# Signal and time-frequency rows are joined from ``tolist`` floats: the bytes
-# csv.writer would write (no field needs quoting, rows end in \r\n) at a
-# fraction of its per-row cost.
+# Signal and time-frequency rows: the bytes csv.writer would write (no field
+# needs quoting, rows end in \r\n), from one %-template over all the fields
+# at a fraction of its per-row cost.
+
+def _write_rows(path, header: str, columns: list, values: np.ndarray) -> None:
+    """The integer ``columns``, then re and im of ``values`` at 17 digits."""
+    fields = zip(*columns, values.real.ravel().tolist(), values.imag.ravel().tolist())
+    template = ("%d," * len(columns) + "%.17g,%.17g\r\n") * values.size
+    with open(path, "w", newline="") as fh:
+        fh.write(header + template % tuple(chain.from_iterable(fields)))
+
 
 def write_signal_csv(signal: GridSignal, path) -> None:
-    rows = (f"{k},{v.real:.17g},{v.imag:.17g}\r\n"
-            for k, v in enumerate(signal.values.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("index,re,im\r\n" + "".join(rows))
+    _write_rows(path, "index,re,im\r\n", [range(signal.grid.size)], signal.values)
 
 
 def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
@@ -145,10 +149,8 @@ def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
 
 
 def write_tfarray_csv(tf: TFArray, path) -> None:
-    rows = (f"{k},{m},{v.real:.17g},{v.imag:.17g}\r\n"
-            for k, row in enumerate(tf.values.tolist()) for m, v in enumerate(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("k,m,re,im\r\n" + "".join(rows))
+    indices = np.indices(tf.values.shape).reshape(2, -1).tolist()
+    _write_rows(path, "k,m,re,im\r\n", indices, tf.values)
 
 
 def write_profile_csv(profile, path) -> None:

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +87,9 @@ FRAME_THRESHOLD = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class GaborSystem:
-    """Window plus time and frequency lattices (product lattice in phase space)."""
+    """Window plus time and frequency lattices (product lattice in phase
+    space).  The cached properties hold what the module functions derive
+    from one system, each built on first use."""
 
     window: GridSignal
     time_lattice: GridLattice
@@ -120,13 +123,44 @@ class GaborSystem:
             GridLattice.cubic(grid.reciprocal(), freq_step),
         )
 
+    @cached_property
+    def _fibers(self) -> tuple[np.ndarray, _FiberMaps]:
+        maps = _fiber_maps(self.time_lattice, self.freq_lattice)
+        tiled = np.tile(self.window.reshaped(), (2,) * self.grid.dim).ravel()
+        shifted = tiled[maps.shifts].reshape(len(maps.chars), -1)
+        return (maps.chars.T @ shifted).reshape(maps.shifts.shape), maps
+
+    @cached_property
+    def _certificate(self) -> FrameCertificate:
+        phi = _zak_fibers(self)[0]
+        if phi.shape[2] == 1:
+            parts = phi.view(float)
+            eigs = np.einsum("...ij,...ij->...i", parts, parts)
+        else:
+            eigs = np.linalg.eigvalsh(phi @ phi.conj().swapaxes(-1, -2))
+        eigs *= self.grid.spacing ** self.grid.dim * self.freq_lattice.count
+        lower = 0.0 if self.redundancy < 1.0 else max(float(eigs.min()), 0.0)
+        shape = (phi.shape[0] * phi.shape[1],) + phi.shape[2:]
+        return FrameCertificate(lower, float(eigs.max()), "zak-fiber",
+                                self.redundancy, fiber_shape=shape)
+
+    @cached_property
+    def _dual(self) -> GridSignal:
+        phi, (chars, nodes, *_) = _zak_fibers(self)
+        scale = self.grid.spacing ** self.grid.dim * self.freq_lattice.count
+        fibers = np.linalg.solve(scale * (phi @ phi.conj().swapaxes(-1, -2)), phi[..., :1])
+        gamma = np.empty(self.grid.size, dtype=complex)
+        gamma[nodes] = (chars @ fibers.reshape(len(chars), -1)).ravel() / len(chars)
+        return GridSignal(self.grid, gamma)
+
+    @cached_property
+    def _adjoint(self) -> tuple[GridLattice, GridLattice]:
+        return (_annihilator(self.freq_lattice, self.grid),
+                _annihilator(self.time_lattice, self.grid.reciprocal()))
+
 
 def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
-    return (
-        grids_compatible(a.grid, b.grid)
-        and a.count == b.count
-        and np.array_equal(a.index_points, b.index_points)
-    )
+    return grids_compatible(a.grid, b.grid) and np.array_equal(a.index_points, b.index_points)
 
 
 def _hermite_basis(points: np.ndarray, L: int) -> np.ndarray:
@@ -192,8 +226,8 @@ class _FiberMaps(NamedTuple):
 
 def _fiber_maps(time_lattice: GridLattice, freq_lattice: GridLattice) -> _FiberMaps:
     """The window-free index maps of the Zak fibers of A x F, cached on the
-    time lattice for its last frequency lattice, so every window on one
-    lattice pair shares them.
+    time lattice per frequency lattice (``GridLattice._fiber_maps``), so
+    every window on one lattice pair shares them.
 
     ``chars[u, chi]`` is the character chi of H at u; ``nodes`` are the
     flat nodes c + f_i + u in (u, c, i) order; ``shifts[chi, c, i, l]``
@@ -205,8 +239,8 @@ def _fiber_maps(time_lattice: GridLattice, freq_lattice: GridLattice) -> _FiberM
     time point a_l + u in (fold, N0) spectra, the time points in lattice
     order.
     """
-    cached = getattr(time_lattice, "_fiber_maps", None)
-    if cached is None or cached[0] is not freq_lattice:
+    cache = time_lattice._fiber_maps
+    if freq_lattice._key not in cache:
         grid = time_lattice.grid
         L = grid.points_per_axis
         perp = _annihilator(freq_lattice, grid)
@@ -231,74 +265,58 @@ def _fiber_maps(time_lattice: GridLattice, freq_lattice: GridLattice) -> _FiberM
                                 _flat_index(grid, elements[:, None] + a))
         nodes = _flat_index(grid, elements[:, None, None] + c[:, None] + f)
         places = folds[:, None] * len(time) + times[:, None]
-        maps = _FiberMaps(chars, nodes.ravel(), ends[..., None] - starts[:, None, None, :],
-                          shape, places.ravel(), bins)
-        cached = (freq_lattice, maps)
-        object.__setattr__(time_lattice, "_fiber_maps", cached)
-    return cached[1]
+        cache[freq_lattice._key] = _FiberMaps(
+            chars, nodes.ravel(), ends[..., None] - starts[:, None, None, :],
+            shape, places.ravel(), bins)
+    return cache[freq_lattice._key]
 
 
 def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, _FiberMaps]:
-    """Cached (phi, maps): ``phi[chi, c]`` is the p x q fiber Phi_{c,chi}
-    of the module docstring, one matmul of the characters with the window
-    gathered at the ``shifts`` of ``_fiber_maps``."""
-    cached = getattr(system, "_op_fibers", None)
-    if cached is None:
-        maps = _fiber_maps(system.time_lattice, system.freq_lattice)
-        tiled = np.tile(system.window.reshaped(), (2,) * system.grid.dim).ravel()
-        shifted = tiled[maps.shifts].reshape(len(maps.chars), -1)
-        cached = ((maps.chars.T @ shifted).reshape(maps.shifts.shape), maps)
-        object.__setattr__(system, "_op_fibers", cached)
-    return cached
+    """(phi, maps), built once per system (``GaborSystem._fibers``):
+    ``phi[chi, c]`` is the p x q fiber Phi_{c,chi} of the module docstring,
+    the characters times the window gathered at the ``_fiber_maps`` shifts."""
+    return system._fibers
 
 
 def _analysis(system: GaborSystem, rows: np.ndarray) -> np.ndarray:
     """(S, N0, |F|) STFT samples on the system lattice of the (S, size)
     signal rows: the fiber steps of the module docstring, then the cosets
-    scattered into (fold, N0, S) spectra and one batched FFT in place over
-    the fold axes, read at the bins."""
+    scattered into (S, fold, N0) spectra and one batched FFT in place over
+    the fold axes, read at the bins.  Every matmul takes the signals as a
+    batch axis, so a row's samples do not depend on the rows beside it."""
     phi, (chars, nodes, _, shape, places, bins) = _zak_fibers(system)
-    grid = system.grid
-    count = len(rows)
-    signals = rows.T[nodes]
+    grid, count, times = system.grid, len(rows), system.time_lattice.count
+    signals = rows[:, nodes].reshape(count, len(chars), -1)
     # The quadrature weight and the 1 / |H| of the inverse character transform.
     signals *= grid.spacing ** grid.dim / len(chars)
-    fibers = (chars.conj().T @ signals.reshape(len(chars), -1)).reshape(phi.shape[:3] + (count,))
+    fibers = (chars.conj().T @ signals).reshape((count,) + phi.shape[:3] + (1,))
     fibers = np.conj(phi).swapaxes(2, 3) @ fibers
-    spectra = np.zeros((math.prod(shape), system.time_lattice.count, count), dtype=complex)
-    spectra.reshape(-1, count)[places] = (
-        chars @ fibers.reshape(len(chars), -1)).reshape(-1, count)
-    folded = np.moveaxis(spectra.reshape(shape + spectra.shape[1:]), (-1, -2), (0, 1))
+    spectra = np.zeros((count,) + shape + (times,), dtype=complex)
+    spectra.reshape(count, -1)[:, places] = (
+        chars @ fibers.reshape(count, len(chars), -1)).reshape(count, -1)
+    folded = np.moveaxis(spectra, -1, 1)
     np.fft.fftn(folded, axes=tuple(range(2, grid.dim + 2)), out=folded)
-    return spectra[bins].T
+    return spectra.reshape(count, -1, times)[:, bins].swapaxes(1, 2)
 
 
 def _synthesis(system: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
     """(S, size) rows: sum over k and j of coeffs[s, k, j] times the window
     translate at time point k modulated by the j-th frequency of the
-    system.  The exact transpose of ``_analysis``."""
+    system.  The exact transpose of ``_analysis``, batched over the signals
+    in the same way."""
     phi, (chars, nodes, _, shape, places, bins) = _zak_fibers(system)
-    count = len(coeffs)
-    spectra = np.zeros((math.prod(shape), coeffs.shape[1], count), dtype=complex)
-    spectra[bins] = coeffs.T
-    folded = np.moveaxis(spectra.reshape(shape + spectra.shape[1:]), (-1, -2), (0, 1))
+    count, times = coeffs.shape[:2]
+    spectra = np.zeros((count,) + shape + (times,), dtype=complex)
+    spectra.reshape(count, -1, times)[:, bins] = coeffs.swapaxes(1, 2)
+    folded = np.moveaxis(spectra, -1, 1)
     np.fft.ifftn(folded, axes=tuple(range(2, system.grid.dim + 2)), norm="forward", out=folded)
-    sums = spectra.reshape(-1, count)[places]
+    sums = spectra.reshape(count, -1)[:, places].reshape(count, len(chars), -1)
     sums *= 1.0 / len(chars)
-    fibers = (chars.conj().T @ sums.reshape(len(chars), -1)).reshape(phi.shape[:2] + (-1, count))
+    fibers = (chars.conj().T @ sums).reshape((count,) + phi.shape[:2] + (-1, 1))
     fibers = phi @ fibers
-    rows = np.empty((system.grid.size, count), dtype=complex)
-    rows[nodes] = (chars @ fibers.reshape(len(chars), -1)).reshape(-1, count)
-    return rows.T
-
-
-def _synthesis_system(system: GaborSystem, dual: GridSignal) -> GaborSystem:
-    """The system of the synthesis window: ``system`` itself, or ``dual``
-    on its lattices (whose fibers are cached on that system)."""
-    if dual is system.window:
-        return system
-    require_same_grid(dual, system.window)
-    return GaborSystem(dual, system.time_lattice, system.freq_lattice)
+    rows = np.empty((count, system.grid.size), dtype=complex)
+    rows[:, nodes] = (chars @ fibers.reshape(count, len(chars), -1)).reshape(count, -1)
+    return rows
 
 
 def analyze(system: GaborSystem, f: GridSignal) -> CoeffArray:
@@ -375,23 +393,10 @@ def frame_bounds(system: GaborSystem) -> FrameCertificate:
     undersampled system (redundancy < 1) has a rank-deficient frame
     operator, so its lower bound is reported as an exact zero.  Never
     raises for non-frames; a zero lower bound is data.  The certificate is
-    cached on the system, so the frame gate of :func:`dual_window` reuses it.
+    built once per system (``GaborSystem._certificate``), so the frame gate
+    of :func:`dual_window` reuses it.
     """
-    cached = getattr(system, "_certificate", None)
-    if cached is None:
-        phi = _zak_fibers(system)[0]
-        if phi.shape[2] == 1:
-            parts = phi.view(float)
-            eigs = np.einsum("...ij,...ij->...i", parts, parts)
-        else:
-            eigs = np.linalg.eigvalsh(phi @ phi.conj().swapaxes(-1, -2))
-        eigs *= system.grid.spacing ** system.grid.dim * system.freq_lattice.count
-        lower = 0.0 if system.redundancy < 1.0 else max(float(eigs.min()), 0.0)
-        shape = (phi.shape[0] * phi.shape[1],) + phi.shape[2:]
-        cached = FrameCertificate(lower, float(eigs.max()), "zak-fiber",
-                                  system.redundancy, fiber_shape=shape)
-        object.__setattr__(system, "_certificate", cached)
-    return cached
+    return system._certificate
 
 
 def dual_window(system: GaborSystem) -> GridSignal:
@@ -402,35 +407,21 @@ def dual_window(system: GaborSystem) -> GridSignal:
     Phi[:, 0], and the inverse character transform over H, (1/|H|)
     sum_chi chi(u) y_chi[i], places the dual at the nodes c + f_i + u.
     Raises NotAFrame when the certificate is not a frame
-    (``FrameCertificate.is_frame``).  The dual is cached on the system next
-    to the certificate; the gate runs on every call.
+    (``FrameCertificate.is_frame``).  The dual is built once per system
+    (``GaborSystem._dual``), next to the certificate; the gate runs on every
+    call.
     """
     cert = frame_bounds(system)
     if not cert.is_frame:
         raise NotAFrame(f"lower frame bound {cert.lower} <= {FRAME_THRESHOLD}")
-    cached = getattr(system, "_dual", None)
-    if cached is None:
-        phi, (chars, nodes, *_) = _zak_fibers(system)
-        scale = system.grid.spacing ** system.grid.dim * system.freq_lattice.count
-        fibers = np.linalg.solve(scale * (phi @ phi.conj().swapaxes(-1, -2)), phi[..., :1])
-        gamma = np.empty(system.grid.size, dtype=complex)
-        gamma[nodes] = (chars @ fibers.reshape(len(chars), -1)).ravel() / len(chars)
-        cached = GridSignal(system.grid, gamma)
-        object.__setattr__(system, "_dual", cached)
-    return cached
+    return system._dual
 
 
 def _adjoint_lattices(system: GaborSystem) -> tuple[GridLattice, GridLattice]:
-    """Cached (time, frequency) lattices of the adjoint, F^perp x A^perp:
-    the annihilator of the frequency lattice as time shifts, that of the
-    time lattice as frequencies."""
-    cached = getattr(system, "_adjoint", None)
-    if cached is None:
-        grid = system.grid
-        cached = (_annihilator(system.freq_lattice, grid),
-                  _annihilator(system.time_lattice, grid.reciprocal()))
-        object.__setattr__(system, "_adjoint", cached)
-    return cached
+    """(time, frequency) lattices of the adjoint, F^perp x A^perp: the
+    annihilator of the frequency lattice as time shifts, that of the time
+    lattice as frequencies; built once per system (``GaborSystem._adjoint``)."""
+    return system._adjoint
 
 
 def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
@@ -456,15 +447,19 @@ def _reconstruction_errors(system: GaborSystem, gamma: GridSignal,
     """Relative L2 errors of synthesize(gamma) . analyze(window) against the
     (S, size) signal rows, one per row.
 
-    The synthesis runs on the fibers of ``GaborSystem(gamma, A, F)``, built
-    once; the signals run in blocks under ``grid._BATCH_BYTES``.  A
-    signal's largest temporary is its folded coefficients, N0 times the
-    fold size, or the signal itself when that is larger.
+    The synthesis runs on the fibers of ``GaborSystem(gamma, A, F)``, or
+    of ``system`` when gamma is its window, built once; the signals run in
+    blocks under ``grid._BATCH_BYTES``.  A signal's largest temporary is
+    its folded coefficients, N0 times the fold size, or the signal itself
+    when that is larger.  Each error is the same whatever the block: the
+    kernels are batched over the rows, and each norm sums one contiguous row.
     """
     denoms = np.linalg.norm(rows, axis=1)
     if not np.all(denoms):
         raise ZeroSignal("reconstruction error undefined for the zero signal")
-    dual = _synthesis_system(system, gamma)
+    require_same_grid(gamma, system.window)
+    dual = (system if gamma is system.window
+            else GaborSystem(gamma, system.time_lattice, system.freq_lattice))
     folded = system.time_lattice.count * math.prod(_zak_fibers(system)[1].shape)
     block = _block_rows(max(folded, system.grid.size))
     errors = np.empty(rows.shape[0])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -136,6 +136,12 @@ class GridSignal:
 
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
+
+    @cached_property
+    def _window_tables(self) -> dict:
+        """The support and profile tables of ``spaces`` with this signal as
+        the window, keyed by a lattice's ``_key`` and by (that key, spec)."""
+        return {}
 
     def l2_norm(self) -> float:
         """Quadrature L^2 norm sqrt(spacing^n * sum |f|^2)."""
@@ -267,8 +273,8 @@ def sample_oscillation(grid: PeriodicGrid, frequency: float) -> GridSignal:
     return sig * (1.0 / sig.l2_norm())
 
 
-@lru_cache(maxsize=None)
-def _enumerate_quotient(steps_bytes: bytes, dim: int, L: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _enumerate_quotient(steps: tuple[tuple[int, ...], ...], L: int) -> np.ndarray:
     """(count, dim) read-only index vectors of the subgroup of (Z/L)^dim
     generated by the columns of the step matrix, in lexicographic order.
 
@@ -276,7 +282,8 @@ def _enumerate_quotient(steps_bytes: bytes, dim: int, L: int) -> np.ndarray:
     multiples below the orders, at most L^dim of them, reach every point;
     they are marked on a grid-shaped mask, read back in C order.
     """
-    steps = np.frombuffer(steps_bytes, dtype=np.int64).reshape(dim, dim) % L
+    dim = len(steps)
+    steps = np.array(steps, dtype=np.int64) % L
     orders = [L // math.gcd(L, *(int(v) for v in steps[:, j])) for j in range(dim)]
     hit = np.zeros((L,) * dim, dtype=bool)
     hit[tuple(steps @ np.indices(orders).reshape(dim, -1) % L)] = True
@@ -308,37 +315,36 @@ class GridLattice:
                 f"generator columns are not multiples of spacing {self.grid.spacing}"
             )
 
-    @property
+    @cached_property
     def steps(self) -> np.ndarray:
         """Integer generator matrix in units of the grid spacing."""
-        cached = getattr(self, "_steps", None)
-        if cached is None:
-            cached = np.rint(self.lattice.generator / self.grid.spacing).astype(np.int64)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_steps", cached)
-        return cached
+        steps = np.rint(self.lattice.generator / self.grid.spacing).astype(np.int64)
+        steps.setflags(write=False)
+        return steps
 
-    @property
+    @cached_property
+    def _key(self) -> tuple[tuple[int, ...], ...]:
+        """``steps`` as nested tuples: the key of the lattice in every cache,
+        as it fixes the points on a given grid."""
+        return tuple(map(tuple, self.steps.tolist()))
+
+    @cached_property
     def index_points(self) -> np.ndarray:
         """(count, dim) sorted integer index vectors of the points mod P."""
-        cached = getattr(self, "_index_points", None)
-        if cached is None:
-            cached = _enumerate_quotient(
-                self.steps.tobytes(), self.grid.dim, self.grid.points_per_axis
-            )
-            object.__setattr__(self, "_index_points", cached)
-        return cached
+        return _enumerate_quotient(self._key, self.grid.points_per_axis)
 
-    @property
+    @cached_property
     def _flat_points(self) -> np.ndarray:
-        """(count,) flat node numbers of the points, cached like ``index_points``;
-        on the reciprocal grid they are the flat DFT bins."""
-        cached = getattr(self, "_flat_points_cache", None)
-        if cached is None:
-            cached = _flat_index(self.grid, self.index_points)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_flat_points_cache", cached)
-        return cached
+        """(count,) flat node numbers of the points; on the reciprocal grid
+        they are the flat DFT bins."""
+        flat = _flat_index(self.grid, self.index_points)
+        flat.setflags(write=False)
+        return flat
+
+    @cached_property
+    def _fiber_maps(self) -> dict:
+        """``gabor._fiber_maps`` with this time lattice, by frequency ``_key``."""
+        return {}
 
     @property
     def count(self) -> int:

@@ -176,10 +176,11 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec) -> DecayP
 
     floor = float(np.max(norms)) * 1e-10
     mask = norms > max(floor, 0.0)
-    if np.count_nonzero(mask) >= 2 and np.ptp(np.log1p(radii[mask])) > 0:
-        slope = np.polyfit(np.log1p(radii[mask]), np.log(norms[mask]), 1)[0]
-    else:
-        slope = 0.0
+    x = np.log1p(radii[mask])
+    slope = 0.0
+    if x.size >= 2 and np.ptp(x) > 0:
+        x -= x.mean()  # the least-squares slope in closed form
+        slope = x @ np.log(norms[mask]) / (x @ x)
     return DecayProfile(
         freq_points=pts,
         slice_norms=norms,

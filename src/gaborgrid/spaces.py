@@ -209,25 +209,16 @@ def _disjoint_translates(window: GridSignal, lat: GridLattice
 
     The table has count * |supp chi| entries, never a (count, size) one.
     Raises OverlappingSupports unless every node is hit at most once.  A
-    table that passes is cached on the window per lattice point set
-    (``_window_cached``); a refusal is not cached.
+    table that passes is cached on the window per lattice point set, keyed
+    by ``GridLattice._key`` (``GridSignal._window_tables``); a refusal is not
+    cached.
     """
     if not grids_compatible(window.grid, lat.grid):
         raise DimensionMismatch("window and lattice live on different grids")
-    return _window_cached(window, lat.index_points.tobytes(),
-                          lambda: _checked_translates(window, lat))
-
-
-def _window_cached(window: GridSignal, key, build):
-    """``build()``, cached on the window under ``key``, as ``GaborSystem``
-    caches its Zak fibers; a build that raises caches nothing."""
-    cache = getattr(window, "_norm_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(window, "_norm_cache", cache)
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    tables = window._window_tables
+    if lat._key not in tables:
+        tables[lat._key] = _checked_translates(window, lat)
+    return tables[lat._key]
 
 
 def _checked_translates(window: GridSignal, lat: GridLattice
@@ -290,8 +281,11 @@ def _solid_profile(window: GridSignal, lat: GridLattice, spec: SpaceSpec
     """
     _check_mixed(window.grid, spec)
     nodes, support = _disjoint_translates(window, lat)
-    return _window_cached(window, (lat.index_points.tobytes(), spec),
-                          lambda: _local_profile(window, lat, spec, nodes, support))
+    tables = window._window_tables
+    key = lat._key, spec
+    if key not in tables:
+        tables[key] = _local_profile(window, lat, spec, nodes, support)
+    return tables[key]
 
 
 def _local_profile(window: GridSignal, lat: GridLattice, spec: SpaceSpec,

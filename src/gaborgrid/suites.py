@@ -239,20 +239,23 @@ class SuiteConfig:
         return GaborSystem.separable(self.make_window(grid), self.time_step, self.freq_step)
 
 
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
-# and the multipliers of the finalizer.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = 2 ** 64 - 1
 
 
-def _splitmix(z: np.ndarray) -> None:
-    """SplitMix64's finalizer of a uint64 array, in place.  Array arithmetic
-    wraps modulo 2^64 silently; a numpy scalar's would warn."""
+def _splitmix(z):
+    """SplitMix64's finalizer of a Python int below 2^64, returned, or of a
+    uint64 array, in place.  Array arithmetic wraps modulo 2^64 silently,
+    so the masks only act on ints."""
     z ^= z >> 30
-    z *= _MIX[0]
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK
     z ^= z >> 27
-    z *= _MIX[1]
+    z *= 0x94D049BB133111EB
+    z &= _MASK
     z ^= z >> 31
+    return z
 
 
 class NormalStream:
@@ -264,13 +267,10 @@ class NormalStream:
     The key absorbs every 64-bit limb of the seed and every byte of the name."""
 
     def __init__(self, seed: int, suite: str):
-        limbs = [seed >> shift & 0xFFFFFFFFFFFFFFFF
-                 for shift in range(0, max(seed.bit_length(), 1), 64)]
-        self._key = np.zeros(1, dtype=np.uint64)
+        limbs = [seed >> shift & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
+        self._key = 0
         for word in (len(limbs), *limbs, *suite.encode()):
-            self._key ^= np.uint64(word)
-            self._key += _GAMMA
-            _splitmix(self._key)
+            self._key = _splitmix(((self._key ^ word) + _GAMMA) & _MASK)
         self._drawn = 0
 
     def standard_normal(self, shape) -> np.ndarray:

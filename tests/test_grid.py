@@ -352,15 +352,15 @@ def _bfs_quotient(steps, L):
     ([[300, -1], [-13, 2]], 45),  # entries beyond L and below 0
 ], ids=lambda v: str(v).replace(" ", ""))
 def test_enumerate_quotient_matches_bfs(steps, L):
-    steps = np.array(steps, dtype=np.int64)
-    got = _enumerate_quotient(steps.tobytes(), steps.shape[0], L)
-    np.testing.assert_array_equal(got, _bfs_quotient(steps, L))
+    got = _enumerate_quotient(tuple(map(tuple, steps)), L)
+    np.testing.assert_array_equal(got, _bfs_quotient(np.array(steps, dtype=np.int64), L))
     assert not got.flags.writeable
 
 
 def test_grid_lattice_flat_points_cached():
     grid = PeriodicGrid(2, 4.0, 8)
     lat = GridLattice(Lattice(np.array([[1.0, 0.5], [0.0, 1.0]])), grid)
+    assert "_flat_points" not in vars(lat)
     flat = lat._flat_points
     idx = lat.index_points
     np.testing.assert_array_equal(flat, idx[:, 0] * grid.points_per_axis + idx[:, 1])
