@@ -2,23 +2,23 @@
 
 Subcommands::
 
-    gaborgrid verify      --config cfg.json [--suites a,b] [--output out.json]
-                          [--csv out.csv] [--format json|csv|both]
+    gaborgrid verify      --config cfg.json [--seed n] [--suites a,b]
+                          [--output out.json] [--csv out.csv] [--format json|csv|both]
     gaborgrid stft        --config cfg.json --input sig.csv --output tf.csv
     gaborgrid dual-window --config cfg.json --output gamma.csv --certificate c.json
     gaborgrid norms       --config cfg.json --input sig.csv [--output norms.json]
     gaborgrid profile     --config cfg.json (--input sig.csv | --preset name) ...
 
-``--seed`` and ``--suites`` override the config.  ``verify`` writes the JSON
-report at ``--output``, else ``output.report``, else ``report.json``, unless
-``--format csv``; it writes the CSV report at ``--csv``, else ``output.csv``,
-else next to the JSON path when ``--format`` is ``csv`` or ``both``.  Every
-file format, and the choice between CSV and binary by suffix, lives in
-:mod:`gaborgrid.formats`.  Exit codes: 0 success (numerical failures are
-report data, not errors), 2 configuration error (a config key the program
-does not read among them) or a system that is not a frame where a dual
-window is required, 3 internal error.  Reports are byte-deterministic for a
-fixed config and seed.
+``verify``'s ``--seed`` and ``--suites`` override the config.  ``verify``
+writes the JSON report at ``--output``, else ``output.report``, else
+``report.json``, unless ``--format csv``; it writes the CSV report at
+``--csv``, else ``output.csv``, else next to the JSON path when ``--format``
+is ``csv`` or ``both``.  Every file format, and the choice between CSV and
+binary by suffix, lives in :mod:`gaborgrid.formats`.  Exit codes: 0 success
+(numerical failures are report data, not errors), 2 configuration error (a
+config key the program does not read among them) or a system that is not a
+frame where a dual window is required, 3 internal error.  Reports are
+byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -63,20 +63,15 @@ def load_config(path: str | None) -> SuiteConfig:
     return SuiteConfig.from_dict(_read_config(path))
 
 
-def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "suites", None):
-        updates["suites"] = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    return replace(cfg, **updates)
-
-
 # Subcommands ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
     data = _read_config(args.config)
-    cfg = _apply_overrides(SuiteConfig.from_dict(data), args)
+    cfg = SuiteConfig.from_dict(data)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.suites:
+        cfg = replace(cfg, suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()))
     output = data.get("output", {})  # checked by SuiteConfig.from_dict
     report = run_suites(cfg)
     json_path = args.output or output.get("report") or "report.json"
@@ -95,7 +90,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stft(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     grid = cfg.make_grid()
     if args.input is None:
         raise ConfigError("input: --input is required for stft")
@@ -107,7 +102,7 @@ def cmd_stft(args) -> int:
 
 
 def cmd_dual_window(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     system = cfg.make_system()
     cert = frame_bounds(system)
     payload = dict(cert.to_dict(), frame=cert.is_frame)
@@ -126,7 +121,7 @@ def cmd_dual_window(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     grid = cfg.make_grid()
     if args.input is None:
         raise ConfigError("input: --input is required for norms")
@@ -145,7 +140,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     system = cfg.make_system()
     grid = system.grid
     if args.input:
@@ -156,10 +151,9 @@ def cmd_profile(args) -> int:
         f = sample_oscillation(grid, 4.0)
     else:
         raise ConfigError("input: provide --input or --preset")
-    spec = cfg.spaces[0]
-    if not spec.is_solid:
+    if not (cfg.spaces and cfg.spaces[0].is_solid):
         raise ConfigError("spaces: profiles need a solid space first in the list")
-    prof = decay_profile(system, f, spec)
+    prof = decay_profile(system, f, cfg.spaces[0])
     out_csv = args.output or "profile.csv"
     write_profile_csv(prof, out_csv)
     summary_path = args.summary or str(Path(out_csv).with_suffix(".json"))
@@ -175,34 +169,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--suites", help=f"comma list from {', '.join(SUITE_NAMES)}")
     p.add_argument("--output", help="report JSON path (default report.json)")
     p.add_argument("--csv", help="CSV report path")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
 
     p = sub.add_parser("stft", help="full STFT of a signal file")
-    common(p)
+    p.add_argument("--config", help="JSON config file")
     p.add_argument("--input", help="signal file (.csv or .bin)")
     p.add_argument("--output", help="output table (.csv or .bin)")
 
     p = sub.add_parser("dual-window", help="canonical dual window and certificate")
-    common(p)
+    p.add_argument("--config", help="JSON config file")
     p.add_argument("--output", help="dual window signal file")
     p.add_argument("--certificate", help="certificate JSON path")
 
     p = sub.add_parser("norms", help="space norms of a signal")
-    common(p)
+    p.add_argument("--config", help="JSON config file")
     p.add_argument("--input", help="signal file (.csv or .bin)")
     p.add_argument("--output", help="JSON output path (default stdout)")
 
     p = sub.add_parser("profile", help="coefficient decay profile")
-    common(p)
+    p.add_argument("--config", help="JSON config file")
     p.add_argument("--input", help="signal file (.csv or .bin)")
     p.add_argument("--preset", choices=("gaussian", "oscillation"))
     p.add_argument("--output", help="profile CSV path")

@@ -72,10 +72,10 @@ def _write_complex(fh, values: np.ndarray) -> None:
 
 
 def _read_complex(fh, count: int) -> np.ndarray:
-    raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
-    if raw.size != 2 * count:
+    data = fh.read(16 * count)
+    if len(data) != 16 * count:
         raise ConfigError("binary payload truncated")
-    return raw[0::2] + 1j * raw[1::2]
+    return np.frombuffer(data, dtype="<c16")
 
 
 def write_signal_binary(signal: GridSignal, path) -> None:
@@ -141,7 +141,7 @@ def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
                                   f"index,re,im numbers, got {','.join(row)!r}") from None
             if not 0 <= k < grid.size:
                 raise ConfigError(f"{path}: index {k} outside grid of size {grid.size}")
-            values[k] = real + 1j * imag
+            values[k] = complex(real, imag)
             seen += 1
     if seen != grid.size:
         raise ConfigError(f"{path}: expected {grid.size} rows, found {seen}")

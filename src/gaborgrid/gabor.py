@@ -125,6 +125,8 @@ class GaborSystem:
 
     @cached_property
     def _fibers(self) -> tuple[np.ndarray, _FiberMaps]:
+        """(phi, maps): ``phi[chi, c]`` is the p x q fiber Phi_{c,chi} of the module
+        docstring, the characters times the window gathered at the ``_fiber_maps`` shifts."""
         maps = _fiber_maps(self.time_lattice, self.freq_lattice)
         tiled = np.tile(self.window.reshaped(), (2,) * self.grid.dim).ravel()
         shifted = tiled[maps.shifts].reshape(len(maps.chars), -1)
@@ -132,7 +134,7 @@ class GaborSystem:
 
     @cached_property
     def _certificate(self) -> FrameCertificate:
-        phi = _zak_fibers(self)[0]
+        phi = self._fibers[0]
         if phi.shape[2] == 1:
             parts = phi.view(float)
             eigs = np.einsum("...ij,...ij->...i", parts, parts)
@@ -146,7 +148,7 @@ class GaborSystem:
 
     @cached_property
     def _dual(self) -> GridSignal:
-        phi, (chars, nodes, *_) = _zak_fibers(self)
+        phi, (chars, nodes, *_) = self._fibers
         scale = self.grid.spacing ** self.grid.dim * self.freq_lattice.count
         fibers = np.linalg.solve(scale * (phi @ phi.conj().swapaxes(-1, -2)), phi[..., :1])
         gamma = np.empty(self.grid.size, dtype=complex)
@@ -155,6 +157,8 @@ class GaborSystem:
 
     @cached_property
     def _adjoint(self) -> tuple[GridLattice, GridLattice]:
+        """(time, frequency) lattices of the adjoint, F^perp x A^perp: the annihilators
+        of the frequency lattice as time shifts and of the time lattice as frequencies."""
         return (_annihilator(self.freq_lattice, self.grid),
                 _annihilator(self.time_lattice, self.grid.reciprocal()))
 
@@ -271,20 +275,13 @@ def _fiber_maps(time_lattice: GridLattice, freq_lattice: GridLattice) -> _FiberM
     return cache[freq_lattice._key]
 
 
-def _zak_fibers(system: GaborSystem) -> tuple[np.ndarray, _FiberMaps]:
-    """(phi, maps), built once per system (``GaborSystem._fibers``):
-    ``phi[chi, c]`` is the p x q fiber Phi_{c,chi} of the module docstring,
-    the characters times the window gathered at the ``_fiber_maps`` shifts."""
-    return system._fibers
-
-
 def _analysis(system: GaborSystem, rows: np.ndarray) -> np.ndarray:
     """(S, N0, |F|) STFT samples on the system lattice of the (S, size)
     signal rows: the fiber steps of the module docstring, then the cosets
     scattered into (S, fold, N0) spectra and one batched FFT in place over
     the fold axes, read at the bins.  Every matmul takes the signals as a
     batch axis, so a row's samples do not depend on the rows beside it."""
-    phi, (chars, nodes, _, shape, places, bins) = _zak_fibers(system)
+    phi, (chars, nodes, _, shape, places, bins) = system._fibers
     grid, count, times = system.grid, len(rows), system.time_lattice.count
     signals = rows[:, nodes].reshape(count, len(chars), -1)
     # The quadrature weight and the 1 / |H| of the inverse character transform.
@@ -304,7 +301,7 @@ def _synthesis(system: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
     translate at time point k modulated by the j-th frequency of the
     system.  The exact transpose of ``_analysis``, batched over the signals
     in the same way."""
-    phi, (chars, nodes, _, shape, places, bins) = _zak_fibers(system)
+    phi, (chars, nodes, _, shape, places, bins) = system._fibers
     count, times = coeffs.shape[:2]
     spectra = np.zeros((count,) + shape + (times,), dtype=complex)
     spectra.reshape(count, -1, times)[:, bins] = coeffs.swapaxes(1, 2)
@@ -417,13 +414,6 @@ def dual_window(system: GaborSystem) -> GridSignal:
     return system._dual
 
 
-def _adjoint_lattices(system: GaborSystem) -> tuple[GridLattice, GridLattice]:
-    """(time, frequency) lattices of the adjoint, F^perp x A^perp: the
-    annihilator of the frequency lattice as time shifts, that of the time
-    lattice as frequencies; built once per system (``GaborSystem._adjoint``)."""
-    return system._adjoint
-
-
 def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
     """Biorthogonality defect of (system.window, gamma) over the adjoint
     lattice F^perp x A^perp.
@@ -435,7 +425,7 @@ def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
     translate-gather kernel ``stft._lattice_stft``, apart from the fibers.
     """
     require_same_grid(gamma, system.window)
-    adj_time, adj_freq = _adjoint_lattices(system)
+    adj_time, adj_freq = system._adjoint
     inner = _lattice_stft(gamma.values, system.window, adj_time.index_points,
                           adj_freq.index_points)
     inner[0, 0] -= 1.0 / system.redundancy
@@ -460,7 +450,7 @@ def _reconstruction_errors(system: GaborSystem, gamma: GridSignal,
     require_same_grid(gamma, system.window)
     dual = (system if gamma is system.window
             else GaborSystem(gamma, system.time_lattice, system.freq_lattice))
-    folded = system.time_lattice.count * math.prod(_zak_fibers(system)[1].shape)
+    folded = system.time_lattice.count * math.prod(system._fibers[1].shape)
     block = _block_rows(max(folded, system.grid.size))
     errors = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], block):

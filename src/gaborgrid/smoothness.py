@@ -140,22 +140,16 @@ class DecayProfile:
         return bool(self.decay_sups[-1] <= 10.0 * self.decay_sups[0])
 
 
-def _bounded_order(radii: np.ndarray, norms: np.ndarray) -> int | None:
+def _bounded_order(radii: np.ndarray, norms: np.ndarray, growth: np.ndarray) -> int | None:
     """Smallest N <= MAX_DERIVATIVE_ORDER with the (1+r)^-N weighted sup
-    within a factor 10 of the inner half's unweighted peak; an all-zero
-    profile is bounded at order zero."""
-    peak = float(np.max(norms))
-    if peak == 0.0:
-        return 0
+    ``growth[N]`` within a factor 10 of the inner half's unweighted peak; an
+    all-zero profile is bounded at order zero."""
     inner = norms[radii <= radii.max() / 2 + 1e-12]
     inner_peak = float(np.max(inner)) if inner.size else 0.0
     if inner_peak == 0.0:
-        return None
-    for order in range(MAX_DERIVATIVE_ORDER + 1):
-        weighted = norms * (1.0 + radii) ** (-order)
-        if float(np.max(weighted)) <= 10.0 * inner_peak:
-            return order
-    return None
+        return 0 if growth[0] == 0.0 else None
+    bounded = np.flatnonzero(growth <= 10.0 * inner_peak)
+    return int(bounded[0]) if bounded.size else None
 
 
 def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec) -> DecayProfile:
@@ -187,5 +181,5 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec) -> DecayP
         decay_sups=decay,
         growth_sups=growth,
         fitted_order=float(slope),
-        bounded_order=_bounded_order(radii, norms),
+        bounded_order=_bounded_order(radii, norms, growth),
     )

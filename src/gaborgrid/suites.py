@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,6 @@ from .gabor import (
     FRAME_THRESHOLD,
     FrameCertificate,
     GaborSystem,
-    _adjoint_lattices,
     _dense_frame_matrix,
     _reconstruction_errors,
     analyze,
@@ -102,7 +102,7 @@ _KEYS = {
 }
 
 # Window kinds: the sampler and its parameters with their defaults; a
-# rectangle's width of None is the time step.
+# rectangle's width of None is the time step (``SuiteConfig.lattice_step``).
 _WINDOWS = {
     "gaussian": (sample_gaussian, {"center": 0.0, "width": 1.0, "normalize": False}),
     "bump": (sample_bump, {"center": 0.0, "radius": 0.45}),
@@ -151,6 +151,14 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         self.validate()
 
+    @property
+    def lattice_step(self) -> float:
+        """The step of the lattice ``time_step`` generates on the grid: 3.0
+        on a 16-periodic grid of 256 points generates the same lattice as 1.0."""
+        L = self.points_per_axis
+        index = round(self.time_step * L / self.period)
+        return self.period / (L // math.gcd(index, L))
+
     def sample_count(self, name: str) -> int:
         return self.samples.get(name, _DEFAULT_SAMPLES[name])
 
@@ -188,8 +196,12 @@ class SuiteConfig:
         for key, unit in (("time_step", self.period / self.points_per_axis),
                           ("freq_step", 1.0 / self.period)):
             step = getattr(self, key)
-            if not (_number(step) and step > 0 and abs(step / unit - round(step / unit)) <= 1e-9):
+            if not (_number(step) and round(step / unit) >= 1
+                    and abs(step / unit - round(step / unit)) <= 1e-9):
                 raise ConfigError(f"system.{key}: {step!r} is not a positive multiple of {unit}")
+        for i, spec in enumerate(self.spaces):
+            if spec.kind == "MixedLp" and self.dim != 2:
+                raise ConfigError(f"spaces[{i}].kind: MixedLp needs grid.dim 2, got {self.dim}")
         self._window()
         unknown = [name for name in self.suites if name not in SUITE_NAMES]
         if unknown:
@@ -210,7 +222,7 @@ class SuiteConfig:
         _object(self.window, "system.window", ("kind", *defaults))
         params = {key: self.window.get(key, default) for key, default in defaults.items()}
         if kind == "rectangle" and params["width"] is None:
-            params["width"] = self.time_step
+            params["width"] = self.lattice_step
         for key, value in params.items():
             if key == "normalize":
                 valid, expected = isinstance(value, bool), "true or false"
@@ -236,7 +248,7 @@ class SuiteConfig:
 
     def make_system(self) -> GaborSystem:
         grid = self.make_grid()
-        return GaborSystem.separable(self.make_window(grid), self.time_step, self.freq_step)
+        return GaborSystem.separable(self.make_window(grid), self.lattice_step, self.freq_step)
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment.
@@ -310,16 +322,15 @@ def _smooth_rows(grid: PeriodicGrid, normals: np.ndarray) -> np.ndarray:
     return rows
 
 
-def check(suite: str, name: str, value: float, threshold: float,
+_COMPARATORS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+def check(suite: str, name: str, value: float, threshold: float | None,
           comparator: str, details: dict | None = None) -> dict:
+    """A report entry; the comparator ``report`` takes no threshold and always passes."""
     value = float(value)
-    threshold = float(threshold)
-    passed = {
-        "<=": value <= threshold,
-        "<": value < threshold,
-        ">=": value >= threshold,
-        ">": value > threshold,
-    }[comparator]
+    threshold = None if threshold is None else float(threshold)
+    passed = comparator == "report" or _COMPARATORS[comparator](value, threshold)
     return {
         "suite": suite,
         "name": name,
@@ -327,19 +338,6 @@ def check(suite: str, name: str, value: float, threshold: float,
         "value": value,
         "threshold": threshold,
         "comparator": comparator,
-        "details": details or {},
-    }
-
-
-def report_entry(suite: str, name: str, value: float | None,
-                 details: dict | None = None) -> dict:
-    return {
-        "suite": suite,
-        "name": name,
-        "passed": True,
-        "value": None if value is None else float(value),
-        "threshold": None,
-        "comparator": "report",
         "details": details or {},
     }
 
@@ -376,14 +374,14 @@ def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
     if not cert.is_frame:
         return [_not_a_frame_entry("wexler-raz", cert)]
     gamma = dual_window(system)
-    adj_time, adj_freq = _adjoint_lattices(system)
+    adj_time, adj_freq = system._adjoint
     residual = wexler_raz_residual(system, gamma)
     # Adjoint-lattice identity: analysis after synthesis over the adjoint
     # lattice is 1/redundancy times the identity on finitely supported sequences.
     adj = GaborSystem(system.window, adj_time, adj_freq)
     adj_dual = GaborSystem(gamma, adj_time, adj_freq)
     shape = (adj_time.count, adj_freq.count)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = _complex_rows(rng.standard_normal((1, 2, math.prod(shape))))[0].reshape(shape)
     coeffs = CoeffArray.over_product(adj_time, adj_freq, c)
     back = analyze(adj, synthesize(adj_dual, coeffs)).values * system.redundancy
     identity_defect = float(np.max(np.abs(back - c)) / np.max(np.abs(c)))
@@ -417,7 +415,7 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
     # frequency L / P): one time-frequency shift, redundancy 1 / L^n.
     under = None
     for k in itertools.count(1):
-        doubled = GaborSystem.separable(system.window, 2 ** k * cfg.time_step,
+        doubled = GaborSystem.separable(system.window, 2 ** k * cfg.lattice_step,
                                         2 ** k * cfg.freq_step)
         if under is not None and doubled.redundancy >= under.redundancy:
             under = GaborSystem.separable(system.window, cfg.period,
@@ -451,8 +449,8 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
 
     # Painless configuration: one-hop rectangle with every modulation.
     grid = system.grid
-    rect = sample_rectangle(grid, width=cfg.time_step)
-    painless = GaborSystem.separable(rect, cfg.time_step, 1.0 / cfg.period)
+    rect = sample_rectangle(grid, width=cfg.lattice_step)
+    painless = GaborSystem.separable(rect, cfg.lattice_step, 1.0 / cfg.period)
     pcert = frame_bounds(painless)
     entries.append(
         check(suite, "painless_tightness",
@@ -492,9 +490,9 @@ def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
                             rng: NormalStream) -> list[dict]:
     suite = "window-independence"
     grid = system.grid
-    lattice = GridLattice.cubic(grid, cfg.time_step)
-    chi1 = sample_bump(grid, radius=0.3 * cfg.time_step)
-    chi2 = sample_bump(grid, radius=0.45 * cfg.time_step)
+    lattice = system.time_lattice
+    chi1 = sample_bump(grid, radius=0.3 * cfg.lattice_step)
+    chi2 = sample_bump(grid, radius=0.45 * cfg.lattice_step)
     hat1, hat2 = (np.fft.fftn(chi.reshaped()) for chi in (chi1, chi2))
     entries = []
     # Each discrete norm weights |c_k| by its window's profile, so their
@@ -531,46 +529,46 @@ def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
                  / spec_w.weight(lattice.centered_points))
     low, high = float(np.min(quotients)), float(np.max(quotients))
     entries.append(
-        report_entry(suite, "solid_shortcut_weighted_band", high / low,
-                     details={"low": low, "high": high, "method": "closed-form"})
+        check(suite, "solid_shortcut_weighted_band", high / low, None, "report",
+              details={"low": low, "high": high, "method": "closed-form"})
     )
 
-    # Fourier-coefficient realization against the bump realization; needs
-    # the lattice points to double as grid frequencies with aligned dual.
+    # Fourier-coefficient realization against the bump realization; without grid-frequency
+    # lattice points and an aligned dual, fourier_side_norm raises NonAlignedLattice first.
     try:
-        _fourier_entries(cfg, rng, lattice, chi, entries, suite)
+        entries += _fourier_entries(cfg, rng, lattice, chi, suite)
     except NonAlignedLattice:
         pass
     return entries
 
 
-def _fourier_entries(cfg, rng, lattice, chi, entries, suite) -> None:
+def _fourier_entries(cfg, rng, lattice, chi, suite) -> list[dict]:
     count = cfg.sample_count("ratio_scan")
-    if abs(cfg.time_step * cfg.period - round(cfg.time_step * cfg.period)) < 1e-9:
-        f2 = SpaceSpec("FourierLp_w", 2.0)
-        vol_dual = 1.0 / cfg.time_step ** cfg.dim
-        c = _random_sequences(rng, lattice, 50)
-        expected = math.sqrt(vol_dual) * solid_discrete_norm(c, SpaceSpec("Lp_w", 2.0))
-        worst = float(np.max(np.abs(fourier_side_norm(c, f2) / expected - 1.0)))
-        entries.append(check(suite, "fourier_parseval_deviation", worst, 1e-10, "<="))
-        for p in (1.0, 4.0):
-            fp = SpaceSpec("FourierLp_w", p)
-            c = _random_sequences(rng, lattice, count)
-            ratios = fourier_side_norm(c, fp) / discrete_norm(c, fp, chi)
-            low, high = float(np.min(ratios)), float(np.max(ratios))
-            entries.append(
-                check(suite, f"fourier_vs_bump_band_L{p:g}", high / low, 1e6, "<",
-                      details={"low": low, "high": high, "method": "sampled",
-                               "samples": count})
-            )
+    f2 = SpaceSpec("FourierLp_w", 2.0)
+    vol_dual = 1.0 / cfg.lattice_step ** cfg.dim
+    c = _random_sequences(rng, lattice, 50)
+    expected = math.sqrt(vol_dual) * solid_discrete_norm(c, SpaceSpec("Lp_w", 2.0))
+    worst = float(np.max(np.abs(fourier_side_norm(c, f2) / expected - 1.0)))
+    entries = [check(suite, "fourier_parseval_deviation", worst, 1e-10, "<=")]
+    for p in (1.0, 4.0):
+        fp = SpaceSpec("FourierLp_w", p)
+        c = _random_sequences(rng, lattice, count)
+        ratios = fourier_side_norm(c, fp) / discrete_norm(c, fp, chi)
+        low, high = float(np.min(ratios)), float(np.max(ratios))
+        entries.append(
+            check(suite, f"fourier_vs_bump_band_L{p:g}", high / low, 1e6, "<",
+                  details={"low": low, "high": high, "method": "sampled",
+                           "samples": count})
+        )
+    return entries
 
 
 def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem,
                         rng: NormalStream) -> list[dict]:
     suite = "embedding-chain"
     grid = system.grid
-    lattice = GridLattice.cubic(grid, cfg.time_step)
-    chi = sample_bump(grid, radius=0.45 * cfg.time_step)
+    lattice = system.time_lattice
+    chi = sample_bump(grid, radius=0.45 * cfg.lattice_step)
     chi_hat = np.fft.fftn(chi.reshaped())
     spec = SpaceSpec("Lp_w", 2.0)
     cell = grid.spacing ** grid.dim

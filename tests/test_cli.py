@@ -237,6 +237,14 @@ MALFORMED_VALUES = {
     "string-p": ({"spaces": [{"kind": "FourierLp_w", "p": "2"}]}, "spaces[0].p:"),
     "unknown-space-kind": ({"spaces": [{"kind": "Lp", "p": 2.0}]},
                            "spaces[0]: unknown space kind"),
+    # A step below half a grid unit is no multiple of it; MixedLp needs 2-d.
+    "tiny-time-step": ({"system": {"time_step": 1e-12}}, "system.time_step:"),
+    "tiny-freq-step": ({"system": {"freq_step": 1e-12}}, "system.freq_step:"),
+    "mixed-on-1d-grid": ({"spaces": [{"kind": "MixedLp", "p": 2.0, "p2": 1.0}]},
+                         "spaces[0].kind: MixedLp needs grid.dim 2"),
+    "second-space-mixed-on-1d-grid": (
+        {"spaces": [{"kind": "Lp_w", "p": 2.0}, {"kind": "MixedLp", "p": 2.0, "p2": 1.0}]},
+        "spaces[1].kind: MixedLp needs grid.dim 2"),
 }
 
 
@@ -402,6 +410,26 @@ def test_profile_subcommand(tmp_path):
     summary = json.loads((tmp_path / "prof.json").read_text())
     assert summary["count"] == 32
     assert cli.main(["profile", "--config", str(cfg)]) == 2  # no input selection
+
+
+def test_profile_without_spaces_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, spaces=[])
+    assert cli.main(["profile", "--config", str(cfg), "--preset", "gaussian",
+                     "--output", str(tmp_path / "prof.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: spaces: profiles need a solid space first in the list\n")
+    assert not (tmp_path / "prof.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["stft", "dual-window", "norms", "profile"])
+def test_seed_is_a_verify_flag_only(tmp_path, capsys, monkeypatch, command):
+    # The other commands draw nothing at random, so they take no seed.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_run_suites_report_is_valid(tmp_path):

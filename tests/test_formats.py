@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ def test_signal_csv_round_trip(tmp_path, ref_grid, rng):
     write_signal_csv(f, path)
     back = read_signal_csv(path, ref_grid)
     np.testing.assert_array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_signal_round_trip_keeps_special_values(tmp_path, suffix):
+    # Signed zeros, infinities, NaN, the least subnormal and the largest
+    # double, in both parts; binary keeps every bit, CSV every value.
+    big = sys.float_info.max
+    values = np.array([complex(-0.0, 1.0), complex(1.0, math.inf), complex(math.nan, -0.0),
+                       complex(-math.inf, 5e-324), complex(big, -big), complex(0.0, math.nan),
+                       complex(-5e-324, -math.inf), complex(2.0, 0.0)])
+    grid = PeriodicGrid(1, 4.0, 8)
+    path = tmp_path / f"sig{suffix}"
+    write_signal(GridSignal(grid, values), path)
+    back = read_signal(path, grid).values
+    if suffix == ".bin":
+        assert back.tobytes() == values.tobytes()
+    parts, expected = back.view(float), values.view(float)
+    np.testing.assert_array_equal(parts, expected)  # NaN where NaN
+    numbers = ~np.isnan(expected)
+    np.testing.assert_array_equal(np.signbit(parts[numbers]), np.signbit(expected[numbers]))
 
 
 @pytest.mark.parametrize("suffix, binary", [(".csv", False), (".bin", True), (".gabr", True)])

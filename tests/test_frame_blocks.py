@@ -15,9 +15,7 @@ import pytest
 
 from gaborgrid.gabor import (
     GaborSystem,
-    _adjoint_lattices,
     _dense_frame_matrix,
-    _zak_fibers,
     analyze,
     dual_window,
     frame_bounds,
@@ -274,7 +272,7 @@ def test_adjoint_time_lattice_is_annihilator(name):
     # The adjoint time lattice is F^perp, the zero coset of the frame blocks.
     system = make_system(name, "gaussian")
     cosets, _ = _block_oracle(system)
-    adj_time, _ = _adjoint_lattices(system)
+    adj_time, _ = system._adjoint
     flat = np.ravel_multi_index(adj_time.index_points.T, system.grid.shape)
     np.testing.assert_array_equal(np.sort(flat), np.sort(cosets[0]))
 
@@ -284,7 +282,7 @@ def test_adjoint_freq_lattice_is_annihilator(name):
     # The adjoint frequency lattice is A^perp, the bins where the character
     # sum over the time lattice A equals |A|.
     system = make_system(name, "gaussian")
-    _, adj_freq = _adjoint_lattices(system)
+    _, adj_freq = system._adjoint
     np.testing.assert_array_equal(adj_freq.index_points, _fft_annihilator(system.time_lattice))
 
 
@@ -319,7 +317,7 @@ def test_folded_analysis_matches_stft(name, kind, monkeypatch):
     rows = system.time_lattice._flat_points
     bins = system.freq_lattice._flat_points
     expected = stft(f, system.window).values[np.ix_(rows, bins)]
-    assert _zak_fibers(system)[1].shape == FOLDS[name]
+    assert system._fibers[1].shape == FOLDS[name]
     shapes = record_fft_shapes(monkeypatch)
     got = analyze(system, f).values
     assert shapes == [("fftn", (1, system.time_lattice.count) + FOLDS[name])]

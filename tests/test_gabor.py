@@ -12,10 +12,8 @@ from gaborgrid.errors import (
 from gaborgrid import grid as grid_module
 from gaborgrid.gabor import (
     GaborSystem,
-    _adjoint_lattices,
     _dense_frame_matrix,
     _reconstruction_errors,
-    _zak_fibers,
     analyze,
     dual_window,
     frame_bounds,
@@ -292,7 +290,7 @@ def test_wexler_raz_adjoint_identity(ref_system, rng):
     # On the adjoint lattice, analysis after synthesis is (ab)^n times the
     # identity on coefficient space when the windows form a dual pair.
     gamma = dual_window(ref_system)
-    adj_time, adj_freq = _adjoint_lattices(ref_system)  # time 1/b, freq 1/a
+    adj_time, adj_freq = ref_system._adjoint  # time 1/b, freq 1/a
     adj = GaborSystem(ref_system.window, adj_time, adj_freq)
     adj_gamma = GaborSystem(gamma, adj_time, adj_freq)
     shape = (adj_time.count, adj_freq.count)
@@ -392,8 +390,8 @@ def test_reconstruction_and_wexler_raz_keep_no_translate_table():
 def test_fiber_maps_are_shared_per_lattice_pair(ref_system):
     gamma = dual_window(ref_system)
     other = GaborSystem(gamma, ref_system.time_lattice, ref_system.freq_lattice)
-    assert _zak_fibers(other)[1] is _zak_fibers(ref_system)[1]
-    assert _zak_fibers(other)[0] is not _zak_fibers(ref_system)[0]
+    assert other._fibers[1] is ref_system._fibers[1]
+    assert other._fibers[0] is not ref_system._fibers[0]
     # The same time lattice with another frequency lattice gets its own maps.
     grid = ref_system.grid
     finer = GaborSystem(ref_system.window, ref_system.time_lattice,
@@ -424,7 +422,7 @@ def test_batched_reconstruction_matches_per_signal_loop(name):
     grid = system.grid
     gamma = dual_window(system)
     # Enough signals for two full blocks and a partial last one.
-    folded = system.time_lattice.count * math.prod(_zak_fibers(system)[1].shape)
+    folded = system.time_lattice.count * math.prod(system._fibers[1].shape)
     n = 2 * _block_rows(max(folded, grid.size)) + 1
     batch_rng, loop_rng = np.random.default_rng(23), np.random.default_rng(23)
     batched = _reconstruction_errors(
@@ -457,7 +455,7 @@ def test_batched_reconstruction_zero_signal(ref_system, rng):
 def test_reconstruction_fft_count(ref_system, rng, monkeypatch, signals_per_block):
     grid = ref_system.grid
     # A signal's largest temporary is its (N0, fold size) coefficients.
-    per_signal = ref_system.time_lattice.count * math.prod(_zak_fibers(ref_system)[1].shape)
+    per_signal = ref_system.time_lattice.count * math.prod(ref_system._fibers[1].shape)
     if signals_per_block:
         monkeypatch.setattr(grid_module, "_BATCH_BYTES", signals_per_block * 16 * per_signal)
     gamma = dual_window(ref_system)

@@ -7,6 +7,7 @@ The batched paths keep the arithmetic of the one-sample code, so those
 comparisons are exact (``np.array_equal``), not a tolerance.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gaborgrid.gabor as gabor_module
 import gaborgrid.grid as grid_module
 import gaborgrid.suites as suites_module
 from gaborgrid.formats import dump_json
+from gaborgrid.gabor import GaborSystem
 from gaborgrid.grid import (
     CoeffArray,
     GridLattice,
@@ -257,15 +258,16 @@ def test_one_system_per_verify_run(monkeypatch):
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: calls.append(a.shape) or eigvalsh(a))
-    zak_fibers = gabor_module._zak_fibers
+    fibers = GaborSystem._fibers.func
     builds = []
 
     def counted(system):
-        if "_fibers" not in vars(system):
-            builds.append(system)
-        return zak_fibers(system)
+        builds.append(system)
+        return fibers(system)
 
-    monkeypatch.setattr(gabor_module, "_zak_fibers", counted)
+    counting = functools.cached_property(counted)
+    counting.__set_name__(GaborSystem, "_fibers")
+    monkeypatch.setattr(GaborSystem, "_fibers", counting)
     cfg = SuiteConfig.from_dict({
         "seed": 11,
         "grid": {"dim": 2, "period": 8.0, "points_per_axis": 32},
@@ -295,7 +297,7 @@ def test_one_dual_solve_per_verify_run(monkeypatch):
     })
     run_suites(cfg)
     [system] = systems
-    phi = gabor_module._zak_fibers(system)[0]
+    phi = system._fibers[0]
     assert sum(np.shares_memory(b, phi) for b in rhs) == 1
 
 
@@ -329,6 +331,17 @@ def test_undersampled_search_stops_when_doubling_keeps_a_frame(grid, system):
     assert entry["passed"]
     assert entry["value"] == 0.0
     assert entry["details"] == {"redundancy": 1 / grid["points_per_axis"]}
+
+
+@pytest.mark.parametrize("window", ["gaussian", "rectangle"])
+@pytest.mark.parametrize("step, same", [(3.0, 1.0), (0.75, 0.25)])
+def test_a_time_step_is_read_as_the_lattice_it_generates(step, same, window):
+    # 3Z on a 16-periodic grid of 256 points is Z: index step 48, whose gcd
+    # with 256 is 16; 0.75 generates 0.25Z the same way.  Every suite, and a
+    # rectangle's default width, reads the step of that lattice.
+    reports = [run_suites(SuiteConfig.from_dict(
+        {"system": {"time_step": s, "window": {"kind": window}}})) for s in (step, same)]
+    assert dump_json(reports[0]) == dump_json(reports[1])
 
 
 def test_non_frame_reports_no_condition_number():
