@@ -1,33 +1,38 @@
 """Batch verification driver: maps flags to library calls.
 
-Subcommands::
+Usage::
 
     gaborgrid verify      --config cfg.json [--seed n] [--suites a,b]
                           [--output out.json] [--csv out.csv] [--format json|csv|both]
     gaborgrid stft        --config cfg.json --input sig.csv --output tf.csv
     gaborgrid dual-window --config cfg.json --output gamma.csv --certificate c.json
     gaborgrid norms       --config cfg.json --input sig.csv [--output norms.json]
-    gaborgrid profile     --config cfg.json (--input sig.csv | --preset name) ...
+    gaborgrid profile     --config cfg.json (--input sig.csv | --preset gaussian|oscillation)
+                          [--output prof.csv] [--summary prof.json]
 
+Each flag takes one value, as ``--flag value`` or ``--flag=value``, and may be
+shortened to a unique prefix; ``-h`` or ``--help`` prints this text.
 ``verify``'s ``--seed`` and ``--suites`` override the config.  ``verify``
 writes the JSON report at ``--output``, else ``output.report``, else
 ``report.json``, unless ``--format csv``; it writes the CSV report at
 ``--csv``, else ``output.csv``, else next to the JSON path when ``--format``
-is ``csv`` or ``both``.  Every file format, and the choice between CSV and
-binary by suffix, lives in :mod:`gaborgrid.formats`.  Exit codes: 0 success
-(numerical failures are report data, not errors), 2 configuration error (a
-config key the program does not read among them) or a system that is not a
-frame where a dual window is required, 3 internal error.  Reports are
-byte-deterministic for a fixed config and seed.
+is ``csv`` or ``both``.  ``profile`` writes the profile CSV at ``--output``,
+else ``profile.csv``, and its JSON summary at ``--summary``, else next to the
+CSV.  Every file format, and the choice between CSV and binary by suffix,
+lives in :mod:`gaborgrid.formats`.  Exit codes: 0 success (numerical failures
+are report data, not errors), 2 usage or configuration error (a config key
+the program does not read among them) or a system that is not a frame where a
+dual window is required, 3 internal error.  Reports are byte-deterministic for
+a fixed config and seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import ConfigError, GaborGridError, NotAFrame
 from .formats import (
@@ -44,7 +49,7 @@ from .grid import sample_gaussian, sample_oscillation
 from .smoothness import decay_profile
 from .spaces import continuous_norm
 from .stft import stft
-from .suites import SUITE_NAMES, SuiteConfig, run_suites
+from .suites import SuiteConfig, run_suites
 
 
 def _read_config(path: str | None) -> dict:
@@ -140,6 +145,8 @@ def cmd_norms(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    if args.input is not None and args.preset is not None:
+        raise ConfigError("input: give --input or --preset, not both")
     cfg = load_config(args.config)
     system = cfg.make_system()
     grid = system.grid
@@ -162,45 +169,17 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gaborgrid",
-        description="Gabor frame verification suites on finite periodic grids",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--suites", help=f"comma list from {', '.join(SUITE_NAMES)}")
-    p.add_argument("--output", help="report JSON path (default report.json)")
-    p.add_argument("--csv", help="CSV report path")
-    p.add_argument("--format", choices=("json", "csv", "both"), default="json")
-
-    p = sub.add_parser("stft", help="full STFT of a signal file")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--input", help="signal file (.csv or .bin)")
-    p.add_argument("--output", help="output table (.csv or .bin)")
-
-    p = sub.add_parser("dual-window", help="canonical dual window and certificate")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--output", help="dual window signal file")
-    p.add_argument("--certificate", help="certificate JSON path")
-
-    p = sub.add_parser("norms", help="space norms of a signal")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--input", help="signal file (.csv or .bin)")
-    p.add_argument("--output", help="JSON output path (default stdout)")
-
-    p = sub.add_parser("profile", help="coefficient decay profile")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--input", help="signal file (.csv or .bin)")
-    p.add_argument("--preset", choices=("gaussian", "oscillation"))
-    p.add_argument("--output", help="profile CSV path")
-    p.add_argument("--summary", help="profile JSON summary path")
-
-    return parser
-
+# Each subcommand's flags; each takes one value, of the given type or one of
+# the given strings.  Every flag but --format defaults to None.
+_FLAGS = {
+    "verify": {"--config": str, "--seed": int, "--suites": str, "--output": str,
+               "--csv": str, "--format": ("json", "csv", "both")},
+    "stft": {"--config": str, "--input": str, "--output": str},
+    "dual-window": {"--config": str, "--output": str, "--certificate": str},
+    "norms": {"--config": str, "--input": str, "--output": str},
+    "profile": {"--config": str, "--input": str, "--preset": ("gaussian", "oscillation"),
+                "--output": str, "--summary": str},
+}
 
 _COMMANDS = {
     "verify": cmd_verify,
@@ -211,8 +190,72 @@ _COMMANDS = {
 }
 
 
+def _usage_error(message: str):
+    usage = (__doc__ or "").partition("::\n\n")[2].partition("\n\n")[0]
+    sys.stderr.write(f"usage:\n{usage}\ngaborgrid: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help():
+    sys.stdout.write(__doc__ or "")
+    raise SystemExit(0)
+
+
+def _is_flag(token: str) -> bool:
+    # "-" and negative numbers are values, as argparse reads them.
+    return token[:1] == "-" and token != "-" and not token[1:].replace(".", "", 1).isdigit()
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and flag values of ``argv``; a usage error exits 2."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help()
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command not in _FLAGS:
+        _usage_error(f"argument command: invalid choice: {command!r} "
+                     f"(choose from {', '.join(_FLAGS)})")
+    flags = _FLAGS[command]
+    values = {flag[2:]: "json" if flag == "--format" else None for flag in flags}
+    known = (*flags, "--help")
+    unknown = []
+    while rest:
+        token, rest = rest[0], rest[1:]
+        if token == "-h":
+            _help()
+        name, eq, value = token.partition("=")
+        matches = [name] if name in known else [f for f in known if f.startswith(name)]
+        if not name.startswith("--") or name == "--" or not matches:
+            unknown.append(token)
+            continue
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}")
+        flag = matches[0]
+        if flag == "--help":
+            _help()
+        if not eq:
+            if not rest or _is_flag(rest[0]):
+                _usage_error(f"argument {flag}: expected one argument")
+            value, rest = rest[0], rest[1:]
+        kind = flags[flag]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                _usage_error(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kind)})")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                _usage_error(f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+        values[flag[2:]] = value
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

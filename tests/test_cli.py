@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -456,3 +459,132 @@ def test_verify_deterministic_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _dual_window_argv(tmp_path):
+    cfg = write_config(tmp_path)
+    return ["dual-window", "--config", str(cfg), "--output", str(tmp_path / "gamma.csv"),
+            "--certificate", str(tmp_path / "cert.json")]
+
+
+# The command-line contract: each usage error exits 2 on stderr before any
+# work starts, and the spellings argparse accepted (`--flag=value`, a unique
+# prefix) still work.
+USAGE_ERRORS = {
+    "no-subcommand": ([], "required"),
+    "unknown-subcommand": (["certify"], "invalid choice"),
+    "unknown-flag": (["verify", "--sed", "5"], "unrecognized arguments: --sed 5"),
+    "positional": (["verify", "extra"], "unrecognized arguments: extra"),
+    "flag-without-value": (["verify", "--config"], "expected one argument"),
+    "flag-before-flag": (["verify", "--output", "--seed", "5"], "expected one argument"),
+    "bad-format": (["verify", "--format", "xml"], "invalid choice"),
+    "bad-preset": (["profile", "--preset", "box"], "invalid choice"),
+    "non-integer-seed": (["verify", "--seed", "five"], "invalid int value"),
+    "ambiguous-prefix": (["dual-window", "--c", "x"], "ambiguous option"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_suites", lambda cfg: pytest.fail("a suite ran"))
+    argv, message = USAGE_ERRORS[name]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: " in err and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["separate", "equals", "prefix", "repeated"])
+def test_flag_spellings(tmp_path, spelling):
+    cfg, cert, first = write_config(tmp_path), tmp_path / "cert.json", tmp_path / "first.json"
+    flags = {
+        "separate": ["--config", cfg, "--certificate", cert],
+        "equals": [f"--config={cfg}", f"--certificate={cert}"],
+        "prefix": ["--conf", cfg, "--cert", cert],
+        "repeated": ["--config", cfg, "--certificate", first, "--certificate", cert],
+    }[spelling]
+    argv = ["dual-window", "--output", str(tmp_path / "gamma.csv"), *map(str, flags)]
+    assert cli.main(argv) == 0
+    assert json.loads(cert.read_text())["frame"] is True
+    assert not first.exists()
+
+
+SUBCOMMANDS = ["verify", "stft", "dual-window", "norms", "profile"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["-h"], SUBCOMMANDS), (["--help"], SUBCOMMANDS), (["verify", "-h"], ["verify"]),
+], ids=["-h", "--help", "verify -h"])
+def test_help_exits_0(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert all(command in out for command in named)
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch):
+    argv = _dual_window_argv(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["gaborgrid", *argv])
+    assert cli.main() == 0
+    assert (tmp_path / "gamma.csv").exists() and (tmp_path / "cert.json").exists()
+
+
+def test_profile_refuses_input_with_preset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    sig_path = tmp_path / "sig.csv"
+    write_signal_csv(sample_gaussian(PeriodicGrid(1, 16.0, 256)), sig_path)
+    assert cli.main(["profile", "--config", str(cfg), "--input", str(sig_path),
+                     "--preset", "gaussian"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: input: give --input or --preset, not both\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sig.csv"]
+
+
+def _usage_flags(block):
+    """Each subcommand's ``--flags`` on the ``gaborgrid <command>`` lines of a
+    usage block, continuation lines included."""
+    flags, command = {}, None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["gaborgrid"]:
+            command = words[1]
+        if command is not None:
+            flags.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+    return flags
+
+
+def test_usage_text_names_every_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme_block = readme.split("## CLI\n\n```", 1)[1].split("```", 1)[0]
+    doc_block = cli.__doc__.split("Usage::", 1)[1].split("\n\n")[1]
+    expected = {command: set(flags) for command, flags in cli._FLAGS.items()}
+    assert _usage_flags(doc_block) == expected
+    assert _usage_flags(readme_block) == expected
+
+
+def test_cli_loads_no_argparse(tmp_path):
+    # argparse and its gettext lookups cost milliseconds on every call; the
+    # flag table parses without them.
+    import subprocess
+
+    argv = _dual_window_argv(tmp_path)
+    script = (
+        "import sys\n"
+        "from gaborgrid import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
