@@ -40,7 +40,10 @@ transforms back, which gives per time point and coset c the coset's share
 of the inner product.  The characters of F are constant on the cosets and
 L / g_a periodic along axis a when every bin of F is a multiple of g_a
 there, so one FFT of that fold shape finishes.  Synthesis is its exact
-transpose on the fibers of the synthesis window.  No translate table is
+transpose on the fibers of the synthesis window, so synthesis with gamma
+after analysis with psi acts on each fiber as h |F| Phi_gamma Phi_psi^H,
+and its worst relative error over all signals is the largest fiber norm of
+that matrix minus I (``_reconstruction_enclosure``).  No translate table is
 kept: the largest arrays are Phi, size * q entries, and the coefficients.
 
 Wexler-Raz biorthogonality is evaluated independently of the fibers.  The
@@ -70,7 +73,6 @@ from .grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    _block_rows,
     _flat_index,
     _lattice_fold,
     _tiled_windows,
@@ -79,7 +81,7 @@ from .grid import (
     require_same_grid,
 )
 from .lattice import Lattice
-from .stft import _lattice_stft
+from .stft import _gamma, _lattice_stft
 
 # A system whose lower frame bound is at most this is not a frame (fixed).
 FRAME_THRESHOLD = 1e-10
@@ -161,6 +163,61 @@ class GaborSystem:
         of the frequency lattice as time shifts and of the time lattice as frequencies."""
         return (_annihilator(self.freq_lattice, self.grid),
                 _annihilator(self.time_lattice, self.grid.reciprocal()))
+
+
+def _reconstruction_enclosure(system: GaborSystem, gamma: GridSignal) -> tuple[float, float]:
+    """(lower, upper) around the largest relative L2 error of synthesis with
+    gamma after analysis with the system window, over every signal: the
+    norm of D_gamma C_psi - I for the window and gamma as given.
+
+    D_gamma C_psi acts on the fiber (c, chi) as h |F| Phi_gamma Phi_psi^H, so
+    that norm is the largest spectral norm of M = h |F| Phi_gamma Phi_psi^H
+    - I_p over the fibers, which lies between ||M||_F / sqrt(p) and ||M||_F.
+    Both ends are moved outward by a bound on the rounding of the computed
+    fibers and of M; the rounding of ``_analysis`` and ``_synthesis`` is not
+    in it.
+    """
+    require_same_grid(gamma, system.window)
+    phi, maps = system._fibers
+    grid = system.grid
+    scale = grid.spacing ** grid.dim * system.freq_lattice.count
+    m = scale * (_synthesis_system(system, gamma)._fibers[0] @ phi.conj().swapaxes(-1, -2))
+    p, q = phi.shape[2:]
+    m -= np.eye(p)
+    norms = np.linalg.norm(m, axis=(-2, -1))
+
+    def magnitudes(window):
+        """sum_u |window(c + f_i - a_l - u)|, the (cosets, p, q) bound on |Phi|."""
+        tiled = np.tile(np.abs(window.reshaped()), (2,) * grid.dim).ravel()
+        return tiled[maps.shifts].sum(axis=0)
+
+    bound = np.linalg.norm(magnitudes(gamma) @ magnitudes(system.window).swapaxes(-1, -2),
+                           axis=(-2, -1))
+    # A computed character errs by at most 28u: its phase 2 pi k / L rounds
+    # four times (pi, the product with k, 1 / L, the quotient), at most 8 pi u,
+    # and cos and sin by an ulp each.  The |H|-term complex sums add
+    # gamma_{2|H|+4}, so an entry of Phi errs by at most gamma_{2|H|+32}
+    # times its magnitude sum.  Two such factors, the q-term product
+    # (gamma_{2q+4}) and the roundings of scale and of scale times it keep
+    # |M~ - M| within gamma_{4|H|+2q+70} scale (|Phi_gamma| |Phi_psi|^T).
+    # The count adds the rounding of that bound, made of nonnegative numbers
+    # only: the moduli (hypot), the |H| - 1 sums of each factor, the q-term
+    # products, the p^2 squares and sums, the square root and three products.
+    # The norms of M~ take the subtraction of I, p^2 squares and sums, the
+    # square root and the two steps of each end.
+    eps = _gamma(6 * len(maps.chars) + 4 * q + p * p + 80) * scale * bound
+    widen = _gamma(p * p + 6)
+    upper = float(np.max(norms * (1 + widen) + eps))
+    lower = float(np.max(norms * (1 - widen) / math.sqrt(p) - eps))
+    return max(lower, 0.0), upper
+
+
+def _synthesis_system(system: GaborSystem, gamma: GridSignal) -> GaborSystem:
+    """The system of gamma on the lattices of ``system``, or ``system`` itself
+    when gamma is its window; it shares the fiber maps."""
+    if gamma is system.window:
+        return system
+    return GaborSystem(gamma, system.time_lattice, system.freq_lattice)
 
 
 def _lattices_match(a: GridLattice, b: GridLattice) -> bool:
@@ -432,37 +489,14 @@ def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
     return float(np.max(np.abs(inner)))
 
 
-def _reconstruction_errors(system: GaborSystem, gamma: GridSignal,
-                           rows: np.ndarray) -> np.ndarray:
-    """Relative L2 errors of synthesize(gamma) . analyze(window) against the
-    (S, size) signal rows, one per row.
-
-    The synthesis runs on the fibers of ``GaborSystem(gamma, A, F)``, or
-    of ``system`` when gamma is its window, built once; the signals run in
-    blocks under ``grid._BATCH_BYTES``.  A signal's largest temporary is
-    its folded coefficients, N0 times the fold size, or the signal itself
-    when that is larger.  Each error is the same whatever the block: the
-    kernels are batched over the rows, and each norm sums one contiguous row.
-    """
-    denoms = np.linalg.norm(rows, axis=1)
-    if not np.all(denoms):
-        raise ZeroSignal("reconstruction error undefined for the zero signal")
-    require_same_grid(gamma, system.window)
-    dual = (system if gamma is system.window
-            else GaborSystem(gamma, system.time_lattice, system.freq_lattice))
-    folded = system.time_lattice.count * math.prod(system._fibers[1].shape)
-    block = _block_rows(max(folded, system.grid.size))
-    errors = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], block):
-        signals = rows[lo:lo + block]
-        rec = _synthesis(dual, _analysis(system, signals))
-        rec -= signals
-        errors[lo:lo + block] = np.linalg.norm(rec, axis=1)
-    return errors / denoms
-
-
 def reconstruction_error(system: GaborSystem, gamma: GridSignal,
                          f: GridSignal) -> float:
-    """Relative L2 error of synthesize(gamma) . analyze(window) against identity."""
+    """Relative L2 error of synthesize(gamma) . analyze(window) against
+    identity: one round trip of f through ``_analysis`` and ``_synthesis``."""
     require_same_grid(f, system.window)
-    return float(_reconstruction_errors(system, gamma, f.values[None])[0])
+    require_same_grid(gamma, system.window)
+    denom = np.linalg.norm(f.values)
+    if not denom:
+        raise ZeroSignal("reconstruction error undefined for the zero signal")
+    rec = _synthesis(_synthesis_system(system, gamma), _analysis(system, f.values[None]))[0]
+    return float(np.linalg.norm(rec - f.values) / denom)

@@ -48,12 +48,11 @@ from gaborgrid.suites import (
     NormalStream,
     SuiteConfig,
     _superposition_norms,
-    random_signal,
     run_embedding_chain,
     run_suites,
 )
 
-from conftest import convolve_samples, schwartz_seminorm, smooth_random_signal
+from conftest import convolve_samples, random_signal, schwartz_seminorm, smooth_random_signal
 
 SEED = 42
 _MODULE_T0 = time.perf_counter()

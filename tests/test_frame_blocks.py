@@ -16,6 +16,7 @@ import pytest
 from gaborgrid.gabor import (
     GaborSystem,
     _dense_frame_matrix,
+    _reconstruction_enclosure,
     analyze,
     dual_window,
     frame_bounds,
@@ -189,6 +190,48 @@ def test_fiber_dual_matches_block_solve(name, kind):
     expected[cosets] = np.linalg.solve(blocks, system.window.values[cosets][..., None])[..., 0]
     got = dual_window(system).values
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _dense_reconstruction(system, gamma):
+    """D_gamma C_psi as a dense matrix, h (W_gamma W_psi^H) o (E E^H), the
+    product factorization of ``_dense_frame_matrix`` with gamma on the left."""
+    grid = system.grid
+    points = system.time_lattice.index_points
+    [psi] = _translates(_tiled_windows(system.window.reshaped()), points)
+    [dual] = _translates(_tiled_windows(gamma.reshaped()), points)
+    L = grid.points_per_axis
+    phases = np.exp(2j * np.pi * (grid.index_vectors() @ system.freq_lattice.index_points.T % L) / L)
+    return grid.spacing ** grid.dim * (dual.T @ psi.conj()) * (phases @ phases.conj().T)
+
+
+@pytest.mark.parametrize("kind", WINDOWS)
+@pytest.mark.parametrize("name", FRAMES)
+def test_reconstruction_enclosure_contains_dense_norm(name, kind):
+    system = make_system(name, kind)
+    grid = system.grid
+    gamma = dual_window(system)
+    rng = np.random.default_rng(ALL.index(name))
+    noise = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    perturbed = GridSignal(grid, gamma.values + 1e-3 * np.max(np.abs(gamma.values)) * noise)
+    phi = system._fibers[0]
+    p = phi.shape[2]
+    scale = grid.spacing ** grid.dim * system.freq_lattice.count
+    for dual in (gamma, perturbed):
+        dense = np.linalg.norm(np.eye(grid.size) - _dense_reconstruction(system, dual), 2)
+        lower, upper = _reconstruction_enclosure(system, dual)
+        assert lower <= dense <= upper
+        if dual is gamma:
+            assert upper <= 1e-12
+            continue
+        # The largest spectral norm over the fibers is the dense norm; with
+        # one row per fiber it is the Frobenius norm the enclosure is built on.
+        m = scale * (GaborSystem(dual, system.time_lattice, system.freq_lattice)._fibers[0]
+                     @ phi.conj().swapaxes(-1, -2)) - np.eye(p)
+        fibers = np.max(np.linalg.norm(m, 2, axis=(-2, -1)))
+        assert fibers == pytest.approx(dense, rel=1e-12)
+        if p == 1:
+            assert lower == pytest.approx(dense, rel=1e-12)
+            assert upper == pytest.approx(dense, rel=1e-12)
 
 
 # name: (period, L, time step, freq step, (p, q)); the window factorization

@@ -13,7 +13,6 @@ from gaborgrid import grid as grid_module
 from gaborgrid.gabor import (
     GaborSystem,
     _dense_frame_matrix,
-    _reconstruction_errors,
     analyze,
     dual_window,
     frame_bounds,
@@ -26,13 +25,9 @@ from gaborgrid.grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    _block_rows,
     sample_gaussian,
     sample_rectangle,
 )
-from gaborgrid.lattice import Lattice
-from gaborgrid.suites import _complex_rows
-from gaborgrid.suites import random_signal as suite_random_signal
 
 from conftest import count_fft_calls, frame_apply, modulate, random_signal
 
@@ -401,71 +396,15 @@ def test_fiber_maps_are_shared_per_lattice_pair(ref_system):
     np.testing.assert_allclose(analyze(finer, f).values, expected, rtol=0, atol=1e-13)
 
 
-# Batched reconstruction --------------------------------------------------------
-
-def _reconstruction_system(name):
-    if name == "1d":
-        return GaborSystem.separable(sample_gaussian(PeriodicGrid(1, 16.0, 256)), 1.0, 0.5)
-    if name == "2d":
-        return GaborSystem.separable(sample_gaussian(PeriodicGrid(2, 8.0, 32)), 1.0, 0.5)
-    grid = PeriodicGrid(2, 6.0, 12)  # "2d-sheared-time-r4" of test_frame_blocks
-    return GaborSystem(
-        sample_gaussian(grid),
-        GridLattice(Lattice(np.array([[1.0, 0.5], [0.0, 1.0]])), grid),
-        GridLattice(Lattice(np.diag([0.5, 0.5])), grid.reciprocal()),
-    )
-
-
-@pytest.mark.parametrize("name", ["1d", "2d", "2d-sheared-time-r4"])
-def test_batched_reconstruction_matches_per_signal_loop(name):
-    system = _reconstruction_system(name)
-    grid = system.grid
-    gamma = dual_window(system)
-    # Enough signals for two full blocks and a partial last one.
-    folded = system.time_lattice.count * math.prod(system._fibers[1].shape)
-    n = 2 * _block_rows(max(folded, grid.size)) + 1
-    batch_rng, loop_rng = np.random.default_rng(23), np.random.default_rng(23)
-    batched = _reconstruction_errors(
-        system, gamma, _complex_rows(batch_rng.standard_normal((n, 2, grid.size))))
-    looped = [reconstruction_error(system, gamma, suite_random_signal(grid, loop_rng))
-              for _ in range(n)]
-    assert batched.shape == (n,)
-    np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-15)
-    assert np.max(batched) <= 1e-10
-    # The one draw leaves the generator where the per-signal draws do.
-    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
-    # A wrong dual is measured the same way both ways.
-    doubled = GridSignal(grid, 2.0 * gamma.values)
-    rows = _complex_rows(np.random.default_rng(5).standard_normal((n, 2, grid.size)))
-    np.testing.assert_allclose(_reconstruction_errors(system, doubled, rows), 1.0,
-                               rtol=0, atol=1e-12)
-
-
-def test_batched_reconstruction_zero_signal(ref_system, rng):
-    gamma = dual_window(ref_system)
-    rows = _complex_rows(rng.standard_normal((3, 2, ref_system.grid.size)))
-    rows[1] = 0.0
-    with pytest.raises(ZeroSignal):
-        _reconstruction_errors(ref_system, gamma, rows)
-    with pytest.raises(ZeroSignal):
-        reconstruction_error(ref_system, gamma, GridSignal(ref_system.grid, rows[1]))
-
-
 @pytest.mark.parametrize("signals_per_block", [None, 1, 3], ids=["default", "1", "3"])
 def test_reconstruction_fft_count(ref_system, rng, monkeypatch, signals_per_block):
-    grid = ref_system.grid
-    # A signal's largest temporary is its (N0, fold size) coefficients.
+    # One forward transform for the analysis, one inverse for the synthesis,
+    # whatever the block budget.
     per_signal = ref_system.time_lattice.count * math.prod(ref_system._fibers[1].shape)
     if signals_per_block:
         monkeypatch.setattr(grid_module, "_BATCH_BYTES", signals_per_block * 16 * per_signal)
     gamma = dual_window(ref_system)
-    n = 7
-    blocks = -(-n // _block_rows(per_signal))
-    rows = _complex_rows(rng.standard_normal((n, 2, grid.size)))
+    f = random_signal(ref_system.grid, rng)
     counts = count_fft_calls(monkeypatch)
-    _reconstruction_errors(ref_system, gamma, rows)
-    # One forward transform for the analysis, one inverse for the synthesis.
-    assert counts == {"fftn": blocks, "ifftn": blocks}
-    counts.clear()
-    reconstruction_error(ref_system, gamma, GridSignal(grid, rows[0]))
+    reconstruction_error(ref_system, gamma, f)
     assert counts == {"fftn": 1, "ifftn": 1}

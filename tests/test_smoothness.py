@@ -287,10 +287,10 @@ def test_profile_gaussian_rapid_decay(ref_system):
 
 
 def test_profile_fitted_order_ignores_rounding_noise(ref_system, monkeypatch):
-    # Noise of 1e-16 of the largest slice norm, the size of rounding, added
-    # to the Gaussian's slice norms.  With a fit floor of 1e-15 * max it moved
-    # fitted_order by 1.5e-4 to 4.4e-4 relative over these seeds; above the
-    # 1e-10 * max floor it moves by at most 4.1e-10.
+    # Noise of 3e-15 of the largest slice norm, the rounding of the
+    # (1+|x|)^3-weighted norms, added to the Gaussian's slice norms.  With a
+    # fit floor of 1e-10 * max it moved fitted_order by up to 1.2e-8
+    # relative over 20 seeds; above the 1e-6 * max floor, by at most 7.3e-11.
     f = sample_gaussian(ref_system.grid, width=math.sqrt(2.0), normalize=True)
     base = decay_profile(ref_system, f, L1_TAU3).fitted_order
     exact = smoothness_module.solid_discrete_norm
@@ -299,11 +299,11 @@ def test_profile_fitted_order_ignores_rounding_noise(ref_system, monkeypatch):
 
         def noisy(coeffs, spec):
             norms = exact(coeffs, spec)
-            return norms + 1e-16 * norms.max() * rng.random(norms.shape)
+            return norms + 3e-15 * norms.max() * rng.random(norms.shape)
 
         monkeypatch.setattr(smoothness_module, "solid_discrete_norm", noisy)
         moved = decay_profile(ref_system, f, L1_TAU3).fitted_order
-        assert moved == pytest.approx(base, rel=1e-7, abs=0)
+        assert moved == pytest.approx(base, rel=1e-9, abs=0)
 
 
 def test_profile_oscillation_growth_only(ref_system):

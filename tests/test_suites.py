@@ -21,10 +21,11 @@ import pytest
 import gaborgrid.grid as grid_module
 import gaborgrid.suites as suites_module
 from gaborgrid.formats import dump_json
-from gaborgrid.gabor import GaborSystem
+from gaborgrid.gabor import GaborSystem, _analysis, _synthesis, dual_window
 from gaborgrid.grid import (
     CoeffArray,
     GridLattice,
+    GridSignal,
     PeriodicGrid,
     _flat_index,
     _lattice_fold,
@@ -47,7 +48,6 @@ from gaborgrid.suites import (
     _random_sequences,
     _smooth_rows,
     _superposition_norms,
-    random_signal,
     run_embedding_chain,
     run_frame_bounds,
     run_growth,
@@ -55,7 +55,13 @@ from gaborgrid.suites import (
     run_window_independence,
 )
 
-from conftest import convolve_samples, schwartz_seminorm, smooth_random_signal
+from conftest import (
+    convolve_samples,
+    count_fft_calls,
+    random_signal,
+    schwartz_seminorm,
+    smooth_random_signal,
+)
 
 GRIDS = {
     "1d": PeriodicGrid(1, 16.0, 256),
@@ -299,6 +305,86 @@ def test_one_dual_solve_per_verify_run(monkeypatch):
     [system] = systems
     phi = system._fibers[0]
     assert sum(np.shares_memory(b, phi) for b in rhs) == 1
+
+
+# The grids of the 1-D and 2-D bench configs, with the default system.
+BENCH_CONFIGS = {
+    "1d": {"seed": 3},
+    "2d": {"seed": 3, "grid": {"dim": 2, "period": 8.0, "points_per_axis": 32}},
+}
+
+
+class _NoDraws:
+    """A stream that fails the test on any draw."""
+
+    def standard_normal(self, shape):
+        raise AssertionError(f"drew {shape} standard normals")
+
+
+def _entry(entries, name):
+    [entry] = [e for e in entries if e["name"] == name]
+    return entry
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+@pytest.mark.parametrize("suite", ["reconstruction", "wexler-raz"])
+def test_exact_suites_draw_nothing(suite, config, monkeypatch):
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    counts = count_fft_calls(monkeypatch)
+    entries = suites_module.SUITES[suite](cfg, system, _NoDraws())
+    assert all(e["passed"] for e in entries)
+    if suite == "reconstruction":
+        # The window's round trip through the doubled dual, and nothing else.
+        assert counts == {"fftn": 1, "ifftn": 1}
+        assert _entry(entries, "max_relative_error")["details"]["method"] == "fiber-enclosure"
+    else:
+        assert _entry(entries, "adjoint_identity_defect")["details"] == {"method": "unit-sequence"}
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+def test_a_scaled_dual_fails_the_exact_entries(config, monkeypatch):
+    dual_window = suites_module.dual_window
+    monkeypatch.setattr(suites_module, "dual_window",
+                        lambda system: dual_window(system) * (1 + 1e-6))
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    reconstruction = suites_module.run_reconstruction(cfg, system, _NoDraws())
+    wexler_raz = suites_module.run_wexler_raz(cfg, system, _NoDraws())
+    entry = _entry(reconstruction, "max_relative_error")
+    assert not entry["passed"]
+    # The exact error is 1e-6 on every fiber, inside the enclosure.
+    assert entry["details"]["lower"] <= 1e-6 <= entry["details"]["upper"]
+    assert not _entry(wexler_raz, "adjoint_identity_defect")["passed"]
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["canonical", "perturbed"])
+def test_adjoint_identity_defect_is_the_dense_max_row_sum(perturbed, monkeypatch):
+    # M = redundancy C_adj D_adj - I from all unit sequences, on the 1-D
+    # bench system; its max row sum is the sup over c of ||M c||_inf / ||c||_inf.
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS["1d"])
+    system = cfg.make_system()
+    grid = system.grid
+    gamma = dual_window(system)
+    if perturbed:
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        gamma = GridSignal(grid, gamma.values + 1e-3 * np.max(np.abs(gamma.values)) * noise)
+        monkeypatch.setattr(suites_module, "dual_window", lambda system: gamma)
+    adj_time, adj_freq = system._adjoint
+    n = adj_time.count * adj_freq.count
+    units = np.eye(n, dtype=complex).reshape(n, adj_time.count, adj_freq.count)
+    columns = _analysis(GaborSystem(system.window, adj_time, adj_freq),
+                        _synthesis(GaborSystem(gamma, adj_time, adj_freq), units))
+    m = columns.reshape(n, n) * system.redundancy - np.eye(n)
+    dense = float(np.max(np.sum(np.abs(m), axis=0)))
+    value = _entry(suites_module.run_wexler_raz(cfg, system, _NoDraws()),
+                   "adjoint_identity_defect")["value"]
+    if perturbed:
+        assert value == pytest.approx(dense, rel=1e-10)
+    else:
+        # Rounding alone: the rows differ at rounding, so only their size agrees.
+        assert dense <= 1e-13 and dense / 2 <= value <= 2 * dense
 
 
 @pytest.mark.parametrize("freq_step, redundancy", [(0.5, 0.5), (0.1875, 0.25)])
