@@ -34,6 +34,8 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from .errors import ConfigError, GaborGridError, NotAFrame
 from .formats import (
     dump_json,
@@ -45,7 +47,7 @@ from .formats import (
     write_tfarray,
 )
 from .gabor import FRAME_THRESHOLD, dual_window, frame_bounds, wexler_raz_residual
-from .grid import sample_gaussian, sample_oscillation
+from .grid import GridSignal, PeriodicGrid, sample_gaussian, sample_oscillation
 from .smoothness import decay_profile
 from .spaces import continuous_norm
 from .stft import stft
@@ -66,6 +68,19 @@ def _read_config(path: str | None) -> dict:
 
 def load_config(path: str | None) -> SuiteConfig:
     return SuiteConfig.from_dict(_read_config(path))
+
+
+def _read_input(args, grid: PeriodicGrid) -> GridSignal:
+    """The ``--input`` signal on ``grid``.  The file formats keep nan and
+    inf, but no command gives them a meaning, so a non-finite value is a
+    configuration error, as a missing ``--input`` is."""
+    if args.input is None:
+        raise ConfigError(f"input: --input is required for {args.command}")
+    f = read_signal(args.input, grid)
+    bad = np.flatnonzero(~np.isfinite(f.values))
+    if bad.size:
+        raise ConfigError(f"input: {args.input}: non-finite value at index {bad[0]}")
+    return f
 
 
 # Subcommands ------------------------------------------------------------------
@@ -97,9 +112,7 @@ def cmd_verify(args) -> int:
 def cmd_stft(args) -> int:
     cfg = load_config(args.config)
     grid = cfg.make_grid()
-    if args.input is None:
-        raise ConfigError("input: --input is required for stft")
-    table = stft(read_signal(args.input, grid), cfg.make_window(grid))
+    table = stft(_read_input(args, grid), cfg.make_window(grid))
     out = args.output or "stft.csv"
     write_tfarray(table, out)
     print(f"wrote {out}")
@@ -127,10 +140,7 @@ def cmd_dual_window(args) -> int:
 
 def cmd_norms(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.make_grid()
-    if args.input is None:
-        raise ConfigError("input: --input is required for norms")
-    f = read_signal(args.input, grid)
+    f = _read_input(args, cfg.make_grid())
     records = [
         {"spec": spec.to_dict(), "lattice": None, "value": continuous_norm(f, spec)}
         for spec in cfg.spaces
@@ -150,14 +160,14 @@ def cmd_profile(args) -> int:
     cfg = load_config(args.config)
     system = cfg.make_system()
     grid = system.grid
-    if args.input:
-        f = read_signal(args.input, grid)
-    elif args.preset == "gaussian":
+    if args.preset == "gaussian":
         f = sample_gaussian(grid, width=2.0 ** 0.5, normalize=True)
     elif args.preset == "oscillation":
         f = sample_oscillation(grid, 4.0)
-    else:
+    elif args.input is None:
         raise ConfigError("input: provide --input or --preset")
+    else:
+        f = _read_input(args, grid)
     if not (cfg.spaces and cfg.spaces[0].is_solid):
         raise ConfigError("spaces: profiles need a solid space first in the list")
     prof = decay_profile(system, f, cfg.spaces[0])

@@ -125,7 +125,7 @@ def write_signal_csv(signal: GridSignal, path) -> None:
 
 def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
     values = np.zeros(grid.size, dtype=complex)
-    seen = 0
+    filled = np.zeros(grid.size, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -141,10 +141,12 @@ def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
                                   f"index,re,im numbers, got {','.join(row)!r}") from None
             if not 0 <= k < grid.size:
                 raise ConfigError(f"{path}: index {k} outside grid of size {grid.size}")
+            if filled[k]:
+                raise ConfigError(f"{path}: row {reader.line_num}: index {k} repeats")
             values[k] = complex(real, imag)
-            seen += 1
-    if seen != grid.size:
-        raise ConfigError(f"{path}: expected {grid.size} rows, found {seen}")
+            filled[k] = True
+    if not filled.all():
+        raise ConfigError(f"{path}: expected {grid.size} rows, found {np.count_nonzero(filled)}")
     return GridSignal(grid, values)
 
 

@@ -55,7 +55,8 @@ so the adjoint exists for every pair of grid lattices, and the pair
 the adjoint vanishes except for the mass 1/redundancy at the origin
 ((ab)^n on a separable lattice with steps (a, b)).  That STFT is taken by
 the translate-gather kernel of ``stft``, not from the fibers of the
-adjoint system.
+adjoint system; its defect (``_wexler_raz_defect``) gives both Wexler-Raz
+entries of the report.
 """
 
 from __future__ import annotations
@@ -471,22 +472,25 @@ def dual_window(system: GaborSystem) -> GridSignal:
     return system._dual
 
 
-def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
-    """Biorthogonality defect of (system.window, gamma) over the adjoint
-    lattice F^perp x A^perp.
-
-    The largest deviation of the STFT of gamma with the system window, over
-    the adjoint lattice, from 1/redundancy at the origin and 0 elsewhere.
-    Lattice covariance of the Gram entries makes this origin-anchored
-    analysis equivalent to the full double scan.  The STFT is the
-    translate-gather kernel ``stft._lattice_stft``, apart from the fibers.
-    """
+def _wexler_raz_defect(system: GaborSystem, gamma: GridSignal) -> np.ndarray:
+    """The STFT of gamma with the system window over the adjoint lattice
+    F^perp x A^perp, less 1/redundancy at the origin: zero exactly when
+    (system.window, gamma) is a dual pair.  Lattice covariance of the Gram
+    entries makes this origin-anchored analysis equivalent to the full
+    double scan.  The STFT is the translate-gather kernel
+    ``stft._lattice_stft``, apart from the fibers."""
     require_same_grid(gamma, system.window)
     adj_time, adj_freq = system._adjoint
     inner = _lattice_stft(gamma.values, system.window, adj_time.index_points,
                           adj_freq.index_points)
     inner[0, 0] -= 1.0 / system.redundancy
-    return float(np.max(np.abs(inner)))
+    return inner
+
+
+def wexler_raz_residual(system: GaborSystem, gamma: GridSignal) -> float:
+    """Biorthogonality defect of (system.window, gamma): the largest modulus
+    of ``_wexler_raz_defect``."""
+    return float(np.max(np.abs(_wexler_raz_defect(system, gamma))))
 
 
 def reconstruction_error(system: GaborSystem, gamma: GridSignal,

@@ -24,11 +24,12 @@ closed forms in the window profile (``spaces._solid_profile``), each checked
 against its witness evaluated on the grid (README, "Closed-form
 constants").  The reconstruction and wexler-raz suites draw nothing: the
 worst reconstruction error is enclosed on the Zak fibers
-(``gabor._reconstruction_enclosure``), and the adjoint identity's worst
-case is its defect on one unit sequence.  What is sampled: the
-solid-shortcut and Fourier-Parseval identities, on 50 random sequences
-per check, the sup over smooth phi (``samples.continuity``) and the
-Fourier-vs-bump bands (``samples.ratio_scan``).
+(``gabor._reconstruction_enclosure``), and both Wexler-Raz entries read
+the one adjoint-lattice defect array (``gabor._wexler_raz_defect``).  The
+solid shortcut is checked on two fixed witnesses.  What is sampled: the
+Fourier-Parseval identity, on 50 random sequences, the sup over smooth
+phi (``samples.continuity``) and the Fourier-vs-bump bands
+(``samples.ratio_scan``).
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ from .gabor import (
     GaborSystem,
     _dense_frame_matrix,
     _reconstruction_enclosure,
-    analyze,
+    _wexler_raz_defect,
     dual_window,
     frame_bounds,
     reconstruction_error,
-    synthesize,
-    wexler_raz_residual,
 )
 from .grid import (
     CoeffArray,
@@ -376,25 +375,18 @@ def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
     cert = frame_bounds(system)
     if not cert.is_frame:
         return [_not_a_frame_entry("wexler-raz", cert)]
-    gamma = dual_window(system)
-    adj_time, adj_freq = system._adjoint
-    residual = wexler_raz_residual(system, gamma)
+    defect = np.abs(_wexler_raz_defect(system, dual_window(system)))
     # Adjoint-lattice identity: analysis after synthesis over the adjoint
     # lattice is 1/redundancy times the identity, so M = redundancy C D - I
     # vanishes.  pi(mu)* pi(lambda) is a phase times pi(lambda - mu), so
     # every row of M is its column 0 permuted, each entry times a phase, and
     # the sup over c of ||M c||_inf / ||c||_inf, a row's l1 norm, is ||M e_0||_1.
-    adj = GaborSystem(system.window, adj_time, adj_freq)
-    adj_dual = GaborSystem(gamma, adj_time, adj_freq)
-    unit = np.zeros((adj_time.count, adj_freq.count), dtype=complex)
-    unit[0, 0] = 1.0
-    coeffs = CoeffArray.over_product(adj_time, adj_freq, unit)
-    column = analyze(adj, synthesize(adj_dual, coeffs)).values * system.redundancy
-    column[0, 0] -= 1.0
+    # Synthesis over the adjoint dual maps e_0 to gamma, so M e_0 is
+    # redundancy times the Wexler-Raz defect.
     return [
-        check("wexler-raz", "adjoint_identity_defect", np.sum(np.abs(column)), 1e-8, "<=",
-              details={"method": "unit-sequence"}),
-        check("wexler-raz", "residual", residual, 1e-8, "<="),
+        check("wexler-raz", "adjoint_identity_defect", system.redundancy * np.sum(defect),
+              1e-8, "<=", details={"method": "unit-sequence"}),
+        check("wexler-raz", "residual", float(np.max(defect)), 1e-8, "<="),
     ]
 
 
@@ -519,17 +511,21 @@ def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
                                                        "method": "closed-form"}))
 
     # Solid shortcut: unweighted Lp discrete norms factor exactly through
-    # the window Lp norm; weighted ones weight |c_k| by h^(n/2) p_k against
-    # the shortcut's (1+|x_k|)^2, so their ratio ranges over the quotients.
+    # the window Lp norm, for every c, since every translate of chi carries
+    # the same profile; e_0 and the all-ones sequence witness it.  Weighted
+    # ones weight |c_k| by h^(n/2) p_k against the shortcut's (1+|x_k|)^2,
+    # so their ratio ranges over the quotients.
     chi = chi2
+    e0 = np.arange(lattice.count) == 0
+    c = CoeffArray.over_lattice(lattice, np.stack([e0, np.ones(lattice.count)], axis=1))
     for p in (1.0, 2.0, 4.0):
         spec = SpaceSpec("Lp_w", p)
         factor = continuous_norm(chi, spec)
-        c = _random_sequences(rng, lattice, 50)
         direct = discrete_norm(c, spec, chi)
         worst = float(np.max(np.abs(direct / (factor * solid_discrete_norm(c, spec)) - 1.0)))
         entries.append(
-            check(suite, f"solid_shortcut_exact_L{p:g}", worst, 1e-12, "<=")
+            check(suite, f"solid_shortcut_exact_L{p:g}", worst, 1e-12, "<=",
+                  details={"method": "fixed-witnesses"})
         )
     spec_w = SpaceSpec("Lp_w", 2.0, weight=PowerWeight(2.0))
     quotients = (grid.spacing ** (grid.dim / 2) * _solid_profile(chi, lattice, spec_w)[0][:, 0]

@@ -10,7 +10,7 @@ import pytest
 from gaborgrid import cli
 from gaborgrid.errors import ConfigError
 from gaborgrid.formats import validate_report, write_signal_binary, write_signal_csv
-from gaborgrid.grid import PeriodicGrid, sample_gaussian
+from gaborgrid.grid import GridSignal, PeriodicGrid, sample_gaussian
 from gaborgrid.suites import SUITE_NAMES, SuiteConfig, run_suites
 
 from conftest import random_signal
@@ -177,6 +177,29 @@ def test_norms_unreadable_input_exits_2(tmp_path, capsys, name, content, message
     assert cli.main(["norms", "--config", str(cfg), "--input", str(sig_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {sig_path}") and message in err
+
+
+@pytest.mark.parametrize("command", ["stft", "norms", "profile"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_input_exits_2(tmp_path, capsys, command, value):
+    # The file formats keep special values; the commands refuse them.
+    values = sample_gaussian(PeriodicGrid(1, 16.0, 256)).values.copy()
+    values[7] = float(value)
+    sig_path = tmp_path / "sig.csv"
+    write_signal_csv(GridSignal(PeriodicGrid(1, 16.0, 256), values), sig_path)
+    cfg = write_config(tmp_path)
+    assert cli.main([command, "--config", str(cfg), "--input", str(sig_path),
+                     "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: input: {sig_path}: non-finite value at index 7\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["stft", "norms"])
+def test_missing_input_exits_2(tmp_path, capsys, command):
+    assert cli.main([command, "--config", str(write_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: input: --input is required for {command}\n")
 
 
 @pytest.mark.parametrize("key, value", [

@@ -162,6 +162,15 @@ def test_signal_csv_row_count_checked(tmp_path, ref_grid):
         read_signal_csv(path, ref_grid)
 
 
+def test_signal_csv_repeated_index_refused(tmp_path, ref_grid):
+    # Index 0 twice and index 5 never: as many rows as nodes, one unfilled.
+    indices = [0] + [k for k in range(ref_grid.size) if k != 5]
+    path = tmp_path / "repeat.csv"
+    path.write_text("index,re,im\n" + "".join(f"{k},1.0,0.0\n" for k in indices))
+    with pytest.raises(ConfigError, match=f"{path}: row 3: index 0 repeats"):
+        read_signal_csv(path, ref_grid)
+
+
 @pytest.mark.parametrize("row", ["0,abc,0", "0,1.0", "x,1.0,0.0"],
                          ids=["non-numeric", "two-fields", "bad-index"])
 def test_signal_csv_bad_row_names_file_and_row(tmp_path, ref_grid, row):

@@ -254,12 +254,12 @@ def test_embedding_chain_memory_is_bounded():
 
 def test_one_system_per_verify_run(monkeypatch):
     # The frame-bounds, reconstruction and wexler-raz suites share one
-    # system, so its Zak fibers are built once.  The other seven builds are
+    # system, so its Zak fibers are built once.  The other five builds are
     # the undersampled, small dense-oracle and painless systems of
-    # frame-bounds, the synthesis systems of the dual and of the doubled dual
-    # in reconstruction, and the adjoint-lattice systems ``adj`` and
-    # ``adj_dual`` of wexler-raz.  Only the undersampled fibers (4 x 1) and
-    # the dense oracle need eigvalsh; the others have one row or no bounds.
+    # frame-bounds and the synthesis systems of the dual and of the doubled
+    # dual in reconstruction; wexler-raz builds none.  Only the undersampled
+    # fibers (4 x 1) and the dense oracle need eigvalsh; the others have one
+    # row or no bounds.
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -280,7 +280,7 @@ def test_one_system_per_verify_run(monkeypatch):
         "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
     })
     run_suites(cfg)
-    assert len(builds) == len({id(s) for s in builds}) == 8
+    assert len(builds) == len({id(s) for s in builds}) == 6
     assert calls == [(16, 16, 4, 4), (144, 144)]
 
 
@@ -339,6 +339,8 @@ def test_exact_suites_draw_nothing(suite, config, monkeypatch):
         assert counts == {"fftn": 1, "ifftn": 1}
         assert _entry(entries, "max_relative_error")["details"]["method"] == "fiber-enclosure"
     else:
+        # One adjoint-lattice STFT serves both entries.
+        assert counts == {"fftn": 1}
         assert _entry(entries, "adjoint_identity_defect")["details"] == {"method": "unit-sequence"}
 
 
@@ -355,7 +357,9 @@ def test_a_scaled_dual_fails_the_exact_entries(config, monkeypatch):
     assert not entry["passed"]
     # The exact error is 1e-6 on every fiber, inside the enclosure.
     assert entry["details"]["lower"] <= 1e-6 <= entry["details"]["upper"]
+    # Both Wexler-Raz entries read one defect array, and each fails.
     assert not _entry(wexler_raz, "adjoint_identity_defect")["passed"]
+    assert not _entry(wexler_raz, "residual")["passed"]
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["canonical", "perturbed"])
