@@ -71,10 +71,13 @@ def _write_complex(fh, values: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(values, dtype="<c16"))
 
 
-def _read_complex(fh, count: int) -> np.ndarray:
-    data = fh.read(16 * count)
-    if len(data) != 16 * count:
-        raise ConfigError("binary payload truncated")
+def _read_complex(fh, count: int, path) -> np.ndarray:
+    """Exactly ``count`` values, the rest of the file."""
+    data = fh.read(16 * count + 1)
+    if len(data) < 16 * count:
+        raise ConfigError(f"{path}: binary payload truncated, expected {count} values")
+    if len(data) > 16 * count:
+        raise ConfigError(f"{path}: data past the {count} payload values")
     return np.frombuffer(data, dtype="<c16")
 
 
@@ -96,7 +99,7 @@ def read_signal_binary(path, grid: PeriodicGrid) -> GridSignal:
             raise ConfigError(f"expected rank-1 payload, found rank {rank}")
         if (dim, L) != (grid.dim, grid.points_per_axis):
             raise ConfigError(f"input: {path} shape does not match the config grid")
-        return GridSignal(grid, _read_complex(fh, grid.size))
+        return GridSignal(grid, _read_complex(fh, grid.size, path))
 
 
 def write_tfarray_binary(tf: TFArray, path) -> None:
@@ -129,14 +132,15 @@ def read_signal_csv(path, grid: PeriodicGrid) -> GridSignal:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["index", "re", "im"]:
+        if header is None or [h.strip() for h in header] != ["index", "re", "im"]:
             raise ConfigError(f"{path}: expected header index,re,im")
         for row in reader:
             if not row:
                 continue
             try:
-                k, real, imag = int(row[0]), float(row[1]), float(row[2])
-            except (IndexError, ValueError):
+                index, real, imag = row
+                k, real, imag = int(index), float(real), float(imag)
+            except ValueError:
                 raise ConfigError(f"{path}: row {reader.line_num}: expected "
                                   f"index,re,im numbers, got {','.join(row)!r}") from None
             if not 0 <= k < grid.size:

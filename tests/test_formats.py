@@ -188,6 +188,38 @@ def test_signal_binary_short_header(tmp_path, ref_grid, size):
         read_signal_binary(path, ref_grid)
 
 
+def test_signal_binary_data_past_the_payload_refused(tmp_path, ref_grid):
+    path = tmp_path / "long.bin"
+    write_signal_binary(sample_gaussian(ref_grid), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(ConfigError, match=f"{path}: data past the 256 payload values"):
+        read_signal_binary(path, ref_grid)
+
+
+def test_signal_binary_truncated_payload_names_the_file(tmp_path, ref_grid):
+    path = tmp_path / "short.bin"
+    write_signal_binary(sample_gaussian(ref_grid), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ConfigError, match=f"{path}: binary payload truncated"):
+        read_signal_binary(path, ref_grid)
+
+
+@pytest.mark.parametrize("row", ["3,4,0,x", "3,4,0,"], ids=["extra-field", "trailing-comma"])
+def test_signal_csv_row_with_extra_fields_refused(tmp_path, ref_grid, row):
+    path = tmp_path / "wide.csv"
+    path.write_text(f"index,re,im\n{row}\n")
+    with pytest.raises(ConfigError, match=f"{path}: row 2: expected index,re,im numbers"):
+        read_signal_csv(path, ref_grid)
+
+
+def test_signal_csv_header_with_extra_fields_refused(tmp_path, ref_grid):
+    path = tmp_path / "wide.csv"
+    path.write_text("index,re,im,note\n0,1.0,0.0\n")
+    with pytest.raises(ConfigError, match=f"{path}: expected header index,re,im"):
+        read_signal_csv(path, ref_grid)
+
+
 def test_tfarray_round_trip(tmp_path):
     # The binary table of ``gaborgrid stft``, read back with struct and
     # np.frombuffer: the GABR header, then interleaved little-endian re/im.

@@ -254,12 +254,11 @@ def test_embedding_chain_memory_is_bounded():
 
 def test_one_system_per_verify_run(monkeypatch):
     # The frame-bounds, reconstruction and wexler-raz suites share one
-    # system, so its Zak fibers are built once.  The other five builds are
-    # the undersampled, small dense-oracle and painless systems of
-    # frame-bounds and the synthesis systems of the dual and of the doubled
-    # dual in reconstruction; wexler-raz builds none.  Only the undersampled
-    # fibers (4 x 1) and the dense oracle need eigvalsh; the others have one
-    # row or no bounds.
+    # system, so its Zak fibers are built once.  The other four builds are
+    # the small dense-oracle and painless systems of frame-bounds and the
+    # synthesis systems of the dual and of the doubled dual in
+    # reconstruction; wexler-raz builds none.  Only the dense oracle needs
+    # eigvalsh; the fibers have one row or no bounds.
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -280,8 +279,8 @@ def test_one_system_per_verify_run(monkeypatch):
         "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
     })
     run_suites(cfg)
-    assert len(builds) == len({id(s) for s in builds}) == 6
-    assert calls == [(16, 16, 4, 4), (144, 144)]
+    assert len(builds) == len({id(s) for s in builds}) == 5
+    assert calls == [(144, 144)]
 
 
 def test_one_dual_solve_per_verify_run(monkeypatch):
@@ -391,38 +390,6 @@ def test_adjoint_identity_defect_is_the_dense_max_row_sum(perturbed, monkeypatch
         assert dense <= 1e-13 and dense / 2 <= value <= 2 * dense
 
 
-@pytest.mark.parametrize("freq_step, redundancy", [(0.5, 0.5), (0.1875, 0.25)])
-def test_undersampled_check_scales_to_redundancy_below_one(freq_step, redundancy):
-    # Bin step 3 is coprime to L = 256, so F covers every bin: the system has
-    # redundancy 16, and doubling both steps leaves a frame of redundancy 4.
-    cfg = SuiteConfig.from_dict({"system": {"freq_step": freq_step}})
-    system = cfg.make_system()
-    entries = run_frame_bounds(cfg, system, NormalStream(cfg.seed, "frame-bounds"))
-    (entry,) = [e for e in entries if e["name"] == "undersampled_lower_bound"]
-    assert entry["passed"]
-    assert entry["value"] == 0.0
-    assert entry["details"] == {"redundancy": redundancy}
-
-
-@pytest.mark.parametrize("grid, system", [
-    # Odd L: no doubling changes a lattice count, redundancy 9 stays.
-    ({"period": 9.0, "points_per_axis": 81}, {"time_step": 1.0, "freq_step": 1 / 9}),
-    # L = 90 holds one factor 2, which step indices 6 and 10 already hold:
-    # redundancy 1.5 stays.
-    ({"period": 15.0, "points_per_axis": 90}, {"time_step": 1.0, "freq_step": 2 / 3}),
-], ids=["L81", "L90"])
-def test_undersampled_search_stops_when_doubling_keeps_a_frame(grid, system):
-    # Then both steps become the full period: one time-frequency shift.
-    cfg = SuiteConfig.from_dict({"grid": grid, "system": system})
-    cfg.validate()
-    entries = run_frame_bounds(cfg, cfg.make_system(),
-                               NormalStream(cfg.seed, "frame-bounds"))
-    (entry,) = [e for e in entries if e["name"] == "undersampled_lower_bound"]
-    assert entry["passed"]
-    assert entry["value"] == 0.0
-    assert entry["details"] == {"redundancy": 1 / grid["points_per_axis"]}
-
-
 @pytest.mark.parametrize("window", ["gaussian", "rectangle"])
 @pytest.mark.parametrize("step, same", [(3.0, 1.0), (0.75, 0.25)])
 def test_a_time_step_is_read_as_the_lattice_it_generates(step, same, window):
@@ -455,6 +422,69 @@ def test_frame_reports_its_condition_number():
     (entry,) = [e for e in entries if e["name"] == "condition_number"]
     assert entry["passed"] and 1.0 <= entry["value"] < 10.0
     assert "frame" not in {e["name"] for e in entries}
+
+
+def _one_node_changed(sample_rectangle):
+    def changed(grid, width):
+        values = sample_rectangle(grid, width).values.copy()
+        values.flat[0] = 0.5
+        return GridSignal(grid, values)
+    return changed
+
+
+# Each self-test entry of frame-bounds against a fault it must catch: the
+# suites attribute to wrap, the wrapper, and the entries that then fail.
+FRAME_FAULTS = {
+    "dense-matrix-scaled": ("_dense_frame_matrix", lambda f: lambda s: f(s) * (1 + 1e-5),
+                            {"dense_vs_fiber_lower", "dense_vs_fiber_upper"}),
+    "rectangle-node-changed": ("sample_rectangle", _one_node_changed,
+                               {"painless_tightness", "painless_dual_is_scaled_window"}),
+    "painless-dual-scaled": ("dual_window", lambda f: lambda s: f(s) * (1 + 1e-6),
+                             {"painless_dual_is_scaled_window"}),
+}
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+@pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
+def test_each_frame_bounds_self_test_fails_under_its_fault(fault, config, monkeypatch):
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    name, wrap, failing = FRAME_FAULTS[fault]
+    monkeypatch.setattr(suites_module, name, wrap(getattr(suites_module, name)))
+    entries = run_frame_bounds(cfg, system, _NoDraws())
+    assert {e["name"] for e in entries if not e["passed"]} == failing
+
+
+def test_frame_bounds_self_tests_cost_the_same_on_a_large_grid():
+    # The self-tests run on a fixed small grid, so at 128^2 only the
+    # configured system's fibers take memory (a 4.4 MB peak).
+    cfg = SuiteConfig.from_dict({"grid": {"dim": 2, "period": 8.0, "points_per_axis": 128}})
+    system = cfg.make_system()
+    tracemalloc.start()
+    try:
+        entries = run_frame_bounds(cfg, system, _NoDraws())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(e["passed"] for e in entries)
+    assert peak < 16 * 2 ** 20
+
+
+def test_an_off_grid_dual_lattice_is_a_diagnostic_not_a_gap():
+    # Time step 8 on a 16-periodic grid of 64 points: the dual lattice
+    # (1/8)Z is finer than the grid spacing 1/4, so the three Fourier
+    # entries cannot be computed, and one report entry says why.
+    cfg = SuiteConfig.from_dict({"grid": {"period": 16.0, "points_per_axis": 64},
+                                 "system": {"time_step": 8.0}})
+    cfg.validate()
+    entries = run_window_independence(cfg, cfg.make_system(),
+                                      NormalStream(cfg.seed, "window-independence"))
+    assert len(entries) == 11
+    fourier = [e for e in entries if e["name"].startswith("fourier")]
+    assert fourier == [suites_module.check(
+        "window-independence", "fourier_entries_skipped", 3, None, "report",
+        details={"reason": "NonAlignedLattice: generator columns are not multiples "
+                           "of spacing 0.25"})]
 
 
 # Closed-form constants of embedding-chain and window-independence ----------
