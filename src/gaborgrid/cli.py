@@ -16,10 +16,11 @@ shortened to a unique prefix; ``-h`` or ``--help`` prints this text.
 writes the JSON report at ``--output``, else ``output.report``, else
 ``report.json``, unless ``--format csv``; it writes the CSV report at
 ``--csv``, else ``output.csv``, else next to the JSON path when ``--format``
-is ``csv`` or ``both``.  ``profile`` writes the profile CSV at ``--output``,
-else ``profile.csv``, and its JSON summary at ``--summary``, else next to the
-CSV.  Every file format, and the choice between CSV and binary by suffix,
-lives in :mod:`gaborgrid.formats`.  Exit codes: 0 success (numerical failures
+is ``csv`` or ``both``; when both reports would go to one file it refuses to
+run.  ``profile`` writes the profile CSV at ``--output``, else
+``profile.csv``, and its JSON summary at ``--summary``, else next to the CSV.
+Every file format, and the choice between CSV and binary by suffix, lives in
+:mod:`gaborgrid.formats`.  Exit codes: 0 success (numerical failures
 are report data, not errors), 2 usage or configuration error (a config key
 the program does not read among them) or a system that is not a frame where a
 dual window is required, 3 internal error.  Reports are byte-deterministic for
@@ -93,13 +94,15 @@ def cmd_verify(args) -> int:
     if args.suites:
         cfg = replace(cfg, suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()))
     output = data.get("output", {})  # checked by SuiteConfig.from_dict
-    report = run_suites(cfg)
     json_path = args.output or output.get("report") or "report.json"
     csv_path = args.csv or output.get("csv")
     if not csv_path and args.format != "json":
         csv_path = str(Path(json_path).with_suffix(".csv"))
     if args.format == "csv":
         json_path = None
+    if json_path and csv_path and Path(json_path).resolve() == Path(csv_path).resolve():
+        raise ConfigError(f"output: the JSON and CSV reports would both be written to {csv_path}")
+    report = run_suites(cfg)
     written = write_report(report, json_path, csv_path)
     failed = sum(1 for e in report["entries"] if not e["passed"])
     print(

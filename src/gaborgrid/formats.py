@@ -96,7 +96,7 @@ def read_signal_binary(path, grid: PeriodicGrid) -> GridSignal:
         if magic != _MAGIC:
             raise ConfigError(f"bad magic {magic!r} in {path}")
         if rank != 1:
-            raise ConfigError(f"expected rank-1 payload, found rank {rank}")
+            raise ConfigError(f"{path}: expected rank-1 payload, found rank {rank}")
         if (dim, L) != (grid.dim, grid.points_per_axis):
             raise ConfigError(f"input: {path} shape does not match the config grid")
         return GridSignal(grid, _read_complex(fh, grid.size, path))

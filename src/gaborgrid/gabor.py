@@ -76,8 +76,6 @@ from .grid import (
     PeriodicGrid,
     _flat_index,
     _lattice_fold,
-    _tiled_windows,
-    _translates,
     grids_compatible,
     require_same_grid,
 )
@@ -424,20 +422,6 @@ class FrameCertificate:
             "redundancy": self.redundancy,
             "fiber_shape": list(self.fiber_shape),
         }
-
-
-def _dense_frame_matrix(system: GaborSystem) -> np.ndarray:
-    """Full frame-operator matrix, an oracle independent of the fiber path."""
-    grid = system.grid
-    [table] = _translates(_tiled_windows(system.window.reshaped()),
-                           system.time_lattice.index_points)
-    W = table.T
-    L = grid.points_per_axis
-    prod = (grid.index_vectors() @ system.freq_lattice.index_points.T) % L
-    phases = np.exp(2j * np.pi * prod / L)
-    cell = grid.spacing ** grid.dim
-    # S factors over the product lattice: S = cell * (W W^H) hadamard (Phi Phi^H).
-    return cell * (W @ W.conj().T) * (phases @ phases.conj().T)
 
 
 def frame_bounds(system: GaborSystem) -> FrameCertificate:

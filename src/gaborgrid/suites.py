@@ -1,26 +1,27 @@
 """Named verification suites behind the batch driver.
 
-Each suite takes a validated configuration, the configured Gabor system
-and its own stream of standard normals, and returns report entries: plain
-dicts with a measured value, a threshold, a comparator, and the resulting
-pass flag.  Informational measurements use the comparator ``report`` and
-always pass.  One system serves every suite of a run, so its frame-operator
-fibers, certificate and dual window are built once.  The frame-bounds
-suite certifies that system; its four self-test entries (fiber bounds
-against the dense-eigen oracle, and the painless closed form) run on one
-fixed small grid per dimension, so they cost the same on every grid.
+Each suite takes a validated configuration and the configured Gabor
+system, and returns report entries: plain dicts with a measured value, a
+threshold, a comparator, and the resulting pass flag.  Informational
+measurements use the comparator ``report`` and always pass.  One system
+serves every suite of a run, so its frame-operator fibers, certificate and
+dual window are built once.  Every entry is about that system: the
+frame-bounds suite reports its lower bound and condition number, and
+builds no system of its own.
 
-Suites draw their randomness from a ``NormalStream`` keyed by the config
-seed and the suite name, so results do not depend on which other suites
-run or on the execution order.  The stream is counter-based: its i-th
-value is a pure function of the key and i, so it is split-invariant (a
-draw of a values and then b values equals one draw of a + b) and a family
-drawn in blocks equals the family drawn at once.  A given seed's sampled
-entries differ from those of earlier versions, whose suites drew from
-NumPy's generators; the verdicts do not.  Monte-Carlo families are drawn
-with one ``standard_normal`` call per batch and evaluated by the batched
-kernels; batches of grid signals run in blocks of ``grid._block_rows(size)``
-samples, so a family of any size adds a bounded working set.
+The two suites that sample, window-independence (its Fourier entries) and
+embedding-chain (the smooth phi family), each draw from a ``NormalStream``
+keyed by the config seed and the suite name, so results do not depend on
+which other suites run or on the execution order; the other suites take no
+stream.  The stream is counter-based: its i-th value is a pure function of
+the key and i, so it is split-invariant (a draw of a values and then b
+values equals one draw of a + b) and a family drawn in blocks equals the
+family drawn at once.  A given seed's sampled entries differ from those of
+earlier versions, whose suites drew from NumPy's generators; the verdicts
+do not.  Monte-Carlo families are drawn with one ``standard_normal`` call
+per batch and evaluated by the batched kernels; batches of grid signals run
+in blocks of ``grid._block_rows(size)`` samples, so a family of any size
+adds a bounded working set.
 
 The extremal constants of embedding-chain and window-independence are
 closed forms in the window profile (``spaces._solid_profile``), each checked
@@ -48,7 +49,6 @@ from .gabor import (
     FRAME_THRESHOLD,
     FrameCertificate,
     GaborSystem,
-    _dense_frame_matrix,
     _reconstruction_enclosure,
     _wexler_raz_defect,
     dual_window,
@@ -211,6 +211,8 @@ class SuiteConfig:
             if spec.kind == "MixedLp" and self.dim != 2:
                 raise ConfigError(f"spaces[{i}].kind: MixedLp needs grid.dim 2, got {self.dim}")
         self._window()
+        if not self.suites:
+            raise ConfigError("suites: must name at least one suite")
         unknown = [name for name in self.suites if name not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"suites: unknown names {unknown}")
@@ -353,8 +355,7 @@ def _not_a_frame_entry(suite: str, cert: FrameCertificate) -> dict:
 
 # Individual suites -----------------------------------------------------------
 
-def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
-                       rng: NormalStream) -> list[dict]:
+def run_reconstruction(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     cert = frame_bounds(system)
     if not cert.is_frame:
         return [_not_a_frame_entry("reconstruction", cert)]
@@ -372,8 +373,7 @@ def run_reconstruction(cfg: SuiteConfig, system: GaborSystem,
     ]
 
 
-def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
-                   rng: NormalStream) -> list[dict]:
+def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     cert = frame_bounds(system)
     if not cert.is_frame:
         return [_not_a_frame_entry("wexler-raz", cert)]
@@ -392,52 +392,16 @@ def run_wexler_raz(cfg: SuiteConfig, system: GaborSystem,
     ]
 
 
-def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem,
-                     rng: NormalStream) -> list[dict]:
+def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "frame-bounds"
     cert = frame_bounds(system)
-    entries = [
-        check(suite, "lower_bound_positive", cert.lower, FRAME_THRESHOLD, ">",
-              details={"B": cert.upper, "method": cert.method,
-                       "fiber_shape": list(cert.fiber_shape)}),
-    ]
-    if cert.is_frame:
-        entries.append(check(suite, "condition_number", cert.upper / cert.lower, 10.0, "<"))
-    else:
+    lower = check(suite, "lower_bound_positive", cert.lower, FRAME_THRESHOLD, ">",
+                  details={"B": cert.upper, "method": cert.method,
+                           "fiber_shape": list(cert.fiber_shape)})
+    if not cert.is_frame:
         # A non-frame has no condition number to report.
-        entries.append(_not_a_frame_entry(suite, cert))
-
-    # Two self-tests of the fiber path, on one fixed small grid whatever the
-    # configured one, so they cost the same on every grid: the fiber bounds
-    # of a Gaussian against the dense-eigen oracle, and the painless closed
-    # form of a one-hop rectangle with every modulation (a tight frame whose
-    # dual is the window over its bound).
-    if system.grid.dim == 1:
-        small_grid = PeriodicGrid(1, 12.0, 48)
-    else:
-        small_grid = PeriodicGrid(2, 6.0, 12)
-    small = GaborSystem.separable(sample_gaussian(small_grid), 1.0, 0.5)
-    dense = np.linalg.eigvalsh(_dense_frame_matrix(small))
-    fiber = frame_bounds(small)
-    entries.append(
-        check(suite, "dense_vs_fiber_lower",
-              abs(dense[0] - fiber.lower) / dense[0], 1e-6, "<=")
-    )
-    entries.append(
-        check(suite, "dense_vs_fiber_upper",
-              abs(dense[-1] - fiber.upper) / dense[-1], 1e-6, "<=")
-    )
-    rect = sample_rectangle(small_grid, width=1.0)
-    painless = GaborSystem.separable(rect, 1.0, 1.0 / small_grid.period)
-    pcert = frame_bounds(painless)
-    entries.append(
-        check(suite, "painless_tightness",
-              abs(pcert.lower - pcert.upper) / pcert.upper, 1e-12, "<=")
-    )
-    pgamma = dual_window(painless)
-    defect = float(np.max(np.abs(pgamma.values - rect.values / pcert.upper)))
-    entries.append(check(suite, "painless_dual_is_scaled_window", defect, 1e-10, "<="))
-    return entries
+        return [lower, _not_a_frame_entry(suite, cert)]
+    return [lower, check(suite, "condition_number", cert.upper / cert.lower, 10.0, "<")]
 
 
 def _random_sequences(rng: NormalStream, lattice: GridLattice,
@@ -464,8 +428,7 @@ def _attained(suite: str, name: str, constant: float, attained: float,
                  details={"attained": attained, **details})
 
 
-def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
-                            rng: NormalStream) -> list[dict]:
+def run_window_independence(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "window-independence"
     grid = system.grid
     lattice = system.time_lattice
@@ -519,7 +482,7 @@ def run_window_independence(cfg: SuiteConfig, system: GaborSystem,
     # lattice points and an aligned dual, fourier_side_norm raises NonAlignedLattice first,
     # and one diagnostic whose value counts the three entries it replaces says why.
     try:
-        entries += _fourier_entries(cfg, rng, lattice, chi, suite)
+        entries += _fourier_entries(cfg, NormalStream(cfg.seed, suite), lattice, chi, suite)
     except NonAlignedLattice as exc:
         entries.append(check(suite, "fourier_entries_skipped", 3, None, "report",
                              details={"reason": f"NonAlignedLattice: {exc}"}))
@@ -547,8 +510,7 @@ def _fourier_entries(cfg, rng, lattice, chi, suite) -> list[dict]:
     return entries
 
 
-def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem,
-                        rng: NormalStream) -> list[dict]:
+def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "embedding-chain"
     grid = system.grid
     lattice = system.time_lattice
@@ -585,7 +547,8 @@ def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem,
     # over e is h^n p ||S_phi||, the superposition's times ||chi||^2.
     order = 4
     n = cfg.sample_count("continuity")
-    ratio, op_norm, phi_hat, residue, sample = _phi_family(rng, lattice, n, order)
+    ratio, op_norm, phi_hat, residue, sample = _phi_family(
+        NormalStream(cfg.seed, suite), lattice, n, order)
     p = profile[0]
     # Witnesses at the worst phi: the lattice plane wave at its worst
     # residue, and its image under the convolution's adjoint.
@@ -657,8 +620,7 @@ def _phi_family(rng: NormalStream, lattice: GridLattice, samples: int,
 _PROFILE_SPACE = SpaceSpec("Lp_w", 1.0, weight=PowerWeight(3.0))
 
 
-def run_decay(cfg: SuiteConfig, system: GaborSystem,
-              rng: NormalStream) -> list[dict]:
+def run_decay(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "decay"
     f = sample_gaussian(system.grid, width=math.sqrt(2.0), normalize=True)
     prof = decay_profile(system, f, _PROFILE_SPACE)
@@ -671,8 +633,7 @@ def run_decay(cfg: SuiteConfig, system: GaborSystem,
     ]
 
 
-def run_growth(cfg: SuiteConfig, system: GaborSystem,
-               rng: NormalStream) -> list[dict]:
+def run_growth(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "growth"
     grid = system.grid
     gauss = sample_gaussian(grid, width=math.sqrt(2.0), normalize=True)
@@ -706,8 +667,7 @@ def _order_check(suite: str, name: str, order: int | None, threshold: float) -> 
     return check(suite, name, order, threshold, "<=")
 
 
-def run_derivative_identity(cfg: SuiteConfig, system: GaborSystem,
-                            rng: NormalStream) -> list[dict]:
+def run_derivative_identity(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "derivative-identity"
     grid = system.grid
     f = sample_gaussian(grid)
@@ -739,7 +699,7 @@ def run_suites(cfg: SuiteConfig) -> dict:
     system = cfg.make_system()
     results: list[dict] = []
     for name in names:
-        results.extend(SUITES[name](cfg, system, NormalStream(cfg.seed, name)))
+        results.extend(SUITES[name](cfg, system))
     results.sort(key=lambda e: (e["suite"], e["name"]))
     return {
         "schema": 1,

@@ -12,6 +12,8 @@ from gaborgrid.grid import (
     _ALIGN_TOL,
     _center_vector,
     _order_tuple,
+    _tiled_windows,
+    _translates,
     grids_compatible,
     require_same_grid,
     sample_gaussian,
@@ -98,6 +100,20 @@ def frame_apply(system, f):
     require_same_grid(f, system.window)
     rows = _synthesis(system, _analysis(system, f.values[None]))
     return GridSignal(system.grid, rows[0])
+
+
+def dense_frame_matrix(system):
+    """Full frame-operator matrix, an oracle independent of the fiber path."""
+    grid = system.grid
+    [table] = _translates(_tiled_windows(system.window.reshaped()),
+                           system.time_lattice.index_points)
+    W = table.T
+    L = grid.points_per_axis
+    prod = (grid.index_vectors() @ system.freq_lattice.index_points.T) % L
+    phases = np.exp(2j * np.pi * prod / L)
+    cell = grid.spacing ** grid.dim
+    # S factors over the product lattice: S = cell * (W W^H) hadamard (Phi Phi^H).
+    return cell * (W @ W.conj().T) * (phases @ phases.conj().T)
 
 
 def schwartz_seminorm(f, order):

@@ -16,7 +16,6 @@ import pytest
 from gaborgrid.formats import dump_json
 from gaborgrid.gabor import (
     GaborSystem,
-    _dense_frame_matrix,
     dual_window,
     frame_bounds,
     reconstruction_error,
@@ -45,14 +44,19 @@ from gaborgrid.spaces import (
 )
 from gaborgrid.stft import derivative_identity_defect
 from gaborgrid.suites import (
-    NormalStream,
     SuiteConfig,
     _superposition_norms,
     run_embedding_chain,
     run_suites,
 )
 
-from conftest import convolve_samples, random_signal, schwartz_seminorm, smooth_random_signal
+from conftest import (
+    convolve_samples,
+    dense_frame_matrix,
+    random_signal,
+    schwartz_seminorm,
+    smooth_random_signal,
+)
 
 SEED = 42
 _MODULE_T0 = time.perf_counter()
@@ -109,7 +113,7 @@ def test_criterion_03_frame_criterion(ref):
 
     small_grid = PeriodicGrid(1, 12.0, 48)
     small = GaborSystem.separable(sample_gaussian(small_grid), 1.0, 0.5)
-    dense = np.linalg.eigvalsh(_dense_frame_matrix(small))
+    dense = np.linalg.eigvalsh(dense_frame_matrix(small))
     block = frame_bounds(small)
     agree = max(
         abs(dense[0] - block.lower) / dense[0],
@@ -284,8 +288,7 @@ def test_criterion_09_embedding_chain(ref):
     stable = (k1 - k1_both) / k1 <= 0.5 and (k2 - k2_both) / k2 <= 0.5
     # The exact infima bound every scan from below.
     cfg = SuiteConfig.from_dict({"seed": SEED})
-    exact = {e["name"]: e["value"] for e in run_embedding_chain(
-        cfg, ref["system"], NormalStream(SEED, "embedding-chain"))}
+    exact = {e["name"]: e["value"] for e in run_embedding_chain(cfg, ref["system"])}
     bounded = exact["kappa1_positive"] <= k1_both and exact["kappa2_positive"] <= k2_both
     ok = k1 > 0 and k2 > 0 and stable and bounded
     report(9, ok,

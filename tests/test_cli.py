@@ -68,12 +68,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_empty_suite_list(tmp_path):
-    cfg = write_config(tmp_path, suites=[])
-    assert cli.main(["verify", "--config", str(cfg)]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    validate_report(report)
-    assert report["entries"] == []
+def test_empty_suite_list(tmp_path, capsys, monkeypatch):
+    # A --suites list of separators names no suite; the config spelling,
+    # "suites": [], is a case of test_malformed_config_value_exits_2.
+    monkeypatch.setattr(cli, "run_suites", lambda cfg: pytest.fail("a suite ran"))
+    cfg = write_config(tmp_path)
+    assert cli.main(["verify", "--config", str(cfg), "--suites", " , "]) == 2
+    assert capsys.readouterr().err == "config error: suites: must name at least one suite\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -86,7 +88,7 @@ def test_verify_deterministic_bytes(tmp_path):
 
 
 def test_seed_flag_overrides_config(tmp_path):
-    cfg = write_config(tmp_path, suites=[])
+    cfg = write_config(tmp_path)
     out = tmp_path / "seeded.json"
     assert cli.main(
         ["verify", "--config", str(cfg), "--seed", "7", "--output", str(out)]
@@ -117,6 +119,23 @@ def test_verify_format_csv_writes_no_json(tmp_path, monkeypatch, flags, written)
     lines = (tmp_path / written).read_text().splitlines()
     assert lines[0] == "suite,name,passed,value,threshold,comparator,details"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("flags, output", [
+    (["--format", "both", "--output", "r.csv"], None),
+    (["--output", "x.json", "--csv", "x.json"], None),
+    (["--output", "x.json", "--csv", "./x.json"], None),
+    ([], {"report": "r.json", "csv": "r.json"}),
+], ids=["format-both", "csv-flag", "csv-flag-other-spelling", "config"])
+def test_verify_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatch, flags, output):
+    # Writing the CSV report over the JSON one would lose the JSON report.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_suites", lambda cfg: pytest.fail("a suite ran"))
+    cfg = write_config(tmp_path, **({"output": output} if output else {}))
+    assert cli.main(["verify", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: output: the JSON and CSV reports would both be written to ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_undersampled_config_is_diagnosed_not_crashed(tmp_path):
@@ -243,6 +262,7 @@ MALFORMED_VALUES = {
     "spaces-not-a-list": ({"spaces": 5}, "spaces: must be a list"),
     "space-not-an-object": ({"spaces": [5]}, "spaces[0]: must be an object"),
     "suites-not-a-list": ({"suites": 5}, "suites: must be a list"),
+    "empty-suite-list": ({"suites": []}, "suites: must name at least one suite"),
     "float-dim": ({"grid": {"dim": 2.0, "period": 8.0, "points_per_axis": 32}}, "grid.dim:"),
     "string-time-step": ({"system": {"time_step": "1"}}, "system.time_step:"),
     "zero-width": ({"system": {"window": {"kind": "gaussian", "width": 0}}},

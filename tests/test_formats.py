@@ -205,6 +205,17 @@ def test_signal_binary_truncated_payload_names_the_file(tmp_path, ref_grid):
         read_signal_binary(path, ref_grid)
 
 
+def test_signal_binary_of_a_table_names_the_file(tmp_path):
+    # A time-frequency table (rank 2), as ``gaborgrid stft`` writes it, read
+    # where a signal is expected.
+    grid = PeriodicGrid(1, 8.0, 32)
+    f = sample_gaussian(grid)
+    path = tmp_path / "tf.bin"
+    write_tfarray_binary(stft(f, f), path)
+    with pytest.raises(ConfigError, match=f"{path}: expected rank-1 payload, found rank 2"):
+        read_signal_binary(path, grid)
+
+
 @pytest.mark.parametrize("row", ["3,4,0,x", "3,4,0,"], ids=["extra-field", "trailing-comma"])
 def test_signal_csv_row_with_extra_fields_refused(tmp_path, ref_grid, row):
     path = tmp_path / "wide.csv"

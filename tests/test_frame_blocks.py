@@ -15,7 +15,6 @@ import pytest
 
 from gaborgrid.gabor import (
     GaborSystem,
-    _dense_frame_matrix,
     _reconstruction_enclosure,
     analyze,
     dual_window,
@@ -35,7 +34,7 @@ from gaborgrid.grid import (
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import stft
 
-from conftest import frame_apply, random_signal, record_fft_shapes
+from conftest import dense_frame_matrix, frame_apply, random_signal, record_fft_shapes
 
 # name: (dim, period, L, time step, freq step); non-power-of-two L/P ratios.
 SEPARABLE = {
@@ -154,7 +153,7 @@ def _assert_wexler_raz_matches_scan(system, gamma):
 @pytest.mark.parametrize("name", ALL)
 def test_bounds_match_dense_oracle(name, kind):
     system = make_system(name, kind)
-    eigs = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    eigs = np.linalg.eigvalsh(dense_frame_matrix(system))
     block_eigs = np.sort(np.linalg.eigvalsh(_block_oracle(system)[1]).ravel())
     cert = frame_bounds(system)
     assert cert.method == "zak-fiber"
@@ -194,7 +193,7 @@ def test_fiber_dual_matches_block_solve(name, kind):
 
 def _dense_reconstruction(system, gamma):
     """D_gamma C_psi as a dense matrix, h (W_gamma W_psi^H) o (E E^H), the
-    product factorization of ``_dense_frame_matrix`` with gamma on the left."""
+    product factorization of ``dense_frame_matrix`` with gamma on the left."""
     grid = system.grid
     points = system.time_lattice.index_points
     [psi] = _translates(_tiled_windows(system.window.reshaped()), points)
@@ -249,7 +248,7 @@ def test_fiber_shapes(name):
     system = GaborSystem.separable(sample_gaussian(PeriodicGrid(1, period, L)), a, b)
     cert = frame_bounds(system)
     assert cert.fiber_shape == (L // p, p, q)
-    eigs = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    eigs = np.linalg.eigvalsh(dense_frame_matrix(system))
     assert abs(cert.lower - eigs[0]) <= 1e-12 * eigs[-1]
     assert abs(cert.upper - eigs[-1]) <= 1e-12 * eigs[-1]
     gamma = dual_window(system)
@@ -281,7 +280,7 @@ def test_fibers_match_dense_on_random_lattices(seed):
     cert = frame_bounds(system)
     count, p, q = cert.fiber_shape
     assert count * p == grid.size and q / p == pytest.approx(system.redundancy, rel=1e-15)
-    dense = _dense_frame_matrix(system)
+    dense = dense_frame_matrix(system)
     # Analysis and synthesis on the fibers, undersampled systems included.
     f = random_signal(grid, rng)
     expected = dense @ f.values
@@ -372,7 +371,7 @@ def test_folded_analysis_matches_stft(name, kind, monkeypatch):
 def test_folded_synthesis_matches_dense_frame_matrix(name, kind, monkeypatch):
     system = make_system(name, kind)
     f = random_signal(system.grid, np.random.default_rng(8))
-    expected = _dense_frame_matrix(system) @ f.values
+    expected = dense_frame_matrix(system) @ f.values
     shapes = record_fft_shapes(monkeypatch)
     got = frame_apply(system, f).values
     folded = (1, system.time_lattice.count) + FOLDS[name]

@@ -12,7 +12,6 @@ from gaborgrid.errors import (
 from gaborgrid import grid as grid_module
 from gaborgrid.gabor import (
     GaborSystem,
-    _dense_frame_matrix,
     analyze,
     dual_window,
     frame_bounds,
@@ -29,7 +28,13 @@ from gaborgrid.grid import (
     sample_rectangle,
 )
 
-from conftest import count_fft_calls, frame_apply, modulate, random_signal
+from conftest import (
+    count_fft_calls,
+    dense_frame_matrix,
+    frame_apply,
+    modulate,
+    random_signal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +45,7 @@ def ref_system():
 
 @pytest.fixture(scope="module")
 def ref_dense_eigs(ref_system):
-    return np.linalg.eigvalsh(_dense_frame_matrix(ref_system))
+    return np.linalg.eigvalsh(dense_frame_matrix(ref_system))
 
 
 @pytest.fixture
@@ -194,7 +199,7 @@ def test_frame_bounds_reference(ref_system, ref_dense_eigs):
 def test_frame_bounds_dense_matches_block():
     grid = PeriodicGrid(1, 12.0, 48)
     system = GaborSystem.separable(sample_gaussian(grid), 1.0, 0.5)
-    dense = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    dense = np.linalg.eigvalsh(dense_frame_matrix(system))
     block = frame_bounds(system)
     assert block.method == "zak-fiber"
     assert block.lower == pytest.approx(dense[0], rel=1e-6)
@@ -206,11 +211,25 @@ def test_frame_bounds_undersampled(ref_grid):
     assert system.redundancy == pytest.approx(0.5)
     cert = frame_bounds(system)
     assert cert.lower <= 1e-10
-    assert np.linalg.eigvalsh(_dense_frame_matrix(system))[0] <= 1e-10
+    assert np.linalg.eigvalsh(dense_frame_matrix(system))[0] <= 1e-10
     small = PeriodicGrid(1, 8.0, 32)
     small_system = GaborSystem.separable(sample_gaussian(small), 2.0, 1.0)
     assert frame_bounds(small_system).lower <= 1e-10
-    assert np.linalg.eigvalsh(_dense_frame_matrix(small_system))[0] <= 1e-10
+    assert np.linalg.eigvalsh(dense_frame_matrix(small_system))[0] <= 1e-10
+
+
+def test_painless_tight_frame_2d():
+    # The 2-D one-hop rectangle with every modulation: a tight frame whose
+    # canonical dual is the window over its bound.
+    grid = PeriodicGrid(2, 6.0, 12)
+    window = sample_rectangle(grid, width=1.0)
+    system = GaborSystem.separable(window, 1.0, 1.0 / grid.period)
+    cert = frame_bounds(system)
+    assert abs(cert.lower - cert.upper) / cert.upper <= 1e-12
+    assert cert.upper == pytest.approx(np.linalg.eigvalsh(dense_frame_matrix(system))[-1],
+                                       rel=1e-10)
+    gamma = dual_window(system)
+    assert np.max(np.abs(gamma.values - window.values / cert.upper)) <= 1e-10
 
 
 def test_painless_tight_frame(ref_grid):
@@ -221,7 +240,7 @@ def test_painless_tight_frame(ref_grid):
     assert system.freq_lattice.count == ref_grid.points_per_axis
     cert = frame_bounds(system)
     expected = ref_grid.spacing * ref_grid.points_per_axis  # = period / hop count
-    dense = np.linalg.eigvalsh(_dense_frame_matrix(system))
+    dense = np.linalg.eigvalsh(dense_frame_matrix(system))
     assert cert.upper == pytest.approx(dense[-1], rel=1e-10)
     assert abs(cert.lower - cert.upper) / cert.upper <= 1e-12
     assert cert.upper == pytest.approx(expected, rel=1e-10)

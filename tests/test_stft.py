@@ -17,7 +17,7 @@ from gaborgrid.grid import (
 )
 from gaborgrid.lattice import Lattice
 from gaborgrid.stft import derivative_identity_defect, stft
-from gaborgrid.suites import NormalStream, SuiteConfig, run_derivative_identity
+from gaborgrid.suites import SuiteConfig, run_derivative_identity
 
 from conftest import random_signal, record_fft_shapes, spectral_derivative
 
@@ -414,7 +414,7 @@ def _bench_suite(points, monkeypatch=None):
                                           "points_per_axis": points}})
     system = cfg.make_system()
     shapes = record_fft_shapes(monkeypatch) if monkeypatch else None
-    entries = run_derivative_identity(cfg, system, NormalStream(cfg.seed, "derivative-identity"))
+    entries = run_derivative_identity(cfg, system)
     return entries, shapes
 
 

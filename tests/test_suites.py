@@ -244,7 +244,7 @@ def test_embedding_chain_memory_is_bounded():
     system = cfg.make_system()
     tracemalloc.start()
     try:
-        entries = run_embedding_chain(cfg, system, NormalStream(cfg.seed, "embedding-chain"))
+        entries = run_embedding_chain(cfg, system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -254,11 +254,10 @@ def test_embedding_chain_memory_is_bounded():
 
 def test_one_system_per_verify_run(monkeypatch):
     # The frame-bounds, reconstruction and wexler-raz suites share one
-    # system, so its Zak fibers are built once.  The other four builds are
-    # the small dense-oracle and painless systems of frame-bounds and the
-    # synthesis systems of the dual and of the doubled dual in
-    # reconstruction; wexler-raz builds none.  Only the dense oracle needs
-    # eigvalsh; the fibers have one row or no bounds.
+    # system, so its Zak fibers are built once.  The other two builds are
+    # the synthesis systems of the dual and of the doubled dual in
+    # reconstruction; frame-bounds and wexler-raz build none.  No entry
+    # needs eigvalsh: the fibers have one row.
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -279,15 +278,15 @@ def test_one_system_per_verify_run(monkeypatch):
         "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
     })
     run_suites(cfg)
-    assert len(builds) == len({id(s) for s in builds}) == 5
-    assert calls == [(144, 144)]
+    assert len(builds) == len({id(s) for s in builds}) == 3
+    assert calls == []
 
 
 def test_one_dual_solve_per_verify_run(monkeypatch):
     # The reconstruction and wexler-raz suites take the dual cached on the
-    # shared system, so its Zak fibers are solved once.  Other solves (the
-    # painless system of frame-bounds, lattice coordinates in the Fourier-side
-    # norms) are not on these fibers.
+    # shared system, so its Zak fibers are solved once.  Other solves
+    # (lattice coordinates in the Fourier-side norms) are not on these
+    # fibers.
     systems = []
     make_system = SuiteConfig.make_system
     monkeypatch.setattr(SuiteConfig, "make_system",
@@ -313,11 +312,9 @@ BENCH_CONFIGS = {
 }
 
 
-class _NoDraws:
-    """A stream that fails the test on any draw."""
-
-    def standard_normal(self, shape):
-        raise AssertionError(f"drew {shape} standard normals")
+def _forbidden(*args):
+    """Stands in for a function the code under test must not call."""
+    raise AssertionError("called a forbidden function")
 
 
 def _entry(entries, name):
@@ -330,8 +327,9 @@ def _entry(entries, name):
 def test_exact_suites_draw_nothing(suite, config, monkeypatch):
     cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
     system = cfg.make_system()
+    monkeypatch.setattr(suites_module, "NormalStream", _forbidden)
     counts = count_fft_calls(monkeypatch)
-    entries = suites_module.SUITES[suite](cfg, system, _NoDraws())
+    entries = suites_module.SUITES[suite](cfg, system)
     assert all(e["passed"] for e in entries)
     if suite == "reconstruction":
         # The window's round trip through the doubled dual, and nothing else.
@@ -350,8 +348,8 @@ def test_a_scaled_dual_fails_the_exact_entries(config, monkeypatch):
                         lambda system: dual_window(system) * (1 + 1e-6))
     cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
     system = cfg.make_system()
-    reconstruction = suites_module.run_reconstruction(cfg, system, _NoDraws())
-    wexler_raz = suites_module.run_wexler_raz(cfg, system, _NoDraws())
+    reconstruction = suites_module.run_reconstruction(cfg, system)
+    wexler_raz = suites_module.run_wexler_raz(cfg, system)
     entry = _entry(reconstruction, "max_relative_error")
     assert not entry["passed"]
     # The exact error is 1e-6 on every fiber, inside the enclosure.
@@ -381,7 +379,7 @@ def test_adjoint_identity_defect_is_the_dense_max_row_sum(perturbed, monkeypatch
                         _synthesis(GaborSystem(gamma, adj_time, adj_freq), units))
     m = columns.reshape(n, n) * system.redundancy - np.eye(n)
     dense = float(np.max(np.sum(np.abs(m), axis=0)))
-    value = _entry(suites_module.run_wexler_raz(cfg, system, _NoDraws()),
+    value = _entry(suites_module.run_wexler_raz(cfg, system),
                    "adjoint_identity_defect")["value"]
     if perturbed:
         assert value == pytest.approx(dense, rel=1e-10)
@@ -405,7 +403,7 @@ def test_non_frame_reports_no_condition_number():
     # Redundancy 1/2: the lower frame bound is 0, so the condition number
     # would be B / 1e-300.  The not-a-frame entry stands in its place.
     cfg = SuiteConfig.from_dict({"system": {"time_step": 2.0, "freq_step": 1.0}})
-    entries = run_frame_bounds(cfg, cfg.make_system(), NormalStream(cfg.seed, "frame-bounds"))
+    entries = run_frame_bounds(cfg, cfg.make_system())
     by_name = {entry["name"]: entry for entry in entries}
     assert "condition_number" not in by_name
     assert not by_name["lower_bound_positive"]["passed"]
@@ -418,51 +416,39 @@ def test_non_frame_reports_no_condition_number():
 
 def test_frame_reports_its_condition_number():
     cfg = SuiteConfig.from_dict({})
-    entries = run_frame_bounds(cfg, cfg.make_system(), NormalStream(cfg.seed, "frame-bounds"))
+    entries = run_frame_bounds(cfg, cfg.make_system())
     (entry,) = [e for e in entries if e["name"] == "condition_number"]
     assert entry["passed"] and 1.0 <= entry["value"] < 10.0
     assert "frame" not in {e["name"] for e in entries}
 
 
-def _one_node_changed(sample_rectangle):
-    def changed(grid, width):
-        values = sample_rectangle(grid, width).values.copy()
-        values.flat[0] = 0.5
-        return GridSignal(grid, values)
-    return changed
-
-
-# Each self-test entry of frame-bounds against a fault it must catch: the
-# suites attribute to wrap, the wrapper, and the entries that then fail.
-FRAME_FAULTS = {
-    "dense-matrix-scaled": ("_dense_frame_matrix", lambda f: lambda s: f(s) * (1 + 1e-5),
-                            {"dense_vs_fiber_lower", "dense_vs_fiber_upper"}),
-    "rectangle-node-changed": ("sample_rectangle", _one_node_changed,
-                               {"painless_tightness", "painless_dual_is_scaled_window"}),
-    "painless-dual-scaled": ("dual_window", lambda f: lambda s: f(s) * (1 + 1e-6),
-                             {"painless_dual_is_scaled_window"}),
-}
-
-
-@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
-@pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
-def test_each_frame_bounds_self_test_fails_under_its_fault(fault, config, monkeypatch):
-    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+def test_frame_bounds_builds_no_system_of_its_own(monkeypatch):
+    # Every entry is about the configured system: no other system is built,
+    # no dense eigenproblem is solved and no dual window is computed.
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS["2d"])
     system = cfg.make_system()
-    name, wrap, failing = FRAME_FAULTS[fault]
-    monkeypatch.setattr(suites_module, name, wrap(getattr(suites_module, name)))
-    entries = run_frame_bounds(cfg, system, _NoDraws())
-    assert {e["name"] for e in entries if not e["passed"]} == failing
+    built = []
+    init = GaborSystem.__init__
+    monkeypatch.setattr(GaborSystem, "__init__",
+                        lambda self, *args, **kwargs: built.append(args)
+                        or init(self, *args, **kwargs))
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(suites_module, "dual_window", _forbidden)
+    entries = run_frame_bounds(cfg, system)
+    assert built == [] and calls == []
+    assert [e["name"] for e in entries] == ["lower_bound_positive", "condition_number"]
+    assert all(e["passed"] for e in entries)
 
 
-def test_frame_bounds_self_tests_cost_the_same_on_a_large_grid():
-    # The self-tests run on a fixed small grid, so at 128^2 only the
-    # configured system's fibers take memory (a 4.4 MB peak).
+def test_frame_bounds_measures_the_configured_system_alone_on_a_large_grid():
+    # At 128^2 only the configured system's fibers take memory (a 4.4 MB peak).
     cfg = SuiteConfig.from_dict({"grid": {"dim": 2, "period": 8.0, "points_per_axis": 128}})
     system = cfg.make_system()
     tracemalloc.start()
     try:
-        entries = run_frame_bounds(cfg, system, _NoDraws())
+        entries = run_frame_bounds(cfg, system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -477,8 +463,7 @@ def test_an_off_grid_dual_lattice_is_a_diagnostic_not_a_gap():
     cfg = SuiteConfig.from_dict({"grid": {"period": 16.0, "points_per_axis": 64},
                                  "system": {"time_step": 8.0}})
     cfg.validate()
-    entries = run_window_independence(cfg, cfg.make_system(),
-                                      NormalStream(cfg.seed, "window-independence"))
+    entries = run_window_independence(cfg, cfg.make_system())
     assert len(entries) == 11
     fourier = [e for e in entries if e["name"].startswith("fourier")]
     assert fourier == [suites_module.check(
@@ -504,8 +489,7 @@ def _by_name(entries):
 def _constant_entries(cfg):
     system = cfg.make_system()
     return _by_name(
-        run_embedding_chain(cfg, system, NormalStream(cfg.seed, "embedding-chain"))
-        + run_window_independence(cfg, system, NormalStream(cfg.seed, "window-independence")))
+        run_embedding_chain(cfg, system) + run_window_independence(cfg, system))
 
 
 def _l2(rows, grid):
@@ -651,7 +635,7 @@ def test_unbounded_order_fails_its_check():
     # At L / P = 8 the oscillation sits at the Nyquist bin, so the inner half
     # of its profile is empty and no order bounds it.
     cfg = SuiteConfig.from_dict({"seed": 5, "grid": {"period": 8.0, "points_per_axis": 64}})
-    entries = _by_name(run_growth(cfg, cfg.make_system(), NormalStream(cfg.seed, "growth")))
+    entries = _by_name(run_growth(cfg, cfg.make_system()))
     entry = entries["oscillation_bounded_order"]
     assert not entry["passed"]
     assert entry["value"] == MAX_DERIVATIVE_ORDER + 1

@@ -25,7 +25,7 @@ def _bench_config(workload, seed):
     return module.make_config(workload, "full", seed)
 
 
-# Both verify configs report the same 38 entries, as "suite/name".
+# Both verify configs report the same 34 entries, as "suite/name".
 NAMES = {
     "decay/gaussian_sups_finite",
     "decay/gaussian_top_to_bottom_ratio",
@@ -38,11 +38,7 @@ NAMES = {
     "embedding-chain/kappa2_positive",
     "embedding-chain/superposition_attained",
     "frame-bounds/condition_number",
-    "frame-bounds/dense_vs_fiber_lower",
-    "frame-bounds/dense_vs_fiber_upper",
     "frame-bounds/lower_bound_positive",
-    "frame-bounds/painless_dual_is_scaled_window",
-    "frame-bounds/painless_tightness",
     "growth/gaussian_bounded_order",
     "growth/oscillation_bounded_order",
     "growth/oscillation_fails_decay",
@@ -85,7 +81,7 @@ FAILING = {
 def test_bench_configs_keep_their_failing_sets(workload, seed):
     report = run_suites(SuiteConfig.from_dict(_bench_config(workload, seed)))
     names = [f"{e['suite']}/{e['name']}" for e in report["entries"]]
-    assert len(names) == len(NAMES) == 38
+    assert len(names) == len(NAMES) == 34
     assert set(names) == NAMES
     failing = {f"{e['suite']}/{e['name']}" for e in report["entries"] if not e["passed"]}
     assert failing == FAILING[workload]
