@@ -13,6 +13,7 @@ from .errors import (
     NotSolid,
     OverlappingSupports,
     ResourceLimit,
+    Unresolved,
     ZeroSignal,
 )
 from .gabor import (

@@ -2,7 +2,7 @@
 
 Usage::
 
-    gaborgrid verify      --config cfg.json [--seed n] [--suites a,b]
+    gaborgrid verify      --config cfg.json [--suites a,b]
                           [--output out.json] [--csv out.csv] [--format json|csv|both]
     gaborgrid stft        --config cfg.json --input sig.csv --output tf.csv
     gaborgrid dual-window --config cfg.json --output gamma.csv --certificate c.json
@@ -12,7 +12,7 @@ Usage::
 
 Each flag takes one value, as ``--flag value`` or ``--flag=value``, and may be
 shortened to a unique prefix; ``-h`` or ``--help`` prints this text.
-``verify``'s ``--seed`` and ``--suites`` override the config.  ``verify``
+``verify``'s ``--suites`` overrides the config.  ``verify``
 writes the JSON report at ``--output``, else ``output.report``, else
 ``report.json``, unless ``--format csv``; it writes the CSV report at
 ``--csv``, else ``output.csv``, else next to the JSON path when ``--format``
@@ -24,7 +24,7 @@ Every file format, and the choice between CSV and binary by suffix, lives in
 are report data, not errors), 2 usage or configuration error (a config key
 the program does not read among them) or a system that is not a frame where a
 dual window is required, 3 internal error.  Reports are byte-deterministic for
-a fixed config and seed.
+a fixed config: no command draws at random.
 """
 
 from __future__ import annotations
@@ -89,8 +89,6 @@ def _read_input(args, grid: PeriodicGrid) -> GridSignal:
 def cmd_verify(args) -> int:
     data = _read_config(args.config)
     cfg = SuiteConfig.from_dict(data)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.suites:
         cfg = replace(cfg, suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()))
     output = data.get("output", {})  # checked by SuiteConfig.from_dict
@@ -185,7 +183,7 @@ def cmd_profile(args) -> int:
 # Each subcommand's flags; each takes one value, of the given type or one of
 # the given strings.  Every flag but --format defaults to None.
 _FLAGS = {
-    "verify": {"--config": str, "--seed": int, "--suites": str, "--output": str,
+    "verify": {"--config": str, "--suites": str, "--output": str,
                "--csv": str, "--format": ("json", "csv", "both")},
     "stft": {"--config": str, "--input": str, "--output": str},
     "dual-window": {"--config": str, "--output": str, "--certificate": str},

@@ -51,3 +51,7 @@ class NotSolid(GaborGridError):
 
 class ConfigError(GaborGridError):
     """Configuration file or flag set is invalid; message names the field."""
+
+
+class Unresolved(GaborGridError):
+    """Grid too coarse for the requested quantity; message names what it needs."""

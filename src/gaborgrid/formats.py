@@ -22,6 +22,7 @@ not the serializer.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import struct
 from itertools import chain
@@ -53,7 +54,7 @@ def dump_json(obj: Any) -> str:
         text = format(x, ".17g")
         return text if any(c in text for c in ".eE") else text + ".0"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = [dump_json(v) for v in obj]
         return "[" + ", ".join(items) + "]"
@@ -247,6 +248,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
+_REPORT_KEYS = ("schema", "suites", "entries")
 _ENTRY_KEYS = {"suite", "name", "passed", "value", "threshold", "comparator", "details"}
 
 
@@ -254,13 +256,14 @@ def validate_report(report: Any) -> None:
     """Raise ValueError unless the object matches the report schema."""
     if not isinstance(report, dict):
         raise ValueError("report must be an object")
-    for key in ("schema", "seed", "suites", "entries"):
+    for key in _REPORT_KEYS:
         if key not in report:
             raise ValueError(f"report missing key {key!r}")
+    unknown = sorted(set(report) - set(_REPORT_KEYS))
+    if unknown:
+        raise ValueError(f"report has unknown keys {unknown}")
     if report["schema"] != 1:
         raise ValueError(f"unsupported schema {report['schema']!r}")
-    if not isinstance(report["seed"], int):
-        raise ValueError("seed must be an integer")
     if not isinstance(report["suites"], list) or not all(
         isinstance(s, str) for s in report["suites"]
     ):

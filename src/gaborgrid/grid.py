@@ -139,8 +139,9 @@ class GridSignal:
 
     @cached_property
     def _window_tables(self) -> dict:
-        """The support and profile tables of ``spaces`` with this signal as
-        the window, keyed by a lattice's ``_key`` and by (that key, spec)."""
+        """The support, profile and Fourier-series tables of ``spaces`` with
+        this signal as the window, keyed by a lattice's ``_key`` and by
+        (that key, spec)."""
         return {}
 
     def l2_norm(self) -> float:
@@ -344,6 +345,11 @@ class GridLattice:
     @cached_property
     def _fiber_maps(self) -> dict:
         """``gabor._fiber_maps`` with this time lattice, by frequency ``_key``."""
+        return {}
+
+    @cached_property
+    def _fourier_tables(self) -> dict:
+        """``spaces._fourier_side_series`` of this lattice, by spec."""
         return {}
 
     @property

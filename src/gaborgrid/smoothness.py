@@ -12,7 +12,7 @@ The Schwartz seminorm and the sampled convolution each have one batched
 kernel, ``_schwartz_rows`` and ``_convolution_rows``, over a stack of S
 signals given as (S, size) rows and their (S,) + grid.shape forward DFTs,
 as ``spaces._row_norms`` is for the space norms.  The embedding-chain
-suite calls the seminorm kernel on blocks of sampled smooth signals, and
+suite calls the seminorm kernel once, on its four Gaussian witnesses, and
 the convolution kernel once, on the witness of its closed-form
 convolution constant.
 

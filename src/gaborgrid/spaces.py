@@ -48,6 +48,7 @@ from .errors import (
     NonAlignedLattice,
     NotSolid,
     OverlappingSupports,
+    Unresolved,
 )
 from .grid import (
     CoeffArray,
@@ -323,32 +324,63 @@ def _fold_profile(table: np.ndarray, split: tuple[int, ...], p: float) -> np.nda
     return (shaped ** p).sum(axis=periods).ravel() ** (1.0 / p)
 
 
-def _series_norms(coeffs: CoeffArray, spec: SpaceSpec, shape: tuple[int, ...],
-                  bins: np.ndarray, profile: np.ndarray, spacing: float
+def _series_norms(coeffs: CoeffArray, spec: SpaceSpec, series: tuple
                   ) -> float | np.ndarray:
     """Norms of the periodic series of each sequence against a folded profile.
 
-    Each sequence is placed at its ``bins`` of ``shape`` (coinciding bins
-    sum, so only colliding labels need a scatter-add) and taken by one
-    unnormalized inverse DFT of that shape: the series at the residues, each
-    weighted by its ``profile`` entry and normed with cell spacing^dim.
+    ``series`` is (shape, bins, profile, spacing), from ``_bump_series`` or
+    ``_fourier_side_series``.  Each sequence is placed at its distinct
+    ``bins`` of ``shape`` and taken by one unnormalized inverse DFT of that
+    shape: the series at the residues, each weighted by its ``profile``
+    entry and normed with cell spacing^dim.
     """
+    shape, bins, profile, spacing = series
     axes = tuple(range(1, len(shape) + 1))
-    distinct = np.bincount(bins).max() == 1
 
     def row_norms(rows):
-        series = np.zeros((rows.shape[0], profile.size), dtype=complex)
-        if distinct:
-            series[:, bins] = rows
-        else:
-            np.add.at(series, (slice(None), bins), rows)
-        shaped = series.reshape((-1,) + shape)
+        values = np.zeros((rows.shape[0], profile.size), dtype=complex)
+        values[:, bins] = rows
+        shaped = values.reshape((-1,) + shape)
         np.fft.ifftn(shaped, axes=axes, norm="forward", out=shaped)
-        weighted = np.abs(series)
+        weighted = np.abs(values)
         weighted *= profile
         return _norms(weighted, spec, spacing, len(shape))
 
     return _sequence_norms(coeffs, row_norms, profile.size)
+
+
+def _series_matrix(series: tuple) -> np.ndarray:
+    """The (rows, count) matrix of the map that ``_series_norms`` norms:
+    sequence to weighted series, one row per residue of positive profile
+    (the others add nothing to a norm), built by the same inverse DFT from
+    the unit sequences."""
+    shape, bins, profile, _ = series
+    units = np.zeros((bins.size, profile.size), dtype=complex)
+    units[np.arange(bins.size), bins] = 1.0
+    shaped = units.reshape((-1,) + shape)
+    np.fft.ifftn(shaped, axes=tuple(range(1, len(shape) + 1)), norm="forward", out=shaped)
+    keep = profile > 0
+    return (units[:, keep] * profile[keep]).T
+
+
+def _bump_series(window: GridSignal, lat: GridLattice, spec: SpaceSpec) -> tuple:
+    """The ``_series_norms`` series of ``discrete_norm`` for FourierLp_w:
+    the lattice fold against |P^n ifft(window)| w folded onto it, cell 1/P.
+    Cached on the window per (lattice point set, spec), as the solid
+    profiles are."""
+    _disjoint_translates(window, lat)
+    tables = window._window_tables
+    key = lat._key, spec
+    if key not in tables:
+        grid = window.grid
+        shape, split, bins = _lattice_fold(lat.index_points, grid.points_per_axis)
+        transform = np.fft.ifftn(window.reshaped()).ravel()
+        table = np.abs(transform) * (grid.period ** grid.dim) * _norm_weight(grid, spec)
+        profile = _fold_profile(table, split, spec.p)
+        for array in (bins, profile):
+            array.setflags(write=False)
+        tables[key] = shape, bins, profile, 1.0 / grid.period
+    return tables[key]
 
 
 def discrete_norm(coeffs: CoeffArray, spec: SpaceSpec, window: GridSignal
@@ -391,12 +423,7 @@ def discrete_norm(coeffs: CoeffArray, spec: SpaceSpec, window: GridSignal
             return _norms(weighted, spec, grid.spacing, grid.dim)
 
         return _sequence_norms(coeffs, row_norms)
-    _disjoint_translates(window, lat)
-    shape, split, bins = _lattice_fold(lat.index_points, grid.points_per_axis)
-    transform = np.fft.ifftn(window.reshaped()).ravel()
-    table = np.abs(transform) * (grid.period ** grid.dim) * _norm_weight(grid, spec)
-    profile = _fold_profile(table, split, spec.p)
-    return _series_norms(coeffs, spec, shape, bins, profile, 1.0 / grid.period)
+    return _series_norms(coeffs, spec, _bump_series(window, lat, spec))
 
 
 def _separable_counts(lat: GridLattice) -> tuple[int, int]:
@@ -431,28 +458,54 @@ def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarray
 
     Realizes the Fourier-coefficient description of the discrete space of a
     Fourier kind.  The index lattice must consist of grid frequencies and
-    its dual lattice must be grid-aligned.  The series is periodic with the
-    fold of its labels (``grid._lattice_fold``), so it is taken by one
-    inverse DFT of the fold shape per sequence, against the Lp_w weight on
-    the domain folded onto that shape.
+    its dual lattice must be grid-aligned (else NonAlignedLattice), and the
+    labels lambda P must be distinct modulo L (else Unresolved: the series
+    would be only a seminorm).  The series is periodic with the fold of its
+    labels (``grid._lattice_fold``), so it is taken by one inverse DFT of
+    the fold shape per sequence, against the Lp_w weight on the domain
+    folded onto that shape.
     """
     if spec.kind != "FourierLp_w":
         raise ValueError("fourier_side_norm needs a FourierLp_w space")
-    lat = coeffs.lattice
+    return _series_norms(coeffs, spec, _fourier_side_series(coeffs.lattice, spec))
+
+
+def _fourier_side_series(lat: GridLattice, spec: SpaceSpec) -> tuple:
+    """The ``_series_norms`` series of ``fourier_side_norm``: the fold of the
+    labels lambda P against the Lp_w weight on the dual lattice's
+    fundamental domain folded onto it, cell 1/L-th of the period.  Cached
+    on the lattice per spec (``GridLattice._fourier_tables``), with
+    read-only arrays; a refusal is not cached."""
+    if spec not in lat._fourier_tables:
+        lat._fourier_tables[spec] = _checked_fourier_series(lat, spec)
+    return lat._fourier_tables[spec]
+
+
+def _checked_fourier_series(lat: GridLattice, spec: SpaceSpec) -> tuple:
     grid = lat.grid
+    L = grid.points_per_axis
     freqs = lat.points * grid.period
     if np.max(np.abs(freqs - np.rint(freqs))) > 1e-9:
         raise NonAlignedLattice("lattice points are not grid frequencies")
     labels = np.rint(freqs).astype(np.int64)
     dual = GridLattice(dual_lattice(lat.lattice), grid)  # raises if misaligned
+    shape, split, bins = _lattice_fold(labels, L)
+    shared = np.flatnonzero(np.bincount(bins)[bins] > 1)
+    if shared.size:
+        first, second = (lat.points[k].tolist() for k in shared[np.argsort(bins[shared], kind="stable")][:2])
+        raise Unresolved(
+            f"the Fourier-side labels x P of the lattice points {first} and {second} "
+            f"coincide modulo L = {L}; distinct labels need L / gcd(a P, L) >= P / a "
+            f"along each axis of lattice step a, which is L >= P^2 when a P divides L")
 
     # The Lp_w weight, zero off the fundamental domain A_dual [0,1)^n (half open).
     y = np.linalg.solve(dual.lattice.generator, grid.nodes().T).T
     inside = np.all((y > -1e-9) & (y < 1.0 - 1e-9), axis=-1)
     table = np.where(inside, _weight_table(grid, spec.weight.exponent), 0.0)
-    shape, split, bins = _lattice_fold(labels, grid.points_per_axis)
     profile = _fold_profile(table, split, spec.p)
-    return _series_norms(coeffs, spec, shape, bins, profile, grid.spacing)
+    for array in (bins, profile):
+        array.setflags(write=False)
+    return shape, bins, profile, grid.spacing
 
 
 def decay_weighted_sup(coeffs: CoeffArray, order: int) -> float | np.ndarray:

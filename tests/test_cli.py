@@ -87,15 +87,6 @@ def test_verify_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "seeded.json"
-    assert cli.main(
-        ["verify", "--config", str(cfg), "--seed", "7", "--output", str(out)]
-    ) == 0
-    assert json.loads(out.read_text())["seed"] == 7
-
-
 def test_verify_csv_output(tmp_path):
     cfg = write_config(tmp_path, suites=["derivative-identity"])
     out = tmp_path / "rep.json"
@@ -469,7 +460,7 @@ def test_profile_without_spaces_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["stft", "dual-window", "norms", "profile"])
 def test_seed_is_a_verify_flag_only(tmp_path, capsys, monkeypatch, command):
-    # The other commands draw nothing at random, so they take no seed.
+    # No command draws at random, so none takes a seed (verify: USAGE_ERRORS).
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -522,7 +513,8 @@ USAGE_ERRORS = {
     "flag-before-flag": (["verify", "--output", "--seed", "5"], "expected one argument"),
     "bad-format": (["verify", "--format", "xml"], "invalid choice"),
     "bad-preset": (["profile", "--preset", "box"], "invalid choice"),
-    "non-integer-seed": (["verify", "--seed", "five"], "invalid int value"),
+    "non-integer-seed": (["verify", "--seed", "five"], "unrecognized arguments: --seed five"),
+    "seed": (["verify", "--seed", "3"], "unrecognized arguments: --seed 3"),
     "ambiguous-prefix": (["dual-window", "--c", "x"], "ambiguous option"),
 }
 

@@ -273,7 +273,7 @@ def test_profile_export(tmp_path, ref_grid):
 
 
 def make_report(entries):
-    return {"schema": 1, "seed": 42, "suites": ["decay"], "entries": entries}
+    return {"schema": 1, "suites": ["decay"], "entries": entries}
 
 
 def good_entry(name="x"):
@@ -310,7 +310,7 @@ def test_validate_report_rejects_bad():
     with pytest.raises(ValueError):
         validate_report([])
     with pytest.raises(ValueError):
-        validate_report({"schema": 2, "seed": 1, "suites": [], "entries": []})
+        validate_report({"schema": 2, "suites": [], "entries": []})
     bad = good_entry()
     bad["passed"] = "yes"
     with pytest.raises(ValueError):
@@ -318,3 +318,17 @@ def test_validate_report_rejects_bad():
     unsorted = make_report([good_entry("b"), good_entry("a")])
     with pytest.raises(ValueError):
         validate_report(unsorted)
+
+
+def test_validate_report_refuses_unknown_top_level_keys():
+    # As the config schema does; the report no longer carries a seed.
+    for key in ("seed", "notes"):
+        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+            validate_report(dict(make_report([good_entry()]), **{key: 1}))
+
+
+def test_dump_json_escapes_control_characters():
+    payload = {"reason": "a\nb\tc\x01d \"q\" \\ é"}
+    text = dump_json(payload)
+    assert "\n" not in text and "\t" not in text and "\x01" not in text
+    assert json.loads(text) == payload

@@ -16,7 +16,7 @@ EXPORTED = {
     "ConfigError", "DimensionMismatch", "GaborGridError", "GridMismatch",
     "IndexMismatch", "InvalidLattice", "NonAlignedLattice",
     "NonAlignedShift", "NotAFrame", "NotSolid", "OverlappingSupports",
-    "ResourceLimit", "ZeroSignal",
+    "ResourceLimit", "Unresolved", "ZeroSignal",
     # gabor
     "FrameCertificate", "GaborSystem", "analyze", "dual_window", "frame_bounds",
     "reconstruction_error", "synthesize", "wexler_raz_residual",

@@ -1,14 +1,14 @@
 """The verification suites: batched kernels against the per-sample loops
-they replace, the closed-form constants of the embedding-chain and
-window-independence suites against Monte-Carlo scans and dense SVDs, and
-the shared system of a verify run.
+they replace, the closed-form constants and enclosures of the
+embedding-chain and window-independence suites against Monte-Carlo scans
+and dense SVDs, and the shared system of a verify run.  The tests draw
+with ``numpy.random``; the package draws nothing.
 
 The batched paths keep the arithmetic of the one-sample code, so those
 comparisons are exact (``np.array_equal``), not a tolerance.
 """
 
 import functools
-import math
 import os
 import subprocess
 import sys
@@ -42,11 +42,9 @@ from gaborgrid.spaces import (
     solid_discrete_norm,
 )
 from gaborgrid.suites import (
-    NormalStream,
+    _PHI_WIDTHS,
     SuiteConfig,
-    _phi_family,
-    _random_sequences,
-    _smooth_rows,
+    _continuity_bound,
     _superposition_norms,
     run_embedding_chain,
     run_frame_bounds,
@@ -69,47 +67,19 @@ GRIDS = {
 }
 
 
-def _phi_family_oracle(rng, lattice, samples, order):
-    """The per-sample loop over smooth phi through the one-row functions:
-    the first phi with the largest ||S_phi|| over its Schwartz seminorm."""
-    grid = lattice.grid
-    best = (-1.0,)
-    for s in range(samples):
-        phi = smooth_random_signal(grid, rng)
-        spectrum = np.fft.fftn(phi.reshaped())
-        norms, residues = _superposition_norms(lattice, spectrum[None])
-        ratio = norms[0] / schwartz_seminorm(phi, order)
-        if ratio > best[0]:
-            best = (float(ratio), float(norms[0]), spectrum, int(residues[0]), s)
-    return best
-
-
-@pytest.mark.parametrize("rows", [None, 3], ids=["default-budget", "3-row-blocks"])
-@pytest.mark.parametrize("name, samples", [("1d", 40), ("2d", 20)])
-def test_continuity_samples_match_per_sample_loop(name, samples, rows, monkeypatch):
-    grid = GRIDS[name]
-    if rows is not None:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
-    # Both budgets leave a partial last block.
-    assert samples % grid_module._block_rows(grid.size) != 0
-    lattice = GridLattice.cubic(grid, 1.0)
-    rng = NormalStream(5, "embedding-chain")
-    got = _phi_family(rng, lattice, samples, 4)
-    ref_rng = NormalStream(5, "embedding-chain")
-    expected = _phi_family_oracle(ref_rng, lattice, samples, 4)
-    for label, a, b in zip(("ratio", "operator norm", "spectrum", "residue", "sample"),
-                           got, expected):
-        assert np.array_equal(a, b), label
-    assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+def _random_sequences(rng, lattice, samples):
+    """``samples`` random complex sequences over the lattice, one per column."""
+    shape = (lattice.count, samples)
+    return CoeffArray.over_lattice(lattice, rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape))
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_smooth_and_schwartz_rows_match_one_row_functions(name):
     grid = GRIDS[name]
-    rows = _smooth_rows(grid, np.random.default_rng(2).standard_normal((3, 2, grid.size)))
-    one_rng = np.random.default_rng(2)
-    signals = [smooth_random_signal(grid, one_rng) for _ in range(3)]
-    assert np.array_equal(rows, np.stack([f.values for f in signals]))
+    rng = np.random.default_rng(2)
+    signals = [smooth_random_signal(grid, rng) for _ in range(3)]
+    rows = np.stack([f.values for f in signals])
     spectra = np.fft.fftn(rows.reshape((3,) + grid.shape), axes=tuple(range(1, grid.dim + 1)))
     for order in (0, 2, 4):
         got = _schwartz_rows(grid, rows, spectra, order)
@@ -137,85 +107,6 @@ def test_convolution_rows_match_one_row_function(name, generator):
     assert np.array_equal(got, np.stack(expected))
 
 
-def test_random_sequences_match_column_draws():
-    lattice = GridLattice.cubic(GRIDS["1d"], 1.0)
-    rng = NormalStream(13, "window-independence")
-    got = _random_sequences(rng, lattice, 7).values
-    ref_rng = NormalStream(13, "window-independence")
-    expected = np.empty((lattice.count, 7), dtype=complex)
-    for s in range(7):
-        expected[:, s] = (ref_rng.standard_normal(lattice.count)
-                          + 1j * ref_rng.standard_normal(lattice.count))
-    assert np.array_equal(got, expected)
-    assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
-
-
-# The suites' normal stream ----------------------------------------------------
-
-def test_normal_stream_is_split_invariant():
-    rng = NormalStream(3, "reconstruction")
-    first, second = rng.standard_normal((3, 2, 5)), rng.standard_normal((7,))
-    assert first.shape == (3, 2, 5) and second.shape == (7,)
-    whole = NormalStream(3, "reconstruction").standard_normal(37)
-    assert np.array_equal(np.concatenate([first.ravel(), second]), whole)
-
-
-def test_normal_stream_is_keyed_by_seed_and_suite():
-    draw = NormalStream(3, "wexler-raz").standard_normal(64)
-    assert draw.tobytes() == NormalStream(3, "wexler-raz").standard_normal(64).tobytes()
-    for seed, suite in ((3, "reconstruction"), (4, "wexler-raz")):
-        assert not np.any(NormalStream(seed, suite).standard_normal(64) == draw)
-
-
-def test_normal_stream_takes_every_limb_of_a_large_seed():
-    big = NormalStream(2 ** 64 + 3, "decay").standard_normal(16)
-    assert np.all(np.isfinite(big))
-    assert np.array_equal(big, NormalStream(2 ** 64 + 3, "decay").standard_normal(16))
-    assert not np.array_equal(big, NormalStream(3, "decay").standard_normal(16))
-    assert not np.array_equal(big, NormalStream(2 ** 128 + 3, "decay").standard_normal(16))
-
-
-def _reference_stream(seed, suite, count):
-    """(key, draws): SplitMix64 and Box-Muller in plain Python integers and
-    floats, as the README describes the stream."""
-    mask = 2 ** 64 - 1
-    gamma = 0x9E3779B97F4A7C15
-
-    def mix(z):
-        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
-        return z ^ z >> 31
-
-    limbs = [seed >> shift & mask for shift in range(0, max(seed.bit_length(), 1), 64)]
-    key = 0
-    for word in (len(limbs), *limbs, *suite.encode()):
-        key = mix((key ^ word) + gamma & mask)
-    draws = []
-    for i in range(1, count + 1):
-        bits = mix(key + i * gamma & mask)
-        radius = math.sqrt(-2.0 * math.log(((bits >> 32) + 1) * 2.0 ** -32))
-        draws.append(radius * math.cos((bits & 0xFFFFFFFF) * (2.0 ** -32 * 2.0 * math.pi)))
-    return key, draws
-
-
-@pytest.mark.parametrize("seed, suite", [(0, "decay"), (3, "reconstruction"),
-                                         (11, "window-independence"), (2 ** 64 + 3, "growth")])
-def test_normal_stream_matches_a_plain_python_reference(seed, suite):
-    # Pins the stream: another key or other bits move every draw by O(1);
-    # the tolerance only admits numpy's log and cos against libm's.
-    key, draws = _reference_stream(seed, suite, 16)
-    stream = NormalStream(seed, suite)
-    assert stream._key == key
-    assert stream.standard_normal(16).tolist() == pytest.approx(draws, rel=1e-13, abs=1e-13)
-
-
-def test_normal_stream_moments():
-    x = NormalStream(0, "growth").standard_normal(200_000)
-    assert np.all(np.isfinite(x))
-    assert abs(np.mean(x)) < 0.01
-    assert abs(np.var(x) - 1.0) < 0.02
-
-
 def test_verify_does_not_import_numpy_random(tmp_path):
     # A fresh interpreter: this one has loaded numpy.random already.  The
     # tiny 2-D config of the benchmark, every suite.
@@ -237,9 +128,8 @@ def test_verify_does_not_import_numpy_random(tmp_path):
 
 
 def test_embedding_chain_memory_is_bounded():
-    # The continuity family of the resolved 2-D grid (4096 nodes, 100
-    # samples) runs in blocks; one unblocked 100-row complex table alone
-    # would take 6.5 MB.
+    # The four Gaussian witnesses of the resolved 2-D grid (4096 nodes) and
+    # their derivative blocks; a 100-row complex table would take 6.5 MB.
     cfg = SuiteConfig.from_dict({"grid": {"dim": 2, "period": 8.0, "points_per_axis": 64}})
     system = cfg.make_system()
     tracemalloc.start()
@@ -272,11 +162,7 @@ def test_one_system_per_verify_run(monkeypatch):
     counting = functools.cached_property(counted)
     counting.__set_name__(GaborSystem, "_fibers")
     monkeypatch.setattr(GaborSystem, "_fibers", counting)
-    cfg = SuiteConfig.from_dict({
-        "seed": 11,
-        "grid": {"dim": 2, "period": 8.0, "points_per_axis": 32},
-        "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
-    })
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS["2d"])
     run_suites(cfg)
     assert len(builds) == len({id(s) for s in builds}) == 3
     assert calls == []
@@ -294,11 +180,7 @@ def test_one_dual_solve_per_verify_run(monkeypatch):
     solve = np.linalg.solve
     rhs = []
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: rhs.append(b) or solve(a, b))
-    cfg = SuiteConfig.from_dict({
-        "seed": 11,
-        "grid": {"dim": 2, "period": 8.0, "points_per_axis": 32},
-        "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25},
-    })
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS["2d"])
     run_suites(cfg)
     [system] = systems
     phi = system._fibers[0]
@@ -307,8 +189,8 @@ def test_one_dual_solve_per_verify_run(monkeypatch):
 
 # The grids of the 1-D and 2-D bench configs, with the default system.
 BENCH_CONFIGS = {
-    "1d": {"seed": 3},
-    "2d": {"seed": 3, "grid": {"dim": 2, "period": 8.0, "points_per_axis": 32}},
+    "1d": {},
+    "2d": {"grid": {"dim": 2, "period": 8.0, "points_per_axis": 32}},
 }
 
 
@@ -327,7 +209,6 @@ def _entry(entries, name):
 def test_exact_suites_draw_nothing(suite, config, monkeypatch):
     cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
     system = cfg.make_system()
-    monkeypatch.setattr(suites_module, "NormalStream", _forbidden)
     counts = count_fft_calls(monkeypatch)
     entries = suites_module.SUITES[suite](cfg, system)
     assert all(e["passed"] for e in entries)
@@ -477,8 +358,7 @@ def test_an_off_grid_dual_lattice_is_a_diagnostic_not_a_gap():
 # The verify configs of the benchmark: the 1-D default and the 2-D 32^2 grid.
 CONFIGS = {
     "1d": {},
-    "2d": {"grid": {"dim": 2, "period": 8.0, "points_per_axis": 32},
-           "samples": {"ratio_scan": 50, "reconstruction": 12, "continuity": 25}},
+    "2d": {"grid": {"dim": 2, "period": 8.0, "points_per_axis": 32}},
 }
 
 
@@ -584,8 +464,11 @@ def test_reported_constants_are_consistent(name):
     grid = cfg.make_grid()
     chi = sample_bump(grid, radius=0.45)
     conv, sup = entries["convolution_attained"], entries["superposition_attained"]
-    assert (conv["details"]["constant"] / sup["details"]["constant"]
-            == pytest.approx(continuous_norm(chi, SpaceSpec("Lp_w", 2.0)) ** 2, rel=1e-13))
+    for end in ("lower", "upper"):
+        assert (conv["details"][end] / sup["details"][end]
+                == pytest.approx(continuous_norm(chi, SpaceSpec("Lp_w", 2.0)) ** 2, rel=1e-13))
+    assert sup["details"]["lower"] < sup["details"]["upper"]
+    assert sup["details"]["method"] == "enclosure"
     for entry in entries.values():
         if "attained" in entry["name"]:
             assert entry["passed"] and 0.0 <= entry["value"] <= 1e-12, entry["name"]
@@ -624,10 +507,6 @@ def test_constant_entries_do_not_depend_on_the_block_size(name, monkeypatch):
     grid = cfg.make_grid()
     expected = dump_json(run_suites(cfg))
     monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * 3)
-    # Both budgets leave a partial last block of smooth signals.
-    samples = cfg.sample_count("continuity")
-    assert samples % 3 != 0
-    assert samples % (2 ** 17 // (16 * grid.size)) != 0
     assert dump_json(run_suites(cfg)) == expected
 
 
@@ -641,3 +520,130 @@ def test_unbounded_order_fails_its_check():
     assert entry["value"] == MAX_DERIVATIVE_ORDER + 1
     assert str(MAX_DERIVATIVE_ORDER) in entry["details"]["unbounded"]
     assert entries["gaussian_bounded_order"]["details"] == {}
+
+
+# The Fourier-side enclosures of window-independence ---------------------------
+
+# Resolved configs (L = P^2, so A is square) and their exact bands at p = 1
+# and p = 4, from a separate prototype of the closed form.
+RESOLVED = {
+    "1d-P16-L256": ({}, (1.02519, 1.01694)),
+    "2d-P8-64": ({"grid": {"dim": 2, "period": 8.0, "points_per_axis": 64}}, (1.0313, 1.01342)),
+}
+
+
+def _window_entries(config):
+    cfg = SuiteConfig.from_dict(config)
+    return _by_name(run_window_independence(cfg, cfg.make_system()))
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED))
+def test_fourier_bands_are_exact_on_resolved_grids(name):
+    config, bands = RESOLVED[name]
+    entries = _window_entries(config)
+    for p, band in zip((1, 4), bands):
+        entry = entries[f"fourier_vs_bump_band_L{p}"]
+        details = entry["details"]
+        assert entry["passed"] and details["method"] == "enclosure"
+        assert entry["value"] == details["upper"] == pytest.approx(band, abs=1e-5)
+        # The witness attains the upper end.
+        assert 0 <= (details["upper"] - details["lower"]) / details["upper"] <= 1e-12
+    assert entries["fourier_parseval_deviation"]["value"] <= 1e-14
+
+
+def test_fourier_band_encloses_random_sequences():
+    # L = 4 P^2: A is 64 x 16, and the band is enclosed, not attained.
+    cfg = SuiteConfig.from_dict({"grid": {"points_per_axis": 1024}})
+    system = cfg.make_system()
+    entries = _by_name(run_window_independence(cfg, system))
+    c = _random_sequences(np.random.default_rng(8), system.time_lattice, 200)
+    chi = sample_bump(system.grid, radius=0.45)
+    for p in (1.0, 4.0):
+        spec = SpaceSpec("FourierLp_w", p)
+        ratios = suites_module.fourier_side_norm(c, spec) / discrete_norm(c, spec, chi)
+        details = entries[f"fourier_vs_bump_band_L{p:g}"]["details"]
+        assert details["lower"] < details["upper"]
+        assert np.max(ratios) / np.min(ratios) <= details["upper"]
+
+
+def test_a_label_dropping_fourier_side_norm_fails_parseval(monkeypatch):
+    # A realization that loses the label of lattice point 0 is still a norm
+    # on the other 15 points; the singular vectors expose it.
+    fourier_side_norm = suites_module.fourier_side_norm
+
+    def dropped(coeffs, spec):
+        values = coeffs.values.copy()
+        values[0] = 0.0
+        return fourier_side_norm(CoeffArray.over_lattice(coeffs.lattice, values), spec)
+
+    monkeypatch.setattr(suites_module, "fourier_side_norm", dropped)
+    entry = _window_entries({})["fourier_parseval_deviation"]
+    assert not entry["passed"] and entry["value"] > 1e-3
+
+
+@pytest.mark.parametrize("config, needed", [
+    ({"grid": {"dim": 2, "period": 8.0, "points_per_axis": 32}}, 64),
+    ({"grid": {"points_per_axis": 128}}, 256),
+], ids=["2d-P8-32", "1d-P16-L128"])
+def test_colliding_labels_give_one_failing_diagnostic(config, needed):
+    entries = _window_entries(config)
+    fourier = [e for e in entries.values() if e["name"].startswith("fourier")]
+    assert [e["name"] for e in fourier] == ["fourier_labels_resolved"]
+    [entry] = fourier
+    assert not entry["passed"]
+    # L / gcd(a P, L) labels per axis against the P / a lattice points.
+    assert entry["value"] < entry["threshold"] == needed ** 0.5
+    assert entry["details"]["resolved_at_points_per_axis"] == needed
+    assert entry["details"]["reason"].startswith("Unresolved: ")
+    assert f"modulo L = {config['grid']['points_per_axis']}" in entry["details"]["reason"]
+
+
+# The continuity bound of embedding-chain ------------------------------------
+
+CONTINUITY_GRIDS = {
+    "1d-256": PeriodicGrid(1, 16.0, 256),
+    "1d-1024": PeriodicGrid(1, 16.0, 1024),
+    "2d-32": PeriodicGrid(2, 8.0, 32),
+    "2d-64": PeriodicGrid(2, 8.0, 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUITY_GRIDS))
+def test_continuity_bound_dominates_witnesses_and_random_phi(name):
+    grid = CONTINUITY_GRIDS[name]
+    lattice = GridLattice.cubic(grid, 1.0)
+    bound = _continuity_bound(lattice, 4)
+    # The Gaussian witnesses, one at a time through the one-row functions.
+    for width in _PHI_WIDTHS:
+        phi = suites_module.sample_gaussian(grid, width=width)
+        norm = _superposition_norms(lattice, np.fft.fftn(phi.reshaped())[None])[0][0]
+        assert norm / schwartz_seminorm(phi, 4) <= bound
+    # 200 band-limited phi, which the witnesses do not cover.
+    rng = np.random.default_rng(12)
+    rows = np.stack([smooth_random_signal(grid, rng).values for _ in range(200)])
+    spectra = np.fft.fftn(rows.reshape((200,) + grid.shape), axes=tuple(range(1, grid.dim + 1)))
+    ratios = _superposition_norms(lattice, spectra)[0] / _schwartz_rows(grid, rows, spectra, 4)
+    assert np.max(ratios) <= bound
+
+
+@pytest.mark.parametrize("name", ["1d-256", "1d-1024", "2d-32", "2d-64"])
+def test_continuity_enclosure_is_reported_at_the_best_witness(name):
+    grid = CONTINUITY_GRIDS[name]
+    cfg = SuiteConfig.from_dict({"grid": {"dim": grid.dim, "period": grid.period,
+                                          "points_per_axis": grid.points_per_axis}})
+    entries = _by_name(run_embedding_chain(cfg, cfg.make_system()))
+    for label in ("superposition_attained", "convolution_attained"):
+        entry = entries[label]
+        assert entry["passed"] and entry["value"] <= 1e-15
+        details = entry["details"]
+        assert details["method"] == "enclosure"
+        assert details["witness_width"] in _PHI_WIDTHS
+        assert 0 < details["lower"] < details["upper"] < 100 * details["lower"]
+
+
+def test_no_module_has_a_random_source():
+    package = Path(suites_module.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        for word in ("numpy.random", "np.random", "default_rng", "Stream", "splitmix"):
+            assert word not in text, f"{path.name}: {word}"
