@@ -14,9 +14,10 @@ index.  Time-frequency tables use ``k,m,re,im`` (flat time node, flat DFT
 bin).  Report CSVs have one row per entry, ``details`` flattened to sorted
 ``key=value`` pairs joined by ``;``.
 
-JSON is emitted by a small writer with sorted keys and floats printed at 17
-significant digits, so byte-identical reruns are a property of the data,
-not the serializer.
+JSON is emitted in one pass that dispatches on each value's type, with
+sorted keys, floats printed at 17 significant digits and strings through
+the json module's C escaper, so byte-identical reruns are a property of the
+data, not the serializer; a report CSV field is its value's JSON text.
 """
 
 from __future__ import annotations
@@ -41,28 +42,42 @@ _HEADER = struct.Struct("<4sIII")
 
 def dump_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite float {x!r} in JSON payload")
-        text = format(x, ".17g")
-        return text if any(c in text for c in ".eE") else text + ".0"
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [dump_json(v) for v in obj]
-        return "[" + ", ".join(items) + "]"
-    if isinstance(obj, dict):
-        keys = sorted(obj.keys())
-        items = [f'{dump_json(str(k))}: {dump_json(obj[k])}' for k in keys]
-        return "{" + ", ".join(items) + "}"
+    return (_WRITERS.get(type(obj)) or _writer(obj))(obj)
+
+
+def _writer(obj):
+    """The writer of the first of ``_KINDS`` that ``obj`` is an instance of,
+    for the types ``_WRITERS`` does not hold: numpy scalars and subclasses."""
+    for types, writer in _KINDS:
+        if isinstance(obj, types):
+            return writer
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _dump_float(obj) -> str:
+    x = float(obj)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite float {x!r} in JSON payload")
+    text = format(x, ".17g")
+    return text if any(c in text for c in ".eE") else text + ".0"
+
+
+# What json.dumps(s, ensure_ascii=False) returns, without building an encoder.
+_escape = json.encoder.encode_basestring
+# In order of precedence, as a bool is an int; np.float64, which reports
+# hold, is listed for ``_WRITERS``.
+_KINDS = (
+    ((type(None),), lambda _: "null"),
+    ((bool, np.bool_), lambda b: "true" if b else "false"),
+    ((int, np.integer), lambda n: str(int(n))),
+    ((float, np.float64, np.floating), _dump_float),
+    ((str,), _escape),
+    ((list, tuple), lambda items: "[" + ", ".join([dump_json(v) for v in items]) + "]"),
+    ((np.ndarray,), lambda a: dump_json(a.tolist())),
+    ((dict,), lambda d: "{" + ", ".join([f"{_escape(str(k))}: {dump_json(d[k])}"
+                                         for k in sorted(d)]) + "}"),
+)
+_WRITERS = {kind: writer for types, writer in _KINDS for kind in types}
 
 
 # Binary signals --------------------------------------------------------------
@@ -223,28 +238,21 @@ def write_report(report: dict, json_path, csv_path) -> list[str]:
                 details = ";".join(
                     f"{k}={_fmt(v)}" for k, v in sorted(e["details"].items())
                 )
-                writer.writerow(
-                    [
-                        e["suite"],
-                        e["name"],
-                        str(e["passed"]).lower(),
-                        _fmt(e["value"]),
-                        _fmt(e["threshold"]),
-                        e["comparator"],
-                        details,
-                    ]
-                )
+                writer.writerow([e["suite"], e["name"], _fmt(e["passed"]), _fmt(e["value"]),
+                                 _fmt(e["threshold"]), e["comparator"], details])
         written.append(str(csv_path))
     return written
 
 
 def _fmt(v) -> str:
+    """A CSV field: a number's or bool's JSON text, without the ".0" of an
+    integral float; null is empty, anything else its str."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return format(v, ".17g")
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
     return str(v)
 
 

@@ -480,7 +480,8 @@ def _translates(windows: np.ndarray, index_points: np.ndarray, block: int | None
 
 def _superpose(lat: GridLattice, coeffs: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """(S, size) rows: row s is sum_k coeffs[s, k] T_{x_k}(window), for the
-    (S, count) coefficient rows and the window's forward DFT ``spectrum``.
+    (S, count) coefficient rows and the window's forward DFT ``spectrum``,
+    of grid shape, or (S,) + grid shape for a window per row.
 
     Each row is a comb carrying one sequence at the lattice nodes (distinct
     modulo L), convolved with the window by one batched FFT pair in place.

@@ -8,13 +8,14 @@ weights.  Rapidly decreasing profiles (every positive weight order stays
 bounded) signal smooth-class inputs; profiles that are only tamed by
 negative weight orders signal distributional-class inputs.
 
-The Schwartz seminorm and the sampled convolution each have one batched
-kernel, ``_schwartz_rows`` and ``_convolution_rows``, over a stack of S
-signals given as (S, size) rows and their (S,) + grid.shape forward DFTs,
-as ``spaces._row_norms`` is for the space norms.  The embedding-chain
-suite calls the seminorm kernel once, on its four Gaussian witnesses, and
-the convolution kernel once, on the witness of its closed-form
-convolution constant.
+The Schwartz seminorm, the sampled convolution and the decay profile each
+have one batched kernel, ``_schwartz_rows``, ``_convolution_rows`` and
+``_decay_profiles``, over a stack of S signals given as (S, size) rows
+(and, for the first two, their (S,) + grid.shape forward DFTs), as
+``spaces._row_norms`` is for the space norms.  The embedding-chain suite
+calls the seminorm kernel once, on its four Gaussian witnesses, and the
+convolution kernel once, on the witness of its closed-form convolution
+constant; the growth suite profiles its three signals in one call.
 
 The derivative multiplier prod_j (2 pi i xi_j)^alpha_j and the inverse DFT
 are tensor products over the axes, so the Schwartz kernel takes the
@@ -27,12 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import GaborSystem, analyze
+from .gabor import GaborSystem, _analysis
 from .grid import (
     CoeffArray,
     GridLattice,
     GridSignal,
     PeriodicGrid,
+    require_same_grid,
 )
 from .spaces import (
     SpaceSpec,
@@ -163,29 +165,32 @@ def decay_profile(system: GaborSystem, f: GridSignal, spec: SpaceSpec) -> DecayP
 
     Slice norms are the solid sequence norms of the solid space ``spec``.
     Rapid-decay tests read ``decay_sups``; slowly increasing inputs read the
-    growth-side fields ``growth_sups`` and ``bounded_order``.
+    growth-side fields ``growth_sups`` and ``bounded_order``.  The one-row
+    case of ``_decay_profiles``.
     """
-    coeffs = analyze(system, f)
-    slices = CoeffArray.over_lattice(system.time_lattice, coeffs.values)  # a column per frequency
-    norms = solid_discrete_norm(slices, spec)
+    require_same_grid(f, system.window)
+    return _decay_profiles(system, f.values[None], spec)[0]
+
+
+def _decay_profiles(system: GaborSystem, rows: np.ndarray, spec: SpaceSpec) -> list:
+    """The profiles of the (S, size) signal rows: one batched analysis, then
+    one solid norm of the (N0, S |F|) slice columns, each normed on its own."""
+    lat = system.time_lattice
+    coeffs = np.moveaxis(_analysis(system, rows), 0, 1).reshape(lat.count, -1)
+    slices = solid_discrete_norm(CoeffArray.over_lattice(lat, coeffs), spec)
     pts = system.freq_lattice.centered_points
     radii = np.linalg.norm(pts, axis=-1)
     orders = np.arange(MAX_DERIVATIVE_ORDER + 1)
-    decay = np.array([np.max(norms * (1.0 + radii) ** n) for n in orders])
-    growth = np.array([np.max(norms * (1.0 + radii) ** (-n)) for n in orders])
-
-    floor = float(np.max(norms)) * _FIT_FLOOR
-    mask = norms > max(floor, 0.0)
-    x = np.log1p(radii[mask])
-    slope = 0.0
-    if x.size >= 2 and np.ptp(x) > 0:
-        x -= x.mean()  # the least-squares slope in closed form
-        slope = x @ np.log(norms[mask]) / (x @ x)
-    return DecayProfile(
-        freq_points=pts,
-        slice_norms=norms,
-        decay_sups=decay,
-        growth_sups=growth,
-        fitted_order=float(slope),
-        bounded_order=_bounded_order(radii, norms, growth),
-    )
+    profiles = []
+    for norms in slices.reshape(len(rows), -1):
+        decay = np.array([np.max(norms * (1.0 + radii) ** n) for n in orders])
+        growth = np.array([np.max(norms * (1.0 + radii) ** (-n)) for n in orders])
+        mask = norms > max(float(np.max(norms)) * _FIT_FLOOR, 0.0)
+        x = np.log1p(radii[mask])
+        slope = 0.0
+        if x.size >= 2 and np.ptp(x) > 0:
+            x -= x.mean()  # the least-squares slope in closed form
+            slope = x @ np.log(norms[mask]) / (x @ x)
+        profiles.append(DecayProfile(pts, norms, decay, growth, float(slope),
+                                     _bounded_order(radii, norms, growth)))
+    return profiles

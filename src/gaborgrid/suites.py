@@ -29,6 +29,11 @@ or an enclosure [lower, upper] whose lower end a witness attains:
   the one adjoint-lattice defect array (``gabor._wexler_raz_defect``).
 
 README, "Closed-form constants" and "Fourier-side enclosures", derives them.
+
+Signals and witnesses are evaluated as stacks, one batched kernel call per
+window or space (``grid._superpose``, ``_grid_norms``,
+``smoothness._decay_profiles``); each kernel treats a row alone, so a stack
+gives the bytes its rows give one at a time.
 """
 
 from __future__ import annotations
@@ -63,12 +68,14 @@ from .grid import (
     sample_rectangle,
 )
 from .lattice import PowerWeight
-from .smoothness import MAX_DERIVATIVE_ORDER, _convolution_rows, _schwartz_rows, decay_profile
+from .smoothness import MAX_DERIVATIVE_ORDER, _convolution_rows, _decay_profiles, _schwartz_rows
 from .spaces import (
     SpaceSpec,
     _bump_series,
     _fourier_side_series,
+    _norm_weight,
     _p_norm,
+    _row_norms,
     _series_matrix,
     _solid_profile,
     _weight_table,
@@ -327,13 +334,11 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     return [lower, check(suite, "condition_number", cert.upper / cert.lower, 10.0, "<")]
 
 
-def _grid_norm(lattice: GridLattice, c: np.ndarray, spectrum: np.ndarray,
-               spec: SpaceSpec) -> float:
-    """The ``spec`` norm of sum_k c_k T_{x_k}(f), f of forward DFT
-    ``spectrum``, on the grid: how a witness is evaluated, without the
-    window profile the closed forms are built from."""
-    f = GridSignal(lattice.grid, _superpose(lattice, c[None], spectrum)[0])
-    return continuous_norm(f, spec)
+def _grid_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec) -> np.ndarray:
+    """The ``spec`` norms of the (S, size) witness rows ``grid._superpose``
+    built, on the grid: how witnesses are evaluated, without the window
+    profile the closed forms are built from.  Lp_w rows are left untouched."""
+    return _row_norms(rows, grid, spec, _norm_weight(grid, spec))
 
 
 def _attained(suite: str, name: str, constant: float, attained: float,
@@ -353,19 +358,24 @@ def run_window_independence(cfg: SuiteConfig, system: GaborSystem) -> list[dict]
     entries = []
     # Each discrete norm weights |c_k| by its window's profile, so their
     # ratio ranges over the profile ratios q_k: K = max_k max(q_k, 1/q_k),
-    # attained at a unit sequence.
-    for p in (1.0, 2.0, 4.0):
-        for tau in (0.0, 2.0):
-            spec = SpaceSpec("Lp_w", p, weight=PowerWeight(tau))
-            q = (_solid_profile(chi1, lattice, spec)[0][:, 0]
-                 / _solid_profile(chi2, lattice, spec)[0][:, 0])
-            bands = np.maximum(q, 1.0 / q)
-            k = int(np.argmax(bands))
-            e = (np.arange(lattice.count) == k).astype(float)
-            r = _grid_norm(lattice, e, hat1, spec) / _grid_norm(lattice, e, hat2, spec)
-            entries.append(_attained(suite, f"K_attained_L{p:g}_tau{tau:g}", bands[k],
-                                     max(r, 1.0 / r), {"K": float(bands[k]), "witness_k": k,
-                                                       "method": "closed-form"}))
+    # attained at a unit sequence; the six are superposed as one stack per
+    # window.
+    specs = [SpaceSpec("Lp_w", p, weight=PowerWeight(tau)) for p in (1.0, 2.0, 4.0)
+             for tau in (0.0, 2.0)]
+    bands = []
+    for spec in specs:
+        q = (_solid_profile(chi1, lattice, spec)[0][:, 0]
+             / _solid_profile(chi2, lattice, spec)[0][:, 0])
+        bands.append(np.maximum(q, 1.0 / q))
+    ks = [int(np.argmax(band)) for band in bands]
+    units = np.eye(lattice.count)[ks]
+    rows = np.stack([_superpose(lattice, units, hat) for hat in (hat1, hat2)], axis=1)
+    for spec, band, k, pair in zip(specs, bands, ks, rows):
+        n1, n2 = _grid_norms(pair, grid, spec)
+        r = n1 / n2
+        entries.append(_attained(suite, f"K_attained_L{spec.p:g}_tau{spec.tau:g}", band[k],
+                                 max(r, 1.0 / r), {"K": float(band[k]), "witness_k": k,
+                                                   "method": "closed-form"}))
 
     # Solid shortcut: unweighted Lp discrete norms factor exactly through
     # the window Lp norm, for every c, since every translate of chi carries
@@ -511,16 +521,6 @@ def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     k = int(np.argmin(profile * w))
     kappa2 = cell ** (1.0 / spec.p) * profile[k] * w[k]
     c1, c2 = 1.0 / w, (np.arange(lattice.count) == k).astype(float)
-    entries = [
-        check(suite, "kappa1_positive", kappa1, 0.0, ">",
-              details={"method": "closed-form", "witness": "c_k = (1+|x_k|)^-3"}),
-        check(suite, "kappa2_positive", kappa2, 0.0, ">",
-              details={"method": "closed-form", "witness_k": k}),
-        _attained(suite, "kappa1_attained", kappa1, decay_weighted_sup(
-            CoeffArray.over_lattice(lattice, c1), 3) / _grid_norm(lattice, c1, chi_hat, spec), {}),
-        _attained(suite, "kappa2_attained", kappa2, _grid_norm(lattice, c2, chi_hat, spec)
-                  / growth_weighted_sup(CoeffArray.over_lattice(lattice, c2), 3), {}),
-    ]
 
     # Operator continuity: the sup over c of ||sum_k c_k T_{x_k} phi|| /
     # ||c||_{E_d} is ||S_phi|| / p (``_superposition_norms``), unweighted, as
@@ -545,16 +545,29 @@ def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     r = np.unravel_index(residues[best], shape)
     L = grid.points_per_axis
     c = np.exp(2j * np.pi * (lattice.index_points @ np.array(r) % L) / L)
-    sup_attained = _grid_norm(lattice, c, phi_hat, spec) / _grid_norm(lattice, c, chi_hat, spec)
-    e = _superpose(lattice, c[None], np.conj(phi_hat))
-    e_hat = np.fft.fftn(e.reshape((1,) + grid.shape), axes=tuple(range(1, grid.dim + 1)))
+    # The phi side, S_phi c and e = S_phi* c, as one stack; then every chi
+    # side witness as another.
+    phi_side = _superpose(lattice, np.stack([c, c]), np.stack([phi_hat, np.conj(phi_hat)]))
+    e_hat = np.fft.fftn(phi_side[1:].reshape((1,) + grid.shape),
+                        axes=tuple(range(1, grid.dim + 1)))
     conv = _convolution_rows(lattice, e_hat, phi_hat[None])[0]
-    conv_attained = (_grid_norm(lattice, conv, chi_hat, spec)
-                     / continuous_norm(GridSignal(grid, e[0]), spec))
+    norm_phi_c, norm_e = _grid_norms(phi_side, grid, spec)
+    norm_c1, norm_c2, norm_c, norm_conv = _grid_norms(
+        _superpose(lattice, np.stack([c1, c2, c, conv]), chi_hat), grid, spec)
+    entries = [
+        check(suite, "kappa1_positive", kappa1, 0.0, ">",
+              details={"method": "closed-form", "witness": "c_k = (1+|x_k|)^-3"}),
+        check(suite, "kappa2_positive", kappa2, 0.0, ">",
+              details={"method": "closed-form", "witness_k": k}),
+        _attained(suite, "kappa1_attained", kappa1, decay_weighted_sup(
+            CoeffArray.over_lattice(lattice, c1), 3) / norm_c1, {}),
+        _attained(suite, "kappa2_attained", kappa2,
+                  norm_c2 / growth_weighted_sup(CoeffArray.over_lattice(lattice, c2), 3), {}),
+    ]
     details = {"method": "enclosure", "order": order, "witness_width": _PHI_WIDTHS[best],
                "residue": [int(v) for v in r]}
-    for label, scale, attained in (("superposition", 1.0 / p, sup_attained),
-                                   ("convolution", cell * p, conv_attained)):
+    for label, scale, attained in (("superposition", 1.0 / p, norm_phi_c / norm_c),
+                                   ("convolution", cell * p, norm_conv / norm_e)):
         entries.append(_attained(suite, f"{label}_attained", norms[best] * scale, attained,
                                  {"lower": float(ratios[best] * scale),
                                   "upper": float(bound * scale), **details}))
@@ -612,7 +625,7 @@ _PROFILE_SPACE = SpaceSpec("Lp_w", 1.0, weight=PowerWeight(3.0))
 def run_decay(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "decay"
     f = sample_gaussian(system.grid, width=math.sqrt(2.0), normalize=True)
-    prof = decay_profile(system, f, _PROFILE_SPACE)
+    [prof] = _decay_profiles(system, f.values[None], _PROFILE_SPACE)
     finite = float(np.all(np.isfinite(prof.decay_sups)))
     return [
         check(suite, "gaussian_sups_finite", finite, 1.0, ">="),
@@ -626,10 +639,12 @@ def run_growth(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     suite = "growth"
     grid = system.grid
     gauss = sample_gaussian(grid, width=math.sqrt(2.0), normalize=True)
-    gauss_prof = decay_profile(system, gauss, _PROFILE_SPACE)
     osc = sample_oscillation(grid, 4.0)
-    osc_prof = decay_profile(system, osc, _PROFILE_SPACE)
-    entries = [
+    top_band = GridSignal(grid, gauss.values * sample_oscillation(grid, 6.0).values)
+    top_band = top_band * (1.0 / top_band.l2_norm())
+    gauss_prof, osc_prof, band_prof = _decay_profiles(
+        system, np.stack([gauss.values, osc.values, top_band.values]), _PROFILE_SPACE)
+    return [
         _order_check(suite, "gaussian_bounded_order", gauss_prof.bounded_order, 0.0),
         check(suite, "oscillation_fails_decay",
               osc_prof.decay_sups[-1] / osc_prof.decay_sups[0], 10.0, ">"),
@@ -638,12 +653,8 @@ def run_growth(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
               osc_prof.decay_sups[2] / gauss_prof.decay_sups[2], 1e3, ">=",
               details={"oscillation": osc_prof.decay_sups[2],
                        "gaussian": gauss_prof.decay_sups[2]}),
+        _order_check(suite, "top_band_bounded_order", band_prof.bounded_order, 6.0),
     ]
-    top_band = GridSignal(grid, gauss.values * sample_oscillation(grid, 6.0).values)
-    top_band = top_band * (1.0 / top_band.l2_norm())
-    band_prof = decay_profile(system, top_band, _PROFILE_SPACE)
-    entries.append(_order_check(suite, "top_band_bounded_order", band_prof.bounded_order, 6.0))
-    return entries
 
 
 def _order_check(suite: str, name: str, order: int | None, threshold: float) -> dict:

@@ -27,6 +27,7 @@ from gaborgrid.formats import (
 )
 from gaborgrid.grid import GridSignal, PeriodicGrid, sample_gaussian
 from gaborgrid.stft import TFArray, stft
+from gaborgrid.suites import SuiteConfig, run_suites
 
 from conftest import random_signal
 
@@ -42,6 +43,79 @@ def test_dump_json_rejects_non_finite():
         dump_json({"x": math.nan})
     with pytest.raises(TypeError):
         dump_json({"x": object()})
+
+
+# The writer's bytes, pinned against the recursive writer that the
+# type-dispatched one replaced: every string below is what it returned.
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "-0.0"),
+    (1e16, "10000000000000000.0"),
+    (1e-5, "1.0000000000000001e-05"),
+    (5e-324, "4.9406564584124654e-324"),
+    (2.0 ** 53, "9007199254740992.0"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(1 / 3), "0.33333333333333331"),
+    (np.int64(-7), "-7"),
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
+    ((1, 2.0, "a"), '[1, 2.0, "a"]'),
+    (np.array([[1.0, 2.5], [-0.0, 3.0]]), "[[1.0, 2.5], [-0.0, 3.0]]"),
+    (np.array([True, False]), "[true, false]"),
+    ([], "[]"),
+    ({}, "{}"),
+    ((), "[]"),
+    (np.zeros((0, 3)), "[]"),
+    ({10: "a", 9: "b", 1: [None, True]}, '{"1": [null, true], "9": "b", "10": "a"}'),
+    ({"é": "Grüße π"}, '{"é": "Grüße π"}'),
+    ("\x00\x1f\n\t\"\\\u2028", '"\\u0000\\u001f\\n\\t\\"\\\\\u2028"'),
+])
+def test_dump_json_pinned_bytes(value, text):
+    assert dump_json(value) == text
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (math.nan, ValueError, "non-finite float nan in JSON payload"),
+    (-math.inf, ValueError, "non-finite float -inf in JSON payload"),
+    (np.float32("inf"), ValueError, "non-finite float inf in JSON payload"),
+    ({"a": np.array([[math.nan]])}, ValueError, "non-finite float nan in JSON payload"),
+    (object(), TypeError, "cannot serialize object"),
+    ({1: [object()]}, TypeError, "cannot serialize object"),
+    (b"x", TypeError, "cannot serialize bytes"),
+])
+def test_dump_json_pinned_errors(value, error, message):
+    with pytest.raises(error) as info:
+        dump_json(value)
+    assert str(info.value) == message
+
+
+_SCALARS = [None, True, False, np.True_, np.False_, 0, -7, np.int64(3), 1.0, -0.0, 0.1,
+            1e16, 1e-5, 5e-324, 2.0 ** 53, np.float64(1 / 3), np.float32(0.1),
+            np.float32(1.0), np.float16(0.1)]
+
+
+@pytest.mark.parametrize("value", _SCALARS, ids=repr)
+def test_csv_scalar_field_is_the_json_text(tmp_path, value):
+    # The JSON text, with null as an empty field and no ".0" on an integral
+    # float; numpy scalars, which only details may hold, too.
+    csv_path = tmp_path / "r.csv"
+    write_report(make_report([dict(good_entry(), details={"v": value})]), None, csv_path)
+    [row] = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    expected = "" if value is None else dump_json(value).removesuffix(".0")
+    assert row["details"] == f"v={expected}"
+
+
+def test_csv_fields_of_a_verify_report_are_its_json_texts(tmp_path):
+    json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    write_report(run_suites(SuiteConfig()), json_path, csv_path)
+    entries = json.loads(json_path.read_text())["entries"]
+    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    assert len(rows) == len(entries)
+    for row, entry in zip(rows, entries):
+        assert (row["suite"], row["name"]) == (entry["suite"], entry["name"])
+        assert row["passed"] == dump_json(entry["passed"])
+        for key in ("value", "threshold"):
+            text = "" if entry[key] is None else dump_json(entry[key])
+            assert row[key] == text.removesuffix(".0")
 
 
 def test_signal_binary_round_trip(tmp_path, ref_grid, rng):

@@ -8,8 +8,11 @@ The batched paths keep the arithmetic of the one-sample code, so those
 comparisons are exact (``np.array_equal``), not a tolerance.
 """
 
+import dataclasses
 import functools
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,9 +22,10 @@ import numpy as np
 import pytest
 
 import gaborgrid.grid as grid_module
+import gaborgrid.smoothness as smoothness_module
 import gaborgrid.suites as suites_module
 from gaborgrid.formats import dump_json
-from gaborgrid.gabor import GaborSystem, _analysis, _synthesis, dual_window
+from gaborgrid.gabor import GaborSystem, _analysis, _synthesis, analyze, dual_window
 from gaborgrid.grid import (
     CoeffArray,
     GridLattice,
@@ -29,10 +33,20 @@ from gaborgrid.grid import (
     PeriodicGrid,
     _flat_index,
     _lattice_fold,
+    _superpose,
     sample_bump,
+    sample_gaussian,
+    sample_oscillation,
 )
 from gaborgrid.lattice import Lattice, PowerWeight
-from gaborgrid.smoothness import MAX_DERIVATIVE_ORDER, _convolution_rows, _schwartz_rows
+from gaborgrid.smoothness import (
+    MAX_DERIVATIVE_ORDER,
+    DecayProfile,
+    _convolution_rows,
+    _decay_profiles,
+    _schwartz_rows,
+    decay_profile,
+)
 from gaborgrid.spaces import (
     SpaceSpec,
     continuous_norm,
@@ -220,6 +234,168 @@ def test_exact_suites_draw_nothing(suite, config, monkeypatch):
         # One adjoint-lattice STFT serves both entries.
         assert counts == {"fftn": 1}
         assert _entry(entries, "adjoint_identity_defect")["details"] == {"method": "unit-sequence"}
+
+
+def _grid_norm(lattice, c, spectrum, spec):
+    """One witness alone: the superposition of the one row c and its norm,
+    as the suites evaluated each witness before they stacked them."""
+    f = GridSignal(lattice.grid, _superpose(lattice, c[None], spectrum)[0])
+    return continuous_norm(f, spec)
+
+
+def _counted_superpose(monkeypatch):
+    """Record the coefficient shape of every suite ``_superpose`` call."""
+    shapes = []
+    superpose = suites_module._superpose
+    monkeypatch.setattr(suites_module, "_superpose",
+                        lambda lat, c, s: shapes.append(c.shape) or superpose(lat, c, s))
+    return shapes
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+def test_stacked_witness_norms_match_one_row_norms(config):
+    # Random stacks on the bench lattices, under one window spectrum and
+    # under one per row, in every Lp_w space the suites norm witnesses in.
+    system = SuiteConfig.from_dict(BENCH_CONFIGS[config]).make_system()
+    grid, lattice = system.grid, system.time_lattice
+    rng = np.random.default_rng(4)
+    coeffs = rng.standard_normal((4, lattice.count)) + 1j * rng.standard_normal((4, lattice.count))
+    spectra = np.fft.fftn(np.stack([random_signal(grid, rng).reshaped() for _ in range(4)]),
+                          axes=tuple(range(1, grid.dim + 1)))
+    for p in (1.0, 2.0, 4.0):
+        for tau in (0.0, 2.0):
+            spec = SpaceSpec("Lp_w", p, weight=PowerWeight(tau))
+            shared = suites_module._grid_norms(_superpose(lattice, coeffs, spectra[0]), grid, spec)
+            assert np.array_equal(shared, [_grid_norm(lattice, c, spectra[0], spec)
+                                           for c in coeffs])
+            own = suites_module._grid_norms(_superpose(lattice, coeffs, spectra), grid, spec)
+            assert np.array_equal(own, [_grid_norm(lattice, c, spectrum, spec)
+                                        for c, spectrum in zip(coeffs, spectra)])
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+def test_k_witnesses_attain_their_one_row_norms(config):
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    grid, lattice = system.grid, system.time_lattice
+    hat1, hat2 = (np.fft.fftn(sample_bump(grid, radius=r * cfg.lattice_step).reshaped())
+                  for r in (0.3, 0.45))
+    entries = [e for e in run_window_independence(cfg, system)
+               if e["name"].startswith("K_attained")]
+    assert len(entries) == 6
+    for entry in entries:
+        p, tau = re.fullmatch(r"K_attained_L(.+)_tau(.+)", entry["name"]).groups()
+        spec = SpaceSpec("Lp_w", float(p), weight=PowerWeight(float(tau)))
+        e = (np.arange(lattice.count) == entry["details"]["witness_k"]).astype(float)
+        r = _grid_norm(lattice, e, hat1, spec) / _grid_norm(lattice, e, hat2, spec)
+        assert entry["details"]["attained"] == max(r, 1.0 / r)
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+def test_embedding_chain_witnesses_attain_their_one_row_norms(config):
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    grid, lattice = system.grid, system.time_lattice
+    axes = tuple(range(1, grid.dim + 1))
+    spec = SpaceSpec("Lp_w", 2.0)
+    entries = {e["name"]: e for e in run_embedding_chain(cfg, system)}
+    chi_hat = np.fft.fftn(sample_bump(grid, radius=0.45 * cfg.lattice_step).reshaped())
+    c1 = 1.0 / PowerWeight(3.0)(lattice.centered_points)
+    c2 = (np.arange(lattice.count) == entries["kappa2_positive"]["details"]["witness_k"]
+          ).astype(float)
+    assert entries["kappa1_attained"]["details"]["attained"] == (
+        decay_weighted_sup(CoeffArray.over_lattice(lattice, c1), 3)
+        / _grid_norm(lattice, c1, chi_hat, spec))
+    assert entries["kappa2_attained"]["details"]["attained"] == (
+        _grid_norm(lattice, c2, chi_hat, spec)
+        / growth_weighted_sup(CoeffArray.over_lattice(lattice, c2), 3))
+    details = entries["superposition_attained"]["details"]
+    phi = np.stack([sample_gaussian(grid, width=width).values for width in _PHI_WIDTHS])
+    phi_hat = np.fft.fftn(phi.reshape((-1,) + grid.shape), axes=axes)[
+        _PHI_WIDTHS.index(details["witness_width"])]
+    L = grid.points_per_axis
+    c = np.exp(2j * np.pi * (lattice.index_points @ np.array(details["residue"]) % L) / L)
+    assert details["attained"] == (_grid_norm(lattice, c, phi_hat, spec)
+                                   / _grid_norm(lattice, c, chi_hat, spec))
+    e = _superpose(lattice, c[None], np.conj(phi_hat))
+    conv = _convolution_rows(lattice, np.fft.fftn(e.reshape((1,) + grid.shape), axes=axes),
+                             phi_hat[None])[0]
+    assert entries["convolution_attained"]["details"]["attained"] == (
+        _grid_norm(lattice, conv, chi_hat, spec) / continuous_norm(GridSignal(grid, e[0]), spec))
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+def test_batched_decay_profiles_match_one_row_profiles(config):
+    system = SuiteConfig.from_dict(BENCH_CONFIGS[config]).make_system()
+    grid = system.grid
+    rows = np.stack([sample_gaussian(grid, width=math.sqrt(2.0), normalize=True).values,
+                     sample_oscillation(grid, 4.0).values,
+                     random_signal(grid, np.random.default_rng(6)).values])
+    specs = [SpaceSpec("Lp_w", 1.0, weight=PowerWeight(3.0)), SpaceSpec("C0_w")]
+    if grid.dim == 2:
+        specs.append(SpaceSpec("MixedLp", 2.0, 1.0))
+    for spec in specs:
+        profiles = _decay_profiles(system, rows, spec)
+        assert len(profiles) == len(rows)
+        for row, profile in zip(rows, profiles):
+            f = GridSignal(grid, row)
+            one = decay_profile(system, f, spec)
+            for field in dataclasses.fields(DecayProfile):
+                assert np.array_equal(getattr(profile, field.name), getattr(one, field.name))
+            # The analysis of the row alone, normed one frequency column at a time.
+            alone = CoeffArray.over_lattice(system.time_lattice, analyze(system, f).values)
+            assert np.array_equal(profile.slice_norms, solid_discrete_norm(alone, spec))
+
+
+# FFT calls per suite on a fresh bench system, pinned where stacking the
+# witnesses lowered them; the counts before are those of one kernel call per
+# witness or signal.
+@pytest.mark.parametrize("config, ffts", [("1d", 18), ("2d", 6)])
+def test_window_independence_superposes_one_stack_per_window(config, ffts, monkeypatch):
+    # Was 38 (1-D) and 26 (2-D): an FFT pair per witness and window.  The
+    # 1-D count holds the 12 of the Fourier-side entries.
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    shapes = _counted_superpose(monkeypatch)
+    counts = count_fft_calls(monkeypatch)
+    run_window_independence(cfg, system)
+    assert shapes == [(6, system.time_lattice.count)] * 2
+    assert sum(counts.values()) == ffts
+
+
+@pytest.mark.parametrize("config, ffts", [("1d", 12), ("2d", 27)])
+def test_embedding_chain_superposes_one_stack_per_window(config, ffts, monkeypatch):
+    # Was 20 (1-D) and 35 (2-D): an FFT pair per witness.
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    shapes = _counted_superpose(monkeypatch)
+    counts = count_fft_calls(monkeypatch)
+    run_embedding_chain(cfg, system)
+    count = system.time_lattice.count
+    assert shapes == [(2, count), (4, count)]
+    assert sum(counts.values()) == ffts
+
+
+@pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
+def test_growth_profiles_its_signals_in_one_analysis(config, monkeypatch):
+    # Was three analyses, one per signal.
+    cfg = SuiteConfig.from_dict(BENCH_CONFIGS[config])
+    system = cfg.make_system()
+    analysis = smoothness_module._analysis
+    calls = []
+    monkeypatch.setattr(smoothness_module, "_analysis",
+                        lambda system, rows: calls.append(rows.shape) or analysis(system, rows))
+    counts = count_fft_calls(monkeypatch)
+    run_growth(cfg, system)
+    assert calls == [(3, system.grid.size)]
+    assert counts == {"fftn": 1}
+
+
+def test_a_verify_run_makes_at_most_45_ffts(monkeypatch):
+    # Was 69 on the 1-D bench config.
+    counts = count_fft_calls(monkeypatch)
+    run_suites(SuiteConfig.from_dict(BENCH_CONFIGS["1d"]))
+    assert sum(counts.values()) <= 45
 
 
 @pytest.mark.parametrize("config", sorted(BENCH_CONFIGS))
