@@ -143,7 +143,7 @@ def cmd_norms(args) -> int:
     cfg = load_config(args.config)
     f = _read_input(args, cfg.make_grid())
     records = [
-        {"spec": spec.to_dict(), "lattice": None, "value": continuous_norm(f, spec)}
+        {"spec": spec.to_dict(), "value": continuous_norm(f, spec)}
         for spec in cfg.spaces
     ]
     text = dump_json(records) + "\n"

@@ -245,15 +245,15 @@ def write_report(report: dict, json_path, csv_path) -> list[str]:
 
 
 def _fmt(v) -> str:
-    """A CSV field: a number's or bool's JSON text, without the ".0" of an
-    integral float; null is empty, anything else its str."""
+    """A CSV field: the value's JSON text, without the ".0" of an integral
+    float; null is empty and a string is itself."""
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
+    if isinstance(v, str):
+        return v
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
-    return str(v)
+    return dump_json(v)
 
 
 _REPORT_KEYS = ("schema", "suites", "entries")

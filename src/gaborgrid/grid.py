@@ -418,16 +418,6 @@ class CoeffArray:
         return self.lattices[1]
 
 
-# Work on at most this many bytes of complex rows at a time, so a batch of any
-# size adds a bounded working set.
-_BATCH_BYTES = 2 ** 17
-
-
-def _block_rows(row_size: int) -> int:
-    """Rows of ``row_size`` complex entries per block under ``_BATCH_BYTES``."""
-    return max(1, _BATCH_BYTES // (16 * row_size))
-
-
 def _flat_index(grid: PeriodicGrid, index: np.ndarray) -> np.ndarray:
     """Flat node (or bin) numbers of integer index vectors, wrapped modulo L."""
     return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), grid.shape, mode="wrap")

@@ -55,7 +55,6 @@ from .grid import (
     GridLattice,
     GridSignal,
     PeriodicGrid,
-    _block_rows,
     _flat_index,
     _lattice_fold,
     grids_compatible,
@@ -178,14 +177,12 @@ def _check_mixed(grid: PeriodicGrid, spec: SpaceSpec) -> None:
         raise DimensionMismatch("MixedLp requires a 2-d grid")
 
 
-def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec,
-               weight: np.ndarray) -> np.ndarray:
-    """Norms of the (S, size) rows of grid samples, one per row.
-
-    ``weight`` is ``_norm_weight(grid, spec)``.  FourierLp_w rows are
-    transformed in place.
+def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec) -> np.ndarray:
+    """Norms of the (S, size) rows of grid samples, one per row, weighted by
+    ``_norm_weight(grid, spec)``.  FourierLp_w rows are transformed in place.
     """
     _check_mixed(grid, spec)
+    weight = _norm_weight(grid, spec)
     if spec.kind == "FourierLp_w":
         shaped = rows.reshape((-1,) + grid.shape)
         np.fft.ifftn(shaped, axes=tuple(range(1, grid.dim + 1)), out=shaped)
@@ -199,7 +196,7 @@ def _row_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec,
 def continuous_norm(f: GridSignal, spec: SpaceSpec) -> float:
     """Quadrature norm of a grid signal in the requested space."""
     rows = f.values.reshape(1, -1).copy()
-    return float(_row_norms(rows, f.grid, spec, _norm_weight(f.grid, spec))[0])
+    return float(_row_norms(rows, f.grid, spec)[0])
 
 
 def _disjoint_translates(window: GridSignal, lat: GridLattice
@@ -244,28 +241,23 @@ def _checked_translates(window: GridSignal, lat: GridLattice
     return nodes, support
 
 
-def _sequence_norms(coeffs: CoeffArray, row_norms, row_size: int | None = None
-                    ) -> float | np.ndarray:
+def _sequence_rows(coeffs: CoeffArray) -> np.ndarray:
     """The calling convention of every sequence norm in this module.
 
-    ``coeffs`` holds one sequence, values of shape (count,), for which the
-    norm is returned as a float, or S sequences as the columns of a
-    (count, S) array, for which the S column norms are returned.
-    ``row_norms`` maps an (s, count) array whose rows are sequences to their
-    s norms; it is handed blocks of at most ``grid._BATCH_BYTES`` of complex
-    rows of ``row_size`` entries (default: count).
+    ``coeffs`` holds one sequence, values of shape (count,), or S sequences
+    as the columns of a (count, S) array; they are normed as the rows of
+    this (S, count) view, whose magnitudes are taken C-contiguous, so every
+    row sum is pairwise, as for one sequence.  ``_sequence_result`` returns
+    the S norms, or a float for one sequence.
     """
     values = coeffs.values
     if values.ndim > 2:
         raise IndexMismatch("coefficients must have shape (count,) or (count, S)")
-    columns = values.reshape(coeffs.lattice.count, -1)
-    block = _block_rows(row_size or columns.shape[0])
-    norms = np.empty(columns.shape[1])
-    for start in range(0, columns.shape[1], block):
-        # Contiguous rows keep every row sum pairwise, as for one sequence.
-        rows = np.ascontiguousarray(columns[:, start:start + block].T)
-        norms[start:start + block] = row_norms(rows)
-    return float(norms[0]) if values.ndim == 1 else norms
+    return values.reshape(coeffs.lattice.count, -1).T
+
+
+def _sequence_result(coeffs: CoeffArray, norms: np.ndarray) -> float | np.ndarray:
+    return float(norms[0]) if coeffs.values.ndim == 1 else norms
 
 
 def _solid_profile(window: GridSignal, lat: GridLattice, spec: SpaceSpec
@@ -324,41 +316,39 @@ def _fold_profile(table: np.ndarray, split: tuple[int, ...], p: float) -> np.nda
     return (shaped ** p).sum(axis=periods).ravel() ** (1.0 / p)
 
 
+def _series_values(rows: np.ndarray, series: tuple) -> np.ndarray:
+    """The periodic series of each of the (S, count) rows of sequences at
+    the residues of the fold: the row placed at its distinct ``bins`` of
+    the fold shape and taken by one unnormalized inverse DFT of that shape,
+    flattened to (S, fold size)."""
+    shape, bins, profile, _ = series
+    values = np.zeros((len(rows), profile.size), dtype=complex)
+    values[:, bins] = rows
+    shaped = values.reshape((-1,) + shape)
+    np.fft.ifftn(shaped, axes=tuple(range(1, len(shape) + 1)), norm="forward", out=shaped)
+    return values
+
+
 def _series_norms(coeffs: CoeffArray, spec: SpaceSpec, series: tuple
                   ) -> float | np.ndarray:
     """Norms of the periodic series of each sequence against a folded profile.
 
     ``series`` is (shape, bins, profile, spacing), from ``_bump_series`` or
-    ``_fourier_side_series``.  Each sequence is placed at its distinct
-    ``bins`` of ``shape`` and taken by one unnormalized inverse DFT of that
-    shape: the series at the residues, each weighted by its ``profile``
-    entry and normed with cell spacing^dim.
+    ``_fourier_side_series``: the series at the residues (``_series_values``),
+    each weighted by its ``profile`` entry and normed with cell spacing^dim.
     """
-    shape, bins, profile, spacing = series
-    axes = tuple(range(1, len(shape) + 1))
-
-    def row_norms(rows):
-        values = np.zeros((rows.shape[0], profile.size), dtype=complex)
-        values[:, bins] = rows
-        shaped = values.reshape((-1,) + shape)
-        np.fft.ifftn(shaped, axes=axes, norm="forward", out=shaped)
-        weighted = np.abs(values)
-        weighted *= profile
-        return _norms(weighted, spec, spacing, len(shape))
-
-    return _sequence_norms(coeffs, row_norms, profile.size)
+    shape, _, profile, spacing = series
+    weighted = np.abs(_series_values(_sequence_rows(coeffs), series))
+    weighted *= profile
+    return _sequence_result(coeffs, _norms(weighted, spec, spacing, len(shape)))
 
 
 def _series_matrix(series: tuple) -> np.ndarray:
     """The (rows, count) matrix of the map that ``_series_norms`` norms:
     sequence to weighted series, one row per residue of positive profile
-    (the others add nothing to a norm), built by the same inverse DFT from
-    the unit sequences."""
-    shape, bins, profile, _ = series
-    units = np.zeros((bins.size, profile.size), dtype=complex)
-    units[np.arange(bins.size), bins] = 1.0
-    shaped = units.reshape((-1,) + shape)
-    np.fft.ifftn(shaped, axes=tuple(range(1, len(shape) + 1)), norm="forward", out=shaped)
+    (the others add nothing to a norm), the series of the unit sequences."""
+    profile = series[2]
+    units = _series_values(np.eye(series[1].size), series)
     keep = profile > 0
     return (units[:, keep] * profile[keep]).T
 
@@ -399,31 +389,22 @@ def discrete_norm(coeffs: CoeffArray, spec: SpaceSpec, window: GridSignal
     """
     lat = coeffs.lattice
     grid = window.grid
-    if spec.kind == "MixedLp":
-        profile, rows = _solid_profile(window, lat, spec)
-        combine = np.maximum if math.isinf(spec.p2) else np.add
-
-        def row_norms(seqs):
-            # Each pair (k, s) adds |c_k|^p2 profile[k, s]^p2 to its grid row.
-            weighted = np.abs(seqs)[:, :, None] * profile
-            powered = weighted if math.isinf(spec.p2) else weighted ** spec.p2
-            inner = np.zeros((len(seqs), grid.points_per_axis))
-            combine.at(inner, (slice(None), rows), powered)
-            if not math.isinf(spec.p2):
-                inner = (grid.spacing * inner) ** (1.0 / spec.p2)
-            return _p_norm(inner, spec.p, grid.spacing, axis=1)
-
-        return _sequence_norms(coeffs, row_norms, profile.size)
-    if spec.is_solid:
-        profile = _solid_profile(window, lat, spec)[0][:, 0]
-
-        def row_norms(seqs):
-            weighted = np.abs(seqs)
-            weighted *= profile
-            return _norms(weighted, spec, grid.spacing, grid.dim)
-
-        return _sequence_norms(coeffs, row_norms)
-    return _series_norms(coeffs, spec, _bump_series(window, lat, spec))
+    if not spec.is_solid:
+        return _series_norms(coeffs, spec, _bump_series(window, lat, spec))
+    profile, rows = _solid_profile(window, lat, spec)
+    weighted = np.abs(_sequence_rows(coeffs), order="C")
+    if spec.kind != "MixedLp":
+        weighted *= profile[:, 0]
+        return _sequence_result(coeffs, _norms(weighted, spec, grid.spacing, grid.dim))
+    # Each pair (k, s) adds |c_k|^p2 profile[k, s]^p2 to its grid row.
+    weighted = weighted[:, :, None] * profile
+    inner = np.zeros((len(weighted), grid.points_per_axis))
+    if math.isinf(spec.p2):
+        np.maximum.at(inner, (slice(None), rows), weighted)
+    else:
+        np.add.at(inner, (slice(None), rows), weighted ** spec.p2)
+        inner = (grid.spacing * inner) ** (1.0 / spec.p2)
+    return _sequence_result(coeffs, _p_norm(inner, spec.p, grid.spacing, axis=1))
 
 
 def _separable_counts(lat: GridLattice) -> tuple[int, int]:
@@ -441,15 +422,10 @@ def solid_discrete_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarr
     if not spec.is_solid:
         raise NotSolid(f"{spec.kind} has no solid sequence shortcut")
     lat = coeffs.lattice
-    weight = spec.weight(lat.centered_points)
     shape = (-1,) + _separable_counts(lat) if spec.kind == "MixedLp" else (-1, lat.count)
-
-    def row_norms(rows):
-        weighted = np.abs(rows)
-        weighted *= weight
-        return _norms(weighted.reshape(shape), spec, 1.0, lat.grid.dim)
-
-    return _sequence_norms(coeffs, row_norms)
+    weighted = np.abs(_sequence_rows(coeffs), order="C")
+    weighted *= spec.weight(lat.centered_points)
+    return _sequence_result(coeffs, _norms(weighted.reshape(shape), spec, 1.0, lat.grid.dim))
 
 
 def fourier_side_norm(coeffs: CoeffArray, spec: SpaceSpec) -> float | np.ndarray:
@@ -510,9 +486,8 @@ def _checked_fourier_series(lat: GridLattice, spec: SpaceSpec) -> tuple:
 
 def decay_weighted_sup(coeffs: CoeffArray, order: int) -> float | np.ndarray:
     """sup over lambda of |c_lambda| (1+|lambda|)^order, the rapidly
-    decreasing scale."""
-    weight = PowerWeight(float(order))(coeffs.lattice.centered_points)
-    return _sequence_norms(coeffs, lambda rows: np.max(np.abs(rows) * weight, axis=1))
+    decreasing scale: the C0_w solid norm of weight (1+|x|)^order."""
+    return solid_discrete_norm(coeffs, SpaceSpec("C0_w", weight=PowerWeight(float(order))))
 
 
 def growth_weighted_sup(coeffs: CoeffArray, order: int) -> float | np.ndarray:

@@ -34,7 +34,6 @@ from .errors import DimensionMismatch, ResourceLimit
 from .grid import (
     GridSignal,
     PeriodicGrid,
-    _block_rows,
     _lattice_fold,
     _order_tuple,
     _tiled_windows,
@@ -44,6 +43,11 @@ from .grid import (
 
 # Refuse full transforms whose output would exceed 2^26 complex entries.
 _FULL_STFT_LIMIT = 2 ** 26
+
+# Gather at most this many bytes of window translates at a time: a table of
+# all of them holds a signal per time node, 1 GB for a full transform at
+# _FULL_STFT_LIMIT.
+_BATCH_BYTES = 2 ** 17
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -76,8 +80,8 @@ def _lattice_stft(values: np.ndarray, psi: GridSignal, time_points: np.ndarray,
     """(K, M) STFT samples of the (size,) signal ``values`` with window psi
     at the (K, dim) time index points and the (M, dim) distinct, sorted bin
     index points (as ``GridLattice.index_points``): conjugated translates of
-    psi, in blocks under ``grid._BATCH_BYTES``, times f, folded onto the
-    period of the bins, then one FFT of the fold.  For every bin the fold is
+    psi, in blocks under ``_BATCH_BYTES``, times f, folded onto the period
+    of the bins, then one FFT of the fold.  For every bin the fold is
     the grid and the table is filled in place, with no gather.
     """
     grid = psi.grid
@@ -85,7 +89,7 @@ def _lattice_stft(values: np.ndarray, psi: GridSignal, time_points: np.ndarray,
     periods = tuple(range(1, 2 * grid.dim, 2))
     count = len(time_points)
     folded = np.empty((count,) + shape, dtype=complex)
-    block = _block_rows(grid.size)
+    block = max(1, _BATCH_BYTES // (16 * grid.size))
     translates = _translates(_tiled_windows(psi.reshaped()), time_points, block)
     for lo, rows in zip(range(0, count, block), translates):
         part = folded[lo:lo + block]

@@ -31,7 +31,7 @@ or an enclosure [lower, upper] whose lower end a witness attains:
 README, "Closed-form constants" and "Fourier-side enclosures", derives them.
 
 Signals and witnesses are evaluated as stacks, one batched kernel call per
-window or space (``grid._superpose``, ``_grid_norms``,
+window or space (``grid._superpose``, ``spaces._row_norms``,
 ``smoothness._decay_profiles``); each kernel treats a row alone, so a stack
 gives the bytes its rows give one at a time.
 """
@@ -73,7 +73,6 @@ from .spaces import (
     SpaceSpec,
     _bump_series,
     _fourier_side_series,
-    _norm_weight,
     _p_norm,
     _row_norms,
     _series_matrix,
@@ -334,13 +333,6 @@ def run_frame_bounds(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     return [lower, check(suite, "condition_number", cert.upper / cert.lower, 10.0, "<")]
 
 
-def _grid_norms(rows: np.ndarray, grid: PeriodicGrid, spec: SpaceSpec) -> np.ndarray:
-    """The ``spec`` norms of the (S, size) witness rows ``grid._superpose``
-    built, on the grid: how witnesses are evaluated, without the window
-    profile the closed forms are built from.  Lp_w rows are left untouched."""
-    return _row_norms(rows, grid, spec, _norm_weight(grid, spec))
-
-
 def _attained(suite: str, name: str, constant: float, attained: float,
               details: dict) -> dict:
     """The relative gap between a closed form and the value its witness attains."""
@@ -371,7 +363,7 @@ def run_window_independence(cfg: SuiteConfig, system: GaborSystem) -> list[dict]
     units = np.eye(lattice.count)[ks]
     rows = np.stack([_superpose(lattice, units, hat) for hat in (hat1, hat2)], axis=1)
     for spec, band, k, pair in zip(specs, bands, ks, rows):
-        n1, n2 = _grid_norms(pair, grid, spec)
+        n1, n2 = _row_norms(pair, grid, spec)
         r = n1 / n2
         entries.append(_attained(suite, f"K_attained_L{spec.p:g}_tau{spec.tau:g}", band[k],
                                  max(r, 1.0 / r), {"K": float(band[k]), "witness_k": k,
@@ -551,8 +543,8 @@ def run_embedding_chain(cfg: SuiteConfig, system: GaborSystem) -> list[dict]:
     e_hat = np.fft.fftn(phi_side[1:].reshape((1,) + grid.shape),
                         axes=tuple(range(1, grid.dim + 1)))
     conv = _convolution_rows(lattice, e_hat, phi_hat[None])[0]
-    norm_phi_c, norm_e = _grid_norms(phi_side, grid, spec)
-    norm_c1, norm_c2, norm_c, norm_conv = _grid_norms(
+    norm_phi_c, norm_e = _row_norms(phi_side, grid, spec)
+    norm_c1, norm_c2, norm_c, norm_conv = _row_norms(
         _superpose(lattice, np.stack([c1, c2, c, conv]), chi_hat), grid, spec)
     entries = [
         check(suite, "kappa1_positive", kappa1, 0.0, ">",

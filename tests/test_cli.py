@@ -161,8 +161,12 @@ def test_norms_subcommand(tmp_path, capsys):
     assert cli.main(
         ["norms", "--config", str(cfg), "--input", str(sig_path), "--output", str(out)]
     ) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    # One {spec, value} record per configured space, in config order.
+    assert out.read_text() == (
+        '[{"spec": {"kind": "Lp_w", "p": 2.0, "tau": 0.0}, "value": 0.84089641525371461}, '
+        '{"spec": {"kind": "C0_w", "tau": 0.0}, "value": 1.0}]\n')
     records = json.loads(out.read_text())
-    assert len(records) == 2
     assert records[0]["value"] == pytest.approx(2.0 ** -0.25, rel=1e-10)
     assert records[1]["value"] == pytest.approx(1.0, rel=1e-12)
 

@@ -104,6 +104,22 @@ def test_csv_scalar_field_is_the_json_text(tmp_path, value):
     assert row["details"] == f"v={expected}"
 
 
+@pytest.mark.parametrize("value, text", [
+    ([0.1], "[0.10000000000000001]"),
+    ((3, 4), "[3, 4]"),
+    ([3, -4], "[3, -4]"),
+    ([1.0, np.float32(0.1)], "[1.0, 0.10000000149011612]"),
+], ids=["float-list", "tuple", "int-list", "mixed-list"])
+def test_csv_list_detail_is_the_json_text(tmp_path, value, text):
+    # A list or tuple detail is written as its JSON text, as in the JSON
+    # report: floats at 17 digits, a tuple as a list.
+    csv_path = tmp_path / "r.csv"
+    write_report(make_report([dict(good_entry(), details={"x": value})]), None, csv_path)
+    [row] = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    assert text == dump_json(value)
+    assert row["details"] == f"x={text}"
+
+
 def test_csv_fields_of_a_verify_report_are_its_json_texts(tmp_path):
     json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
     write_report(run_suites(SuiteConfig()), json_path, csv_path)

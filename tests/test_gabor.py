@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,6 @@ from gaborgrid.errors import (
     NotAFrame,
     ZeroSignal,
 )
-from gaborgrid import grid as grid_module
 from gaborgrid.gabor import (
     GaborSystem,
     analyze,
@@ -415,13 +413,8 @@ def test_fiber_maps_are_shared_per_lattice_pair(ref_system):
     np.testing.assert_allclose(analyze(finer, f).values, expected, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("signals_per_block", [None, 1, 3], ids=["default", "1", "3"])
-def test_reconstruction_fft_count(ref_system, rng, monkeypatch, signals_per_block):
-    # One forward transform for the analysis, one inverse for the synthesis,
-    # whatever the block budget.
-    per_signal = ref_system.time_lattice.count * math.prod(ref_system._fibers[1].shape)
-    if signals_per_block:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", signals_per_block * 16 * per_signal)
+def test_reconstruction_fft_count(ref_system, rng, monkeypatch):
+    # One forward transform for the analysis, one inverse for the synthesis.
     gamma = dual_window(ref_system)
     f = random_signal(ref_system.grid, rng)
     counts = count_fft_calls(monkeypatch)

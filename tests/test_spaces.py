@@ -14,10 +14,8 @@ from gaborgrid.errors import (
     OverlappingSupports,
     Unresolved,
 )
-from gaborgrid import grid as grid_module
 from gaborgrid import spaces as spaces_module
 from gaborgrid.grid import (
-    _BATCH_BYTES,
     CoeffArray,
     GridLattice,
     GridSignal,
@@ -235,22 +233,20 @@ def test_batched_discrete_norm_matches_per_column_oracle(norm, setup, spec):
     grid, generator = _BATCH_LATTICES[setup]
     lat = GridLattice(Lattice(generator), grid)
     chi = sample_bump(grid, radius=0.45)
-    # (norm of a CoeffArray, per-column oracle, complex entries per working row);
-    # a missing oracle means single-column calls of the norm itself.
-    batch_norm, oracle, row_size = {
+    # (norm of a CoeffArray, per-column oracle); a missing oracle means
+    # single-column calls of the norm itself.
+    batch_norm, oracle = {
         "discrete": (lambda c: discrete_norm(c, spec, chi),
-                     lambda c: continuous_norm(lattice_superposition(c, chi), spec),
-                     grid.size),
-        "solid": (lambda c: solid_discrete_norm(c, spec), None, lat.count),
+                     lambda c: continuous_norm(lattice_superposition(c, chi), spec)),
+        "solid": (lambda c: solid_discrete_norm(c, spec), None),
         "fourier": (lambda c: fourier_side_norm(c, spec),
-                    lambda c: _direct_fourier_side_norm(c, spec), grid.size),
-        "decay": (lambda c: decay_weighted_sup(c, 3), None, lat.count),
-        "growth": (lambda c: growth_weighted_sup(c, 3), None, lat.count),
+                    lambda c: _direct_fourier_side_norm(c, spec)),
+        "decay": (lambda c: decay_weighted_sup(c, 3), None),
+        "growth": (lambda c: growth_weighted_sup(c, 3), None),
     }[norm]
     oracle = oracle or batch_norm
     rng = np.random.default_rng(17)
-    block = _BATCH_BYTES // (16 * row_size)
-    for samples in (1, 2 * block + 1):  # one column; three blocks, the last partial
+    for samples in (1, 5):
         cols = (rng.standard_normal((lat.count, samples))
                 + 1j * rng.standard_normal((lat.count, samples)))
         got = batch_norm(CoeffArray.over_lattice(lat, cols))
@@ -263,6 +259,68 @@ def test_batched_discrete_norm_matches_per_column_oracle(norm, setup, spec):
     assert single == pytest.approx(expected[-1], rel=1e-12)
     with pytest.raises(IndexMismatch):
         batch_norm(CoeffArray.over_lattice(lat, cols[:, :, None]))
+
+
+# Every sequence norm, as (setup, norm of a CoeffArray given the window): each
+# kind of discrete_norm, then solid_discrete_norm, fourier_side_norm and both
+# weighted sups.
+_STACK_NORMS = {
+    "discrete-Lp_w": ("1d", lambda c, chi: discrete_norm(c, lp_w(4.0, 2.0), chi)),
+    "discrete-C0_w": ("1d", lambda c, chi: discrete_norm(
+        c, SpaceSpec("C0_w", weight=PowerWeight(1.0)), chi)),
+    "discrete-MixedLp": ("2d-sheared", lambda c, chi: discrete_norm(
+        c, SpaceSpec("MixedLp", 1.0, 3.0), chi)),
+    "discrete-MixedLp-p2inf": ("2d-sheared", lambda c, chi: discrete_norm(
+        c, SpaceSpec("MixedLp", 2.0, math.inf, PowerWeight(1.0)), chi)),
+    "discrete-FourierLp_w-1d": ("1d", lambda c, chi: discrete_norm(
+        c, SpaceSpec("FourierLp_w", 2.0, weight=PowerWeight(1.5)), chi)),
+    "discrete-FourierLp_w-2d": ("2d-sheared", lambda c, chi: discrete_norm(
+        c, SpaceSpec("FourierLp_w", 4.0, weight=PowerWeight(2.0)), chi)),
+    "solid-Lp_w": ("2d-separable", lambda c, chi: solid_discrete_norm(c, lp_w(1.0, 2.0))),
+    "solid-C0_w": ("2d-separable", lambda c, chi: solid_discrete_norm(
+        c, SpaceSpec("C0_w", weight=PowerWeight(1.0)))),
+    "solid-MixedLp": ("2d-separable", lambda c, chi: solid_discrete_norm(
+        c, SpaceSpec("MixedLp", 2.0, 1.0, PowerWeight(1.5)))),
+    "fourier-side-1d": ("1d-step2", lambda c, chi: fourier_side_norm(
+        c, SpaceSpec("FourierLp_w", 1.0, weight=PowerWeight(1.5)))),
+    "fourier-side-2d": ("2d", lambda c, chi: fourier_side_norm(
+        c, SpaceSpec("FourierLp_w", 2.0, weight=PowerWeight(1.5)))),
+    "decay": ("2d-sheared", lambda c, chi: decay_weighted_sup(c, 3)),
+    "growth": ("1d", lambda c, chi: growth_weighted_sup(c, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_STACK_NORMS))
+def test_stacked_norms_equal_one_column_norms(case):
+    # 1100 columns: more than a 128 KiB block holds of complex rows of 8
+    # entries, the shortest sequences here, so a norm that cut its stack into
+    # such blocks would be checked across a block boundary in every case.
+    setup, norm = _STACK_NORMS[case]
+    grid, generator = _BATCH_LATTICES[setup]
+    lat = GridLattice(Lattice(generator), grid)
+    chi = sample_bump(grid, radius=0.45)
+    rng = np.random.default_rng(5)
+    cols = rng.standard_normal((lat.count, 1100)) + 1j * rng.standard_normal((lat.count, 1100))
+    stacked = norm(CoeffArray.over_lattice(lat, cols), chi)
+    assert stacked.shape == (1100,)
+    assert np.array_equal(stacked, [norm(CoeffArray.over_lattice(lat, col), chi)
+                                    for col in cols.T])
+
+
+def test_decay_weighted_sup_is_the_c0_solid_norm():
+    grid, generator = _BATCH_LATTICES["2d-sheared"]
+    lat = GridLattice(Lattice(generator), grid)
+    rng = np.random.default_rng(6)
+    cols = rng.standard_normal((lat.count, 7)) + 1j * rng.standard_normal((lat.count, 7))
+    for order in (3, 0, -2):
+        weight = PowerWeight(float(order))
+        spec = SpaceSpec("C0_w", weight=weight)
+        for values in (cols, cols[:, 0]):
+            c = CoeffArray.over_lattice(lat, values)
+            assert np.array_equal(decay_weighted_sup(c, order), solid_discrete_norm(c, spec))
+        # The C0_w norm is the max of |c| w.
+        assert np.array_equal(decay_weighted_sup(CoeffArray.over_lattice(lat, cols), order),
+                              np.max(np.abs(cols.T) * weight(lat.centered_points), axis=1))
 
 
 def test_batched_discrete_norm_refuses_bad_input(ref_grid, rng):
@@ -321,40 +379,40 @@ _DIRECT_SPECS = (
        SpaceSpec("FourierLp_w", math.inf, weight=PowerWeight(1.0))]
 )
 _DIRECT_CASES = [
-    (setup, spec, rows)
+    (setup, spec, cols)
     for setup in _DIRECT_SETUPS
     for spec in _DIRECT_SPECS
     if not (_DIRECT_SETUPS[setup][0].dim == 1 and spec.kind == "MixedLp")
-    for rows in (None, 3)
+    for cols in (None, 3)
 ]
 
 
 @pytest.mark.parametrize(
-    "setup,spec,block_rows", _DIRECT_CASES,
-    ids=[f"{setup}-{spec.kind}-p{spec.p:g}-tau{spec.tau:g}-{'default' if rows is None else rows}"
-         for setup, spec, rows in _DIRECT_CASES],
+    "setup,spec,columns", _DIRECT_CASES,
+    ids=[f"{setup}-{spec.kind}-p{spec.p:g}-tau{spec.tau:g}-{'default' if cols is None else cols}"
+         for setup, spec, cols in _DIRECT_CASES],
 )
-def test_discrete_norm_matches_fft_superposition(setup, spec, block_rows, monkeypatch):
+def test_discrete_norm_matches_fft_superposition(setup, spec, columns):
     # The oracle superposes each column by FFT convolution and norms it.
+    # "default" is one sequence of shape (count,), the CoeffArray default,
+    # and 3 a stack of three columns.
     grid, generator, radius = _DIRECT_SETUPS[setup]
     lat = GridLattice(Lattice(generator), grid)
     rng = np.random.default_rng(31)
     # A complex window, so that the Fourier kind sees the window's phase.
     chi = sample_bump(grid, radius=radius)
     chi = GridSignal(grid, chi.values * np.exp(2j * np.pi * rng.random(grid.size)))
-    if block_rows is None:
-        samples = 2 * grid_module._block_rows(grid.size) + 1
-    else:
-        # Three blocks of sequences, the last one partial.
-        monkeypatch.setattr(spaces_module, "_block_rows", lambda row_size: block_rows)
-        samples = 2 * block_rows + 1
-    cols = (rng.standard_normal((lat.count, samples))
-            + 1j * rng.standard_normal((lat.count, samples)))
+    cols = (rng.standard_normal((lat.count, columns or 1))
+            + 1j * rng.standard_normal((lat.count, columns or 1)))
+    if columns is None:
+        cols = cols[:, 0]
     got = discrete_norm(CoeffArray.over_lattice(lat, cols), spec, chi)
     expected = [continuous_norm(lattice_superposition(CoeffArray.over_lattice(lat, col), chi),
                                 spec)
-                for col in cols.T]
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+                for col in cols.reshape(lat.count, -1).T]
+    if columns is None:
+        assert isinstance(got, float)
+    np.testing.assert_allclose(got, expected if columns else expected[0], rtol=1e-12, atol=0)
 
 
 def _index_box(grid, widths):

@@ -5,7 +5,6 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from gaborgrid import grid as grid_module
 from gaborgrid.errors import GridMismatch, ResourceLimit
 from gaborgrid.gabor import GaborSystem, analyze, dual_window, wexler_raz_residual
 from gaborgrid.grid import (
@@ -123,7 +122,7 @@ def test_lattice_entries_match_direct_quadrature(rng):
 def test_lattice_stft_is_the_restricted_full_table(grid, time_gen, freq_gen, rows,
                                                     monkeypatch):
     if rows is not None:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * rows)
+        monkeypatch.setattr(stft_module, "_BATCH_BYTES", 16 * grid.size * rows)
     rng = np.random.default_rng(8)
     f = random_signal(grid, rng)
     psi = random_signal(grid, rng)
@@ -353,12 +352,11 @@ def row_defect(f, psi, order):
 
 
 def _same_under_budget(f, psi, order, rows, monkeypatch):
-    """The enclosure, after checking that a ``grid._BATCH_BYTES`` budget of
+    """The enclosure, after checking that a ``stft._BATCH_BYTES`` budget of
     ``rows`` grid-sized rows gives it bit for bit."""
     enclosure = derivative_identity_defect(f, psi, order)
     if rows is not None:
-        monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * f.grid.size * rows)
-        assert grid_module._block_rows(f.grid.size) == rows
+        monkeypatch.setattr(stft_module, "_BATCH_BYTES", 16 * f.grid.size * rows)
         assert derivative_identity_defect(f, psi, order) == enclosure
     return enclosure
 

@@ -10,6 +10,7 @@ comparisons are exact (``np.array_equal``), not a tolerance.
 
 import dataclasses
 import functools
+import importlib
 import math
 import os
 import re
@@ -49,6 +50,7 @@ from gaborgrid.smoothness import (
 )
 from gaborgrid.spaces import (
     SpaceSpec,
+    _row_norms,
     continuous_norm,
     decay_weighted_sup,
     discrete_norm,
@@ -74,6 +76,9 @@ from conftest import (
     schwartz_seminorm,
     smooth_random_signal,
 )
+
+# The module, which the package's stft function shadows as an attribute.
+stft_module = importlib.import_module("gaborgrid.stft")
 
 GRIDS = {
     "1d": PeriodicGrid(1, 16.0, 256),
@@ -265,10 +270,10 @@ def test_stacked_witness_norms_match_one_row_norms(config):
     for p in (1.0, 2.0, 4.0):
         for tau in (0.0, 2.0):
             spec = SpaceSpec("Lp_w", p, weight=PowerWeight(tau))
-            shared = suites_module._grid_norms(_superpose(lattice, coeffs, spectra[0]), grid, spec)
+            shared = _row_norms(_superpose(lattice, coeffs, spectra[0]), grid, spec)
             assert np.array_equal(shared, [_grid_norm(lattice, c, spectra[0], spec)
                                            for c in coeffs])
-            own = suites_module._grid_norms(_superpose(lattice, coeffs, spectra), grid, spec)
+            own = _row_norms(_superpose(lattice, coeffs, spectra), grid, spec)
             assert np.array_equal(own, [_grid_norm(lattice, c, spectrum, spec)
                                         for c, spectrum in zip(coeffs, spectra)])
 
@@ -682,7 +687,7 @@ def test_constant_entries_do_not_depend_on_the_block_size(name, monkeypatch):
     cfg = SuiteConfig.from_dict(config)
     grid = cfg.make_grid()
     expected = dump_json(run_suites(cfg))
-    monkeypatch.setattr(grid_module, "_BATCH_BYTES", 16 * grid.size * 3)
+    monkeypatch.setattr(stft_module, "_BATCH_BYTES", 16 * grid.size * 3)
     assert dump_json(run_suites(cfg)) == expected
 
 
