@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,8 @@ from conftest import (
     modulate,
     random_signal,
 )
+
+stft_module = importlib.import_module("gaborgrid.stft")
 
 
 @pytest.fixture(scope="module")
@@ -413,8 +416,14 @@ def test_fiber_maps_are_shared_per_lattice_pair(ref_system):
     np.testing.assert_allclose(analyze(finer, f).values, expected, rtol=0, atol=1e-13)
 
 
-def test_reconstruction_fft_count(ref_system, rng, monkeypatch):
-    # One forward transform for the analysis, one inverse for the synthesis.
+@pytest.mark.parametrize("signals_per_block", [None, 1, 3], ids=["default", "1", "3"])
+def test_reconstruction_fft_count(ref_system, rng, monkeypatch, signals_per_block):
+    # One forward transform for the analysis, one inverse for the synthesis,
+    # whatever the STFT block budget: reconstruction works on the Zak fibers
+    # and takes no blocks.
+    if signals_per_block:
+        monkeypatch.setattr(stft_module, "_BATCH_BYTES",
+                            signals_per_block * 16 * ref_system.grid.size)
     gamma = dual_window(ref_system)
     f = random_signal(ref_system.grid, rng)
     counts = count_fft_calls(monkeypatch)
